@@ -1,4 +1,4 @@
-"""Pair-pipeline benchmark: pairs/second and step time, before vs after.
+"""Pair-pipeline benchmark: pairs/second, before vs after.
 
 Measures the reworked neighbour pipeline (cached :class:`CellList`,
 vectorised stencil gather, segmented scatter) against the seed
@@ -7,6 +7,8 @@ implementation, which is preserved verbatim below as
 the 27-cell stencil) so "before" numbers stay measurable after the
 rework.  Results are appended to ``BENCH_pairs.json`` at the repo root
 -- a trajectory of runs whose first record is the committed baseline.
+Whole-step time is not measured here: that is ``unit_s`` of the repo's
+benchmark (``bench/``, ``BENCHMARK.json``).
 
 Run with::
 
@@ -27,7 +29,6 @@ import numpy as np
 import pytest
 
 from repro.hacc.neighbors import find_pairs
-from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 
 pytestmark = pytest.mark.perf
 
@@ -167,25 +168,11 @@ class TestPairThroughput:
         new_rate = n_pairs / t_new
         speedup = t_legacy / t_new
 
-        # end-to-end driver step, with and without the step-level cache
-        def _step(enabled):
-            driver = AdiabaticDriver(SimulationConfig(n_per_side=8, pm_mesh=8))
-            driver.pair_cache.enabled = enabled
-            schedule = driver.schedule()
-            t0 = time.perf_counter()
-            driver.step(float(schedule[0]), float(schedule[1]))
-            return time.perf_counter() - t0
-
-        step_cached = min(_step(True) for _ in range(2))
-        step_uncached = min(_step(False) for _ in range(2))
-
         record = {
             "n_pairs": int(n_pairs),
             "legacy_pairs_per_sec": legacy_rate,
             "pairs_per_sec": new_rate,
             "speedup_vs_legacy": speedup,
-            "step_seconds_cached": step_cached,
-            "step_seconds_uncached": step_uncached,
         }
         data = _append_run(record)
 

@@ -475,25 +475,60 @@ def find_pairs(
     return cell_list.cross_pairs(pos, cutoff)
 
 
+#: rows per block of the dense search; its largest temporaries are
+#: (block, n) float64 instead of the (n, n, 3) a one-shot search needs
+_BRUTE_BLOCK = 256
+#: strict upper triangle of one diagonal block (sliced for the last one)
+_BLOCK_TRIU = np.triu(np.ones((_BRUTE_BLOCK, _BRUTE_BLOCK), dtype=bool), k=1)
+
+
 def _find_pairs_bruteforce(pos, other, box, cutoff, symmetric):
-    """O(n^2) fallback for small particle counts / large cutoffs."""
+    """Dense O(n^2) fallback for small particle counts / large cutoffs.
+
+    Searched in row blocks: per-axis 2-D differences with the minimum
+    image applied in place, ``r2`` accumulated in place, one
+    ``np.nonzero`` per block.  Symmetric mode only visits the columns
+    from the block's first row on (the upper triangle).  Pairs come
+    out row-major, i.e. in the order a one-shot ``np.nonzero`` over the
+    full (n, n) mask would give them.
+    """
     half = 0.5 * box
-    d = pos[:, None, :] - other[None, :, :]
-    d = (d + half) % box - half
-    r2 = np.einsum("abi,abi->ab", d, d)
-    mask = r2 < cutoff * cutoff
+    cut2 = cutoff * cutoff
+    columns = np.ascontiguousarray(other.T)
+    empty = np.empty(0, dtype=np.int64)
+    rows, cols = [empty], [empty]
+    for a0 in range(0, len(pos), _BRUTE_BLOCK):
+        block = pos[a0 : a0 + _BRUTE_BLOCK]
+        c0 = a0 if symmetric else 0
+        r2 = None
+        for axis in range(3):
+            d = block[:, axis, None] - columns[axis, None, c0:]
+            d += half
+            d %= box
+            d -= half
+            d *= d
+            if r2 is None:
+                r2 = d
+            else:
+                r2 += d
+        mask = r2 < cut2
+        if symmetric:
+            # decide the cutoff once per unordered pair (see find_pairs)
+            m = len(block)
+            mask[:, :m] &= _BLOCK_TRIU[:m, :m]
+        else:
+            # cross mode: drop exact coincidences (see CellList.cross_pairs)
+            mask &= r2 > 0.0
+        bi, bj = np.nonzero(mask)
+        bi += a0
+        bj += c0
+        rows.append(bi)
+        cols.append(bj)
+    i = np.concatenate(rows)
+    j = np.concatenate(cols)
     if symmetric:
-        # decide the cutoff once per unordered pair (see find_pairs)
-        mask = np.triu(mask, k=1)
-        i, j = np.nonzero(mask)
-        return (
-            np.concatenate([i, j]).astype(np.int64),
-            np.concatenate([j, i]).astype(np.int64),
-        )
-    # cross mode: drop exact coincidences (see CellList.cross_pairs)
-    mask &= r2 > 0.0
-    i, j = np.nonzero(mask)
-    return i.astype(np.int64), j.astype(np.int64)
+        return np.concatenate([i, j]), np.concatenate([j, i])
+    return i, j
 
 
 def build_neighbor_list(

@@ -81,6 +81,20 @@ class PolynomialForceKernel:
         return float(np.max(np.abs(self(r) - exact_short_range_factor(r, self.r_s))))
 
 
+@dataclass
+class _StateMemo:
+    """What the last particle state produced: the pair list and, once a
+    force was evaluated there, the acceleration with what it depended on."""
+
+    search_key: tuple[float, float]
+    positions: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    force_key: tuple[float, float, bool] | None = None
+    mass: np.ndarray | None = None
+    acc: np.ndarray | None = None
+
+
 class ShortRangeSolver:
     """Direct particle-particle short-range gravity inside the cutoff."""
 
@@ -91,11 +105,28 @@ class ShortRangeSolver:
         #: Plummer softening; defaults to a small fraction of r_s
         self.softening = softening if softening is not None else 0.02 * r_s
         self.kernel = PolynomialForceKernel.fit(r_s, cutoff)
-        #: memoised (positions, i, j) of the last pair search, so the
-        #: cost model (:meth:`interaction_count`) and the force
-        #: evaluation (:meth:`accelerations`) build the list exactly
-        #: once per particle state
-        self._pair_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        #: pair list and acceleration of the last particle state, keyed
+        #: by value on everything they depend on: the cost model
+        #: (:meth:`interaction_count`) and the force evaluation share
+        #: one search, and a KDK step, whose first force evaluation
+        #: repeats the previous step's last, pays one evaluation per
+        #: state.  A restored or rolled-back state simply misses.
+        self._memo: _StateMemo | None = None
+
+    def clear_memo(self) -> None:
+        """Forget the memoised state (the next call recomputes)."""
+        self._memo = None
+
+    def _memo_at(self, pos: np.ndarray) -> _StateMemo | None:
+        memo = self._memo
+        if (
+            memo is not None
+            and memo.search_key == (self.box, self.cutoff)
+            and memo.positions.shape == pos.shape
+            and np.array_equal(memo.positions, pos)
+        ):
+            return memo
+        return None
 
     def pair_list(
         self, particles: ParticleData, *, cell_list: CellList | None = None
@@ -108,16 +139,11 @@ class ShortRangeSolver:
         decomposition (see :class:`~repro.hacc.neighbors.CellListCache`).
         """
         pos = particles.positions
-        cached = self._pair_cache
-        if (
-            cached is not None
-            and cached[0].shape == pos.shape
-            and np.array_equal(cached[0], pos)
-        ):
-            return cached[1], cached[2]
-        i, j = find_pairs(pos, self.box, self.cutoff, cell_list=cell_list)
-        self._pair_cache = (pos, i, j)
-        return i, j
+        memo = self._memo_at(pos)
+        if memo is None:
+            i, j = find_pairs(pos, self.box, self.cutoff, cell_list=cell_list)
+            memo = self._memo = _StateMemo((self.box, self.cutoff), pos, i, j)
+        return memo.i, memo.j
 
     def accelerations(
         self,
@@ -126,9 +152,29 @@ class ShortRangeSolver:
         use_polynomial: bool = True,
         cell_list: CellList | None = None,
     ) -> np.ndarray:
-        """(n, 3) short-range comoving accelerations."""
+        """(n, 3) short-range comoving accelerations.
+
+        Memoised per state like :meth:`pair_list`; the caller always
+        gets an array of its own, so mutating it (a fault-injecting
+        kernel hook does) cannot reach the next evaluation.
+        """
         pos = particles.positions
         mass = particles.mass
+        force_key = (self.r_s, self.softening, bool(use_polynomial))
+        memo = self._memo_at(pos)
+        if (
+            memo is not None
+            and memo.force_key == force_key
+            and np.array_equal(memo.mass, mass)
+        ):
+            return memo.acc.copy()
+        acc = self._evaluate(particles, pos, mass, use_polynomial, cell_list)
+        memo = self._memo  # this state's: pair_list found or stored it
+        memo.force_key, memo.mass, memo.acc = force_key, mass.copy(), acc.copy()
+        return acc
+
+    def _evaluate(self, particles, pos, mass, use_polynomial, cell_list) -> np.ndarray:
+        """The direct sum over the (memoised) pair list."""
         n = len(particles)
         i, j = self.pair_list(particles, cell_list=cell_list)
         acc = np.zeros((n, 3), dtype=np.asarray(pos).dtype)

@@ -21,6 +21,7 @@ every device x variant combination of the paper's study.
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -38,7 +39,7 @@ from repro.hacc.sph.corrections import compute_corrections
 from repro.hacc.sph.energy import compute_energy_rate
 from repro.hacc.sph.extras import compute_extras
 from repro.hacc.sph.geometry import compute_geometry
-from repro.hacc.sph.pairs import PairContext, sph_cutoff
+from repro.hacc.sph.pairs import CutoffTruncationWarning, PairContext, sph_cutoff
 from repro.observability.metrics import INTERACTIONS_BUCKETS, MetricsRegistry
 from repro.observability.tracing import TraceRecorder, maybe_span
 
@@ -165,9 +166,20 @@ class AdiabaticDriver:
             particles = zeldovich_ics(self.config.ic_config(), self.cosmology)
         self.particles = particles
         self.pm = PMSolver(self.config.box, PMConfig(n_mesh=self.config.pm_mesh))
-        # the minimum-image pair search requires cutoff < box/2; tiny
-        # test boxes clamp the short-range cutoff accordingly
+        # the minimum-image pair search requires cutoff < box/2; coarse
+        # meshes (pm_mesh < 13) clamp the short-range cutoff accordingly
         sr_cutoff = min(self.pm.cutoff, 0.45 * self.config.box)
+        #: the clamp fired and no metrics registry has counted it yet
+        self._truncation_uncounted = sr_cutoff < self.pm.cutoff
+        if self._truncation_uncounted:
+            warnings.warn(
+                f"short-range cutoff {self.pm.cutoff:.6g} (4.5 r_s at "
+                f"pm_mesh={self.config.pm_mesh}) exceeds the minimum-image "
+                f"bound {sr_cutoff:.6g} of box {self.config.box:.6g}; the "
+                "particle-particle half of the force split is cut short",
+                CutoffTruncationWarning,
+                stacklevel=2,
+            )
         self.short_range = ShortRangeSolver(
             self.config.box, self.pm.split_scale, sr_cutoff
         )
@@ -391,6 +403,9 @@ class AdiabaticDriver:
         # mirror cache hit/rebuild counts into whatever registry the
         # caller attached after construction
         self.pair_cache.metrics = self.metrics
+        if self._truncation_uncounted and self.metrics is not None:
+            self.metrics.counter("sim.pairs.cutoff_truncated").inc()
+            self._truncation_uncounted = False
         wall_start = time.perf_counter()
         self.last_subcycles = 1
         with maybe_span(

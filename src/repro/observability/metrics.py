@@ -30,7 +30,7 @@ METRIC_GLOSSARY: dict[str, str] = {
     "sim.kernel.interactions_per_item": "per-launch mean neighbour count (histogram)",
     "sim.pairs.cell_list.builds": "cell-list (re)builds in the step-level pair cache (counter)",
     "sim.pairs.cell_list.hits": "cell-list cache hits under the Verlet-skin criterion (counter)",
-    "sim.pairs.cutoff_truncated": "SPH pair searches clamped to the minimum-image bound (counter)",
+    "sim.pairs.cutoff_truncated": "pair-search cutoffs clamped to the minimum-image bound: SPH support per build, short-range gravity once per driver (counter)",
     "device.kernel.launches": "kernel submissions priced on a virtual device (counter)",
     "device.kernel.seconds": "simulated device seconds across submissions (counter)",
     "device.atomics.issued": "atomic operations issued on the device, per-launch totals (counter)",

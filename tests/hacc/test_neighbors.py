@@ -155,6 +155,63 @@ class TestFindPairsPropertyStyle:
             assert all((b, a) in pairs for a, b in pairs), cutoff
 
 
+def dense_oracle(pos, other, box, cutoff, symmetric):
+    """The one-shot (n, n, 3) dense search ``_find_pairs_bruteforce``
+    used before it went blocked; its pair *order* is the contract."""
+    half = 0.5 * box
+    d = pos[:, None, :] - other[None, :, :]
+    d = (d + half) % box - half
+    r2 = np.einsum("abi,abi->ab", d, d)
+    mask = r2 < cutoff * cutoff
+    if symmetric:
+        i, j = np.nonzero(np.triu(mask, k=1))
+        return np.concatenate([i, j]), np.concatenate([j, i])
+    i, j = np.nonzero(mask & (r2 > 0.0))
+    return i, j
+
+
+class TestDenseSearch:
+    """The blocked brute-force path against the one-shot oracle."""
+
+    BOX, CUTOFF = 10.0, 3.5  # 2 cells per side: find_pairs goes dense
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 700])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_same_pairs_in_same_order(self, n, symmetric):
+        rng = np.random.default_rng(n)
+        pos = rng.uniform(0, self.BOX, (n, 3))
+        if symmetric:
+            other = pos
+            got = find_pairs(pos, self.BOX, self.CUTOFF)
+        else:
+            # j-side: coincident copies of some i-particles plus strangers
+            other = np.concatenate(
+                [pos[: n // 2], rng.uniform(0, self.BOX, (n // 3 + 1, 3))]
+            )
+            got = find_pairs(pos, self.BOX, self.CUTOFF, pos_other=other)
+        assert not CellList.build(other, self.BOX, self.CUTOFF).use_cells
+        want = dense_oracle(pos, other, self.BOX, self.CUTOFF, symmetric)
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    def test_peak_memory_is_block_sized(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(3000)
+        pos = rng.uniform(0, self.BOX, (3000, 3))
+        tracemalloc.start()
+        try:
+            i, j = find_pairs(pos, self.BOX, self.CUTOFF)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(i) == len(j) > 1_000_000
+        # the one-shot search peaked near 650 MB here (n^2 x 3 doubles,
+        # twice); blocks + the pair arrays themselves stay far below
+        assert peak < 128 * 2**20
+
+
 class TestCellList:
     def test_reuse_matches_fresh_search(self, rng):
         pos = rng.uniform(0, 10, (200, 3))

@@ -126,10 +126,87 @@ class TestShortRangeSolver:
         p.arrays["mass"][:] = rng.uniform(1e9, 1e10, 30)
         solver = ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0)
         plain = solver.accelerations(p)
-        solver._pair_cache = None
+        solver.clear_memo()
         cl = CellList.build(p.positions, p.box, 3.0)
         shared = solver.accelerations(p, cell_list=cl)
         assert np.allclose(plain, shared)
+
+
+class TestStateMemo:
+    """The per-state memo is keyed by value on everything the answer
+    depends on and never hands out its own arrays."""
+
+    @staticmethod
+    def case(rng, n=30):
+        p = ParticleData.allocate(n, box=20.0)
+        p.set_positions(rng.uniform(5, 15, (n, 3)))
+        p.arrays["mass"][:] = rng.uniform(1e9, 1e10, n)
+        return p, ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0)
+
+    @staticmethod
+    def fresh(solver, p, **kwargs):
+        clean = ShortRangeSolver(
+            solver.box, solver.r_s, solver.cutoff, softening=solver.softening
+        )
+        return clean.accelerations(p, **kwargs)
+
+    def test_hit_skips_the_scatter_and_is_bit_equal(self, rng, monkeypatch):
+        from repro import xp
+
+        p, solver = self.case(rng)
+        scatters = []
+        real = xp.bincount
+        monkeypatch.setattr(
+            xp, "bincount", lambda *a, **k: scatters.append(1) or real(*a, **k)
+        )
+        first = solver.accelerations(p)
+        assert len(scatters) == 3  # one per axis
+        again = solver.accelerations(p)
+        assert len(scatters) == 3
+        assert again is not first and np.array_equal(again, first)
+
+    def test_misses_when_masses_change(self, rng):
+        p, solver = self.case(rng)
+        before = solver.accelerations(p)
+        p.arrays["mass"][:] *= 2.0  # in place: the memo must hold a copy
+        after = solver.accelerations(p)
+        assert np.array_equal(after, self.fresh(solver, p))
+        assert not np.array_equal(after, before)
+
+    def test_misses_when_softening_changes(self, rng):
+        p, solver = self.case(rng)
+        before = solver.accelerations(p)
+        solver.softening = 0.5
+        after = solver.accelerations(p)
+        assert np.array_equal(after, self.fresh(solver, p))
+        assert not np.array_equal(after, before)
+
+    def test_misses_when_cutoff_changes(self, rng):
+        p, solver = self.case(rng)
+        wide = solver.interaction_count(p)
+        solver.accelerations(p)
+        solver.cutoff = 1.5
+        assert solver.interaction_count(p) < wide
+        # same force kernel, shorter pair list
+        clean = ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0)
+        clean.cutoff = 1.5
+        assert np.array_equal(solver.accelerations(p), clean.accelerations(p))
+
+    def test_misses_when_kernel_variant_changes(self, rng):
+        p, solver = self.case(rng)
+        poly = solver.accelerations(p, use_polynomial=True)
+        exact = solver.accelerations(p, use_polynomial=False)
+        assert not np.array_equal(poly, exact)
+        assert np.array_equal(exact, self.fresh(solver, p, use_polynomial=False))
+        assert np.array_equal(solver.accelerations(p, use_polynomial=True), poly)
+
+    def test_corrupting_the_result_does_not_poison_the_memo(self, rng):
+        p, solver = self.case(rng)
+        clean = solver.accelerations(p).copy()
+        for _ in range(3):  # the computed array, then memo hits
+            acc = solver.accelerations(p)
+            assert np.array_equal(acc, clean)
+            acc[:] = np.nan
 
 
 class TestPMSolver:

@@ -139,3 +139,118 @@ class TestSharedPairDecomposition:
         assert driver.pair_cache._lists or not driver.pair_cache.enabled
         driver.restore(particles=driver.particles, step_index=0)
         assert not driver.pair_cache._lists
+
+
+class TestGravityMemo:
+    """One short-range force evaluation per particle state: the first
+    ``_gravity()`` of a step repeats the last one of the step before."""
+
+    #: small box: the dense pair search, whose pair order is fixed
+    CONFIG = dict(n_per_side=6, pm_mesh=16, n_steps=3)
+
+    @staticmethod
+    def state(driver):
+        p = driver.particles
+        return p.positions.tobytes() + p.velocities.tobytes() + p.u.tobytes()
+
+    def test_memo_does_not_change_the_trajectory(self):
+        plain = AdiabaticDriver(SimulationConfig(**self.CONFIG))
+        cleared = AdiabaticDriver(SimulationConfig(**self.CONFIG))
+        gravity = cleared._gravity
+
+        def forgetful_gravity():
+            cleared.short_range.clear_memo()
+            return gravity()
+
+        cleared._gravity = forgetful_gravity
+        plain.run()
+        cleared.run()
+        assert self.state(plain) == self.state(cleared)
+
+    def test_steady_step_scatters_once(self, monkeypatch):
+        import repro.hacc.short_range as sr
+
+        class CountingXp:
+            bincounts = 0
+
+            def __getattr__(self, name):
+                return getattr(sr_xp, name)
+
+            def bincount(self, *args, **kwargs):
+                self.bincounts += 1
+                return sr_xp.bincount(*args, **kwargs)
+
+        sr_xp = sr.xp
+        counting = CountingXp()
+        monkeypatch.setattr(sr, "xp", counting)
+        driver = AdiabaticDriver(SimulationConfig(**self.CONFIG))
+        schedule = driver.schedule()
+        per_step = []
+        for k in range(3):
+            before = counting.bincounts
+            driver.step(float(schedule[k]), float(schedule[k + 1]))
+            per_step.append(counting.bincounts - before)
+        # a scatter is one bincount per axis; the first step has no
+        # previous evaluation to reuse
+        assert per_step == [6, 3, 3]
+        # ... while every evaluation still reports to the trace and hook
+        assert len(driver.trace.by_kernel()[GRAVITY_KERNEL]) == 6
+
+    def test_corrupting_hook_does_not_poison_the_next_evaluation(self):
+        from repro.resilience.faults import FaultInjector, FaultPlan
+
+        driver = AdiabaticDriver(SimulationConfig(**self.CONFIG))
+        clean = driver._gravity()
+        injector = FaultInjector(
+            FaultPlan.parse("corrupt:kernel=upGravSR,mode=nan,count=50")
+        )
+        driver.kernel_hook = lambda name, step, outputs: injector.corrupt_kernel(
+            name, step, 0, outputs
+        )
+        corrupted = driver._gravity()
+        assert len(injector.fired) == 1 and np.isnan(corrupted).any()
+        assert np.array_equal(driver._gravity(), clean)
+
+    def test_restored_state_misses_by_value(self):
+        from repro.resilience.restart import SimulationCheckpoint
+
+        driver = AdiabaticDriver(SimulationConfig(**self.CONFIG))
+        schedule = driver.schedule()
+        driver.step(float(schedule[0]), float(schedule[1]))
+        checkpoint = SimulationCheckpoint.capture(driver)
+        driver.run()
+        resumed = AdiabaticDriver(SimulationConfig(**self.CONFIG))
+        resumed.step(float(schedule[0]), float(schedule[1]))
+        resumed.step(float(schedule[1]), float(schedule[2]))
+        # roll back one step with the later state still memoised
+        resumed.restore(
+            particles=checkpoint.particles(), step_index=checkpoint.step_index
+        )
+        resumed.run()
+        assert self.state(resumed) == self.state(driver)
+
+
+class TestShortRangeCutoffClamp:
+    """The 0.45 box clamp on the short-range cutoff is never silent."""
+
+    def test_coarse_mesh_warns_once_and_counts_once(self):
+        from repro.hacc.sph.pairs import CutoffTruncationWarning
+        from repro.observability.metrics import MetricsRegistry
+
+        with pytest.warns(CutoffTruncationWarning, match="short-range cutoff") as caught:
+            driver = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8, n_steps=2))
+        assert len(caught) == 1
+        assert driver.short_range.cutoff == pytest.approx(0.45 * driver.config.box)
+        driver.metrics = MetricsRegistry()
+        driver.run()
+        assert driver.metrics.counter("sim.pairs.cutoff_truncated").value == 1
+
+    @pytest.mark.parametrize("pm_mesh", [16, 48])  # grav_default, hydro_fine
+    def test_benchmark_configs_are_not_clamped(self, pm_mesh, recwarn):
+        from repro.hacc.sph.pairs import CutoffTruncationWarning
+
+        driver = AdiabaticDriver(SimulationConfig(n_per_side=12, pm_mesh=pm_mesh))
+        assert driver.short_range.cutoff == driver.pm.cutoff
+        assert not any(
+            isinstance(w.message, CutoffTruncationWarning) for w in recwarn.list
+        )
