@@ -68,33 +68,6 @@ def _write_observability(
         print(f"openmetrics exposition written to {write_openmetrics(openmetrics_out, metrics)}")
 
 
-def _select_backend(args: argparse.Namespace) -> str | None:
-    """Activate ``--backend`` for subcommands that run the hot path.
-
-    An unavailable backend (missing optional dependency) degrades to
-    the reference with a warning so a run script written for a
-    torch-equipped machine still completes elsewhere; an unknown name
-    is a hard usage error.  Returns an error string, or None.
-    """
-    from repro import xp
-
-    wanted = getattr(args, "backend", None)
-    if not wanted:
-        # still resolve so the active backend (env var or default) is
-        # validated and printed once up front
-        backend = xp.get_backend()
-    else:
-        try:
-            backend = xp.set_backend(wanted)
-        except xp.UnknownBackendError as exc:
-            return f"error: {exc}"
-        except xp.BackendUnavailableError as exc:
-            print(f"warning: {exc}")
-            backend = xp.set_backend(xp.DEFAULT_BACKEND)
-    print(f"array backend: {backend.name} ({backend.summary})")
-    return None
-
-
 def _timeout_error(args: argparse.Namespace) -> str | None:
     """Shared ``--timeout`` validation for every subcommand that has
     one: the flag must be positive wherever it is accepted."""
@@ -108,10 +81,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 
     problem = _timeout_error(args)
-    if problem:
-        print(problem)
-        return 2
-    problem = _select_backend(args)
     if problem:
         print(problem)
         return 2
@@ -391,10 +360,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
     from repro.hacc.validation import validate_run
 
-    problem = _select_backend(args)
-    if problem:
-        print(problem)
-        return 2
     driver = AdiabaticDriver(
         SimulationConfig(n_per_side=args.n, pm_mesh=max(8, args.n), n_steps=args.steps)
     )
@@ -422,10 +387,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.observability import MetricsRegistry, TraceRecorder
 
     problem = _timeout_error(args)
-    if problem:
-        print(problem)
-        return 2
-    problem = _select_backend(args)
     if problem:
         print(problem)
         return 2
@@ -575,10 +536,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     from repro.proglang.model import CompileError
 
-    problem = _select_backend(args)
-    if problem:
-        print(problem)
-        return 2
     trace = reference_trace(args.n)
     if args.device.lower() == "all":
         devices = list(all_devices())
@@ -655,8 +612,6 @@ def _spec_from_args(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "products": [p.strip() for p in args.products.split(",") if p.strip()],
     }
-    if args.backend:
-        spec["backend"] = args.backend
     if args.faults:
         spec["faults"] = args.faults
     if args.ranks != 1:
@@ -765,14 +720,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the mini-app")
     p.add_argument("-n", type=int, default=8, help="particles per side (2x n^3)")
     p.add_argument("--steps", type=int, default=5)
-    p.add_argument(
-        "--backend",
-        help=(
-            "array backend for the hot path (numpy | blocked | numba | "
-            "torch); overrides REPRO_BACKEND, falls back to numpy with "
-            "a warning when the optional dependency is missing"
-        ),
-    )
     p.add_argument(
         "--ranks",
         type=int,
@@ -890,10 +837,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="run and audit invariants")
     p.add_argument("-n", type=int, default=6)
     p.add_argument("--steps", type=int, default=2)
-    p.add_argument(
-        "--backend",
-        help="array backend for the hot path (same semantics as simulate)",
-    )
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("roofline", help="roofline positions on a device")
@@ -907,10 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-n", type=int, default=6, help="particles per side (2x n^3)")
     p.add_argument("--steps", type=int, default=2)
-    p.add_argument(
-        "--backend",
-        help="array backend for the hot path (same semantics as simulate)",
-    )
     p.add_argument(
         "--device",
         help="replay kernels through this device's cost model on a device track",
@@ -983,11 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="select | memory32 | memory_object | broadcast | visa",
     )
     p.add_argument("-n", type=int, default=8)
-    p.add_argument(
-        "--backend",
-        help="array backend for the trace-recording run (same semantics "
-        "as simulate)",
-    )
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
@@ -1022,7 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="diagnostics",
         help="comma-separated: diagnostics,power_spectrum,halo_catalog,trace",
     )
-    p.add_argument("--backend", help="array backend for the hot path")
     p.add_argument("--faults", help="fault plan (same syntax as simulate)")
     p.add_argument("--ranks", type=int, default=1)
     p.add_argument("--degrade-policy", help="shrink | restart | abort")

@@ -34,7 +34,7 @@ def cubic_spline(r: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Kernel value W(r, h); supports broadcasting of r against h.
 
     Dtype-preserving: float32 inputs produce a float32 kernel value
-    (mixed-precision backends rely on this).
+    (``xp.ensure_float`` converts without upcasting).
     """
     r = xp.ensure_float(r)
     h = xp.ensure_float(h)

@@ -187,8 +187,7 @@ class PairContext:
         instead of silently upcasting to float64).  This is the
         vectorised analogue of the GPU kernels' atomic adds: a
         sorted-segment reduction (sort by i once, then one contiguous
-        ``xp.segment_sum`` pass per call -- ``np.add.reduceat`` on the
-        reference backend).
+        ``xp.segment_sum`` pass per call, i.e. ``np.add.reduceat``).
         """
         values = xp.asarray(values)
         out = xp.zeros((self.n,) + values.shape[1:], dtype=values.dtype)

@@ -478,18 +478,18 @@ class AdiabaticDriver:
         n_sub = self.cfl_subcycles(sig, drift_total)
         self.last_subcycles = n_sub
 
-        vel = p.velocities + grav * kick_half + dv_h * (kick_half / n_sub)
+        # every hydro kick, the opening one and each subcycle's, takes
+        # the same substep share of the half-kick integral
+        share = kick_half / n_sub
+        vel = p.velocities + grav * kick_half + dv_h * share
         p.set_velocities(vel)
-        p.u[:] = np.maximum(p.u + du_h * (kick_half / n_sub), 0.0)
+        p.u[:] = np.maximum(p.u + du_h * share, 0.0)
 
         # hydro subcycles: drift + force re-evaluation ("F" timers)
-        for sub in range(n_sub):
+        for _sub in range(n_sub):
             pos = p.positions + p.velocities * (drift_total / n_sub)
             p.set_positions(pos % p.box)
             dv_h, du_h, _sig = self._hydro_rates("F")
-            # inner kicks use the substep share of the kick integral;
-            # the final share is applied together with gravity below
-            share = kick_half / n_sub if sub < n_sub - 1 else kick_half / n_sub
             vel = p.velocities + dv_h * share
             p.set_velocities(vel)
             p.u[:] = np.maximum(p.u + du_h * share, 0.0)

@@ -68,7 +68,6 @@ METRIC_GLOSSARY: dict[str, str] = {
     "svc.jobs.coalesced": "duplicate in-flight submissions attached to a leader's execution (counter)",
     "svc.jobs.preempted": "running jobs checkpointed and requeued for a more urgent grant (counter)",
     "svc.jobs.resumed": "preempted jobs restored from their checkpoint on a later grant (counter)",
-    "svc.jobs.backend_fallback": "jobs degraded to the reference backend, requested one unavailable (counter)",
     "svc.queue.depth": "jobs waiting in the scheduler's pending heap (gauge)",
     "svc.workers.busy": "worker tasks currently executing a grant (gauge)",
     "svc.cache.hits": "content-cache lookups served from a resident entry (counter)",

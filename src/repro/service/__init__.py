@@ -16,7 +16,7 @@ The pieces and the request lifecycle::
               subscribers                  content-addressed cache
 
 - :mod:`~repro.service.jobs` — the job spec (scenario + cosmology
-  params + backend + requested products) with a canonical,
+  params + requested products) with a canonical,
   deterministic content hash; the job record and its lifecycle states.
 - :mod:`~repro.service.scheduler` — an asyncio priority queue with
   per-tenant quotas, fair-share ordering, deadline-based preemption

@@ -1,9 +1,9 @@
 """Job specs, job records, and their lifecycle.
 
 A :class:`JobSpec` is the *content* of a request: which scenario to
-run, at what resolution and seed, on which array backend, and which
-products to return.  Two requests with equal specs are the same
-computation — :meth:`JobSpec.content_hash` (the shared
+run, at what resolution and seed, and which products to return.  Two
+requests with equal specs are the same computation —
+:meth:`JobSpec.content_hash` (the shared
 :func:`~repro.core.confighash.config_hash` canonicalisation) is the
 key under which the scheduler coalesces duplicate in-flight requests
 and the cache stores finished products.
@@ -73,8 +73,6 @@ class JobSpec:
     n_steps: int = 2
     #: IC realisation seed
     seed: int = 2023
-    #: array backend for the hot path (``repro.xp`` name)
-    backend: str = "numpy"
     #: products to compute and return, canonical order
     products: tuple[str, ...] = ("diagnostics",)
     #: optional fault plan (``repro.resilience.faults`` syntax); a
@@ -145,7 +143,6 @@ class JobSpec:
             "n_per_side": self.n_per_side,
             "n_steps": self.n_steps,
             "seed": self.seed,
-            "backend": self.backend,
             "products": list(self.products),
             "faults": self.faults,
             "ranks": self.ranks,

@@ -61,12 +61,8 @@ from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import TraceRecorder, maybe_span
 from repro.resilience.restart import CheckpointManager, SimulationCheckpoint
 from repro.service.cache import ContentCache
-from repro.service.jobs import Job, JobResult, JobSpec, JobState, SubmissionError
+from repro.service.jobs import Job, JobResult, JobSpec, JobState
 from repro.service.scheduler import JobScheduler, TenantQuota
-
-#: backends other than the reference mutate process-global dispatch
-#: state (repro.xp), so their executions are serialised
-_BACKEND_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,6 @@ class SimulationService:
         if isinstance(spec, dict):
             spec = JobSpec.from_dict(spec)
         spec.validate()
-        self._validate_backend(spec)
         deadline = (
             asyncio.get_running_loop().time() + deadline_in
             if deadline_in is not None
@@ -274,16 +269,6 @@ class SimulationService:
             )
             self.events.counter("svc.queue.depth", self.scheduler.depth)
         return job
-
-    @staticmethod
-    def _validate_backend(spec: JobSpec) -> None:
-        from repro import xp
-
-        if spec.backend not in xp.registered_backends():
-            raise SubmissionError(
-                f"unknown backend {spec.backend!r} "
-                f"(registered: {sorted(xp.registered_backends())})"
-            )
 
     # -- worker loop ---------------------------------------------------
     async def _worker_loop(self, wid: int) -> None:
@@ -379,25 +364,24 @@ class SimulationService:
         spec = job.spec
         driver = self._build_driver(job)
         schedule = driver.schedule()
-        with self._backend_scope(spec):
-            while driver.step_index < driver.config.n_steps:
-                if job.preempt_requested:
-                    self._checkpoint(job, driver)
-                    return "preempted"
-                a0 = float(schedule[driver.step_index])
-                a1 = float(schedule[driver.step_index + 1])
-                diag = driver.step(a0, a1)
-                job.steps_done = driver.step_index
-                publish(
-                    {
-                        "job": job.job_id,
-                        "step": driver.step_index - 1,
-                        "a": diag.a,
-                        "kinetic_energy": diag.kinetic_energy,
-                        "thermal_energy": diag.thermal_energy,
-                        "max_density_contrast": diag.max_density_contrast,
-                    }
-                )
+        while driver.step_index < driver.config.n_steps:
+            if job.preempt_requested:
+                self._checkpoint(job, driver)
+                return "preempted"
+            a0 = float(schedule[driver.step_index])
+            a1 = float(schedule[driver.step_index + 1])
+            diag = driver.step(a0, a1)
+            job.steps_done = driver.step_index
+            publish(
+                {
+                    "job": job.job_id,
+                    "step": driver.step_index - 1,
+                    "a": diag.a,
+                    "kinetic_energy": diag.kinetic_energy,
+                    "thermal_energy": diag.thermal_energy,
+                    "max_density_contrast": diag.max_density_contrast,
+                }
+            )
         return JobResult(
             spec_hash=job.spec_hash,
             products=self._products(driver, spec),
@@ -416,16 +400,15 @@ class SimulationService:
         fault_plan = (
             FaultPlan.parse(spec.faults, seed=spec.seed) if spec.faults else None
         )
-        with self._backend_scope(spec):
-            result = run_simulation(
-                config,
-                world_size=max(2, spec.ranks),
-                fault_plan=fault_plan,
-                checkpoint_dir=self._checkpoint_root / f"job-{job.job_id}",
-                degrade_policy=spec.degrade_policy,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
+        result = run_simulation(
+            config,
+            world_size=max(2, spec.ranks),
+            fault_plan=fault_plan,
+            checkpoint_dir=self._checkpoint_root / f"job-{job.job_id}",
+            degrade_policy=spec.degrade_policy,
+            tracer=self.tracer,
+            metrics=self.metrics,
+        )
         job.steps_done = result.driver.step_index
         for diag in result.driver.diagnostics:
             publish(
@@ -517,34 +500,6 @@ class SimulationService:
                 step=driver.step_index,
                 path=str(path),
             )
-
-    def _backend_scope(self, spec: JobSpec):
-        """The requested array backend, serialised because dispatch is
-        process-global; an unavailable optional backend degrades to
-        the reference (same semantics as the CLI's ``--backend``)."""
-        from contextlib import contextmanager
-
-        from repro import xp
-
-        @contextmanager
-        def scope():
-            if spec.backend == xp.DEFAULT_BACKEND:
-                yield
-                return
-            with _BACKEND_LOCK:
-                try:
-                    ctx = xp.use_backend(spec.backend)
-                    ctx.__enter__()
-                except xp.BackendUnavailableError:
-                    self.metrics.counter("svc.jobs.backend_fallback").inc()
-                    yield
-                    return
-                try:
-                    yield
-                finally:
-                    ctx.__exit__(None, None, None)
-
-        return scope()
 
     # -- products ------------------------------------------------------
     def _products(self, driver: AdiabaticDriver, spec: JobSpec) -> dict[str, Any]:

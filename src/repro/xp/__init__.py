@@ -1,61 +1,37 @@
-"""``repro.xp`` -- the pluggable array-backend shim for the hot path.
+"""``repro.xp`` -- the array-op seam of the hot path.
 
-The paper selects CUDA/HIP/SYCL per device through ``proglang``; this
-package does the same for the reproduction's own hot path, selecting an
-array runtime per *run*.  The physics modules are written against a
-fixed surface of ~30 data-parallel primitives (``repro.xp.base.OP_NAMES``)
-and call them as ``xp.zeros`` / ``xp.segment_sum`` / ``xp.einsum`` /
-...; which implementation answers is decided once per process (or per
-``use_backend`` scope):
+The physics modules call a fixed surface of data-parallel primitives
+(:data:`~repro.xp.base.OP_NAMES`) as ``xp.zeros`` / ``xp.segment_sum``
+/ ``xp.einsum``; each call resolves against the active backend at call
+time.  There is one runtime, ``numpy``
+(:class:`~repro.xp.base.ArrayBackend`, the literal NumPy calls), and it
+is always the default: nothing outside the process selects a backend.
+
+The indirection is kept as a substitution point for instrumentation:
+``bench/layers.py`` registers a backend that times every op and
+delegates to the one it replaced, and tests count ops the same way.
 
 >>> from repro import xp
->>> xp.set_backend("blocked")           # histogram reductions
->>> with xp.use_backend("numpy"):       # reference scope
+>>> @xp.register_backend
+... class Counting(xp.ArrayBackend):
+...     name = "counting"
+>>> with xp.use_backend("counting"):
 ...     ...
 
-Selection precedence: an explicit :func:`set_backend` call (the CLI's
-``simulate --backend`` lands here) beats the ``REPRO_BACKEND``
-environment variable, which beats the default (``numpy``).  A backend
-whose runtime dependency is missing never registers as available;
-asking for it raises :class:`BackendUnavailableError` with the install
-hint, and the env-var path falls back to the reference with a warning
-instead of failing the run.
-
-Built-in backends:
-
-========  =========  ====================================================
-name      requires   strategy
-========  =========  ====================================================
-numpy     --         reference vectorised NumPy (bit-identical float64)
-blocked   --         bincount-histogram scatter, fused row-wise ops
-numba     numba      @njit scalar loops for the scatter/contraction core
-torch     torch      tensor ops + deterministic index_add_ scatter
-========  =========  ====================================================
-
-Third-party backends register with :func:`register_backend`; see the
-README's "Backends" section for the three-step recipe.
+A runtime that beats ``numpy`` on a ``BENCHMARK.json`` workload would
+plug into the same three steps (subclass, name, register).
 """
 
 from __future__ import annotations
 
-import importlib
-import importlib.util
-import os
-import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from repro.xp.base import OP_NAMES, ArrayBackend
 
 __all__ = [
     "ArrayBackend",
     "OP_NAMES",
-    "BackendError",
-    "BackendUnavailableError",
     "UnknownBackendError",
-    "available_backends",
-    "backend_capabilities",
-    "backend_source_files",
     "get_backend",
     "register_backend",
     "registered_backends",
@@ -64,163 +40,60 @@ __all__ = [
     *OP_NAMES,
 ]
 
-#: environment variable consulted when no backend was set explicitly
-ENV_VAR = "REPRO_BACKEND"
-#: the reference backend every run can fall back to
-DEFAULT_BACKEND = "numpy"
+
+class UnknownBackendError(RuntimeError):
+    """The requested backend name is not registered."""
 
 
-class BackendError(RuntimeError):
-    """Base class for backend-selection failures."""
-
-
-class UnknownBackendError(BackendError):
-    """The requested backend name is not registered at all."""
-
-
-class BackendUnavailableError(BackendError):
-    """The backend is registered but its runtime dependency is missing."""
-
-
-@dataclass
-class _BackendSpec:
-    """Lazy registry entry: the class is imported on first use so a
-    merely *registered* torch backend never pays the torch import."""
-
-    name: str
-    module: str
-    cls_name: str
-    requires: str | None
-
-    def available(self) -> bool:
-        if self.requires is None:
-            return True
-        return importlib.util.find_spec(self.requires) is not None
-
-    def load(self) -> ArrayBackend:
-        if not self.available():
-            raise BackendUnavailableError(
-                f"backend {self.name!r} needs the optional dependency "
-                f"{self.requires!r}, which is not importable here "
-                f"(pip install {self.requires}); falling back is the "
-                f"caller's choice -- the reference backend is "
-                f"{DEFAULT_BACKEND!r}"
-            )
-        cls = getattr(importlib.import_module(self.module), self.cls_name)
-        return cls()
-
-
-_REGISTRY: dict[str, _BackendSpec] = {}
-_INSTANCES: dict[str, ArrayBackend] = {}
-_active: ArrayBackend | None = None
-
-
-def _register_spec(spec: _BackendSpec) -> None:
-    _REGISTRY[spec.name] = spec
+#: name -> instance; the reference runtime is always present
+_REGISTRY: dict[str, ArrayBackend] = {ArrayBackend.name: ArrayBackend()}
+_active: ArrayBackend = _REGISTRY[ArrayBackend.name]
 
 
 def register_backend(cls: type[ArrayBackend]) -> type[ArrayBackend]:
-    """Register a backend class (usable as a decorator).
-
-    The class must subclass :class:`ArrayBackend` and carry a unique
-    ``name``; ``requires`` names the import it depends on (or None).
-    Registration makes the backend selectable by name everywhere
-    (``set_backend``, ``REPRO_BACKEND``, ``simulate --backend``).
-    """
+    """Register a backend class under its ``name`` (usable as a
+    decorator), making it selectable by :func:`set_backend` /
+    :func:`use_backend`.  The class must subclass
+    :class:`ArrayBackend` and set a ``name`` of its own."""
     if not issubclass(cls, ArrayBackend):
         raise TypeError(f"{cls!r} does not subclass ArrayBackend")
-    if not cls.name or cls.name == "base":
+    if not cls.name or cls.name == ArrayBackend.name:
         raise ValueError("backend classes must define a distinct 'name'")
-    _register_spec(
-        _BackendSpec(
-            name=cls.name,
-            module=cls.__module__,
-            cls_name=cls.__name__,
-            requires=cls.requires,
-        )
-    )
-    # a directly-registered class is already imported; cache an instance
-    _INSTANCES[cls.name] = cls()
+    _REGISTRY[cls.name] = cls()
     return cls
 
 
-for _spec in (
-    _BackendSpec("numpy", "repro.xp.numpy_backend", "NumpyBackend", None),
-    _BackendSpec("blocked", "repro.xp.blocked_backend", "BlockedBackend", None),
-    _BackendSpec("numba", "repro.xp.numba_backend", "NumbaBackend", "numba"),
-    _BackendSpec("torch", "repro.xp.torch_backend", "TorchBackend", "torch"),
-):
-    _register_spec(_spec)
-
-
 def registered_backends() -> list[str]:
-    """Every registered backend name, available or not."""
+    """Every registered backend name."""
     return sorted(_REGISTRY)
-
-
-def available_backends() -> list[str]:
-    """Backends whose runtime dependency is importable here, reference
-    first (the deterministic order tests and benchmarks iterate in)."""
-    names = [n for n, s in _REGISTRY.items() if s.available()]
-    names.sort(key=lambda n: (n != DEFAULT_BACKEND, n))
-    return names
 
 
 def _instance(name: str) -> ArrayBackend:
     try:
-        spec = _REGISTRY[name]
+        return _REGISTRY[name]
     except KeyError:
         raise UnknownBackendError(
             f"unknown backend {name!r}; registered: {', '.join(registered_backends())}"
         ) from None
-    if name not in _INSTANCES:
-        _INSTANCES[name] = spec.load()
-    return _INSTANCES[name]
 
 
 def set_backend(name: str) -> ArrayBackend:
-    """Select the process-wide active backend by name.
-
-    Raises :class:`UnknownBackendError` for a name that was never
-    registered and :class:`BackendUnavailableError` when the optional
-    dependency is missing -- callers that want a soft landing catch the
-    latter and fall back to ``numpy`` (the CLI does).
-    """
+    """Make the named backend the process-wide active one."""
     global _active
     _active = _instance(name)
     return _active
 
 
 def get_backend() -> ArrayBackend:
-    """The active backend, resolving ``REPRO_BACKEND`` on first use.
-
-    A broken env-var selection (unknown name, missing dependency)
-    degrades to the reference backend with a warning rather than
-    failing deep inside a kernel call.
-    """
-    global _active
-    if _active is None:
-        wanted = os.environ.get(ENV_VAR, "").strip()
-        if wanted:
-            try:
-                _active = _instance(wanted)
-            except BackendError as exc:
-                warnings.warn(
-                    f"{ENV_VAR}={wanted!r} not usable ({exc}); "
-                    f"falling back to the {DEFAULT_BACKEND!r} backend",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        if _active is None:
-            _active = _instance(DEFAULT_BACKEND)
+    """The active backend (``numpy`` unless one was set)."""
     return _active
 
 
 @contextmanager
 def use_backend(name: str):
-    """Scoped backend selection (tests and benchmarks)."""
+    """Scoped backend selection; restores the previous one on exit."""
     global _active
-    previous = get_backend()
+    previous = _active
     _active = _instance(name)
     try:
         yield _active
@@ -228,20 +101,10 @@ def use_backend(name: str):
         _active = previous
 
 
-def backend_capabilities() -> list[dict]:
-    """Capability rows for every *available* backend."""
-    return [_instance(name).capabilities() for name in available_backends()]
-
-
-def backend_source_files(name: str) -> list[str]:
-    """Source files of one backend (code-divergence input)."""
-    return type(_instance(name)).source_files()
-
-
 def __getattr__(op: str):
     """Module-level op dispatch: ``xp.zeros(...)`` resolves against the
     active backend at call time, so a ``set_backend`` switch reroutes
     every subsequent hot-path primitive without re-imports."""
     if op in OP_NAMES:
-        return getattr(get_backend(), op)
+        return getattr(_active, op)
     raise AttributeError(f"module 'repro.xp' has no attribute {op!r}")

@@ -1,37 +1,27 @@
-"""The array-backend contract: one kernel surface, many runtimes.
+"""The array-op contract of the hot path and its reference runtime.
 
-The paper's central claim is that a single CRK-HACC kernel source can
-run well under CUDA, HIP and SYCL; :mod:`repro.xp` applies the same
-structure to this reproduction's own hot path.  :class:`ArrayBackend`
-is the "single source": it names the ~30 data-parallel primitives the
-hot kernels are written against (creation, elementwise math, sorting,
-contractions, segmented reductions, FFTs) and supplies the reference
-NumPy implementation of each.  A backend specialises by overriding
-only the primitives it can do better -- exactly how the paper's kernels
-share one body and specialise per programming model -- and everything
-it does not override inherits the reference semantics.
+The physics modules are written against a fixed surface of
+data-parallel primitives (:data:`OP_NAMES`: creation, elementwise math,
+sorting, contractions, segmented reductions, FFTs) and call them as
+``xp.zeros`` / ``xp.segment_sum`` / ``xp.einsum``.  :class:`ArrayBackend`
+names that surface and *is* its one runtime, ``numpy``: every op is the
+literal NumPy call, so float64 results are bit-identical to code that
+calls NumPy directly.  A subclass overrides ops and inherits the rest;
+the use this repository has for that is instrumentation (a backend that
+times or counts each op and delegates).
 
-The data contract is deliberately narrow so every runtime can satisfy
-it: **ops take NumPy arrays and return NumPy arrays**.  A backend is
-free to use its own array type internally (torch tensors, numba-jitted
-loops) but converts at the boundary, which keeps the physics modules
-backend-agnostic and lets a run switch backends without touching
-simulation state.
-
-Dtype fidelity is part of the contract: an op must not silently upcast
-(float32 in means float32 out) unless its docstring says otherwise
-(``bincount`` accumulates in float64, NumPy's own behaviour).  On the
-reference backend every op is the literal NumPy call the hot path used
-before the shim existed, so float64 results are bit-identical to the
-pre-shim code.
+The data contract is narrow: **ops take NumPy arrays and return NumPy
+arrays**, and an op must not silently upcast (float32 in means float32
+out) unless its docstring says otherwise (``bincount`` accumulates in
+float64, NumPy's own behaviour).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: the shim surface: every op a backend may specialise.  The module
-#:-level namespace of :mod:`repro.xp` exposes exactly these names.
+#: the op surface; the module namespace of :mod:`repro.xp` exposes
+#: exactly these names, each with at least one hot-path call site
 OP_NAMES = (
     # creation / conversion
     "asarray",
@@ -54,24 +44,19 @@ OP_NAMES = (
     "abs",
     "exp",
     "floor",
-    "ceil",
     "maximum",
-    "minimum",
     "isfinite",
     # reductions
     "sum",
     "max",
-    "min",
     "any",
     "cumsum",
-    "diff",
     "count_nonzero",
     "bincount",
     # sorting / search
     "argsort",
     "searchsorted",
     "flatnonzero",
-    "nonzero",
     # contractions / linear algebra
     "einsum",
     "rowwise_dot",
@@ -86,20 +71,10 @@ OP_NAMES = (
 
 
 class ArrayBackend:
-    """Reference implementation of the shim surface (NumPy semantics).
+    """The reference runtime: every op of the surface as plain NumPy."""
 
-    Subclasses override a subset of ops; :attr:`specialised` reports
-    which ones, which is what the code-divergence measurement and the
-    capability table read.
-    """
-
-    #: registry key; subclasses must override
-    name = "base"
-    #: importable module this backend needs at runtime (None = stdlib
-    #: + numpy only, i.e. always available)
-    requires: str | None = None
-    #: one-line description for the capability table
-    summary = "reference NumPy semantics"
+    #: registry key; a subclass must set its own
+    name = "numpy"
 
     # -- creation / conversion -----------------------------------------
     def asarray(self, x, dtype=None):
@@ -167,14 +142,8 @@ class ArrayBackend:
     def floor(self, x):
         return np.floor(x)
 
-    def ceil(self, x):
-        return np.ceil(x)
-
     def maximum(self, a, b):
         return np.maximum(a, b)
-
-    def minimum(self, a, b):
-        return np.minimum(a, b)
 
     def isfinite(self, x):
         return np.isfinite(x)
@@ -186,17 +155,11 @@ class ArrayBackend:
     def max(self, x, axis=None):
         return np.max(x, axis=axis)
 
-    def min(self, x, axis=None):
-        return np.min(x, axis=axis)
-
     def any(self, x):
         return bool(np.any(x))
 
     def cumsum(self, x):
         return np.cumsum(x)
-
-    def diff(self, x):
-        return np.diff(x)
 
     def count_nonzero(self, x):
         return int(np.count_nonzero(x))
@@ -215,9 +178,6 @@ class ArrayBackend:
 
     def flatnonzero(self, x):
         return np.flatnonzero(x)
-
-    def nonzero(self, x):
-        return np.nonzero(x)
 
     # -- contractions / linear algebra ------------------------------------
     def einsum(self, spec, *operands):
@@ -241,10 +201,7 @@ class ArrayBackend:
 
         ``sorted_values`` is (m,) or (m, ...) already gathered into
         segment order; ``starts`` are the segment start offsets.
-        Returns one row per segment.  This abstracts the NumPy
-        ``np.add.reduceat`` trick, which has no analogue outside NumPy:
-        other backends are free to histogram, scan or loop as long as
-        each segment's sum agrees to round-off.
+        Returns one row per segment, in the dtype of the input.
         """
         return np.add.reduceat(sorted_values, starts, axis=0)
 
@@ -254,39 +211,3 @@ class ArrayBackend:
 
     def irfftn(self, x, s, axes):
         return np.fft.irfftn(x, s=s, axes=axes)
-
-    # -- introspection -----------------------------------------------------
-    @classmethod
-    def specialised(cls) -> tuple[str, ...]:
-        """Ops this backend overrides relative to the reference."""
-        return tuple(
-            op
-            for op in OP_NAMES
-            if getattr(cls, op, None) is not getattr(ArrayBackend, op, None)
-        )
-
-    @classmethod
-    def source_files(cls) -> list[str]:
-        """The source files that "compile" this backend: the shared
-        contract plus every module in its own MRO below it.  These are
-        the per-platform line sets the code-divergence measurement
-        (Section 3.3 applied to ourselves) consumes."""
-        import inspect
-
-        files = [inspect.getsourcefile(ArrayBackend)]
-        for klass in cls.__mro__:
-            if klass in (ArrayBackend, object):
-                continue
-            path = inspect.getsourcefile(klass)
-            if path and path not in files:
-                files.append(path)
-        return [f for f in files if f]
-
-    def capabilities(self) -> dict:
-        """Capability row for the README table / CLI listing."""
-        return {
-            "name": self.name,
-            "requires": self.requires or "-",
-            "summary": self.summary,
-            "specialised_ops": list(self.specialised()),
-        }

@@ -156,8 +156,11 @@ class TestStateMemo:
         p, solver = self.case(rng)
         scatters = []
         real = xp.bincount
-        monkeypatch.setattr(
-            xp, "bincount", lambda *a, **k: scatters.append(1) or real(*a, **k)
+        # setitem, not setattr: xp resolves ops through a module
+        # __getattr__, so setattr's undo would leave the op behind as a
+        # real attribute that shadows dispatch for the rest of the session
+        monkeypatch.setitem(
+            vars(xp), "bincount", lambda *a, **k: scatters.append(1) or real(*a, **k)
         )
         first = solver.accelerations(p)
         assert len(scatters) == 3  # one per axis

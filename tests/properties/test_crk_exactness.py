@@ -1,14 +1,13 @@
-"""CRK correction exactness, property-tested on every array backend.
+"""CRK correction exactness, property-tested on every registered array backend.
 
 The reproducing conditions are the correctness contract of the
 Corrections kernel (Section 5): the corrected kernel W^R must
 reproduce constant fields exactly (zeroth moment = 1), annihilate
 linear moments (first moment = 0), and make the difference-form
-gradient estimate exact for affine fields.  Running the identical
-properties through every registered ``repro.xp`` backend is what
-certifies the backends as interchangeable implementations of the same
-physics, not merely fast lookalikes -- the reproduction's analogue of
-the paper validating its CUDA/HIP/SYCL builds against each other.
+gradient estimate exact for affine fields.  The properties run under
+every backend registered in ``repro.xp`` when the suite is collected
+(the ``numpy`` reference alone today), so a runtime registered later
+is held to the same physics.
 
 Tolerances: the 3x3 moment solves carry a relative Tikhonov
 regularisation of 1e-8 (``M2_REGULARISATION``), so "exact" means
@@ -28,7 +27,7 @@ from repro.hacc.sph.geometry import compute_geometry
 from repro.hacc.sph.kernels_math import SUPPORT, kernel_self_value
 from repro.hacc.sph.pairs import PairContext
 
-BACKENDS = xp.available_backends()
+BACKENDS = xp.registered_backends()
 
 BOX = 1.0
 N_SIDE = 5
@@ -97,29 +96,3 @@ class TestReproducingConditions:
             zero = volume[ctx.j] * 0.0
             grad = ctx.scatter_sum(zero[:, None] * gw)
         np.testing.assert_array_equal(grad, 0.0)
-
-
-class TestCrossBackendConsistency:
-    """The same state run through different backends must agree on the
-    *solved* coefficients to round-off, not only on the conditions."""
-
-    def test_coefficients_match_reference(self):
-        rng = np.random.default_rng(77)
-        pos = _jittered_lattice(rng)
-        h = np.full(len(pos), 1.3 * BOX / N_SIDE)
-
-        results = {}
-        for backend in BACKENDS:
-            with xp.use_backend(backend):
-                ctx = PairContext.build(pos, h, BOX)
-                geo = compute_geometry(ctx, h)
-                corr = compute_corrections(ctx, h, geo.volume)
-            results[backend] = corr
-        ref = results["numpy"]
-        for backend, corr in results.items():
-            np.testing.assert_allclose(
-                corr.a, ref.a, rtol=1e-9, err_msg=f"a on {backend}"
-            )
-            np.testing.assert_allclose(
-                corr.b, ref.b, rtol=1e-7, atol=1e-12, err_msg=f"b on {backend}"
-            )

@@ -214,10 +214,13 @@ class TestAdmission:
             )
         )
 
-    def test_unknown_backend_rejected_at_submit(self):
+    def test_backend_field_rejected_at_submit(self):
+        # a typed rejection, not a TypeError from the dataclass
         async def body(service):
-            with pytest.raises(SubmissionError):
-                await service.submit(JobSpec(backend="quantum"))
+            with pytest.raises(
+                SubmissionError, match=r"unknown spec field\(s\): \['backend'\]"
+            ):
+                await service.submit({"n_per_side": 4, "backend": "numpy"})
 
         run(_with_service(body))
 

@@ -90,59 +90,6 @@ class TestCommands:
         assert "Table 2" in text
 
 
-class TestBackendFlag:
-    @pytest.fixture(autouse=True)
-    def _restore_backend(self):
-        from repro import xp
-
-        previous = xp._active
-        yield
-        xp._active = previous
-
-    def test_simulate_reports_default_backend(self, capsys):
-        assert main(["simulate", "-n", "4", "--steps", "1"]) == 0
-        assert "array backend: numpy" in capsys.readouterr().out
-
-    def test_simulate_selects_backend(self, capsys):
-        assert main(
-            ["simulate", "-n", "4", "--steps", "1", "--backend", "blocked"]
-        ) == 0
-        assert "array backend: blocked" in capsys.readouterr().out
-
-    def test_simulate_unknown_backend_is_usage_error(self, capsys):
-        assert main(["simulate", "--backend", "no-such"]) == 2
-        assert "unknown backend" in capsys.readouterr().out
-
-    def test_simulate_unavailable_backend_falls_back(self, capsys, monkeypatch):
-        from repro import xp
-
-        spec = xp._BackendSpec(
-            "ghost", "repro.xp.ghost", "GhostBackend", "not_an_importable_module"
-        )
-        xp._register_spec(spec)
-        try:
-            code = main(
-                ["simulate", "-n", "4", "--steps", "1", "--backend", "ghost"]
-            )
-            out = capsys.readouterr().out
-            assert code == 0
-            assert "warning:" in out
-            assert "array backend: numpy" in out
-        finally:
-            del xp._REGISTRY["ghost"]
-
-    def test_trace_accepts_backend(self, tmp_path, capsys):
-        assert main(
-            [
-                "trace", "-n", "4", "--steps", "1",
-                "--backend", "blocked",
-                "-o", str(tmp_path / "t.json"),
-                "--metrics-out", str(tmp_path / "m.json"),
-            ]
-        ) == 0
-        assert "array backend: blocked" in capsys.readouterr().out
-
-
 class TestDegradationFlags:
     def test_degrade_policy_choices_enforced(self, capsys):
         with pytest.raises(SystemExit):
@@ -214,11 +161,3 @@ class TestServiceCli:
         events = str(tmp_path / "events.jsonl")
         assert main(["dashboard", events, "--follow", "--poll", "0"]) == 2
         assert "--poll must be positive" in capsys.readouterr().out
-
-    def test_validate_unknown_backend_is_usage_error(self, capsys):
-        assert main(["validate", "--backend", "no-such"]) == 2
-        assert "unknown backend" in capsys.readouterr().out
-
-    def test_profile_unknown_backend_is_usage_error(self, capsys):
-        assert main(["profile", "Frontier", "--backend", "no-such"]) == 2
-        assert "unknown backend" in capsys.readouterr().out
