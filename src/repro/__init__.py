@@ -16,8 +16,7 @@ The package is organised by the layers of the paper's study:
 - :mod:`repro.core` -- the P3 analysis library (performance
   portability, code divergence, cascade/navigation charts, Table 2),
 - :mod:`repro.experiments` -- regenerators for every table and figure
-  of the paper's evaluation,
-- :mod:`repro.timers` -- MPI_wtime-style bracket timers.
+  of the paper's evaluation.
 """
 
 __version__ = "1.0.0"

@@ -21,14 +21,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-#: simulate/trace flags that require live observability sinks
-_SINK_FLAGS = ("trace_out", "metrics_out", "events_out", "openmetrics_out")
-
 
 def _observability_sinks(args: argparse.Namespace):
     """(tracer, metrics) when the flags ask for them, else (None, None)."""
-    wanted = any(getattr(args, flag, None) for flag in _SINK_FLAGS)
-    wanted = wanted or getattr(args, "live", False) or getattr(args, "health", False)
+    outs = (args.trace_out, args.metrics_out, args.events_out, args.openmetrics_out)
+    wanted = any(outs) or getattr(args, "live", False) or getattr(args, "health", False)
     if not wanted:
         return None, None
     from repro.observability import MetricsRegistry, TraceRecorder
@@ -39,117 +36,184 @@ def _observability_sinks(args: argparse.Namespace):
 def _write_observability(
     args: argparse.Namespace, tracer, metrics, monitor=None, alerts=None
 ) -> None:
-    trace_out = getattr(args, "trace_out", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    events_out = getattr(args, "events_out", None)
-    openmetrics_out = getattr(args, "openmetrics_out", None)
-    if tracer is not None and trace_out:
-        path = tracer.write(trace_out)
+    if tracer is not None and args.trace_out:
+        path = tracer.write(args.trace_out)
         print(
             f"trace written to {path} "
             f"({len(tracer.spans)} spans, {len(tracer.instants)} events) "
             "-- open at https://ui.perfetto.dev"
         )
-    if metrics is not None and metrics_out:
-        print(f"metrics written to {metrics.write(metrics_out)}")
-    if events_out:
+    if metrics is not None and args.metrics_out:
+        print(f"metrics written to {metrics.write(args.metrics_out)}")
+    if args.events_out:
         from repro.observability.export import write_event_log
 
         path = write_event_log(
-            events_out, tracer=tracer, metrics=metrics, monitor=monitor, alerts=alerts
+            args.events_out,
+            tracer=tracer,
+            metrics=metrics,
+            monitor=monitor,
+            alerts=alerts,
         )
         print(
             f"event log written to {path} "
             f"-- replay with: python -m repro dashboard {path}"
         )
-    if metrics is not None and openmetrics_out:
+    if metrics is not None and args.openmetrics_out:
         from repro.observability.export import write_openmetrics
 
-        print(f"openmetrics exposition written to {write_openmetrics(openmetrics_out, metrics)}")
+        path = write_openmetrics(args.openmetrics_out, metrics)
+        print(f"openmetrics exposition written to {path}")
 
 
-def _timeout_error(args: argparse.Namespace) -> str | None:
-    """Shared ``--timeout`` validation for every subcommand that has
-    one: the flag must be positive wherever it is accepted."""
-    timeout = getattr(args, "timeout", None)
-    if timeout is not None and timeout <= 0:
-        return "error: --timeout must be positive"
-    return None
+#: what the run core uses for a flag its subcommand does not declare
+_RUN_DEFAULTS = dict(
+    ranks=1, faults=None, fault_seed=0, checkpoint_dir=None, checkpoint_every=1,
+    restart_from=None, timeout=30.0, max_retries=3, degrade_policy="restart",
+    health=False, live=False,
+)
+
+
+def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
+    """The run core of ``simulate``, ``trace`` and ``validate``.
+
+    Shared argument validation -> ``SimulationConfig`` -> ``FaultPlan``
+    -> the plain driver (``on_step(driver, diag)`` follows its steps,
+    ``driver.health`` is its monitor) or, when the arguments ask for
+    ranks, faults or checkpoints, the fault-tolerant runner.  Returns
+    ``(code, driver, result)``: 2 for bad arguments (said on an
+    ``error:`` line), 1 for a lost or invalid run, else 0; the finished
+    driver, if any; the runner's result, None on the plain path.
+    """
+    from repro.hacc.checkpoint import CheckpointError
+    from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
+    from repro import resilience
+    from repro.observability import HealthPolicy
+
+    opts = argparse.Namespace(**{**_RUN_DEFAULTS, **vars(args)})
+    for bad, message in (
+        (opts.ranks < 1, "--ranks must be >= 1"),
+        (opts.checkpoint_every < 1, "--checkpoint-every must be >= 1"),
+        (opts.max_retries < 0, "--max-retries must be >= 0"),
+        (opts.timeout <= 0, "--timeout must be positive"),
+    ):
+        if bad:
+            print(f"error: {message}")
+            return 2, None, None
+    config = SimulationConfig.scaled(opts.n, n_steps=opts.steps)
+    print(
+        f"2x {opts.n}^3 particles, box {config.box:.2f} Mpc/h, "
+        f"{opts.steps} steps z={config.z_initial:.0f} -> {config.z_final:.0f}"
+    )
+    fault_plan = None
+    if opts.faults:
+        try:
+            fault_plan = resilience.FaultPlan.parse(opts.faults, seed=opts.fault_seed)
+        except ValueError as exc:
+            print(f"error: invalid --faults plan: {exc}")
+            return 2, None, None
+        print(fault_plan.describe())
+    health = HealthPolicy() if opts.health or opts.live else None
+
+    if not (
+        opts.ranks > 1 or opts.faults or opts.restart_from or opts.checkpoint_dir
+    ):
+        driver = AdiabaticDriver(config)
+        driver.tracer = tracer
+        driver.metrics = metrics
+        if health is not None:
+            driver.health = health.build(tracer=tracer, metrics=metrics)
+        driver.run(on_step)
+        return 0, driver, None
+    try:
+        result = resilience.run_simulation(
+            config,
+            world_size=opts.ranks,
+            timeout=opts.timeout,
+            checkpoint_dir=opts.checkpoint_dir,
+            checkpoint_every=opts.checkpoint_every,
+            restart_from=opts.restart_from,
+            fault_plan=fault_plan,
+            retry_policy=resilience.RetryPolicy(max_retries=opts.max_retries),
+            degrade_policy=opts.degrade_policy,
+            health=health,
+            echo=print,
+            tracer=tracer,
+            metrics=metrics,
+        )
+    except CheckpointError as exc:
+        print(f"error: cannot restart: {exc}")
+        return 2, None, None
+    except resilience.SimulationAborted as exc:
+        print(f"simulation lost: {exc}")
+        for rec in exc.attempts:
+            print(f"  attempt {rec.attempt}: {rec.outcome} ({rec.failure})")
+        return 1, None, None
+    return (0 if result.ok else 1), result.driver, result
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
-
-    problem = _timeout_error(args)
-    if problem:
-        print(problem)
-        return 2
     if args.chaos_runs:
         return _simulate_chaos(args)
-
-    config = SimulationConfig(
-        n_per_side=args.n, pm_mesh=max(8, args.n), n_steps=args.steps
-    )
-    print(
-        f"2x {args.n}^3 particles, box {config.box:.2f} Mpc/h, "
-        f"{args.steps} steps z={config.z_initial:.0f} -> {config.z_final:.0f}"
-    )
-    tracer, metrics = _observability_sinks(args)
-
-    resilient = (
-        args.ranks > 1
-        or args.faults
-        or args.restart_from
-        or args.checkpoint_dir
-    )
-    if resilient:
-        return _simulate_resilient(args, config, tracer, metrics)
-
-    driver = AdiabaticDriver(config)
-    driver.tracer = tracer
-    driver.metrics = metrics
-    monitor = None
-    if args.live or args.health:
-        from repro.observability import HealthPolicy
-
-        monitor = HealthPolicy().build(tracer=tracer, metrics=metrics)
-        driver.health = monitor
-
+    live = on_step = None
     if args.live:
         from repro.observability.dashboard import LiveDashboard
+        from repro.observability.export import iter_events
 
         live = LiveDashboard()
-        live.state.meta = {"title": f"simulate -n {args.n}"}
+        live.state.meta = {"title": f"simulate -n {args.n} --ranks {args.ranks}"}
 
         def on_step(drv, diag) -> None:
             # observe_step ran inside step(), before the index bump
             step = drv.step_index - 1
-            snap = monitor.snapshot()
-            events = [
-                {"kind": "series", "name": name, "step": s, "value": v}
-                for name, series in snap["series"].items()
-                for s, v in zip(series["steps"], series["values"])
-                if s == step
-            ]
-            events += [
-                {"kind": "alert", **a} for a in snap["alerts"] if a["step"] == step
-            ]
-            live.update(events)
+            live.update(
+                e for e in iter_events(monitor=drv.health) if e.get("step") == step
+            )
 
-        driver.run(on_step=on_step)
-        live.finish()
+    tracer, metrics = _observability_sinks(args)
+    code, driver, result = _run(args, tracer, metrics, on_step)
+    if driver is None:
+        if code == 1:
+            # a lost run is exactly when the telemetry matters most
+            _write_observability(args, tracer, metrics)
+        return code
+    if live is not None and result is None:
+        live.finish()  # the dashboard stood in for the per-step lines
     else:
-        for diag in driver.run():
+        for diag in driver.diagnostics:
             print(
                 f"a={diag.a:.5f}  KE={diag.kinetic_energy:.4e}  "
                 f"thermal={diag.thermal_energy:.4e}  "
                 f"max_delta={diag.max_density_contrast:.2f}"
             )
-    if monitor is not None and monitor.alerts:
-        print(monitor.summary())
-    print(f"kernel launches recorded: {len(driver.trace.invocations)}")
-    _write_observability(args, tracer, metrics, monitor=monitor)
-    return 0
+    if result is None:
+        monitor, alerts = driver.health, None
+        if monitor is not None and monitor.alerts:
+            print(monitor.summary())
+        print(f"kernel launches recorded: {len(driver.trace.invocations)}")
+    else:
+        # the monitor belongs to the *final* (clean) attempt; the
+        # escalated alerts of every attempt live in health_alerts
+        monitor, alerts = result.health_monitor, result.health_alerts
+        print(result.summary())
+        if alerts:
+            print(f"health: {len(alerts)} alert(s) across all attempts")
+            for alert in alerts:
+                print(f"  {alert.describe()}")
+        if live is not None:
+            # the rank threads already ran: the final frame comes from
+            # the recorded telemetry
+            for event in iter_events(
+                tracer=tracer,
+                metrics=metrics,
+                monitor=monitor,
+                alerts=alerts,
+                meta=live.state.meta,
+            ):
+                live.state.apply(event)
+            live.finish()
+    _write_observability(args, tracer, metrics, monitor=monitor, alerts=alerts)
+    return code
 
 
 def _simulate_chaos(args: argparse.Namespace) -> int:
@@ -159,12 +223,11 @@ def _simulate_chaos(args: argparse.Namespace) -> int:
     if args.chaos_runs < 1:
         print("error: --chaos-runs must be >= 1")
         return 2
-    world_size = args.ranks if args.ranks > 1 else 3
     report = soak(
         args.chaos_runs,
         base_seed=args.chaos_seed,
         degrade_policy=args.degrade_policy,
-        world_size=world_size,
+        world_size=args.ranks if args.ranks > 1 else 3,
         echo=print,
     )
     print(
@@ -174,110 +237,6 @@ def _simulate_chaos(args: argparse.Namespace) -> int:
         f"{'HELD' if report.invariant_ok else 'VIOLATED'}"
     )
     return 0 if report.invariant_ok else 1
-
-
-def _simulate_resilient(
-    args: argparse.Namespace, config, tracer=None, metrics=None
-) -> int:
-    """The fault-tolerant multi-rank path of ``simulate``."""
-    from repro.resilience import (
-        FaultPlan,
-        RetryPolicy,
-        SimulationAborted,
-        run_simulation,
-    )
-
-    from repro.hacc.checkpoint import CheckpointError
-
-    if args.ranks < 1:
-        print("error: --ranks must be >= 1")
-        return 2
-    if args.checkpoint_every < 1:
-        print("error: --checkpoint-every must be >= 1")
-        return 2
-    if args.max_retries < 0:
-        print("error: --max-retries must be >= 0")
-        return 2
-    problem = _timeout_error(args)
-    if problem:
-        print(problem)
-        return 2
-
-    fault_plan = None
-    if args.faults:
-        try:
-            fault_plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-        except ValueError as exc:
-            print(f"error: invalid --faults plan: {exc}")
-            return 2
-        print(fault_plan.describe())
-    health_policy = None
-    if args.health or args.live:
-        from repro.observability import HealthPolicy
-
-        health_policy = HealthPolicy()
-    try:
-        result = run_simulation(
-            config,
-            world_size=args.ranks,
-            timeout=args.timeout,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            restart_from=args.restart_from,
-            fault_plan=fault_plan,
-            retry_policy=RetryPolicy(max_retries=args.max_retries),
-            degrade_policy=args.degrade_policy,
-            health=health_policy,
-            echo=print,
-            tracer=tracer,
-            metrics=metrics,
-        )
-    except CheckpointError as exc:
-        print(f"error: cannot restart: {exc}")
-        return 2
-    except SimulationAborted as exc:
-        print(f"simulation lost: {exc}")
-        for rec in exc.attempts:
-            print(f"  attempt {rec.attempt}: {rec.outcome} ({rec.failure})")
-        _write_observability(args, tracer, metrics)
-        return 1
-    for diag in result.driver.diagnostics:
-        print(
-            f"a={diag.a:.5f}  KE={diag.kinetic_energy:.4e}  "
-            f"thermal={diag.thermal_energy:.4e}  "
-            f"max_delta={diag.max_density_contrast:.2f}"
-        )
-    print(result.summary())
-    if result.health_alerts:
-        # the monitor on SimulationResult belongs to the *final*
-        # (clean) attempt; the escalated alerts live in health_alerts
-        print(f"health: {len(result.health_alerts)} alert(s) across all attempts")
-        for alert in result.health_alerts:
-            print(f"  {alert.describe()}")
-    if args.live:
-        # the rank threads already ran: render the final dashboard
-        # frame from the recorded telemetry
-        from repro.observability.dashboard import DashboardState, render
-        from repro.observability.export import iter_events
-
-        state = DashboardState()
-        for event in iter_events(
-            tracer=tracer,
-            metrics=metrics,
-            monitor=result.health_monitor,
-            alerts=result.health_alerts,
-        ):
-            state.apply(event)
-        state.meta.setdefault("title", f"simulate --ranks {args.ranks}")
-        print(render(state))
-    _write_observability(
-        args,
-        tracer,
-        metrics,
-        monitor=result.health_monitor,
-        alerts=result.health_alerts,
-    )
-    return 0 if result.ok else 1
 
 
 def _cmd_price(args: argparse.Namespace) -> int:
@@ -357,13 +316,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
     from repro.hacc.validation import validate_run
 
-    driver = AdiabaticDriver(
-        SimulationConfig(n_per_side=args.n, pm_mesh=max(8, args.n), n_steps=args.steps)
-    )
-    driver.run()
+    code, driver, _result = _run(args)
+    if driver is None:
+        return code
     report = validate_run(driver)
     print(report.summary())
     return 0 if report.ok else 1
@@ -382,108 +339,40 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run the mini-app under full tracing; write trace + metrics."""
-    from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
-    from repro.observability import MetricsRegistry, TraceRecorder
-
-    problem = _timeout_error(args)
-    if problem:
-        print(problem)
-        return 2
-    config = SimulationConfig(
-        n_per_side=args.n, pm_mesh=max(8, args.n), n_steps=args.steps
-    )
-    tracer = TraceRecorder()
-    metrics = MetricsRegistry()
-    exit_code = 0
-    trace = None
-
-    if args.ranks > 1 or args.faults:
-        from repro.resilience import (
-            FaultPlan,
-            RetryPolicy,
-            SimulationAborted,
-            run_simulation,
-        )
-
-        fault_plan = None
-        if args.faults:
-            try:
-                fault_plan = FaultPlan.parse(args.faults, seed=args.fault_seed)
-            except ValueError as exc:
-                print(f"error: invalid --faults plan: {exc}")
-                return 2
-            print(fault_plan.describe())
-        try:
-            result = run_simulation(
-                config,
-                world_size=args.ranks,
-                timeout=args.timeout,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=args.checkpoint_every,
-                fault_plan=fault_plan,
-                retry_policy=RetryPolicy(max_retries=args.max_retries),
-                echo=print,
-                tracer=tracer,
-                metrics=metrics,
-            )
-            trace = result.driver.trace
-            print(result.summary())
-        except SimulationAborted as exc:
-            # a lost run is exactly when the trace matters most
-            print(f"simulation lost: {exc}")
-            exit_code = 1
-    else:
-        driver = AdiabaticDriver(config)
-        driver.tracer = tracer
-        driver.metrics = metrics
-        driver.run()
+    """The run core with its sinks on by default, then the device
+    replay and the flame summary."""
+    tracer, metrics = _observability_sinks(args)
+    code, driver, result = _run(args, tracer, metrics)
+    if code == 2:
+        return code
+    if driver is not None:
         trace = driver.trace
-        print(f"{config.n_steps} steps, {len(trace.invocations)} kernel launches")
+        print(f"{driver.step_index} steps, {len(trace.invocations)} kernel launches")
+        if result is not None:
+            print(result.summary())
+        if args.device:
+            from repro.machine.registry import device_by_name
+            from repro.observability import profile_trace
+            from repro.proglang.model import CompileError
 
-    if args.device and trace is not None:
-        from repro.machine.registry import device_by_name
-        from repro.observability import profile_trace
-        from repro.proglang.model import CompileError
-
-        try:
-            profile_trace(
-                trace,
-                device_by_name(args.device),
-                model=args.model,
-                variants=args.variant,
-                tracer=tracer,
-                metrics=metrics,
-            )
-            print(f"device timeline added for {args.device}")
-        except CompileError as exc:
-            print(f"device replay skipped (does not compile): {exc}")
-
-    path = tracer.write(args.trace_out)
-    print(
-        f"trace written to {path} "
-        f"({len(tracer.spans)} spans, {len(tracer.instants)} events) "
-        "-- open at https://ui.perfetto.dev"
-    )
-    print(f"metrics written to {metrics.write(args.metrics_out)}")
-    if args.events_out:
-        from repro.observability.export import write_event_log
-
-        print(
-            "event log written to "
-            f"{write_event_log(args.events_out, tracer=tracer, metrics=metrics)}"
-        )
-    if args.openmetrics_out:
-        from repro.observability.export import write_openmetrics
-
-        print(
-            "openmetrics exposition written to "
-            f"{write_openmetrics(args.openmetrics_out, metrics)}"
-        )
+            try:
+                profile_trace(
+                    trace,
+                    device_by_name(args.device),
+                    model=args.model,
+                    variants=args.variant,
+                    tracer=tracer,
+                    metrics=metrics,
+                )
+                print(f"device timeline added for {args.device}")
+            except CompileError as exc:
+                print(f"device replay skipped (does not compile): {exc}")
+    # a lost run is exactly when the trace matters most: write it anyway
+    _write_observability(args, tracer, metrics)
     if args.flame:
         print()
         print(tracer.flame_summary(limit=30))
-    return exit_code
+    return code
 
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
@@ -717,37 +606,89 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run the mini-app")
-    p.add_argument("-n", type=int, default=8, help="particles per side (2x n^3)")
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument(
+    # Flag groups are declared once, as argparse parent parsers.  A
+    # child shares its parents' action objects, so the groups whose
+    # defaults differ per subcommand are built afresh for each use.
+    def size(n: int, steps: int | None = None) -> argparse.ArgumentParser:
+        group = argparse.ArgumentParser(add_help=False)
+        group.add_argument(
+            "-n", type=int, default=n, help="particles per side (2x n^3)"
+        )
+        if steps is not None:
+            group.add_argument("--steps", type=int, default=steps)
+        return group
+
+    def sinks(trace_out=None, metrics_out=None, *short) -> argparse.ArgumentParser:
+        group = argparse.ArgumentParser(add_help=False)
+        group.add_argument(
+            *short,
+            "--trace-out",
+            default=trace_out,
+            help="write a Chrome-trace/Perfetto JSON timeline of the run here",
+        )
+        group.add_argument(
+            "--metrics-out",
+            default=metrics_out,
+            help="write a metrics snapshot (JSON) of the run here",
+        )
+        group.add_argument(
+            "--events-out",
+            help="write the telemetry JSONL event log here (repro dashboard input)",
+        )
+        group.add_argument(
+            "--openmetrics-out",
+            help="write an OpenMetrics/Prometheus text exposition of the metrics here",
+        )
+        return group
+
+    recovery = argparse.ArgumentParser(add_help=False)
+    recovery.add_argument(
         "--ranks",
         type=int,
         default=1,
-        help="simulated MPI ranks (>1 enables the fault-tolerant runner)",
+        help="simulated MPI ranks (>1: the fault-tolerant runner, a track per rank)",
     )
-    p.add_argument(
+    recovery.add_argument(
         "--faults",
         help=(
             "fault plan, e.g. 'kill:rank=3,step=1;"
             "corrupt:kernel=upBarAc,step=2,mode=nan'"
         ),
     )
-    p.add_argument("--fault-seed", type=int, default=0)
-    p.add_argument(
+    recovery.add_argument("--fault-seed", type=int, default=0)
+    recovery.add_argument(
         "--checkpoint-every",
         type=int,
         default=1,
         help="checkpoint cadence in steps (with --checkpoint-dir)",
     )
-    p.add_argument("--checkpoint-dir", help="directory for simulation checkpoints")
-    p.add_argument("--restart-from", help="resume from a simulation checkpoint file")
-    p.add_argument(
+    recovery.add_argument(
+        "--checkpoint-dir", help="directory for simulation checkpoints"
+    )
+    recovery.add_argument(
         "--timeout", type=float, default=30.0, help="collective timeout (seconds)"
     )
-    p.add_argument(
+    recovery.add_argument(
         "--max-retries", type=int, default=3, help="restart budget after failures"
     )
+
+    variant = argparse.ArgumentParser(add_help=False)
+    variant.add_argument(
+        "--model", default="sycl", help="cuda | hip | sycl | sycl+visa"
+    )
+    variant.add_argument(
+        "--variant",
+        default="select",
+        help="select | memory32 | memory_object | broadcast | visa",
+    )
+
+    socket = argparse.ArgumentParser(add_help=False)
+    socket.add_argument("--socket", default="repro.sock", help="unix socket path")
+
+    p = sub.add_parser(
+        "simulate", help="run the mini-app", parents=[size(8, 5), recovery, sinks()]
+    )
+    p.add_argument("--restart-from", help="resume from a simulation checkpoint file")
     p.add_argument(
         "--degrade-policy",
         default="restart",
@@ -768,13 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-seed", type=int, default=0, help="base seed for --chaos-runs"
     )
     p.add_argument(
-        "--trace-out",
-        help="write a Chrome-trace/Perfetto JSON timeline of the run here",
-    )
-    p.add_argument(
-        "--metrics-out", help="write a metrics snapshot (JSON) of the run here"
-    )
-    p.add_argument(
         "--health",
         action="store_true",
         help=(
@@ -791,96 +725,55 @@ def build_parser() -> argparse.ArgumentParser:
             "step on a TTY, prints the final frame on the multi-rank path"
         ),
     )
-    p.add_argument(
-        "--events-out",
-        help="write the telemetry JSONL event log here (repro dashboard input)",
-    )
-    p.add_argument(
-        "--openmetrics-out",
-        help="write an OpenMetrics/Prometheus text exposition of the metrics here",
-    )
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("price", help="price the reference workload")
-    p.add_argument("device", help="Aurora | Polaris | Frontier")
-    p.add_argument("--model", default="sycl", help="cuda | hip | sycl | sycl+visa")
-    p.add_argument(
-        "--variant",
-        default="select",
-        help="select | memory32 | memory_object | broadcast | visa",
+    p = sub.add_parser(
+        "price", help="price the reference workload", parents=[size(8), variant]
     )
-    p.add_argument("-n", type=int, default=8)
+    p.add_argument("device", help="Aurora | Polaris | Frontier")
     p.set_defaults(func=_cmd_price)
 
-    p = sub.add_parser("tune", help="auto-tune kernels on a device")
+    p = sub.add_parser("tune", help="auto-tune kernels on a device", parents=[size(8)])
     p.add_argument("device")
-    p.add_argument("-n", type=int, default=8)
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("migrate", help="run the CUDA->SYCL pipeline")
     p.add_argument("--no-optimize", action="store_true")
     p.set_defaults(func=_cmd_migrate)
 
-    p = sub.add_parser("report", help="regenerate the full report")
+    p = sub.add_parser("report", help="regenerate the full report", parents=[size(8)])
     p.add_argument("-o", "--output", help="write markdown to this path")
-    p.add_argument("-n", type=int, default=8)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("figures", help="print every table and figure")
     p.set_defaults(func=_cmd_figures)
 
-    p = sub.add_parser("export", help="write artefacts to JSON")
+    p = sub.add_parser("export", help="write artefacts to JSON", parents=[size(8)])
     p.add_argument("-o", "--output", default="artifacts.json")
-    p.add_argument("-n", type=int, default=8)
     p.set_defaults(func=_cmd_export)
 
-    p = sub.add_parser("validate", help="run and audit invariants")
-    p.add_argument("-n", type=int, default=6)
-    p.add_argument("--steps", type=int, default=2)
+    p = sub.add_parser(
+        "validate", help="run and audit invariants", parents=[size(6, 2)]
+    )
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("roofline", help="roofline positions on a device")
+    p = sub.add_parser(
+        "roofline", help="roofline positions on a device", parents=[size(8)]
+    )
     p.add_argument("device")
     p.add_argument("--variant", default="select")
-    p.add_argument("-n", type=int, default=8)
     p.set_defaults(func=_cmd_roofline)
 
     p = sub.add_parser(
-        "trace", help="run the mini-app and write trace.json + metrics.json"
+        "trace",
+        help="run the mini-app and write trace.json + metrics.json",
+        parents=[
+            size(6, 2), recovery, sinks("trace.json", "metrics.json", "-o"), variant
+        ],
     )
-    p.add_argument("-n", type=int, default=6, help="particles per side (2x n^3)")
-    p.add_argument("--steps", type=int, default=2)
     p.add_argument(
         "--device",
         help="replay kernels through this device's cost model on a device track",
-    )
-    p.add_argument("--model", default="sycl", help="cuda | hip | sycl | sycl+visa")
-    p.add_argument(
-        "--variant",
-        default="select",
-        help="select | memory32 | memory_object | broadcast | visa",
-    )
-    p.add_argument(
-        "--ranks",
-        type=int,
-        default=1,
-        help="simulated MPI ranks (>1 gives one timeline track per rank)",
-    )
-    p.add_argument("--faults", help="fault plan (same syntax as simulate)")
-    p.add_argument("--fault-seed", type=int, default=0)
-    p.add_argument("--checkpoint-dir", help="directory for simulation checkpoints")
-    p.add_argument("--checkpoint-every", type=int, default=1)
-    p.add_argument("--timeout", type=float, default=30.0)
-    p.add_argument("--max-retries", type=int, default=3)
-    p.add_argument("-o", "--trace-out", default="trace.json")
-    p.add_argument("--metrics-out", default="metrics.json")
-    p.add_argument(
-        "--events-out",
-        help="also write the telemetry JSONL event log (repro dashboard input)",
-    )
-    p.add_argument(
-        "--openmetrics-out",
-        help="also write an OpenMetrics/Prometheus text exposition",
     )
     p.add_argument(
         "--flame", action="store_true", help="print a flame summary of the spans"
@@ -912,32 +805,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dashboard)
 
     p = sub.add_parser(
-        "profile", help="per-kernel profile table with cost-model annotations"
+        "profile",
+        help="per-kernel profile table with cost-model annotations",
+        parents=[size(8), variant],
     )
     p.add_argument("device", help="Aurora | Polaris | Frontier | all")
-    p.add_argument("--model", default="sycl", help="cuda | hip | sycl | sycl+visa")
-    p.add_argument(
-        "--variant",
-        default="select",
-        help="select | memory32 | memory_object | broadcast | visa",
-    )
-    p.add_argument("-n", type=int, default=8)
     p.set_defaults(func=_cmd_profile)
 
     p = sub.add_parser(
-        "serve", help="run the simulation service behind a unix socket"
+        "serve",
+        help="run the simulation service behind a unix socket",
+        parents=[socket],
     )
-    p.add_argument("--socket", default="repro.sock", help="unix socket path")
     p.add_argument("--workers", type=int, default=2, help="worker pool size")
     p.add_argument(
         "--cache-mb", type=float, default=256, help="result cache budget (MiB)"
     )
-    p.add_argument(
-        "--quota", type=int, default=64, help="per-tenant active-job quota"
-    )
-    p.add_argument(
-        "--checkpoint-dir", help="directory for preemption checkpoints"
-    )
+    p.add_argument("--quota", type=int, default=64, help="per-tenant active-job quota")
+    p.add_argument("--checkpoint-dir", help="directory for preemption checkpoints")
     p.add_argument(
         "--events-out",
         help="append a live JSONL event log (repro dashboard --follow input)",
@@ -945,11 +830,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
-        "submit", help="submit one job to a running repro serve"
+        "submit",
+        help="submit one job to a running repro serve",
+        parents=[socket, size(6, 2)],
     )
-    p.add_argument("--socket", default="repro.sock", help="unix socket path")
-    p.add_argument("-n", type=int, default=6, help="particles per side (2x n^3)")
-    p.add_argument("--steps", type=int, default=2)
     p.add_argument("--seed", type=int, default=2023)
     p.add_argument(
         "--products",
@@ -973,17 +857,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print per-step in-situ snapshot events while the job runs",
     )
-    p.add_argument(
-        "--json", action="store_true", help="print the full result as JSON"
-    )
+    p.add_argument("--json", action="store_true", help="print the full result as JSON")
     p.add_argument("--timeout", type=float, default=600.0)
     p.set_defaults(func=_cmd_submit)
 
-    p = sub.add_parser("jobs", help="list a running service's jobs")
-    p.add_argument("--socket", default="repro.sock", help="unix socket path")
-    p.add_argument(
-        "--stats", action="store_true", help="also print queue/cache stats"
-    )
+    p = sub.add_parser("jobs", help="list a running service's jobs", parents=[socket])
+    p.add_argument("--stats", action="store_true", help="also print queue/cache stats")
     p.add_argument("--timeout", type=float, default=30.0)
     p.set_defaults(func=_cmd_jobs)
 

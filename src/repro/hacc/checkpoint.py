@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -26,8 +28,10 @@ from repro.hacc.sph.extras import compute_extras
 from repro.hacc.sph.geometry import compute_geometry
 from repro.hacc.sph.pairs import PairContext
 
-#: version 2 added the payload checksum; version-1 files stay loadable
+#: version 2 added the payload checksum; version 1 (none) is rejected
 FORMAT_VERSION = 2
+#: entries of a checkpoint file that are not payload
+_ENVELOPE = ("kind", "version", "checksum")
 
 
 class CheckpointError(ValueError):
@@ -50,6 +54,95 @@ def payload_digest(arrays: dict[str, np.ndarray]) -> str:
         h.update(str(arr.shape).encode())
         h.update(arr.tobytes())
     return h.hexdigest()
+
+
+def atomic_save(
+    path: str | Path,
+    payload: dict[str, np.ndarray],
+    *,
+    version: int,
+    kind: str | None = None,
+    before_write: Callable[[Path], None] | None = None,
+) -> Path:
+    """Write ``payload`` under the versioned, checksummed envelope;
+    returns the final path (``.npz`` appended when missing).
+
+    Atomic: a temp file in the target directory is flushed, ``fsync``-ed
+    and only then ``os.replace``-d over the final name, so a crash
+    mid-write never leaves a torn file under it.  ``before_write(tmp)``
+    runs first — the fault injector's torn-write point.
+    """
+    path = Path(path)
+    if path.suffix != ".npz":
+        path = path.with_suffix(path.suffix + ".npz")
+    header = {"version": version, "checksum": payload_digest(payload)}
+    if kind is not None:
+        header = {"kind": kind, **header}
+    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    try:
+        if before_write is not None:
+            before_write(tmp)
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(fh, **header, **payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
+def verified_load(
+    path: str | Path,
+    decode: Callable[[dict[str, np.ndarray]], Any],
+    *,
+    what: str,
+    version: int,
+    kind: str | None = None,
+    required: tuple[str, ...] = (),
+) -> Any:
+    """``decode`` the verified payload of one :func:`atomic_save` file.
+
+    Raises :class:`CheckpointError` on any unreadable, truncated,
+    foreign, wrong-version, incomplete, corrupt or undecodable file.
+    """
+    path = Path(path)
+    try:
+        with np.load(path) as data:
+            if kind is not None and (
+                "kind" not in data or str(data["kind"]) != kind
+            ):
+                raise CheckpointError(f"{path}: not a {what} checkpoint")
+            if "version" not in data:
+                raise CheckpointError(
+                    f"{path}: not a {what} checkpoint (no version field)"
+                )
+            found = int(data["version"])
+            if found != version:
+                raise CheckpointError(
+                    f"{path}: {what} checkpoint format {found} not supported "
+                    f"(expected {version})"
+                )
+            missing = [name for name in required if name not in data]
+            if missing:
+                raise CheckpointError(
+                    f"{path}: checkpoint missing field(s) {missing}"
+                )
+            payload = {
+                name: data[name] for name in data.files if name not in _ENVELOPE
+            }
+            stored = str(data["checksum"])
+        actual = payload_digest(payload)
+        if stored != actual:
+            raise CheckpointError(
+                f"{path}: checksum mismatch "
+                f"(stored {stored[:12]}..., data {actual[:12]}...)"
+            )
+        return decode(payload)
+    except CheckpointError:
+        raise
+    except Exception as exc:  # zipfile/pickle/OS/key errors -> one clear type
+        raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
 
 
 @dataclass(frozen=True)
@@ -95,57 +188,23 @@ class KernelCheckpoint:
         return payload
 
     def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        payload = self._payload()
-        np.savez_compressed(
-            path,
-            version=FORMAT_VERSION,
-            checksum=payload_digest(payload),
-            **payload,
-        )
-        return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
+        """Atomic checksummed write; returns the final path."""
+        return atomic_save(path, self._payload(), version=FORMAT_VERSION)
 
     @classmethod
     def load(cls, path: str | Path) -> "KernelCheckpoint":
         """Load a checkpoint, raising :class:`CheckpointError` on any
         truncated, corrupt, incomplete, or unsupported file."""
-        path = Path(path)
-        try:
-            with np.load(path) as data:
-                try:
-                    version = int(data["version"])
-                except KeyError:
-                    raise CheckpointError(
-                        f"{path}: not a kernel checkpoint (no version field)"
-                    ) from None
-                if version not in (1, FORMAT_VERSION):
-                    raise CheckpointError(
-                        f"{path}: checkpoint format {version} not supported "
-                        f"(expected <= {FORMAT_VERSION})"
-                    )
-                wanted = cls._PAYLOAD_FIELDS + ("box",)
-                missing = [name for name in wanted if name not in data.files]
-                if missing:
-                    raise CheckpointError(
-                        f"{path}: checkpoint missing field(s) {missing}"
-                    )
-                payload = {name: data[name] for name in wanted}
-                if version >= 2:
-                    stored = str(data["checksum"])
-                    actual = payload_digest(payload)
-                    if stored != actual:
-                        raise CheckpointError(
-                            f"{path}: checksum mismatch "
-                            f"(stored {stored[:12]}..., data {actual[:12]}...)"
-                        )
-                return cls(
-                    box=float(payload["box"]),
-                    **{name: payload[name] for name in cls._PAYLOAD_FIELDS},
-                )
-        except CheckpointError:
-            raise
-        except Exception as exc:  # zipfile/pickle/OS errors -> one clear type
-            raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
+        return verified_load(
+            path,
+            lambda payload: cls(
+                box=float(payload["box"]),
+                **{name: payload[name] for name in cls._PAYLOAD_FIELDS},
+            ),
+            what="kernel",
+            version=FORMAT_VERSION,
+            required=cls._PAYLOAD_FIELDS + ("box",),
+        )
 
     @property
     def n_particles(self) -> int:

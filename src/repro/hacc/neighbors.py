@@ -3,8 +3,8 @@
 The SPH kernels and the short-range gravity both need
 "all pairs closer than a cutoff".  We use a uniform cell list sized to
 the cutoff, fully vectorised: particles are binned, the 27 neighbouring
-cells are scanned with array operations, and the result is either a
-flat (i, j) pair list or a CSR neighbour structure.
+cells are scanned with array operations, and the result is a flat
+directed (i, j) pair list.
 
 This plays the role of CRK-HACC's interaction-list construction; the
 pair counts it produces also feed the instruction profiles of the GPU
@@ -27,30 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from repro import xp
-
-
-@dataclass(frozen=True)
-class NeighborList:
-    """CSR neighbour structure: ``indices[start[i]:start[i+1]]`` are the
-    neighbours of particle ``i`` (self excluded)."""
-
-    start: np.ndarray
-    indices: np.ndarray
-
-    @property
-    def n_particles(self) -> int:
-        return len(self.start) - 1
-
-    @property
-    def n_pairs(self) -> int:
-        """Directed neighbour count (each undirected pair counted twice)."""
-        return len(self.indices)
-
-    def counts(self) -> np.ndarray:
-        return np.diff(self.start)
-
-    def neighbors_of(self, i: int) -> np.ndarray:
-        return self.indices[self.start[i] : self.start[i + 1]]
 
 
 def _cell_index(pos: np.ndarray, box: float, n_cells: int) -> np.ndarray:
@@ -353,20 +329,12 @@ class CellListCache:
     #: binning covers a large cutoff only through a huge bucket count
     MAX_REACH = 3
 
-    def __init__(
-        self,
-        box: float,
-        *,
-        skin_fraction: float = 0.1,
-        metrics=None,
-        enabled: bool = True,
-    ):
+    def __init__(self, box: float, *, skin_fraction: float = 0.1, metrics=None):
         if skin_fraction < 0:
             raise ValueError("skin fraction must be non-negative")
         self.box = box
         self.skin_fraction = skin_fraction
         self.metrics = metrics
-        self.enabled = enabled
         self.builds = 0
         self.hits = 0
         self._lists: list[CellList] = []
@@ -395,28 +363,26 @@ class CellListCache:
 
     def get(self, pos: np.ndarray, cutoff: float) -> CellList:
         pos = np.asarray(pos, dtype=np.float64)
-        if self.enabled:
-            for k, cached in enumerate(self._lists):
-                if not self._suitable(cached, cutoff, len(pos)):
-                    continue
-                cached.update_positions(pos)
-                if not cached.is_current():
-                    continue
-                self.hits += 1
-                if self.metrics is not None:
-                    self.metrics.counter("sim.pairs.cell_list.hits").inc()
-                # most-recently-used first
-                self._lists.insert(0, self._lists.pop(k))
-                return cached
+        for k, cached in enumerate(self._lists):
+            if not self._suitable(cached, cutoff, len(pos)):
+                continue
+            cached.update_positions(pos)
+            if not cached.is_current():
+                continue
+            self.hits += 1
+            if self.metrics is not None:
+                self.metrics.counter("sim.pairs.cell_list.hits").inc()
+            # most-recently-used first
+            self._lists.insert(0, self._lists.pop(k))
+            return cached
         cell_list = CellList.build(
             pos, self.box, cutoff, skin=self.skin_fraction * cutoff
         )
         self.builds += 1
         if self.metrics is not None:
             self.metrics.counter("sim.pairs.cell_list.builds").inc()
-        if self.enabled:
-            keep = [c for c in self._lists if not self._same_tier(c, cell_list)]
-            self._lists = ([cell_list] + keep)[: self.MAX_LISTS]
+        keep = [c for c in self._lists if not self._same_tier(c, cell_list)]
+        self._lists = ([cell_list] + keep)[: self.MAX_LISTS]
         return cell_list
 
     def invalidate(self) -> None:
@@ -529,35 +495,3 @@ def _find_pairs_bruteforce(pos, other, box, cutoff, symmetric):
     if symmetric:
         return np.concatenate([i, j]), np.concatenate([j, i])
     return i, j
-
-
-def build_neighbor_list(
-    pos: np.ndarray,
-    box: float,
-    cutoff: float,
-    *,
-    pos_other: np.ndarray | None = None,
-    cell_list: CellList | None = None,
-) -> NeighborList:
-    """CSR neighbour list from :func:`find_pairs`."""
-    i, j = find_pairs(pos, box, cutoff, pos_other=pos_other, cell_list=cell_list)
-    order = xp.argsort(i)
-    i = i[order]
-    j = j[order]
-    n = len(pos)
-    counts = xp.bincount(i, minlength=n)
-    start = xp.zeros(n + 1, dtype=np.int64)
-    start[1:] = xp.cumsum(counts)
-    return NeighborList(start=start, indices=j)
-
-
-def pair_statistics(nlist: NeighborList) -> dict:
-    """Interaction statistics used to size the GPU cost model."""
-    counts = nlist.counts()
-    return {
-        "n_particles": nlist.n_particles,
-        "n_pairs": int(nlist.n_pairs),
-        "mean_neighbors": float(counts.mean()) if len(counts) else 0.0,
-        "max_neighbors": int(counts.max()) if len(counts) else 0,
-        "min_neighbors": int(counts.min()) if len(counts) else 0,
-    }

@@ -120,6 +120,20 @@ class SimulationConfig:
     def box(self) -> float:
         return 177.0 * self.n_per_side / 512.0
 
+    @classmethod
+    def scaled(
+        cls, n_per_side: int, *, n_steps: int = 5, seed: int = 2023
+    ) -> "SimulationConfig":
+        """The test problem at ``n_per_side``, with the PM mesh sized to
+        the particle grid -- the one mesh rule of the CLI, the service
+        and the experiment workload."""
+        return cls(
+            n_per_side=n_per_side,
+            pm_mesh=max(8, n_per_side),
+            n_steps=n_steps,
+            seed=seed,
+        )
+
     def ic_config(self) -> ICConfig:
         return ICConfig(
             n_per_side=self.n_per_side,
@@ -190,6 +204,7 @@ class AdiabaticDriver:
         self.diagnostics: list[StepDiagnostics] = []
         #: completed steps of the configured schedule
         self.step_index = 0
+        self._schedule: np.ndarray | None = None
         #: the run's stochastic stream (seeded; captured by checkpoints)
         self.rng = np.random.default_rng(self.config.seed)
         #: resilience hook: hook(kernel_name, step_index, {name: array})
@@ -505,10 +520,36 @@ class AdiabaticDriver:
         return diag
 
     def schedule(self) -> np.ndarray:
-        """Scale-factor edges of the configured schedule."""
-        return self.cosmology.step_schedule(
-            self.config.z_initial, self.config.z_final, self.config.n_steps
-        )
+        """Scale-factor edges of the configured schedule (computed once
+        per driver; read-only)."""
+        if self._schedule is None:
+            self._schedule = self.cosmology.step_schedule(
+                self.config.z_initial, self.config.z_final, self.config.n_steps
+            )
+            self._schedule.setflags(write=False)
+        return self._schedule
+
+    @property
+    def a(self) -> float:
+        """Scale factor at :attr:`step_index`."""
+        return float(self.schedule()[self.step_index])
+
+    @property
+    def finished(self) -> bool:
+        """Has the configured schedule been walked to its end?"""
+        return self.step_index >= self.config.n_steps
+
+    def advance(self) -> StepDiagnostics | None:
+        """Take the next step of the configured schedule from
+        :attr:`step_index`; ``None`` (and no state change) once
+        :attr:`finished`.  The one place the schedule is walked:
+        :meth:`run`, the resilience runner and the service worker all
+        advance a (possibly restored) driver through here.
+        """
+        if self.finished:
+            return None
+        schedule, i = self.schedule(), self.step_index
+        return self.step(float(schedule[i]), float(schedule[i + 1]))
 
     def run(
         self,
@@ -520,11 +561,7 @@ class AdiabaticDriver:
         ``on_step(driver, diag)`` fires after each completed step —
         the periodic-checkpoint hook point.
         """
-        schedule = self.schedule()
-        while self.step_index < self.config.n_steps:
-            a0 = float(schedule[self.step_index])
-            a1 = float(schedule[self.step_index + 1])
-            diag = self.step(a0, a1)
+        while (diag := self.advance()) is not None:
             if on_step is not None:
                 on_step(self, diag)
         return self.diagnostics

@@ -30,7 +30,6 @@ from repro.kernels.adiabatic import (
     AdiabaticKernelDefinition,
     TracePricer,
     best_variant_map,
-    executor_timers,
     price_trace,
 )
 from repro.kernels.tuning import TunedConfig, TuningResult, autotune
@@ -50,7 +49,6 @@ __all__ = [
     "AdiabaticKernelDefinition",
     "TracePricer",
     "best_variant_map",
-    "executor_timers",
     "price_trace",
     "TunedConfig",
     "TuningResult",

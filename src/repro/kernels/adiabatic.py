@@ -162,18 +162,19 @@ class TracePricer:
         return self._variants[kernel_name]
 
     # ------------------------------------------------------------------
-    def price(self, trace: WorkloadTrace, timers=None, profiler=None) -> TimingReport:
+    def price(self, trace: WorkloadTrace, tracer=None, profiler=None) -> TimingReport:
         """Replay ``trace``, returning per-timer simulated seconds.
 
         Raises :class:`CompileError` when any required kernel cannot be
         compiled for this device (e.g. the vISA variant off-Intel) --
         the condition that produces PP = 0 in the paper's Figure 12.
 
-        ``timers`` may be a :class:`repro.timers.TimerRegistry` whose
-        clock reads this replay's executor; each kernel submission is
-        then bracketed MPI_wtime-style, reproducing the paper's timer
-        instrumentation (Section 3.4.4).  Construct it lazily with
-        :meth:`executor_timers`.
+        ``tracer`` reproduces the paper's timer instrumentation
+        (Section 3.4.4): each submission is bracketed MPI_wtime-style
+        by a span (category ``timer``).  The brackets must read this
+        replay's executor, so pass a callable ``executor ->
+        TraceRecorder(clock=executor.total_seconds)``; see
+        :func:`~repro.observability.profiler.validate_against_profiler`.
 
         ``profiler`` may be a
         :class:`~repro.observability.profiler.KernelProfiler`; it is
@@ -181,9 +182,8 @@ class TracePricer:
         with its cost breakdown.
         """
         executor = DeviceExecutor(self.device)
-        self._last_executor = executor
-        if callable(timers):
-            timers = timers(executor)
+        if tracer is not None:
+            tracer = tracer(executor)
         if profiler is not None:
             profiler.attach(executor)
         report = TimingReport(
@@ -208,8 +208,8 @@ class TracePricer:
                 grf_mode=variant.grf_mode(self.device),
             )
             compiled = self.compiler.compile(definition, options)
-            if timers is not None:
-                with timers.bracket(inv.name):
+            if tracer is not None:
+                with tracer.span(inv.name, category="timer"):
                     compiled.submit(executor, inv.n_workitems)
             else:
                 compiled.submit(executor, inv.n_workitems)
@@ -219,19 +219,6 @@ class TracePricer:
                 self.model, kernel_name
             )
         return report
-
-
-def executor_timers(executor: DeviceExecutor):
-    """A TimerRegistry reading ``executor``'s simulated clock.
-
-    Pass ``executor_timers`` itself (the callable) as the ``timers``
-    argument of :meth:`TracePricer.price` to get per-kernel bracket
-    timers over the replay -- validated against the executor ledger by
-    :func:`repro.timers.validate_against_profiler`.
-    """
-    from repro.timers import TimerRegistry
-
-    return TimerRegistry.over_executor(executor)
 
 
 def price_trace(

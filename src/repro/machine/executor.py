@@ -8,9 +8,10 @@ mini-app's time stepper submits kernels through it, and the paper's
 timers (Section 3.4.4) read its ledger.
 
 The executor's per-kernel times are the reproduction's equivalent of
-``rocprof`` ground truth: the :mod:`repro.timers` module's bracket
-timers are validated against them, mirroring the paper's validation of
-CRK-HACC's internal timers.
+``rocprof`` ground truth: bracket-timer spans over the executor's clock
+are validated against them
+(:func:`repro.observability.profiler.validate_against_profiler`),
+mirroring the paper's validation of CRK-HACC's internal timers.
 """
 
 from __future__ import annotations

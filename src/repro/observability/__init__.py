@@ -69,6 +69,7 @@ from repro.observability.profiler import (
     ProfileRow,
     format_profile_table,
     profile_trace,
+    validate_against_profiler,
 )
 from repro.observability.tracing import (
     DEFAULT_TRACK,
@@ -116,6 +117,7 @@ __all__ = [
     "render",
     "sparkline",
     "to_openmetrics",
+    "validate_against_profiler",
     "write_event_log",
     "write_openmetrics",
 ]

@@ -2,12 +2,13 @@
 
 The paper's entire evaluation is *measurement*: per-kernel timings on
 three GPUs rolled up into performance-portability efficiencies
-(Figures 9-11).  The flat bracket timers of :mod:`repro.timers` give
-per-name totals but no structure — where inside a step the time went,
-which rank a collective stalled on, when a fault fired relative to the
+(Figures 9-11).  Flat MPI_wtime-style bracket timers give per-name
+totals but no structure — where inside a step the time went, which
+rank a collective stalled on, when a fault fired relative to the
 checkpoint that saved the run.  :class:`TraceRecorder` captures that
 structure as nested spans and instant events on per-rank/per-thread
-tracks, and exports them as
+tracks (a bracket timer is then one span, and a recorder over another
+``clock`` times simulated seconds the same way), and exports them as
 
 - Chrome-trace JSON (``trace.json``), loadable in ``chrome://tracing``
   or https://ui.perfetto.dev, and
@@ -205,9 +206,7 @@ class TraceRecorder:
         """Record a span from explicit timeline timestamps (seconds).
 
         The raw entry point for spans whose clock is *not* the
-        recorder's wall clock — e.g. the profiler's simulated-device
-        timeline, or a :class:`~repro.timers.TimerRegistry` bracketing
-        an executor's simulated seconds.
+        recorder's own — e.g. the profiler's simulated-device timeline.
         """
         if end < begin:
             raise ValueError(f"span {name!r} ends before it begins")

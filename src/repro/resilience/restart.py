@@ -7,19 +7,14 @@ factor, the RNG stream, and the recorded trace/diagnostics (so a
 resumed run still satisfies the validator's timer-pattern audit).
 :class:`SimulationCheckpoint` captures exactly that.
 
-Write protocol (what production checkpointing discipline demands):
-
-- **atomic** — the payload is written to a temp file in the target
-  directory and ``os.replace``-d over the final name, so a crash (or
-  an injected :class:`~repro.resilience.faults.CheckpointWriteFault`)
-  mid-write can never leave a half-written file under the checkpoint
-  name;
-- **versioned** — every file carries a format version; unknown
-  versions are rejected with :class:`CheckpointError`;
-- **checksummed** — a SHA-256 digest over every payload array is
-  stored and verified on load, so silent corruption (torn writes that
-  slipped past the filesystem, bitflips at rest) is detected instead
-  of propagated into physics.
+Files go through the one checkpoint envelope of
+:mod:`repro.hacc.checkpoint` (what production checkpointing discipline
+demands): **atomic** (temp file + ``os.replace``, so a crash or an
+injected :class:`~repro.resilience.faults.CheckpointWriteFault` mid-write
+never leaves a half-written file under the checkpoint name),
+**versioned** and **checksummed** (SHA-256 over every payload array,
+verified on load, so silent corruption is detected instead of
+propagated into physics).
 
 :class:`CheckpointManager` adds the periodic-write policy on top:
 checkpoint every *k* steps, keep a bounded history, find the newest
@@ -47,17 +42,22 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.core.confighash import config_hash
-from repro.hacc.checkpoint import CheckpointError, payload_digest
+from repro.hacc.checkpoint import (
+    CheckpointError,
+    atomic_save,
+    payload_digest,
+    verified_load,
+)
 from repro.hacc.cosmology import Cosmology
 from repro.hacc.particles import ParticleData
 from repro.hacc.timestep import (
@@ -67,6 +67,7 @@ from repro.hacc.timestep import (
     StepDiagnostics,
     WorkloadTrace,
 )
+from repro.resilience.faults import CheckpointWriteFault
 
 #: simulation-checkpoint format version (independent of the
 #: kernel-checkpoint format in :mod:`repro.hacc.checkpoint`)
@@ -91,10 +92,9 @@ class SimulationCheckpoint:
     @classmethod
     def capture(cls, driver: AdiabaticDriver) -> "SimulationCheckpoint":
         """Snapshot a driver between steps."""
-        schedule = driver.schedule()
         return cls(
             step_index=driver.step_index,
-            a=float(schedule[driver.step_index]),
+            a=driver.a,
             config=driver.config,
             box=driver.particles.box,
             particle_arrays={
@@ -182,63 +182,28 @@ class SimulationCheckpoint:
         ``fail_checkpoint_write`` hook models a crash mid-write (the
         temp file is torn, the final name is never touched).
         """
-        path = Path(path)
-        if path.suffix != ".npz":
-            path = path.with_suffix(path.suffix + ".npz")
-        payload = self._payload()
-        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-        try:
-            if injector is not None:
-                injector.fail_checkpoint_write(self.step_index, tmp)
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(
-                    fh,
-                    kind=_KIND,
-                    version=SIM_FORMAT_VERSION,
-                    checksum=payload_digest(payload),
-                    **payload,
-                )
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-        return path
+        before_write = None
+        if injector is not None:
+            before_write = partial(injector.fail_checkpoint_write, self.step_index)
+        return atomic_save(
+            path,
+            self._payload(),
+            version=SIM_FORMAT_VERSION,
+            kind=_KIND,
+            before_write=before_write,
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "SimulationCheckpoint":
         """Load and verify; raises :class:`CheckpointError` on any
         unreadable, truncated, corrupt, or wrong-version file."""
-        path = Path(path)
-        try:
-            with np.load(path) as data:
-                if "kind" not in data or str(data["kind"]) != _KIND:
-                    raise CheckpointError(
-                        f"{path}: not a simulation checkpoint"
-                    )
-                version = int(data["version"])
-                if version != SIM_FORMAT_VERSION:
-                    raise CheckpointError(
-                        f"{path}: simulation checkpoint format {version} "
-                        f"not supported (expected {SIM_FORMAT_VERSION})"
-                    )
-                payload = {
-                    name: data[name]
-                    for name in data.files
-                    if name not in ("kind", "version", "checksum")
-                }
-                stored = str(data["checksum"])
-                actual = payload_digest(payload)
-                if stored != actual:
-                    raise CheckpointError(
-                        f"{path}: checksum mismatch "
-                        f"(stored {stored[:12]}..., data {actual[:12]}...)"
-                    )
-                return cls._from_payload(payload)
-        except CheckpointError:
-            raise
-        except Exception as exc:  # zipfile/OS/key errors -> one clear type
-            raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
+        return verified_load(
+            path,
+            cls._from_payload,
+            what="simulation",
+            version=SIM_FORMAT_VERSION,
+            kind=_KIND,
+        )
 
     @classmethod
     def _from_payload(cls, payload: dict[str, np.ndarray]) -> "SimulationCheckpoint":
@@ -306,6 +271,11 @@ class CheckpointManager:
     governs retries of *transient* OS-level write errors in
     :meth:`save_now`; injected :class:`CheckpointWriteFault`\\ s are
     deliberately not retried (they model a crash, not a transient).
+
+    The manager keeps the books on its own writes (``written`` /
+    ``write_failures``, the ``checkpoint.*`` counters, the
+    ``checkpoint-write[-failed]`` instants); what a failed write
+    *means* stays the caller's policy.
     """
 
     def __init__(
@@ -317,6 +287,7 @@ class CheckpointManager:
         metrics=None,
         io_backoff=None,
         io_retries: int = 2,
+        tracer=None,
     ):
         if every < 1:
             raise ValueError("checkpoint cadence must be >= 1 step")
@@ -330,9 +301,12 @@ class CheckpointManager:
         self.keep = int(keep)
         self.injector = injector
         self.metrics = metrics
+        self.tracer = tracer
         self.io_backoff = io_backoff
         self.io_retries = int(io_retries)
         self.written: list[Path] = []
+        #: injected write faults seen by :meth:`save_now`
+        self.write_failures = 0
 
     def path_for(self, step_index: int) -> Path:
         return self.directory / f"sim-step{step_index:04d}.npz"
@@ -352,10 +326,22 @@ class CheckpointManager:
             try:
                 path = snapshot.save(target, injector=self.injector)
                 break
+            except CheckpointWriteFault as exc:
+                # models a crash, not a transient: counted, never retried
+                self.write_failures += 1
+                if self.metrics is not None:
+                    self.metrics.counter("checkpoint.write_failures").inc()
+                if self.tracer is not None:
+                    self.tracer.instant(
+                        "checkpoint-write-failed",
+                        category="checkpoint",
+                        step=driver.step_index,
+                        detail=str(exc),
+                    )
+                raise
             except OSError:
                 # transient I/O (full pipe, flaky mount): back off and
-                # re-issue; injected CheckpointWriteFault is NOT caught
-                # here — it models a crash and must surface
+                # re-issue
                 if io_attempt == self.io_retries:
                     raise
                 backoff = self.io_backoff
@@ -364,6 +350,18 @@ class CheckpointManager:
 
                     backoff = self.io_backoff = BackoffPolicy()
                 backoff.sleep(io_attempt, metrics=self.metrics)
+        n_bytes = path.stat().st_size
+        if self.metrics is not None:
+            self.metrics.counter("checkpoint.writes").inc()
+            self.metrics.counter("checkpoint.bytes").inc(n_bytes)
+        if self.tracer is not None:
+            self.tracer.instant(
+                "checkpoint-write",
+                category="checkpoint",
+                step=driver.step_index,
+                bytes=n_bytes,
+                path=str(path),
+            )
         if path not in self.written:
             self.written.append(path)
         self._prune()
@@ -442,12 +440,11 @@ class DifferentialCheckpoint:
             ref = base.particle_arrays.get(name)
             if ref is None or not np.array_equal(ref, arr):
                 dirty[name] = arr.copy()
-        schedule = driver.schedule()
         step = driver.step_index
         return cls(
             base=base,
             step_index=step,
-            a=float(schedule[step]),
+            a=driver.a,
             dirty_arrays=dirty,
             rng_state=json.loads(json.dumps(driver.rng.bit_generator.state)),
             trace=tuple(driver.trace.invocations),

@@ -170,16 +170,6 @@ class SimulationAborted(RuntimeError):
         self.attempts = tuple(attempts)
 
 
-def _build_driver(
-    config: SimulationConfig,
-    cosmology: Cosmology | None,
-    checkpoint: SimulationCheckpoint | None,
-) -> AdiabaticDriver:
-    if checkpoint is not None:
-        return checkpoint.restore_driver(cosmology)
-    return AdiabaticDriver(config=config, cosmology=cosmology)
-
-
 def run_simulation(
     config: SimulationConfig | None = None,
     *,
@@ -270,6 +260,7 @@ def run_simulation(
             every=checkpoint_every,
             injector=injector,
             metrics=metrics,
+            tracer=tracer,
             io_backoff=retry_policy.backoff,
         )
 
@@ -283,7 +274,6 @@ def run_simulation(
             config = start.config
 
     attempts: list[AttemptRecord] = []
-    write_failures = 0
     guard_warnings: list[Violation] = []
     health_alerts: list[Alert] = []
     lead_monitors: dict[int, HealthMonitor] = {}
@@ -302,50 +292,55 @@ def run_simulation(
         degradation_events: list[DegradationEvent] = []
         restarted_from = start.step_index if start is not None else None
 
-        def _build_monitor(grank: int) -> HealthMonitor | None:
-            if health is None:
-                return None
-            # every rank monitors its own (replicated, deterministic)
-            # physics, so all ranks escalate at the same step; only
-            # rank 0 owns the sinks — shared counters, trace tracks,
-            # and the result's alert log must not be multiplied by the
-            # world size
-            lead = grank == 0
-            monitor = health.build(
-                tracer=tracer if lead else None,
-                metrics=metrics if lead else None,
-                on_alert=health_alerts.append if lead else None,
-            )
-            if lead:
-                lead_monitors[attempt] = monitor
-            return monitor
-
         def rank_fn(comm: SimComm) -> int:
             grank = comm.global_rank
-            driver = _build_driver(config, cosmology, start)
-            driver.tracer = tracer
-            driver.metrics = metrics
-            monitor = _build_monitor(grank)
-            driver.health = monitor
-            guard = KernelGuard(guard_policy, metrics=metrics)
-            guard.install(driver, injector=injector, rank=grank)
-            gate = StepGate(driver, guard_policy)
-            schedule = driver.schedule()
-            # the diff base for buddy snapshots: the attempt's start
-            base = SimulationCheckpoint.capture(driver)
+
+            def _arm(driver: AdiabaticDriver):
+                """Wire a freshly built or rolled-back driver into this
+                attempt; returns its step gate and the diff base of its
+                buddy snapshots."""
+                driver.tracer = tracer
+                driver.metrics = metrics
+                if health is not None:
+                    # every rank monitors its own (replicated,
+                    # deterministic) physics, so all ranks escalate at
+                    # the same step; only rank 0 owns the sinks — shared
+                    # counters, trace tracks, and the result's alert log
+                    # must not be multiplied by the world size.  A fresh
+                    # monitor each time: a rollback makes the previous
+                    # series discontinuous (the drift baselines would
+                    # compare post-rollback state against pre-rollback
+                    # history)
+                    lead = grank == 0
+                    driver.health = health.build(
+                        tracer=tracer if lead else None,
+                        metrics=metrics if lead else None,
+                        on_alert=health_alerts.append if lead else None,
+                    )
+                    if lead:
+                        lead_monitors[attempt] = driver.health
+                KernelGuard(guard_policy, metrics=metrics).install(
+                    driver, injector=injector, rank=grank
+                )
+                gate = StepGate(driver, guard_policy)
+                return gate, SimulationCheckpoint.capture(driver)
+
+            if start is not None:
+                driver = start.restore_driver(cosmology)
+            else:
+                driver = AdiabaticDriver(config=config, cosmology=cosmology)
+            gate, base = _arm(driver)
             shrinks_done = 0
-            while driver.step_index < config.n_steps:
+            while not driver.finished:
                 step = driver.step_index
                 try:
                     if injector is not None:
                         injector.on_step_start(grank, step)  # may raise RankKilled
                         injector.drain_energy(driver, grank, step)
-                    a0 = float(schedule[step])
-                    a1 = float(schedule[step + 1])
-                    diag = driver.step(a0, a1)
+                    diag = driver.advance()
                     gate.check(step)
-                    if monitor is not None:
-                        monitor.escalate()  # may raise HealthEscalation
+                    if driver.health is not None:
+                        driver.health.escalate()  # may raise HealthEscalation
                     # heartbeat + replica agreement: every rank must
                     # both arrive (else RankFailure) and agree
                     # bit-for-bit
@@ -364,34 +359,10 @@ def run_simulation(
                         comm.group,
                     )
                     if comm.Get_rank() == 0 and manager is not None:
-                        nonlocal write_failures
                         try:
-                            written = manager.maybe_save(driver)
-                            if written is not None:
-                                n_bytes = written.stat().st_size
-                                if metrics is not None:
-                                    metrics.counter("checkpoint.writes").inc()
-                                    metrics.counter("checkpoint.bytes").inc(n_bytes)
-                                if tracer is not None:
-                                    tracer.instant(
-                                        "checkpoint-write",
-                                        category="checkpoint",
-                                        step=driver.step_index,
-                                        bytes=n_bytes,
-                                        path=str(written),
-                                    )
+                            manager.maybe_save(driver)
                         except CheckpointWriteFault as exc:
                             # losing a checkpoint must not lose the run
-                            write_failures += 1
-                            if metrics is not None:
-                                metrics.counter("checkpoint.write_failures").inc()
-                            if tracer is not None:
-                                tracer.instant(
-                                    "checkpoint-write-failed",
-                                    category="checkpoint",
-                                    step=driver.step_index,
-                                    detail=str(exc),
-                                )
                             say(
                                 "checkpoint write failed at step "
                                 f"{driver.step_index}: {exc}"
@@ -443,19 +414,7 @@ def run_simulation(
                     assert rollback is not None  # buddy_ok checked above
                     restore_point = rollback.materialise()
                     driver = restore_point.restore_driver(cosmology)
-                    driver.tracer = tracer
-                    driver.metrics = metrics
-                    # fresh monitor: the rollback makes the previous
-                    # series discontinuous (the drift baselines would
-                    # compare post-rollback state against pre-rollback
-                    # history)
-                    monitor = _build_monitor(grank)
-                    driver.health = monitor
-                    guard = KernelGuard(guard_policy, metrics=metrics)
-                    guard.install(driver, injector=injector, rank=grank)
-                    gate = StepGate(driver, guard_policy)
-                    schedule = driver.schedule()
-                    base = SimulationCheckpoint.capture(driver)
+                    gate, base = _arm(driver)
                     # NB: dead ranks' store entries are left in place —
                     # purging here would race a slower survivor's
                     # adopt; they are dropped with the world instead
@@ -520,7 +479,9 @@ def run_simulation(
                 attempts=attempts,
                 checkpoints=list(manager.written) if manager is not None else [],
                 guard_warnings=guard_warnings,
-                checkpoint_write_failures=write_failures,
+                checkpoint_write_failures=(
+                    manager.write_failures if manager is not None else 0
+                ),
                 final_world_size=world_size - len(failed),
                 health_alerts=health_alerts,
                 health_monitor=lead_monitors.get(attempt),

@@ -55,7 +55,7 @@ from repro.hacc.halo import fof
 from repro.hacc.ic import zeldovich_ics
 from repro.hacc.particles import ParticleData, Species
 from repro.hacc.power import PowerSpectrum
-from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
+from repro.hacc.timestep import AdiabaticDriver, SimulationConfig, StepDiagnostics
 from repro.observability.export import EVENT_LOG_VERSION
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import TraceRecorder, maybe_span
@@ -357,31 +357,31 @@ class SimulationService:
         loop = job.future.get_loop()
         loop.call_soon_threadsafe(self._complete, job, result)
 
+    @staticmethod
+    def _step_event(job: Job, step: int, diag: StepDiagnostics) -> dict[str, Any]:
+        """The per-step snapshot streamed to a job's subscribers."""
+        return {
+            "job": job.job_id,
+            "step": step,
+            "a": diag.a,
+            "kinetic_energy": diag.kinetic_energy,
+            "thermal_energy": diag.thermal_energy,
+            "max_density_contrast": diag.max_density_contrast,
+        }
+
     def _run_preemptible(
         self, job: Job, publish: Callable[[dict[str, Any]], None]
     ) -> "JobResult | str":
         """Step the plain driver, honouring the preemption flag."""
         spec = job.spec
         driver = self._build_driver(job)
-        schedule = driver.schedule()
-        while driver.step_index < driver.config.n_steps:
+        while not driver.finished:
             if job.preempt_requested:
                 self._checkpoint(job, driver)
                 return "preempted"
-            a0 = float(schedule[driver.step_index])
-            a1 = float(schedule[driver.step_index + 1])
-            diag = driver.step(a0, a1)
+            diag = driver.advance()
             job.steps_done = driver.step_index
-            publish(
-                {
-                    "job": job.job_id,
-                    "step": driver.step_index - 1,
-                    "a": diag.a,
-                    "kinetic_energy": diag.kinetic_energy,
-                    "thermal_energy": diag.thermal_energy,
-                    "max_density_contrast": diag.max_density_contrast,
-                }
-            )
+            publish(self._step_event(job, driver.step_index - 1, diag))
         return JobResult(
             spec_hash=job.spec_hash,
             products=self._products(driver, spec),
@@ -410,16 +410,8 @@ class SimulationService:
             metrics=self.metrics,
         )
         job.steps_done = result.driver.step_index
-        for diag in result.driver.diagnostics:
-            publish(
-                {
-                    "job": job.job_id,
-                    "a": diag.a,
-                    "kinetic_energy": diag.kinetic_energy,
-                    "thermal_energy": diag.thermal_energy,
-                    "max_density_contrast": diag.max_density_contrast,
-                }
-            )
+        for step, diag in enumerate(result.driver.diagnostics):
+            publish(self._step_event(job, step, diag))
         return JobResult(
             spec_hash=job.spec_hash,
             products=self._products(result.driver, spec),
@@ -431,11 +423,8 @@ class SimulationService:
     # -- drivers, checkpoints, inputs ----------------------------------
     @staticmethod
     def _sim_config(spec: JobSpec) -> SimulationConfig:
-        return SimulationConfig(
-            n_per_side=spec.n_per_side,
-            pm_mesh=max(8, spec.n_per_side),
-            n_steps=spec.n_steps,
-            seed=spec.seed,
+        return SimulationConfig.scaled(
+            spec.n_per_side, n_steps=spec.n_steps, seed=spec.seed
         )
 
     def _build_driver(self, job: Job) -> AdiabaticDriver:
@@ -487,7 +476,9 @@ class SimulationService:
     def _checkpoint(self, job: Job, driver: AdiabaticDriver) -> None:
         """Preemption = a real disk checkpoint through the manager."""
         manager = CheckpointManager(
-            self._checkpoint_root / f"job-{job.job_id}", every=1, metrics=self.metrics
+            self._checkpoint_root / f"job-{job.job_id}",
+            metrics=self.metrics,
+            tracer=self.tracer,
         )
         path = manager.save_now(driver)
         job.checkpoint_path = path

@@ -72,27 +72,30 @@ class TestExploration:
 
 
 class TestTimerIntegration:
-    """End-to-end: bracket timers over a priced replay agree with the
-    executor ledger (the rocprof validation, Section 3.4.4)."""
+    """End-to-end: bracket-timer spans over a priced replay agree with
+    the executor ledger (the rocprof validation, Section 3.4.4)."""
 
     def test_bracketed_replay_validates(self, reference_trace):
-        from repro.kernels.adiabatic import TracePricer, executor_timers
+        from repro.kernels.adiabatic import TracePricer
+        from repro.observability import TraceRecorder, validate_against_profiler
         from repro.proglang.model import ProgrammingModel
-        from repro.timers import validate_against_profiler
 
         pricer = TracePricer(AURORA, ProgrammingModel.SYCL, "memory_object")
         holder = {}
 
-        def make_timers(executor):
+        def make_tracer(executor):
             holder["executor"] = executor
-            holder["timers"] = executor_timers(executor)
-            return holder["timers"]
+            holder["recorder"] = TraceRecorder(clock=executor.total_seconds)
+            return holder["recorder"]
 
-        report = pricer.price(reference_trace, timers=make_timers)
-        diffs = validate_against_profiler(holder["timers"], holder["executor"])
+        report = pricer.price(reference_trace, tracer=make_tracer)
+        recorder = holder["recorder"]
+        diffs = validate_against_profiler(recorder, holder["executor"])
         assert diffs
         assert all(d <= 1e-9 for d in diffs.values())
+        assert {s.category for s in recorder.spans} == {"timer"}
         # and the bracket totals equal the report's per-timer seconds
         # up to the compiler-variability factor (identity for SYCL)
         for timer, seconds in report.seconds_by_timer.items():
-            assert holder["timers"].total(timer) == pytest.approx(seconds)
+            bracketed = sum(s.duration for s in recorder.spans_named(timer))
+            assert bracketed == pytest.approx(seconds)

@@ -101,18 +101,37 @@ class TestCorruptFiles:
         assert issubclass(CheckpointError, ValueError)
 
 
-class TestVersion1Compat:
-    def test_version1_file_without_checksum_loads(self, checkpoint, tmp_path):
-        """Files written before the checksum existed stay loadable."""
+class TestVersion1Rejected:
+    def test_version1_file_is_rejected(self, checkpoint, tmp_path):
+        """Version 1 carried no checksum and nothing can write it any
+        more: a file that claims it must not skip verification."""
         path = tmp_path / "v1.npz"
         checkpoint.save(path)
         data = dict(np.load(path))
         del data["checksum"]
         data["version"] = np.array(1)
         np.savez(path, **data)
+        with pytest.raises(CheckpointError, match="format 1 not supported"):
+            KernelCheckpoint.load(path)
+
+
+class TestAtomicWrite:
+    def test_interrupted_save_leaves_the_earlier_file_loadable(
+        self, checkpoint, tmp_path, monkeypatch
+    ):
+        path = checkpoint.save(tmp_path / "state.npz")
+
+        def torn_write(fh, **arrays):
+            fh.write(b"PK\x03\x04 torn")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez_compressed", torn_write)
+        with pytest.raises(KeyboardInterrupt):
+            checkpoint.save(path)
+        monkeypatch.undo()
         loaded = KernelCheckpoint.load(path)
-        assert loaded.n_particles == checkpoint.n_particles
         np.testing.assert_array_equal(loaded.u, checkpoint.u)
+        assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
 
 
 class TestStandaloneRuns:

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.hacc.neighbors import (
-    CellList,
-    CellListCache,
-    build_neighbor_list,
-    find_pairs,
-    pair_statistics,
-)
+from repro.hacc.neighbors import CellList, CellListCache, find_pairs
 
 
 def brute_force_pairs(pos, box, cutoff):
@@ -171,7 +165,8 @@ def dense_oracle(pos, other, box, cutoff, symmetric):
 
 
 class TestDenseSearch:
-    """The blocked brute-force path against the one-shot oracle."""
+    """Both search paths against the one-shot oracle: the blocked
+    brute-force path pair for pair, the cell path as a multiset."""
 
     BOX, CUTOFF = 10.0, 3.5  # 2 cells per side: find_pairs goes dense
 
@@ -194,6 +189,21 @@ class TestDenseSearch:
         for g, w in zip(got, want):
             assert g.dtype == np.int64
             assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cell_path_finds_the_oracle_pair_multiset(self, seed):
+        # the property configs of the retired pair-pipeline benchmark:
+        # the cell path emits another order than the oracle, but must
+        # emit every directed pair exactly as often
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(50, 701))
+        cutoff = float(rng.uniform(0.5, 2.5))
+        pos = rng.uniform(0, self.BOX, (n, 3))
+        assert CellList.build(pos, self.BOX, cutoff).use_cells
+        got = np.column_stack(find_pairs(pos, self.BOX, cutoff))
+        want = np.column_stack(dense_oracle(pos, pos, self.BOX, cutoff, True))
+        assert len(want) > 0
+        assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
 
     def test_peak_memory_is_block_sized(self):
         import tracemalloc
@@ -328,13 +338,6 @@ class TestCellListCache:
         assert cache.get(pos, 1.0) is fine
         assert cache.builds == 2 and cache.hits == 2
 
-    def test_disabled_cache_always_rebuilds(self, rng):
-        cache = CellListCache(10.0, enabled=False)
-        pos = rng.uniform(0, 10, (100, 3))
-        cache.get(pos, 1.5)
-        cache.get(pos, 1.5)
-        assert cache.builds == 2 and cache.hits == 0
-
     def test_metrics_mirroring(self, rng):
         from repro.observability.metrics import MetricsRegistry
 
@@ -345,28 +348,3 @@ class TestCellListCache:
         cache.get(pos, 1.5)
         assert registry.counter("sim.pairs.cell_list.builds").value == 1
         assert registry.counter("sim.pairs.cell_list.hits").value == 1
-
-
-class TestNeighborList:
-    def test_csr_structure_consistent(self, rng):
-        pos = rng.uniform(0, 10, (100, 3))
-        nlist = build_neighbor_list(pos, 10.0, 1.5)
-        assert nlist.start[0] == 0
-        assert nlist.start[-1] == len(nlist.indices)
-        assert np.all(np.diff(nlist.start) >= 0)
-
-    def test_neighbors_of_matches_pairs(self, rng):
-        pos = rng.uniform(0, 10, (60, 3))
-        nlist = build_neighbor_list(pos, 10.0, 2.0)
-        pairs = brute_force_pairs(pos, 10.0, 2.0)
-        for p in range(60):
-            expected = {b for a, b in pairs if a == p}
-            assert set(nlist.neighbors_of(p).tolist()) == expected
-
-    def test_statistics(self, rng):
-        pos = rng.uniform(0, 10, (100, 3))
-        nlist = build_neighbor_list(pos, 10.0, 2.0)
-        stats = pair_statistics(nlist)
-        assert stats["n_particles"] == 100
-        assert stats["n_pairs"] == nlist.n_pairs
-        assert stats["min_neighbors"] <= stats["mean_neighbors"] <= stats["max_neighbors"]

@@ -136,7 +136,7 @@ class TestSharedPairDecomposition:
         driver = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8))
         schedule = driver.schedule()
         driver.step(float(schedule[0]), float(schedule[1]))
-        assert driver.pair_cache._lists or not driver.pair_cache.enabled
+        assert driver.pair_cache._lists
         driver.restore(particles=driver.particles, step_index=0)
         assert not driver.pair_cache._lists
 

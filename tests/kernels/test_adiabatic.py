@@ -149,3 +149,59 @@ class TestCompilerVariability:
             compiler_variability(ProgrammingModel.CUDA, k) for k in KERNEL_SPECS
         }
         assert len(factors) == len(KERNEL_SPECS)
+
+
+class TestBracketTimers:
+    """The Section 3.4.4 rocprof cross-check, in miniature: spans of a
+    recorder whose clock is the executor's simulated-seconds ledger are
+    the MPI_wtime-style bracket timers."""
+
+    KERNELS = ("upGeo", "upCor", "upBarEx")
+
+    @pytest.fixture
+    def executor(self):
+        from repro.machine.executor import DeviceExecutor
+
+        return DeviceExecutor(FRONTIER)
+
+    @pytest.fixture
+    def recorder(self, executor):
+        from repro.observability import TraceRecorder
+
+        return TraceRecorder(clock=executor.total_seconds)
+
+    def submit(self, executor, name):
+        from repro.machine.cost_model import InstructionProfile, KernelLaunch
+
+        executor.submit(
+            name,
+            InstructionProfile(fma=500.0, registers_needed=32),
+            KernelLaunch(n_workitems=1 << 16, subgroup_size=64),
+        )
+
+    def test_brackets_agree_with_profiler(self, executor, recorder):
+        from repro.observability import validate_against_profiler
+
+        for name in self.KERNELS:
+            with recorder.span(name, category="timer"):
+                self.submit(executor, name)
+        diffs = validate_against_profiler(recorder, executor)
+        assert set(diffs) == set(self.KERNELS)
+        assert all(d <= 1e-9 for d in diffs.values())
+
+    def test_missing_bracket_detected(self, executor, recorder):
+        from repro.observability import validate_against_profiler
+
+        with recorder.span("upGeo", category="timer"):
+            self.submit(executor, "upGeo")
+        self.submit(executor, "upCor")  # missed bracket
+        with pytest.raises(ValueError, match="'upCor' disagrees with the profiler"):
+            validate_against_profiler(recorder, executor)
+
+    def test_total_gpu_bracket(self, executor, recorder):
+        # the CRK-HACC timer that brackets *all* offloaded operations
+        with recorder.span("gpu_total", category="timer"):
+            for name in self.KERNELS:
+                self.submit(executor, name)
+        (span,) = recorder.spans
+        assert span.duration == pytest.approx(executor.total_seconds())

@@ -156,6 +156,10 @@ class TestPreemption:
             counters = service.metrics.snapshot()["counters"]
             assert counters["svc.jobs.preempted"] >= 1
             assert counters["svc.jobs.resumed"] >= 1
+            # the preemption checkpoint goes through the same manager,
+            # and the same books, as the resilience runner's
+            assert counters["checkpoint.writes"] >= 1
+            assert counters["checkpoint.bytes"] > 0
             return result
 
         async def clean(service):
@@ -197,6 +201,21 @@ class TestFaultedJobs:
             assert result.degraded
             counters = service.metrics.snapshot()["counters"]
             assert counters.get("svc.jobs.failed", 0) == 0
+
+        run(_with_service(body))
+
+    def test_supervised_job_streams_numbered_steps(self):
+        # the same per-step event as a plain job's: `submit --stream`
+        # printed "step ?" for these
+        async def body(service):
+            job = await service.submit(JobSpec(n_per_side=4, n_steps=2, ranks=2))
+            queue = job.subscribe()
+            await job.future
+            events = []
+            while (event := queue.get_nowait()) is not None:
+                events.append(event)
+            assert [e["step"] for e in events] == [0, 1]
+            assert all(e["job"] == job.job_id for e in events)
 
         run(_with_service(body))
 

@@ -34,6 +34,110 @@ class TestParser:
             build_parser().parse_args([])
 
 
+#: every subcommand's option strings and defaults, as they parsed before
+#: the flag groups became shared parent parsers — a change here is a
+#: change to the command-line interface
+PARSER_SURFACE = {
+    "simulate": {
+        "-n": 8,
+        "--steps": 5,
+        "--ranks": 1,
+        "--faults": None,
+        "--fault-seed": 0,
+        "--checkpoint-every": 1,
+        "--checkpoint-dir": None,
+        "--restart-from": None,
+        "--timeout": 30.0,
+        "--max-retries": 3,
+        "--degrade-policy": "restart",
+        "--chaos-runs": 0,
+        "--chaos-seed": 0,
+        "--trace-out": None,
+        "--metrics-out": None,
+        "--health": False,
+        "--live": False,
+        "--events-out": None,
+        "--openmetrics-out": None,
+    },
+    "price": {"device": None, "--model": "sycl", "--variant": "select", "-n": 8},
+    "tune": {"device": None, "-n": 8},
+    "migrate": {"--no-optimize": False},
+    "report": {"-o --output": None, "-n": 8},
+    "figures": {},
+    "export": {"-o --output": "artifacts.json", "-n": 8},
+    "validate": {"-n": 6, "--steps": 2},
+    "roofline": {"device": None, "--variant": "select", "-n": 8},
+    "trace": {
+        "-n": 6,
+        "--steps": 2,
+        "--device": None,
+        "--model": "sycl",
+        "--variant": "select",
+        "--ranks": 1,
+        "--faults": None,
+        "--fault-seed": 0,
+        "--checkpoint-dir": None,
+        "--checkpoint-every": 1,
+        "--timeout": 30.0,
+        "--max-retries": 3,
+        "-o --trace-out": "trace.json",
+        "--metrics-out": "metrics.json",
+        "--events-out": None,
+        "--openmetrics-out": None,
+        "--flame": False,
+    },
+    "dashboard": {
+        "events": None,
+        "--width": 80,
+        "--follow": False,
+        "--poll": 0.2,
+        "--duration": None,
+    },
+    "profile": {"device": None, "--model": "sycl", "--variant": "select", "-n": 8},
+    "serve": {
+        "--socket": "repro.sock",
+        "--workers": 2,
+        "--cache-mb": 256,
+        "--quota": 64,
+        "--checkpoint-dir": None,
+        "--events-out": None,
+    },
+    "submit": {
+        "--socket": "repro.sock",
+        "-n": 6,
+        "--steps": 2,
+        "--seed": 2023,
+        "--products": "diagnostics",
+        "--faults": None,
+        "--ranks": 1,
+        "--degrade-policy": None,
+        "--tenant": "default",
+        "--priority": 1,
+        "--deadline-in": None,
+        "--stream": False,
+        "--json": False,
+        "--timeout": 600.0,
+    },
+    "jobs": {"--socket": "repro.sock", "--stats": False, "--timeout": 30.0},
+}
+
+
+class TestParserSurface:
+    def test_option_strings_and_defaults_are_unchanged(self):
+        import argparse
+
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        surface = {
+            name: {
+                " ".join(action.option_strings) or action.dest: action.default
+                for action in parser._actions
+                if not isinstance(action, argparse._HelpAction)
+            }
+            for name, parser in sub.choices.items()
+        }
+        assert surface == PARSER_SURFACE
+
+
 class TestCommands:
     def test_simulate_tiny(self, capsys):
         assert main(["simulate", "-n", "4", "--steps", "1"]) == 0
@@ -144,6 +248,32 @@ class TestTimeoutValidation:
     def test_resilient_simulate_rejects_nonpositive_timeout(self, capsys):
         assert main(["simulate", "--ranks", "2", "--timeout", "0"]) == 2
         assert "--timeout must be positive" in capsys.readouterr().out
+
+
+class TestRunCoreValidation:
+    """simulate, trace and validate share one argument check: what one
+    rejects with ``error: ...`` and exit 2, none dies of a traceback on."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["trace", "--ranks", "2", "--checkpoint-dir", "D"]
+                + ["--checkpoint-every", "0"],
+                "error: --checkpoint-every must be >= 1",
+            ),
+            (
+                ["trace", "--ranks", "2", "--max-retries", "-1"],
+                "error: --max-retries must be >= 0",
+            ),
+            (["simulate", "--ranks", "0"], "error: --ranks must be >= 1"),
+        ],
+    )
+    def test_bad_arguments_exit_2(self, argv, message, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a relative sink or "D" lands here, if at all
+        assert main(argv) == 2
+        assert message in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestServiceCli:
