@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hacc.neighbors import CellList, find_pairs
+from repro.hacc.neighbors import find_pairs
 
 
 class UnionFind:
@@ -74,20 +74,18 @@ def fof(
     linking_length: float,
     *,
     min_members: int = 10,
-    cell_list: CellList | None = None,
 ) -> HaloCatalog:
     """Friends-of-Friends halo finding.
 
     Particles closer than ``linking_length`` are friends; the
     transitive closure of friendship defines the groups.  Groups below
     ``min_members`` are labelled -1 (HACC's convention for field
-    particles).  ``cell_list`` reuses an existing spatial decomposition
-    of ``pos`` (e.g. shared with a DBSCAN pass at the same scale).
+    particles).
     """
     pos = np.asarray(pos, dtype=np.float64)
     n = len(pos)
     uf = UnionFind(n)
-    i, j = find_pairs(pos, box, linking_length, cell_list=cell_list)
+    i, j = find_pairs(pos, box, linking_length)
     for a, b in zip(i.tolist(), j.tolist()):
         if a < b:
             uf.union(a, b)
@@ -102,7 +100,6 @@ def dbscan(
     min_points: int,
     *,
     min_members: int = 10,
-    cell_list: CellList | None = None,
 ) -> HaloCatalog:
     """DBSCAN clustering as used for the FOF workload.
 
@@ -111,12 +108,11 @@ def dbscan(
     ``eps`` are connected; border points join any neighbouring core's
     cluster; everything else is noise.  With ``min_points <= 2`` every
     particle in a pair is core and DBSCAN reduces exactly to FOF with
-    ``linking_length = eps``.  ``cell_list`` reuses an existing spatial
-    decomposition of ``pos`` (e.g. shared with the FOF pass).
+    ``linking_length = eps``.
     """
     pos = np.asarray(pos, dtype=np.float64)
     n = len(pos)
-    i, j = find_pairs(pos, box, eps, cell_list=cell_list)
+    i, j = find_pairs(pos, box, eps)
     degree = np.bincount(i, minlength=n) + 1  # + itself
     core = degree >= min_points
 

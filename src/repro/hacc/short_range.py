@@ -135,8 +135,9 @@ class ShortRangeSolver:
 
         Repeated calls at identical positions (the accelerations /
         interaction-count pattern of one force evaluation) reuse the
-        stored list; ``cell_list`` additionally reuses a shared spatial
-        decomposition (see :class:`~repro.hacc.neighbors.CellListCache`).
+        stored list; ``cell_list``, when given, must be the cell list
+        of these positions at the solver's cutoff (see
+        :func:`~repro.hacc.neighbors.find_pairs`).
         """
         pos = particles.positions
         memo = self._memo_at(pos)
@@ -194,9 +195,7 @@ class ShortRangeSolver:
             acc[:, axis] = xp.bincount(i, weights=contrib[:, axis], minlength=n)
         return acc
 
-    def interaction_count(
-        self, particles: ParticleData, *, cell_list: CellList | None = None
-    ) -> int:
+    def interaction_count(self, particles: ParticleData) -> int:
         """Number of directed pair interactions (feeds the cost model)."""
-        i, _j = self.pair_list(particles, cell_list=cell_list)
+        i, _j = self.pair_list(particles)
         return len(i)

@@ -3,10 +3,7 @@
 All five hot kernels iterate the same neighbour structure; CRK-HACC
 builds interaction lists once per step and reuses them.  The
 :class:`PairContext` caches the directed pair list, displacements and
-separations so the kernel modules stay focused on their physics, and
-can ride a shared :class:`~repro.hacc.neighbors.CellList` (possibly
-binned over a superset of the SPH particles) so one spatial
-decomposition serves the whole step.
+separations so the kernel modules stay focused on their physics.
 
 Scatter reductions use a sorted-segment ``np.add.reduceat`` over the
 pair list's CSR structure instead of ``np.add.at``: the pair list is
@@ -85,15 +82,13 @@ class PairContext:
         box: float,
         *,
         cell_list: CellList | None = None,
-        subset: np.ndarray | None = None,
         metrics=None,
     ) -> "PairContext":
         """Pairs within the kernel support ``SUPPORT * max(h)``.
 
-        ``cell_list``, when given, is reused instead of re-binning; with
-        ``subset`` it may be binned over a superset of ``pos`` (e.g. the
-        full two-species particle set), ``subset`` giving the rows of
-        the cell list's set that ``pos``/``h`` correspond to.
+        ``cell_list``, when given, must be the cell list of ``pos`` at
+        that cutoff (see :func:`~repro.hacc.neighbors.find_pairs`); the
+        context is the same with or without it.
 
         A support radius beyond the minimum-image bound cannot be
         searched; the cutoff is clamped, a
@@ -126,16 +121,7 @@ class PairContext:
             )
             if metrics is not None:
                 metrics.counter("sim.pairs.cutoff_truncated").inc()
-        if cell_list is not None and subset is not None:
-            subset = np.asarray(subset, dtype=np.int64)
-            if len(subset) != len(pos):
-                raise ValueError(
-                    f"subset of {len(subset)} rows does not match "
-                    f"{len(pos)} positions"
-                )
-            idx_i, idx_j = cell_list.pairs_within(cutoff, subset=subset)
-        else:
-            idx_i, idx_j = find_pairs(pos, box, cutoff, cell_list=cell_list)
+        idx_i, idx_j = find_pairs(pos, box, cutoff, cell_list=cell_list)
         d = pos[idx_i] - pos[idx_j]
         half = 0.5 * box
         d = (d + half) % box - half

@@ -197,8 +197,8 @@ class AdiabaticDriver:
         self.short_range = ShortRangeSolver(
             self.config.box, self.pm.split_scale, sr_cutoff
         )
-        #: one spatial decomposition per step, shared by the SPH pair
-        #: context and the short-range gravity (Verlet-skin reuse)
+        #: builds (and counts) the cell list of every pair query: one
+        #: per gravity evaluation, one per SPH pair context
         self.pair_cache = CellListCache(self.config.box)
         self.trace = WorkloadTrace()
         self.diagnostics: list[StepDiagnostics] = []
@@ -238,7 +238,6 @@ class AdiabaticDriver:
                 f"{self.config.n_steps}-step schedule"
             )
         self.particles = particles
-        self.pair_cache.invalidate()
         self.step_index = int(step_index)
         if trace is not None:
             self.trace = trace
@@ -292,21 +291,18 @@ class AdiabaticDriver:
     def _gas_view(self):
         """Gas arrays + pair context for the hydro kernels.
 
-        The pair context rides the step's shared cell list (binned over
-        the full two-species set), restricted to the gas subset."""
+        The cell list is binned over the gas positions alone, at the
+        SPH cutoff."""
         p = self.particles
         mask = p.species_mask(Species.BARYON)
         idx = np.nonzero(mask)[0]
-        pos_all = p.positions
-        pos = pos_all[idx]
+        pos = p.positions[idx]
         h = p.hsml[idx]
         if len(idx) == 0:
             return mask, idx, PairContext.build(pos, h, p.box)
         _requested, cutoff = sph_cutoff(h, p.box)
-        cl = self.pair_cache.get(pos_all, cutoff)
-        ctx = PairContext.build(
-            pos, h, p.box, cell_list=cl, subset=idx, metrics=self.metrics
-        )
+        cl = self.pair_cache.get(pos, cutoff)
+        ctx = PairContext.build(pos, h, p.box, cell_list=cl, metrics=self.metrics)
         return mask, idx, ctx
 
     def _hydro_rates(self, label_suffix: str = "") -> tuple[np.ndarray, np.ndarray, float]:
@@ -415,7 +411,7 @@ class AdiabaticDriver:
         the mechanism by which tighter time-step criteria "lead to many
         more calls to the adiabatic kernels" (Section 3.1).
         """
-        # mirror cache hit/rebuild counts into whatever registry the
+        # mirror the cell-list build count into whatever registry the
         # caller attached after construction
         self.pair_cache.metrics = self.metrics
         if self._truncation_uncounted and self.metrics is not None:

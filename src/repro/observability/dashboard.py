@@ -42,7 +42,6 @@ DASHBOARD_SERIES = (
     ("sim.health.mass_drift", "mass drift"),
     ("sim.health.step_seconds", "step seconds"),
     ("sim.health.subcycles", "subcycles"),
-    ("sim.health.cache_hit_rate", "cache hit rate"),
 )
 
 

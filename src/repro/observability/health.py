@@ -8,7 +8,7 @@ series, not inspecting a snapshot once — so the monitor watches the
 simulation the way an operator would:
 
 - :class:`SeriesBuffer` — a ring-buffered per-step time series
-  (conservation drift, step wall-time, cache hit rate, ...);
+  (conservation drift, step wall-time, guard hit rate, ...);
 - detectors — pluggable anomaly tests over a series:
   :class:`ThresholdDetector` (absolute bands),
   :class:`EWMADriftDetector` (sustained drift of the value away from
@@ -69,7 +69,6 @@ MASS_DRIFT = "sim.health.mass_drift"
 STEP_SECONDS = "sim.health.step_seconds"
 SUBCYCLES = "sim.health.subcycles"
 GUARD_HIT_RATE = "sim.health.guard_hit_rate"
-CACHE_HIT_RATE = "sim.health.cache_hit_rate"
 
 #: every series :meth:`HealthMonitor.observe_step` produces
 HEALTH_SERIES = (
@@ -82,7 +81,6 @@ HEALTH_SERIES = (
     STEP_SECONDS,
     SUBCYCLES,
     GUARD_HIT_RATE,
-    CACHE_HIT_RATE,
 )
 
 
@@ -539,10 +537,6 @@ class HealthMonitor:
             violations = self._counter_delta("sim.resilience.guard_violations")
             if screens > 0:
                 alerts += self.observe(GUARD_HIT_RATE, step, violations / screens)
-            hits = self._counter_delta("sim.pairs.cell_list.hits")
-            builds = self._counter_delta("sim.pairs.cell_list.builds")
-            if hits + builds > 0:
-                alerts += self.observe(CACHE_HIT_RATE, step, hits / (hits + builds))
         return alerts
 
     # -- export --------------------------------------------------------

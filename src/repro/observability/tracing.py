@@ -85,7 +85,7 @@ class CounterEvent:
     """One sample of a counter track (Chrome ``ph: "C"`` event).
 
     Counter tracks render as stacked area charts in Perfetto, so a
-    health series (conservation drift, step wall-time, cache hit rate)
+    health series (conservation drift, step wall-time, guard hit rate)
     plots *alongside* the kernel spans of the same timeline.  ``value``
     holds the sample; multi-series samples recorded under one track
     name pass extra series through ``values``.

@@ -29,7 +29,6 @@ OP_NAMES = (
     "zeros",
     "zeros_like",
     "empty",
-    "full",
     "arange",
     "eye",
     # shape / selection
@@ -51,7 +50,6 @@ OP_NAMES = (
     "max",
     "any",
     "cumsum",
-    "count_nonzero",
     "bincount",
     # sorting / search
     "argsort",
@@ -100,9 +98,6 @@ class ArrayBackend:
 
     def empty(self, shape, dtype=None):
         return np.empty(shape, dtype=dtype)
-
-    def full(self, shape, fill, dtype=None):
-        return np.full(shape, fill, dtype=dtype)
 
     def arange(self, n, dtype=None):
         return np.arange(n, dtype=dtype)
@@ -160,9 +155,6 @@ class ArrayBackend:
 
     def cumsum(self, x):
         return np.cumsum(x)
-
-    def count_nonzero(self, x):
-        return int(np.count_nonzero(x))
 
     def bincount(self, index, weights=None, minlength=0):
         """Histogram scatter-add; accumulates in float64 (NumPy rule)."""

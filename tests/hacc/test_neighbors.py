@@ -100,16 +100,27 @@ class TestFindPairs:
 class TestFindPairsPropertyStyle:
     """Cell-list vs brute-force oracle on adversarial configurations."""
 
+    @staticmethod
+    def assert_exact(pos, box, cutoff, label=None):
+        """The pair set is the oracle's, and the list -- order included
+        -- is the same whether ``find_pairs`` bins or is handed the
+        cell list of (pos, box, cutoff)."""
+        i, j = find_pairs(pos, box, cutoff)
+        assert set(zip(i.tolist(), j.tolist())) == brute_force_pairs(
+            pos, box, cutoff
+        ), label
+        cl = CellList.build(pos, box, cutoff)
+        i_cl, j_cl = find_pairs(pos, box, cutoff, cell_list=cl)
+        assert np.array_equal(i, i_cl) and np.array_equal(j, j_cl), label
+        return cl
+
     def test_randomized_periodic_configurations(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
             n = int(rng.integers(20, 200))
             cutoff = float(rng.uniform(0.4, 3.0))
             pos = rng.uniform(0, 10, (n, 3))
-            i, j = find_pairs(pos, 10.0, cutoff)
-            assert set(zip(i.tolist(), j.tolist())) == brute_force_pairs(
-                pos, 10.0, cutoff
-            ), f"seed {seed}"
+            self.assert_exact(pos, 10.0, cutoff, f"seed {seed}")
 
     def test_particles_exactly_on_cell_boundaries(self):
         # cutoff 2.0 on box 10 -> cell size 2.0; lattice points sit
@@ -117,18 +128,14 @@ class TestFindPairsPropertyStyle:
         coords = np.array([0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 1.0, 3.0])
         gx, gy, gz = np.meshgrid(coords[:4], coords[:4], coords[:4], indexing="ij")
         pos = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-        i, j = find_pairs(pos, 10.0, 2.0)
-        assert set(zip(i.tolist(), j.tolist())) == brute_force_pairs(pos, 10.0, 2.0)
+        self.assert_exact(pos, 10.0, 2.0)
 
     def test_n_cells_exactly_three(self, rng):
         # box / cutoff in [3, 4): the smallest box where the stencil
         # path (use_cells) engages
         pos = rng.uniform(0, 10, (150, 3))
-        cutoff = 10.0 / 3.2
-        i, j = find_pairs(pos, 10.0, cutoff)
-        assert set(zip(i.tolist(), j.tolist())) == brute_force_pairs(
-            pos, 10.0, cutoff
-        )
+        cl = self.assert_exact(pos, 10.0, 10.0 / 3.2)
+        assert cl.use_cells and cl.n_cells == 3
 
     def test_asymmetric_wrap_canonical_direction(self):
         # a pair straddling the periodic seam at a separation within a
@@ -228,123 +235,62 @@ class TestCellList:
         cl = CellList.build(pos, 10.0, 1.5)
         i1, j1 = find_pairs(pos, 10.0, 1.5, cell_list=cl)
         i2, j2 = find_pairs(pos, 10.0, 1.5)
-        assert set(zip(i1.tolist(), j1.tolist())) == set(
-            zip(i2.tolist(), j2.tolist())
-        )
+        assert np.array_equal(i1, i2) and np.array_equal(j1, j2)
 
     def test_supports_smaller_cutoff(self, rng):
         pos = rng.uniform(0, 10, (200, 3))
         cl = CellList.build(pos, 10.0, 2.0)
-        assert cl.supports(1.0)
         i, j = find_pairs(pos, 10.0, 1.0, cell_list=cl)
         assert set(zip(i.tolist(), j.tolist())) == brute_force_pairs(pos, 10.0, 1.0)
 
-    def test_larger_cutoff_served_by_wider_stencil(self, rng):
-        # a finely-binned list answers a larger cutoff with a
-        # (2k+1)^3 stencil instead of forcing a rebuild
-        pos = rng.uniform(0, 10, (150, 3))
-        cl = CellList.build(pos, 10.0, 1.0)
-        assert cl.supports(2.5)
-        assert cl.reach(2.5) == 3
-        i, j = find_pairs(pos, 10.0, 2.5, cell_list=cl)
-        assert set(zip(i.tolist(), j.tolist())) == brute_force_pairs(pos, 10.0, 2.5)
-
     def test_rejects_cutoff_wider_than_periodic_stencil(self, rng):
-        # 2k+1 stencil cells must stay distinct under the wrap
+        # cells of 1.0: the 27-cell stencil would miss pairs beyond it
         pos = rng.uniform(0, 10, (50, 3))
         cl = CellList.build(pos, 10.0, 1.0)
-        assert not cl.supports(4.9)
-        with pytest.raises(ValueError):
-            find_pairs(pos, 10.0, 4.9, cell_list=cl)
+        for cutoff in (1.01, 4.9):
+            with pytest.raises(ValueError, match="cannot answer cutoff"):
+                find_pairs(pos, 10.0, cutoff, cell_list=cl)
+            with pytest.raises(ValueError, match="cannot answer cutoff"):
+                find_pairs(pos[:5], 10.0, cutoff, pos_other=pos, cell_list=cl)
 
-    def test_stale_binning_within_skin_is_exact(self, rng):
-        # Verlet-skin guarantee: after drifting every particle by less
-        # than skin/2, the old binning still finds exactly the true
-        # pairs at the *new* positions
-        pos = rng.uniform(0, 10, (300, 3))
-        skin = 0.4
-        cl = CellList.build(pos, 10.0, 1.5, skin=skin)
-        drift = rng.uniform(-1, 1, (300, 3))
-        drift *= 0.49 * skin / np.linalg.norm(drift, axis=1).max()
-        moved = (pos + drift) % 10.0
-        i, j = find_pairs(moved, 10.0, 1.5, cell_list=cl)
-        assert cl.is_current()
-        assert set(zip(i.tolist(), j.tolist())) == brute_force_pairs(
-            moved, 10.0, 1.5
-        )
-
-    def test_displacement_tracking(self, rng):
-        pos = rng.uniform(0, 10, (100, 3))
-        cl = CellList.build(pos, 10.0, 1.5, skin=0.2)
-        assert cl.max_displacement() == 0.0
-        moved = pos.copy()
-        moved[0] = (moved[0] + 0.5) % 10.0
-        cl.update_positions(moved)
-        assert cl.max_displacement() == pytest.approx(np.sqrt(3 * 0.5**2))
-        assert not cl.is_current()
-
-    def test_subset_query_matches_standalone_search(self, rng):
-        pos = rng.uniform(0, 10, (250, 3))
-        subset = np.sort(rng.choice(250, size=90, replace=False))
-        cl = CellList.build(pos, 10.0, 1.8)
-        i_sub, j_sub = cl.pairs_within(1.8, subset=subset)
-        i_ref, j_ref = find_pairs(pos[subset], 10.0, 1.8)
-        assert set(zip(i_sub.tolist(), j_sub.tolist())) == set(
-            zip(i_ref.tolist(), j_ref.tolist())
-        )
+    def test_cutoff_an_ulp_above_the_cell_size_is_its_own(self):
+        # box / floor(box / cutoff) rounds below the cutoff it was built for
+        box, cutoff = 194.1044259685213, 0.9753991254699563
+        pos = np.random.default_rng(0).uniform(0, box, (40, 3))
+        cl = CellList.build(pos, box, cutoff)
+        assert cl.cell_size < cutoff
+        find_pairs(pos, box, cutoff, cell_list=cl)
 
     def test_shape_mismatch_rejected(self, rng):
         cl = CellList.build(rng.uniform(0, 10, (50, 3)), 10.0, 1.5)
-        with pytest.raises(ValueError):
-            cl.update_positions(rng.uniform(0, 10, (51, 3)))
+        with pytest.raises(ValueError, match="other positions"):
+            find_pairs(rng.uniform(0, 10, (51, 3)), 10.0, 1.5, cell_list=cl)
+
+    def test_moved_positions_or_another_box_rejected(self, rng):
+        # a list answers only for the set it binned: no stale queries
+        pos = rng.uniform(0, 10, (50, 3))
+        cl = CellList.build(pos, 10.0, 1.5)
+        moved = pos.copy()
+        moved[7, 0] += 1e-9
+        with pytest.raises(ValueError, match="other positions"):
+            find_pairs(moved, 10.0, 1.5, cell_list=cl)
+        with pytest.raises(ValueError, match="box"):
+            find_pairs(pos, 12.0, 1.5, cell_list=cl)
+        # by value, not identity
+        find_pairs(pos.copy(), 10.0, 1.5, cell_list=cl)
 
 
 class TestCellListCache:
-    def test_hit_then_rebuild_on_large_drift(self, rng):
-        cache = CellListCache(10.0, skin_fraction=0.1)
-        pos = rng.uniform(0, 10, (200, 3))
-        cl1 = cache.get(pos, 1.5)
-        cl2 = cache.get(pos, 1.5)
-        assert cl1 is cl2
-        assert cache.builds == 1 and cache.hits == 1
-        far = (pos + 2.0) % 10.0
-        cl3 = cache.get(far, 1.5)
-        assert cl3 is not cl1
-        assert cache.builds == 2
-
-    def test_alternating_cutoffs_share_one_decomposition(self, rng):
-        # the larger cutoff is served by the same binning through a
-        # wider stencil: one build covers both query scales
-        cache = CellListCache(10.0, skin_fraction=0.1)
-        pos = rng.uniform(0, 10, (200, 3))
-        cache.get(pos, 1.0)
-        cache.get(pos, 2.0)
-        assert cache.builds == 1
-        a = cache.get(pos, 1.0)
-        b = cache.get(pos, 2.0)
-        assert a is b
-        assert cache.builds == 1
-
-    def test_mismatched_scales_get_two_tiers(self, rng):
-        # when one binning cannot serve both scales well the cache
-        # keeps a tier per scale instead of thrashing
-        cache = CellListCache(30.0, skin_fraction=0.1)
-        pos = rng.uniform(0, 30, (300, 3))
-        coarse = cache.get(pos, 9.0)
-        fine = cache.get(pos, 1.0)
-        assert fine is not coarse
-        assert cache.builds == 2
-        assert cache.get(pos, 9.0) is coarse
-        assert cache.get(pos, 1.0) is fine
-        assert cache.builds == 2 and cache.hits == 2
-
     def test_metrics_mirroring(self, rng):
         from repro.observability.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
         cache = CellListCache(10.0, metrics=registry)
         pos = rng.uniform(0, 10, (100, 3))
-        cache.get(pos, 1.5)
-        cache.get(pos, 1.5)
-        assert registry.counter("sim.pairs.cell_list.builds").value == 1
-        assert registry.counter("sim.pairs.cell_list.hits").value == 1
+        first = cache.get(pos, 1.5)
+        second = cache.get(pos, 1.5)
+        # nothing is kept: every call bins, and is counted
+        assert first is not second
+        assert np.array_equal(first.order, second.order)
+        assert cache.builds == 2
+        assert registry.counter("sim.pairs.cell_list.builds").value == 2

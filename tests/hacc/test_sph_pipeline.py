@@ -88,25 +88,27 @@ class TestPairContext:
         )
 
     def test_build_on_shared_cell_list_subset_matches_plain(self, state):
-        # the driver path: a cell list binned over the full two-species
-        # set, with the SPH context built on the gas subset
+        # the driver path: the gas rows of a two-species set, binned
+        # alone at the SPH cutoff, give the plain build's arrays
         from repro.hacc.neighbors import CellList
 
         pos, h, ctx, box = state
         rng = np.random.default_rng(3)
         n_dark = 100
         full_pos = np.concatenate([rng.uniform(0, box, (n_dark, 3)), pos])
-        subset = np.arange(n_dark, n_dark + len(pos))
-        cl = CellList.build(full_pos, box, 2.0 * h.max())
-        shared = PairContext.build(pos, h, box, cell_list=cl, subset=subset)
-        assert shared.n == ctx.n
-        assert set(zip(shared.i.tolist(), shared.j.tolist())) == set(
-            zip(ctx.i.tolist(), ctx.j.tolist())
+        gas = full_pos[n_dark:]
+        cutoff = 2.0 * h.max()
+        shared = PairContext.build(
+            gas, h, box, cell_list=CellList.build(gas, box, cutoff)
         )
-        order_a = np.lexsort((shared.j, shared.i))
-        order_b = np.lexsort((ctx.j, ctx.i))
-        assert np.allclose(shared.dx[order_a], ctx.dx[order_b])
-        assert np.allclose(shared.r[order_a], ctx.r[order_b])
+        assert shared.n == ctx.n
+        for name in ("i", "j", "dx", "r"):
+            assert np.array_equal(getattr(shared, name), getattr(ctx, name)), name
+        # a list of the whole set no longer answers for its gas rows
+        with pytest.raises(ValueError, match="other positions"):
+            PairContext.build(
+                gas, h, box, cell_list=CellList.build(full_pos, box, cutoff)
+            )
 
     def test_displacement_consistency(self, state):
         pos, _h, ctx, box = state

@@ -101,51 +101,25 @@ class TestReferenceRun:
         assert np.all(p.hsml[gas] > 0)
 
 
-class TestSharedPairDecomposition:
-    """One spatial decomposition per step, shared by SPH and gravity."""
+def test_step_builds_one_cell_list_per_pair_query():
+    from repro.observability.metrics import MetricsRegistry
 
-    def test_step_reuses_one_cell_list(self):
-        from repro.observability.metrics import MetricsRegistry
-
-        driver = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8))
-        driver.metrics = MetricsRegistry()
-        schedule = driver.schedule()
-        driver.step(float(schedule[0]), float(schedule[1]))
-        counters = driver.metrics.snapshot()["counters"]
-        builds = counters["sim.pairs.cell_list.builds"]
-        hits = counters["sim.pairs.cell_list.hits"]
-        # a plain KDK step performs 4 decomposition lookups: 2 gravity
-        # evaluations + 2 hydro passes.  Sharing means the SPH context
-        # and the short-range gravity hit the same cached cell list
-        # instead of rebuilding per call site.
-        assert builds + hits == 4
-        assert builds <= 2
-        assert hits >= 2
-
-    def test_cache_survives_across_steps(self):
-        driver = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8))
-        schedule = driver.schedule()
-        driver.step(float(schedule[0]), float(schedule[1]))
-        first_builds = driver.pair_cache.builds
-        driver.step(float(schedule[1]), float(schedule[2]))
-        # early-universe drift is tiny: later steps mostly reuse
-        assert driver.pair_cache.hits >= 6
-        assert driver.pair_cache.builds <= first_builds + 2
-
-    def test_restore_invalidates_cache(self):
-        driver = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8))
-        schedule = driver.schedule()
-        driver.step(float(schedule[0]), float(schedule[1]))
-        assert driver.pair_cache._lists
-        driver.restore(particles=driver.particles, step_index=0)
-        assert not driver.pair_cache._lists
+    driver = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8))
+    driver.metrics = MetricsRegistry()
+    schedule = driver.schedule()
+    driver.step(float(schedule[0]), float(schedule[1]))
+    # a plain KDK step makes 4 pair queries: 2 gravity evaluations +
+    # 2 hydro passes, each on a list binned for its own positions
+    assert driver.pair_cache.builds == 4
+    counters = driver.metrics.snapshot()["counters"]
+    assert counters["sim.pairs.cell_list.builds"] == 4
 
 
 class TestGravityMemo:
     """One short-range force evaluation per particle state: the first
     ``_gravity()`` of a step repeats the last one of the step before."""
 
-    #: small box: the dense pair search, whose pair order is fixed
+    #: small box: the dense pair search
     CONFIG = dict(n_per_side=6, pm_mesh=16, n_steps=3)
 
     @staticmethod

@@ -16,6 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.hacc.neighbors import CellList
+from repro.hacc.particles import Species
+from repro.hacc.sph.pairs import sph_cutoff
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 from repro.resilience import SimulationCheckpoint, run_simulation
 from repro.service import JobSpec, ServiceConfig, SimulationService
@@ -108,6 +111,33 @@ def test_every_run_path_ends_in_the_hand_stepped_state(arm, hand_stepped):
     if driver is not None:
         assert driver.finished and driver.step_index == CONFIG.n_steps
         assert state_sha256(driver) == state_sha256(hand_stepped)
+
+
+def test_cell_path_state_does_not_depend_on_search_history():
+    """At 9 per side SPH takes the cell search, whose pair order (hence
+    every segment sum) must be a function of the state alone: a
+    checkpoint hop or a dropped force memo ends in the same bits."""
+    config = SimulationConfig(n_per_side=9, n_steps=3, seed=7)
+
+    straight = AdiabaticDriver(config)
+    straight.run()
+
+    hopped = AdiabaticDriver(config)
+    hopped.advance()
+    hopped = SimulationCheckpoint.capture(hopped).restore_driver()
+    hopped.run()
+
+    forgetful = AdiabaticDriver(config)
+    while not forgetful.finished:
+        forgetful.advance()
+        forgetful.short_range.clear_memo()
+
+    p = straight.particles
+    gas = p.species_mask(Species.BARYON)
+    _requested, cutoff = sph_cutoff(p.hsml[gas], p.box)
+    assert CellList.build(p.positions[gas], p.box, cutoff).use_cells
+    assert state_sha256(hopped) == state_sha256(straight)
+    assert state_sha256(forgetful) == state_sha256(straight)
 
 
 def test_advance_past_the_end_is_a_no_op(hand_stepped):

@@ -64,7 +64,7 @@ class TestOpenMetrics:
         assert hist["sum"] == pytest.approx(original["sum"])
 
     def test_mangle_name(self):
-        assert mangle_name("sim.pairs.cell_list.hits") == "sim_pairs_cell_list_hits"
+        assert mangle_name("sim.pairs.cell_list.builds") == "sim_pairs_cell_list_builds"
         assert mangle_name("weird-name!") == "weird_name_"
 
     def test_unparseable_line_raises(self):

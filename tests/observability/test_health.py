@@ -15,7 +15,6 @@ import pytest
 from repro.hacc.validation import Severity
 from repro.observability import MetricsRegistry, TraceRecorder
 from repro.observability.health import (
-    CACHE_HIT_RATE,
     ENERGY_DRIFT,
     HEALTH_SERIES,
     KINETIC_ENERGY,
@@ -302,11 +301,6 @@ class TestObserveStep:
         _, monitor = run
         drift = monitor.series(ENERGY_DRIFT).values
         assert drift and all(v > -1e-9 for v in drift)
-
-    def test_cache_hit_rate_derived_from_metrics(self, run):
-        _, monitor = run
-        rates = monitor.series(CACHE_HIT_RATE).values
-        assert rates and all(0.0 <= r <= 1.0 for r in rates)
 
     def test_mass_and_momentum_drift_tiny(self, run):
         _, monitor = run
