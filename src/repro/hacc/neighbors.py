@@ -219,6 +219,11 @@ def find_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """All directed pairs (i, j), i != j, with |x_i - x_j| < cutoff.
 
+    The symmetric list is a canonical half and its mirror: the cutoff is
+    decided once per unordered pair and, with ``half = len(i) // 2``,
+    ``i[half:] == j[:half]`` and ``j[half:] == i[:half]`` on both search
+    paths (:class:`~repro.hacc.sph.pairs.PairContext` relies on it).
+
     With ``pos_other`` given, finds cross pairs from ``pos`` (i) to
     ``pos_other`` (j) instead, used for gather-style kernels where the
     j-side includes ghost particles; exact coincidences (r = 0, a

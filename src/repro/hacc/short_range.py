@@ -189,8 +189,8 @@ class ShortRangeSolver:
         # attraction of i toward j
         f = -G_NEWTON * mass[j] * factor / (r2 * r)
         contrib = f[:, None] * d
-        # per-axis bincount scatter: one contiguous C pass per axis,
-        # replacing the much slower np.add.at (same sums to round-off)
+        # per-axis bincount scatter: a particle's terms add in pair-list
+        # order, so equal pair lists give bit-equal accelerations
         for axis in range(3):
             acc[:, axis] = xp.bincount(i, weights=contrib[:, axis], minlength=n)
         return acc

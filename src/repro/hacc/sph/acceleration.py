@@ -67,17 +67,15 @@ def antisymmetric_gradients(
 ) -> np.ndarray:
     """(grad_i W^R_ij - grad_j W^R_ji) / 2 on the directed pair list.
 
-    The j-side gradient is evaluated with j's coefficients on the
-    reversed displacement; rather than search for each directed pair's
-    reverse, both orientations are computed from the cached geometry.
-    The antisymmetrised pairing is what gives the momentum equation its
-    exact conservation property.
+    By :class:`PairContext`'s mirror contract grad_j W^R_ji of row k is
+    grad_i W^R_ij of row ``half + k``: one evaluation serves both sides
+    and the result is ``[D, -D]``, antisymmetric bit for bit -- which
+    gives the momentum equation its exact conservation property.
     """
-    from repro.hacc.sph.corrections import _gradient_for_side
-
-    gw_i = _gradient_for_side(ctx, h, corr, side="i")
-    gw_j = _gradient_for_side(ctx, h, corr, side="j")
-    return 0.5 * (gw_i - gw_j)
+    g = corrected_kernel_gradients(ctx, h, corr)
+    half = ctx.n_pairs // 2
+    delta = 0.5 * (g[:half] - g[half:])
+    return xp.concatenate([delta, -delta])
 
 
 def compute_acceleration(

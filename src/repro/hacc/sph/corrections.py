@@ -63,9 +63,7 @@ def compute_moments(
     ctx: PairContext, h: np.ndarray, volume: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Geometric moments m0, m1, m2 (self term included in m0)."""
-    w = ctx.kernel_values(h)
-    vj = volume[ctx.j]
-    vw = vj * w
+    vw = volume[ctx.j] * ctx.kernel_values(h)
     m0 = ctx.scatter_sum(vw) + volume * kernel_self_value(h)
     # x_j - x_i = -dx  (ctx.dx stores x_i - x_j)
     dji = -ctx.dx
@@ -73,6 +71,12 @@ def compute_moments(
     outer = dji[:, :, None] * dji[:, None, :]
     m2 = ctx.scatter_sum(vw[:, None, None] * outer)
     return m0, m1, m2
+
+
+def _regularised(m2: np.ndarray) -> np.ndarray:
+    """m2 plus ``M2_REGULARISATION`` times its trace on the diagonal."""
+    reg = M2_REGULARISATION * xp.maximum(xp.trace(m2), 1e-300)
+    return m2 + reg[:, None, None] * xp.eye(3, dtype=m2.dtype)[None, :, :]
 
 
 def solve_coefficients(
@@ -86,9 +90,7 @@ def solve_coefficients(
     production CRK codes use near pathological geometries.
     """
     n = len(m0)
-    trace = xp.trace(m2)
-    reg = M2_REGULARISATION * xp.maximum(trace, 1e-300)
-    m2_reg = m2 + reg[:, None, None] * xp.eye(3, dtype=m2.dtype)[None, :, :]
+    m2_reg = _regularised(m2)
     b = xp.zeros((n, 3), dtype=m1.dtype)
     try:
         b = xp.solve(m2_reg, m1[..., None])[..., 0]
@@ -109,44 +111,37 @@ def solve_coefficients(
 
 
 def compute_moment_gradients(
-    ctx: PairContext, h: np.ndarray, volume: np.ndarray
+    ctx: PairContext,
+    h: np.ndarray,
+    volume: np.ndarray,
+    m0: np.ndarray,
+    m1: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spatial gradients of the moments with respect to x_i.
 
     With ``dji = x_j - x_i`` (so ``d dji / d x_i = -I``):
 
         dm0[p, g]       = sum_j V_j dW_g
-        dm1[p, a, g]    = sum_j V_j (dji_a dW_g - delta_ag W)
-        dm2[p, a, b, g] = sum_j V_j (dji_a dji_b dW_g
-                                      - (delta_ag dji_b + delta_bg dji_a) W)
+        dm1[p, a, g]    = sum_j V_j dji_a dW_g - delta_ag m0
+        dm2[p, a, b, g] = sum_j V_j dji_a dji_b dW_g
+                          - (delta_ag m1_b + delta_bg m1_a)
 
     where ``dW`` is the gradient of the uncorrected kernel with respect
-    to x_i.  The self term's kernel gradient vanishes at r = 0.
+    to x_i.  The product rule's ``-I W`` terms sum to the ``m0``/``m1``
+    of :func:`compute_moments` (self term included: its ``dji`` and
+    ``dW`` vanish, its ``-delta W`` is in m0), so they enter per particle.
     """
-    w = ctx.kernel_values(h)
-    gw = ctx.kernel_gradients(h)
-    vj = volume[ctx.j]
+    vgw = volume[ctx.j][:, None] * ctx.kernel_gradients(h)
     dji = -ctx.dx
-    eye = xp.eye(3, dtype=w.dtype)
+    eye = xp.eye(3, dtype=vgw.dtype)
 
-    dm0 = ctx.scatter_sum(vj[:, None] * gw)
-    vw = vj * w
-    # the self particle contributes -I V_i W(0, h_i) to dm1 (its dji is
-    # zero, but the -delta W term survives); its dm0/dm2 terms vanish
-    self_w = volume * kernel_self_value(h)
-    dm1 = (
-        ctx.scatter_sum(vj[:, None, None] * dji[:, :, None] * gw[:, None, :])
-        - eye[None, :, :] * (ctx.scatter_sum(vw) + self_w)[:, None, None]
+    dm0 = ctx.scatter_sum(vgw)
+    dgw = dji[:, :, None] * vgw[:, None, :]
+    dm1 = ctx.scatter_sum(dgw) - eye * m0[:, None, None]
+    dm2 = ctx.scatter_sum(dji[:, :, None, None] * dgw[:, None, :, :]) - (
+        eye[:, None, :] * m1[:, None, :, None]
+        + eye[None, :, :] * m1[:, :, None, None]
     )
-
-    outer = dji[:, :, None] * dji[:, None, :]
-    term1 = vj[:, None, None, None] * outer[:, :, :, None] * gw[:, None, None, :]
-    # -(delta_ag dji_b + delta_bg dji_a) W
-    term2 = -(
-        eye[None, :, None, :] * dji[:, None, :, None]
-        + eye[None, None, :, :] * dji[:, :, None, None]
-    ) * vw[:, None, None, None]
-    dm2 = ctx.scatter_sum(term1 + term2)
     return dm0, dm1, dm2
 
 
@@ -166,14 +161,10 @@ def solve_coefficient_gradients(
     From ``A (m0 - B . m1) = 1``:
         ``dA = -A^2 (dm0 - dB . m1 - B . dm1)``.
     """
-    trace = xp.trace(m2)
-    reg = M2_REGULARISATION * xp.maximum(trace, 1e-300)
-    m2_reg = m2 + reg[:, None, None] * xp.eye(3, dtype=m2.dtype)[None, :, :]
-
     # rhs[p, a, g] = dm1[p, a, g] - sum_b dm2[p, a, b, g] B[p, b]
     rhs = dm1 - xp.einsum("pabg,pb->pag", dm2, b)
     try:
-        grad_b = xp.solve(m2_reg, rhs)
+        grad_b = xp.solve(_regularised(m2), rhs)
     except np.linalg.LinAlgError:
         grad_b = xp.zeros_like(rhs)
 
@@ -197,7 +188,7 @@ def compute_corrections(
         raise ValueError("volume array does not match the pair context")
     m0, m1, m2 = compute_moments(ctx, h, volume)
     a, b = solve_coefficients(m0, m1, m2)
-    dm0, dm1, dm2 = compute_moment_gradients(ctx, h, volume)
+    dm0, dm1, dm2 = compute_moment_gradients(ctx, h, volume, m0, m1)
     grad_a, grad_b = solve_coefficient_gradients(m0, m1, m2, a, b, dm0, dm1, dm2)
     return CorrectionResult(
         a=a, b=b, m0=m0, m1=m1, m2=m2, grad_a=grad_a, grad_b=grad_b
@@ -228,36 +219,12 @@ def corrected_kernel_gradients(
     property the test suite pins and the reason the Corrections kernel
     is one of the paper's five arithmetic hotspots.
     """
-    return _gradient_for_side(ctx, h, corr, side="i")
-
-
-def _gradient_for_side(
-    ctx: PairContext, h: np.ndarray, corr: CorrectionResult, *, side: str
-) -> np.ndarray:
-    """grad W^R for either orientation of the directed pair list.
-
-    ``side="i"`` gives grad_i W^R_ij (coefficients of i, displacement
-    x_i - x_j); ``side="j"`` gives grad_j W^R_ji (coefficients of j,
-    displacement x_j - x_i), which the Acceleration kernel needs for
-    its antisymmetrised pairing.
-    """
-    if side == "i":
-        idx, d = ctx.i, ctx.dx
-    elif side == "j":
-        idx, d = ctx.j, -ctx.dx
-    else:
-        raise ValueError(f"side must be 'i' or 'j', got {side!r}")
-    from repro.hacc.sph.kernels_math import cubic_spline, cubic_spline_gradient
-
-    h = xp.ensure_float(h)
-    h_side = h[idx] if h.ndim else h
-    w = cubic_spline(ctx.r, h_side)
-    gw = cubic_spline_gradient(d, ctx.r, h_side)
-    a = corr.a[idx]
-    b = corr.b[idx]
-    grad_a = corr.grad_a[idx]
-    grad_b = corr.grad_b[idx]
-    lin = 1.0 + xp.rowwise_dot(b, d)
-    db_dot_d = xp.einsum("pag,pa->pg", grad_b, d)
-    coeff_term = grad_a * lin[:, None] + a[:, None] * (db_dot_d + b)
-    return coeff_term * w[:, None] + (a * lin)[:, None] * gw
+    a = corr.a[ctx.i]
+    b = corr.b[ctx.i]
+    lin = 1.0 + xp.rowwise_dot(b, ctx.dx)
+    db_dot_d = xp.einsum("pag,pa->pg", corr.grad_b[ctx.i], ctx.dx)
+    coeff_term = corr.grad_a[ctx.i] * lin[:, None] + a[:, None] * (db_dot_d + b)
+    return (
+        coeff_term * ctx.kernel_values(h)[:, None]
+        + (a * lin)[:, None] * ctx.kernel_gradients(h)
+    )

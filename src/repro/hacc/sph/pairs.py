@@ -5,12 +5,10 @@ builds interaction lists once per step and reuses them.  The
 :class:`PairContext` caches the directed pair list, displacements and
 separations so the kernel modules stay focused on their physics.
 
-Scatter reductions use a sorted-segment ``np.add.reduceat`` over the
-pair list's CSR structure instead of ``np.add.at``: the pair list is
-sorted by i once, then every reduction is a contiguous segmented sum.
-Summation order within a particle's segment differs from the raw pair
-order ``np.add.at`` used, so results agree with the scatter formulation
-to floating-point round-off (last-ulp), not bitwise.
+The list is a canonical half followed by its mirror (see
+:class:`PairContext`).  Scatter reductions are segmented sums: the list
+is sorted by i once (stable, so a particle's terms add in pair-list
+order) and every reduction is one contiguous ``xp.segment_sum`` pass.
 """
 
 from __future__ import annotations
@@ -41,10 +39,8 @@ def sph_cutoff(h: np.ndarray, box: float) -> tuple[float, float]:
     The request is the full kernel support ``SUPPORT * max(h)``; the
     clamp is the minimum-image bound ``MINIMUM_IMAGE_FRACTION * box``.
 
-    ``box`` must be a positive scalar.  An array here almost always
-    means the ``(h, box)`` arguments were swapped, which used to
-    surface as an inscrutable ``ValueError: The truth value of an
-    array...`` out of ``min()``; it is rejected up front instead.
+    ``box`` must be a positive scalar; an array (almost always swapped
+    ``(h, box)`` arguments) is a ``TypeError``.
     """
     if np.ndim(box) != 0:
         raise TypeError(
@@ -66,6 +62,13 @@ class PairContext:
     ``i``/``j`` index into the position array; pairs are directed
     (both (i, j) and (j, i) present), which matches the scatter-free
     gather formulation of the vectorised kernels.
+
+    Mirror contract, with ``half = n_pairs // 2``: row ``half + k`` is
+    row ``k`` reversed -- ``i[half:] == j[:half]``, ``j[half:] ==
+    i[:half]`` (anything else is a ``ValueError``) and, from
+    :meth:`build`, ``dx[half:] == -dx[:half]``, ``r[half:] == r[:half]``
+    bitwise.  Side j of pair k is side i of pair ``half + k``, which is
+    how the Acceleration kernel antisymmetrises one gradient evaluation.
     """
 
     i: np.ndarray
@@ -73,6 +76,14 @@ class PairContext:
     dx: np.ndarray  # x_i - x_j, minimum image, shape (m, 3)
     r: np.ndarray   # |dx|
     n: int          # number of particles
+
+    def __post_init__(self) -> None:
+        half = len(self.i) // 2  # an odd list fails on the slice lengths
+        if not (
+            np.array_equal(self.i[half:], self.j[:half])
+            and np.array_equal(self.j[half:], self.i[:half])
+        ):
+            raise ValueError("pair list is not a canonical half and its mirror")
 
     @classmethod
     def build(
@@ -122,11 +133,13 @@ class PairContext:
             if metrics is not None:
                 metrics.counter("sim.pairs.cutoff_truncated").inc()
         idx_i, idx_j = find_pairs(pos, box, cutoff, cell_list=cell_list)
-        d = pos[idx_i] - pos[idx_j]
-        half = 0.5 * box
-        d = (d + half) % box - half
+        # geometry of the canonical half only; the mirror is its negation
+        half = len(idx_i) // 2
+        d = pos[idx_i[:half]] - pos[idx_j[:half]]
+        d = (d + 0.5 * box) % box - 0.5 * box
         r = xp.sqrt(xp.rowwise_dot(d, d))
-        return cls(i=idx_i, j=idx_j, dx=d, r=r, n=len(pos))
+        dx, r = xp.concatenate([d, -d]), xp.concatenate([r, r])
+        return cls(i=idx_i, j=idx_j, dx=dx, r=r, n=len(pos))
 
     @property
     def n_pairs(self) -> int:
@@ -134,8 +147,7 @@ class PairContext:
 
     def _h_i(self, h) -> np.ndarray:
         """Per-pair i-side smoothing lengths, broadcasting a scalar
-        ``h`` like the rest of the SPH API does (a scalar used to crash
-        with ``TypeError: 'float' object is not subscriptable``)."""
+        ``h`` like the rest of the SPH API does."""
         h = xp.ensure_float(h)
         if h.ndim == 0:
             return h
@@ -171,9 +183,9 @@ class PairContext:
         ``values`` may be (m,) or (m, k); returns (n,) or (n, k) in the
         *input dtype* (float32 pair values accumulate as float32
         instead of silently upcasting to float64).  This is the
-        vectorised analogue of the GPU kernels' atomic adds: a
-        sorted-segment reduction (sort by i once, then one contiguous
-        ``xp.segment_sum`` pass per call, i.e. ``np.add.reduceat``).
+        vectorised analogue of the GPU kernels' atomic adds; a
+        particle's terms add in pair-list order, so equal inputs give
+        bit-equal sums.
         """
         values = xp.asarray(values)
         out = xp.zeros((self.n,) + values.shape[1:], dtype=values.dtype)

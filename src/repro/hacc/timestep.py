@@ -106,15 +106,11 @@ class SimulationConfig:
     n_steps: int = 5
     seed: int = 2023
     pm_mesh: int = 16
-    leaf_size: int = 16
-    #: subcycle the hydro forces inside each gravity step when the CFL
-    #: condition demands it (HACC's stepping structure; off by default
-    #: to match the paper's five-step adiabatic run)
-    subcycling: bool = False
     #: CFL number for the hydro time-step criterion
     cfl_number: float = 0.25
-    #: cap on hydro substeps per gravity step
-    max_subcycles: int = 8
+    #: cap on CFL-driven hydro substeps per gravity step (HACC's stepping
+    #: structure); 1 is the paper's five-step adiabatic run
+    max_subcycles: int = 1
 
     @property
     def box(self) -> float:
@@ -381,7 +377,6 @@ class AdiabaticDriver:
         du_full = np.zeros(len(p))
         dv_full[idx] = accel.dv_dt
         du_full[idx] = energy.du_dt
-        self._gas_idx = idx
         return dv_full, du_full, accel.max_signal_speed
 
     # ------------------------------------------------------------------
@@ -406,10 +401,10 @@ class AdiabaticDriver:
     def step(self, a0: float, a1: float) -> StepDiagnostics:
         """One KDK step from scale factor a0 to a1.
 
-        With ``config.subcycling`` enabled, the hydro forces are
-        re-evaluated on CFL-sized substeps inside the gravity step --
-        the mechanism by which tighter time-step criteria "lead to many
-        more calls to the adiabatic kernels" (Section 3.1).
+        Gravity kicks on the outer step; the hydro forces are re-evaluated
+        on up to ``config.max_subcycles`` CFL-sized substeps inside it --
+        how tighter time-step criteria "lead to many more calls to the
+        adiabatic kernels" (Section 3.1).
         """
         # mirror the cell-list build count into whatever registry the
         # caller attached after construction
@@ -418,7 +413,6 @@ class AdiabaticDriver:
             self.metrics.counter("sim.pairs.cutoff_truncated").inc()
             self._truncation_uncounted = False
         wall_start = time.perf_counter()
-        self.last_subcycles = 1
         with maybe_span(
             self.tracer,
             f"step {self.step_index}",
@@ -426,10 +420,7 @@ class AdiabaticDriver:
             a0=a0,
             a1=a1,
         ):
-            if self.config.subcycling:
-                diag = self._step_subcycled(a0, a1)
-            else:
-                diag = self._step_plain(a0, a1)
+            diag = self._kdk(a0, a1)
         if self.metrics is not None:
             self.metrics.counter("sim.steps").inc()
         if self.health is not None:
@@ -441,43 +432,8 @@ class AdiabaticDriver:
         self.step_index += 1
         return diag
 
-    def _step_plain(self, a0: float, a1: float) -> StepDiagnostics:
-        p = self.particles
-        cosmo = self.cosmology
-        kick_half = cosmo.kick_factor(a0, a1) * 0.5
-        drift = cosmo.drift_factor(a0, a1)
-
-        grav = self._gravity()
-        dv_h, du_h, _sig = self._hydro_rates("")
-
-        # first half kick
-        vel = p.velocities + (grav + dv_h) * kick_half
-        p.set_velocities(vel)
-        p.u[:] = np.maximum(p.u + du_h * kick_half, 0.0)
-
-        # drift
-        pos = p.positions + p.velocities * drift
-        p.set_positions(pos % p.box)
-
-        # force re-evaluation at the new positions (the "F" kernels)
-        grav = self._gravity()
-        dv_h, du_h, _sig = self._hydro_rates("F")
-
-        # second half kick
-        vel = p.velocities + (grav + dv_h) * kick_half
-        p.set_velocities(vel)
-        p.u[:] = np.maximum(p.u + du_h * kick_half, 0.0)
-
-        # adiabatic expansion cooling: u ~ a^-2 for a monatomic gas
-        p.u[:] *= (a0 / a1) ** 2
-        eos.update_thermodynamics(p)
-
-        diag = self._diagnose(a1)
-        self.diagnostics.append(diag)
-        return diag
-
-    def _step_subcycled(self, a0: float, a1: float) -> StepDiagnostics:
-        """KDK step with CFL-driven hydro subcycling."""
+    def _kdk(self, a0: float, a1: float) -> StepDiagnostics:
+        """Gravity half kicks around the CFL-driven hydro subcycles."""
         p = self.particles
         cosmo = self.cosmology
         kick_half = cosmo.kick_factor(a0, a1) * 0.5

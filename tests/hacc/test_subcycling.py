@@ -13,7 +13,6 @@ def subcycled_driver():
             n_per_side=6,
             pm_mesh=8,
             n_steps=2,
-            subcycling=True,
             cfl_number=0.005,  # deliberately strict to force subcycles
             max_subcycles=4,
         )
@@ -25,7 +24,7 @@ def subcycled_driver():
 class TestCFLCriterion:
     def test_subcycle_count_bounds(self):
         driver = AdiabaticDriver(
-            SimulationConfig(n_per_side=6, pm_mesh=8, subcycling=True)
+            SimulationConfig(n_per_side=6, pm_mesh=8, max_subcycles=8)
         )
         assert driver.cfl_subcycles(0.0, 1.0) == 1
         assert (
@@ -35,11 +34,13 @@ class TestCFLCriterion:
 
     def test_stricter_cfl_more_subcycles(self):
         loose = AdiabaticDriver(
-            SimulationConfig(n_per_side=6, pm_mesh=8, subcycling=True, cfl_number=0.5)
+            SimulationConfig(
+                n_per_side=6, pm_mesh=8, max_subcycles=8, cfl_number=0.5
+            )
         )
         strict = AdiabaticDriver(
             SimulationConfig(
-                n_per_side=6, pm_mesh=8, subcycling=True, cfl_number=0.005
+                n_per_side=6, pm_mesh=8, max_subcycles=8, cfl_number=0.005
             )
         )
         signal, drift = 100.0, 0.01
@@ -73,7 +74,7 @@ class TestSubcycledRun:
         assert np.all(np.abs(mom) < 1e-6 * scale)
 
     def test_default_config_unchanged(self, reference_trace):
-        # the calibration workload (subcycling off) keeps the paper's
-        # one-F-call-per-step pattern
+        # the calibration workload (max_subcycles = 1, the default) keeps
+        # the paper's one-F-call-per-step pattern
         by = reference_trace.by_kernel()
         assert len(by["upBarAcF"]) == 5

@@ -418,3 +418,22 @@ class TestConfigHashStamp:
         self._write_npz(path, payload)
         with pytest.raises(CheckpointError, match="config hash mismatch"):
             SimulationCheckpoint.load(path)
+
+    @pytest.mark.parametrize("field", ["subcycling", "leaf_size"])
+    def test_config_naming_a_removed_field_is_refused(
+        self, checkpoint, tmp_path, field
+    ):
+        # a file from before SimulationConfig lost the field: a clear
+        # CheckpointError, not the constructor's TypeError
+        import dataclasses
+        import json
+
+        payload = checkpoint._payload()
+        config = dataclasses.asdict(checkpoint.config) | {field: 1}
+        payload["config_json"] = np.frombuffer(
+            json.dumps(config).encode(), dtype=np.uint8
+        )
+        path = tmp_path / "old-config.npz"
+        self._write_npz(path, payload)
+        with pytest.raises(CheckpointError, match=field):
+            SimulationCheckpoint.load(path)
