@@ -37,9 +37,11 @@ def main() -> None:
     print(f"Checkpoint written to {path}")
     print(checkpoint_metadata(checkpoint))
 
-    # 2. standalone replays
+    # 2. standalone replays: the driver's own two hydro stages on a
+    # context built from the file, so each output is bit for bit what
+    # the run's next step would hand its kernel_hook for that kernel
     reloaded = KernelCheckpoint.load(path)
-    print("\nStandalone kernel replays:")
+    print("\nStandalone kernel replays (each equals the in-run kernel):")
     for kernel in STANDALONE_KERNELS:
         outputs = run_standalone(reloaded, kernel)
         fields = ", ".join(

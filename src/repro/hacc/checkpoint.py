@@ -21,12 +21,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.hacc.particles import ParticleData, Species
-from repro.hacc.sph.acceleration import compute_acceleration
-from repro.hacc.sph.corrections import compute_corrections
-from repro.hacc.sph.energy import compute_energy_rate
-from repro.hacc.sph.extras import compute_extras
-from repro.hacc.sph.geometry import compute_geometry
 from repro.hacc.sph.pairs import PairContext
+from repro.hacc.timestep import TIMER_NAMES, hydro_force, hydro_state
 
 #: version 2 added the payload checksum; version 1 (none) is rejected
 FORMAT_VERSION = 2
@@ -178,6 +174,17 @@ class KernelCheckpoint:
             cs=particles.cs[idx].copy(),
         )
 
+    def particles(self) -> ParticleData:
+        """The inverse of :meth:`capture`: a gas-only particle set."""
+        gas = ParticleData.allocate(self.n_particles, self.box)
+        gas.set_positions(self.pos)
+        gas.set_velocities(self.vel)
+        gas.arrays["species"][:] = Species.BARYON
+        gas.arrays["hsml"][:] = self.h
+        for name in ("mass", "u", "volume", "rho", "pressure", "cs"):
+            gas.arrays[name][:] = getattr(self, name)
+        return gas
+
     _PAYLOAD_FIELDS = (
         "pos", "vel", "mass", "h", "u", "volume", "rho", "pressure", "cs",
     )
@@ -211,65 +218,40 @@ class KernelCheckpoint:
         return len(self.mass)
 
 
-#: kernels runnable standalone, keyed by the paper's names
+#: kernels runnable standalone, keyed by the paper's names, in pipeline order
 STANDALONE_KERNELS = ("geometry", "corrections", "extras", "acceleration", "energy")
+#: the timer each one runs under in the driver's first hydro pass
+_TIMER_OF = dict(zip(STANDALONE_KERNELS, TIMER_NAMES))
 
 
 def run_standalone(checkpoint: KernelCheckpoint, kernel: str) -> dict[str, np.ndarray]:
     """Run one hot kernel from a checkpoint; returns its named outputs.
 
-    Upstream kernels are run as needed to build inputs (a standalone
-    Acceleration run needs the geometry and corrections state), which
-    matches how the real standalone drivers replay the pipeline prefix.
+    The replay runs the driver's own hydro stages (upstream kernels
+    included, as the real standalone drivers replay the pipeline
+    prefix) on a context built from the checkpoint, so the outputs of a
+    checkpoint taken at a step boundary are bit for bit what the next
+    step's first pass hands its ``kernel_hook``.
     """
     if kernel not in STANDALONE_KERNELS:
         raise ValueError(
             f"unknown kernel {kernel!r}; choose from {STANDALONE_KERNELS}"
         )
+    timer = _TIMER_OF[kernel]
+    seen: dict[str, dict[str, np.ndarray]] = {}
+
+    def collect(timer, evaluate, *outputs):
+        result = evaluate()
+        seen[timer] = {name: getattr(result, name) for name in outputs}
+        return result
+
+    gas = checkpoint.particles()
+    idx = np.arange(len(gas))
     ctx = PairContext.build(checkpoint.pos, checkpoint.h, checkpoint.box)
-    geo = compute_geometry(ctx, checkpoint.h)
-    if kernel == "geometry":
-        return {"volume": geo.volume, "h_new": geo.h_new}
-
-    corr = compute_corrections(ctx, checkpoint.h, geo.volume)
-    if kernel == "corrections":
-        return {"a": corr.a, "b": corr.b}
-
-    extras = compute_extras(
-        ctx,
-        checkpoint.h,
-        geo.volume,
-        checkpoint.mass,
-        checkpoint.vel,
-        checkpoint.pressure,
-        corr,
-    )
-    if kernel == "extras":
-        return {
-            "rho": extras.rho,
-            "grad_rho": extras.grad_rho,
-            "div_v": extras.div_v,
-            "grad_p": extras.grad_p,
-        }
-
-    accel = compute_acceleration(
-        ctx,
-        checkpoint.h,
-        geo.volume,
-        checkpoint.mass,
-        extras.rho,
-        checkpoint.pressure,
-        checkpoint.cs,
-        checkpoint.vel,
-        corr,
-    )
-    if kernel == "acceleration":
-        return {"dv_dt": accel.dv_dt}
-
-    energy = compute_energy_rate(
-        ctx, geo.volume, checkpoint.mass, checkpoint.pressure, checkpoint.vel, accel
-    )
-    return {"du_dt": energy.du_dt}
+    corr, grad_w = hydro_state(ctx, gas, idx, collect)
+    if timer not in seen:
+        hydro_force(ctx, gas, idx, corr, collect, grad_w)
+    return seen[timer]
 
 
 def checkpoint_metadata(checkpoint: KernelCheckpoint) -> str:

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -628,6 +629,12 @@ class SimWorld:
             t.start()
         for t in threads:
             t.join()
+        # a dead rank's frames pin everything ``fn`` held (its driver,
+        # with all it memoised) in a cycle only the cyclic collector
+        # frees; file and line stay on the traceback for the report
+        for exc in errors:
+            if exc is not None:
+                traceback.clear_frames(exc.__traceback__)
         return results, errors
 
     def run(self, fn: Callable[[SimComm], Any]) -> list[Any]:

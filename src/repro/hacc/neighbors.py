@@ -21,8 +21,8 @@ query bins afresh.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,30 +34,24 @@ def _cell_index(pos: np.ndarray, box: float, n_cells: int) -> np.ndarray:
     return xp.clip(cell, 0, n_cells - 1)
 
 
-@lru_cache(maxsize=None)
-def _stencil(half: bool) -> np.ndarray:
-    """The 27-cell stencil, in fixed offset-major order (dx outermost,
-    dz innermost).
-
-    With ``half`` the self cell comes first followed by the
-    lexicographically-positive offsets only: each unordered pair of
-    distinct cells is then scanned exactly once (the self cell is
-    deduplicated by the i < j filter), halving candidate work.
-    """
-    axis = (-1, 0, 1)
-    offsets = [(dx, dy, dz) for dx in axis for dy in axis for dz in axis]
-    if half:
-        offsets = [(0, 0, 0)] + [o for o in offsets if o > (0, 0, 0)]
-    return np.array(offsets, dtype=np.int64)
+#: the self cell followed by the 13 lexicographically-positive offsets
+#: of the 27-cell stencil, in fixed offset-major order (dx outermost, dz
+#: innermost): each unordered pair of distinct cells is scanned exactly
+#: once (the self cell is deduplicated by the i < j filter)
+_HALF_STENCIL = np.array(
+    [(0, 0, 0)]
+    + [o for o in itertools.product((-1, 0, 1), repeat=3) if o > (0, 0, 0)],
+    dtype=np.int64,
+)
 
 
 @dataclass
 class CellList:
     """Uniform cell decomposition of one position set for one cutoff.
 
-    The bin + stable sort is done at :meth:`build`; a query
-    (:meth:`pairs_within`, :meth:`cross_pairs`) is then a pure gather
-    over the sorted structure with no Python-level per-particle loops.
+    The bin + stable sort is done at :meth:`build`; the query
+    (:meth:`pairs_within`) is then a pure gather over the sorted
+    structure with no Python-level per-particle loops.
     Cells are at least ``cutoff`` wide, so the 27-cell stencil holds
     every pair within it.
     """
@@ -108,18 +102,13 @@ class CellList:
                 f"cutoff {cutoff:.6g}"
             )
 
-    def _stencil_candidates(
-        self, pos_query: np.ndarray, stencil: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """(query index, member index, count from the stencil's first
-        offset) candidate pairs, fully vectorised (cumsum-based ragged
-        gather, no Python-level per-particle loops)."""
-        n_q = len(pos_query)
-        empty = np.array([], dtype=np.int64)
-        if n_q == 0:
-            return empty, empty, 0
-        cells_q = _cell_index(pos_query, self.box, self.n_cells)
-        ncell = (cells_q[None, :, :] + stencil[:, None, :]) % self.n_cells
+    def _stencil_candidates(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(i, j, count from the self cell) candidate pairs over the
+        half stencil, fully vectorised (cumsum-based ragged gather, no
+        Python-level per-particle loops)."""
+        n_q = len(self.pos)
+        cells_q = _cell_index(self.pos, self.box, self.n_cells)
+        ncell = (cells_q[None, :, :] + _HALF_STENCIL[:, None, :]) % self.n_cells
         nflat = (
             (ncell[..., 0] * self.n_cells + ncell[..., 1]) * self.n_cells
             + ncell[..., 2]
@@ -128,9 +117,7 @@ class CellList:
         counts = self.boundaries[nflat + 1] - starts
         total = int(xp.sum(counts))
         n_first = int(xp.sum(counts[:n_q]))
-        if total == 0:
-            return empty, empty, 0
-        rep = xp.repeat(xp.tile(xp.arange(n_q), len(stencil)), counts)
+        rep = xp.repeat(xp.tile(xp.arange(n_q), len(_HALF_STENCIL)), counts)
         # ragged ranges 0..counts[k] for every bucket, without a Python
         # loop: a global arange minus each element's bucket offset
         shifts = xp.cumsum(counts) - counts
@@ -148,8 +135,8 @@ class CellList:
         """
         self._check_cutoff(cutoff)
         if not self.use_cells:
-            return _find_pairs_bruteforce(self.pos, self.pos, self.box, cutoff, True)
-        gi, gj, n_self = self._stencil_candidates(self.pos, _stencil(True))
+            return _find_pairs_bruteforce(self.pos, self.box, cutoff)
+        gi, gj, n_self = self._stencil_candidates()
         half = 0.5 * self.box
         d = self.pos[gi] - self.pos[gj]
         d = (d + half) % self.box - half
@@ -160,29 +147,6 @@ class CellList:
         mask[:n_self] &= gi[:n_self] < gj[:n_self]
         i, j = gi[mask], gj[mask]
         return xp.concatenate([i, j]), xp.concatenate([j, i])
-
-    def cross_pairs(
-        self, pos_query: np.ndarray, cutoff: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Directed cross pairs from ``pos_query`` (i) to the member set
-        (j) within ``cutoff``, excluding exact coincidences (r = 0): a
-        query particle coinciding with a member (e.g. a particle and
-        its own ghost copy) would otherwise divide by zero in every
-        gather-style kernel downstream.
-        """
-        self._check_cutoff(cutoff)
-        pos_query = np.asarray(pos_query, dtype=np.float64)
-        if not self.use_cells:
-            return _find_pairs_bruteforce(
-                pos_query, self.pos, self.box, cutoff, False
-            )
-        rep, cand, _n_self = self._stencil_candidates(pos_query, _stencil(False))
-        half = 0.5 * self.box
-        d = pos_query[rep] - self.pos[cand]
-        d = (d + half) % self.box - half
-        r2 = xp.rowwise_dot(d, d)
-        mask = (r2 < cutoff * cutoff) & (r2 > 0.0)
-        return rep[mask], cand[mask]
 
 
 class CellListCache:
@@ -214,7 +178,6 @@ def find_pairs(
     box: float,
     cutoff: float,
     *,
-    pos_other: np.ndarray | None = None,
     cell_list: CellList | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All directed pairs (i, j), i != j, with |x_i - x_j| < cutoff.
@@ -224,16 +187,12 @@ def find_pairs(
     ``i[half:] == j[:half]`` and ``j[half:] == i[:half]`` on both search
     paths (:class:`~repro.hacc.sph.pairs.PairContext` relies on it).
 
-    With ``pos_other`` given, finds cross pairs from ``pos`` (i) to
-    ``pos_other`` (j) instead, used for gather-style kernels where the
-    j-side includes ghost particles; exact coincidences (r = 0, a
-    particle meeting its own ghost) are excluded there.
     Periodic minimum-image convention throughout.
 
-    ``cell_list``, when given, must be the :class:`CellList` of the
-    j-side set (``pos`` itself in symmetric mode) -- same box, same
-    positions by value, cells at least ``cutoff`` wide -- and is used
-    instead of binning here; the result is the same either way.
+    ``cell_list``, when given, must be the :class:`CellList` of ``pos``
+    -- same box, same positions by value, cells at least ``cutoff``
+    wide -- and is used instead of binning here; the result is the same
+    either way.
     """
     pos = np.asarray(pos, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 3:
@@ -244,21 +203,15 @@ def find_pairs(
         raise ValueError(
             f"cutoff {cutoff} too large for box {box} under minimum image"
         )
-    symmetric = pos_other is None
-    other = pos if symmetric else np.asarray(pos_other, dtype=np.float64)
-
     if cell_list is None:
-        cell_list = CellList.build(other, box, cutoff)
+        cell_list = CellList.build(pos, box, cutoff)
     elif cell_list.box != box:
         raise ValueError(
             f"cell list box {cell_list.box} does not match query box {box}"
         )
-    elif not np.array_equal(cell_list.pos, other):
+    elif not np.array_equal(cell_list.pos, pos):
         raise ValueError("cell list was binned over other positions")
-
-    if symmetric:
-        return cell_list.pairs_within(cutoff)
-    return cell_list.cross_pairs(pos, cutoff)
+    return cell_list.pairs_within(cutoff)
 
 
 #: rows per block of the dense search; its largest temporaries are
@@ -268,27 +221,26 @@ _BRUTE_BLOCK = 256
 _BLOCK_TRIU = np.triu(np.ones((_BRUTE_BLOCK, _BRUTE_BLOCK), dtype=bool), k=1)
 
 
-def _find_pairs_bruteforce(pos, other, box, cutoff, symmetric):
+def _find_pairs_bruteforce(pos, box, cutoff):
     """Dense O(n^2) fallback for small particle counts / large cutoffs.
 
     Searched in row blocks: per-axis 2-D differences with the minimum
     image applied in place, ``r2`` accumulated in place, one
-    ``np.nonzero`` per block.  Symmetric mode only visits the columns
-    from the block's first row on (the upper triangle).  Pairs come
-    out row-major, i.e. in the order a one-shot ``np.nonzero`` over the
-    full (n, n) mask would give them.
+    ``np.nonzero`` per block.  A block only visits the columns from its
+    first row on (the upper triangle).  The canonical half comes out
+    row-major, i.e. in the order a one-shot ``np.nonzero`` over the
+    full (n, n) mask would give it.
     """
     half = 0.5 * box
     cut2 = cutoff * cutoff
-    columns = np.ascontiguousarray(other.T)
+    columns = np.ascontiguousarray(pos.T)
     empty = np.empty(0, dtype=np.int64)
     rows, cols = [empty], [empty]
     for a0 in range(0, len(pos), _BRUTE_BLOCK):
         block = pos[a0 : a0 + _BRUTE_BLOCK]
-        c0 = a0 if symmetric else 0
         r2 = None
         for axis in range(3):
-            d = block[:, axis, None] - columns[axis, None, c0:]
+            d = block[:, axis, None] - columns[axis, None, a0:]
             d += half
             d %= box
             d -= half
@@ -298,20 +250,14 @@ def _find_pairs_bruteforce(pos, other, box, cutoff, symmetric):
             else:
                 r2 += d
         mask = r2 < cut2
-        if symmetric:
-            # decide the cutoff once per unordered pair (see find_pairs)
-            m = len(block)
-            mask[:, :m] &= _BLOCK_TRIU[:m, :m]
-        else:
-            # cross mode: drop exact coincidences (see CellList.cross_pairs)
-            mask &= r2 > 0.0
+        # decide the cutoff once per unordered pair (see find_pairs)
+        m = len(block)
+        mask[:, :m] &= _BLOCK_TRIU[:m, :m]
         bi, bj = np.nonzero(mask)
         bi += a0
-        bj += c0
+        bj += a0
         rows.append(bi)
         cols.append(bj)
     i = np.concatenate(rows)
     j = np.concatenate(cols)
-    if symmetric:
-        return np.concatenate([i, j]), np.concatenate([j, i])
-    return i, j
+    return np.concatenate([i, j]), np.concatenate([j, i])

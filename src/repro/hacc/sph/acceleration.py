@@ -30,13 +30,18 @@ VISC_EPS = 0.01
 
 @dataclass(frozen=True)
 class AccelerationResult:
-    """Momentum derivative and the pair viscosity (reused by Energy)."""
+    """Momentum derivative and the CFL signal speed.
+
+    Handed to the next kernel: ``visc_pi`` and ``delta_gw``.  The
+    Energy kernel must see the identical pairing -- the same viscous
+    pressure and the same antisymmetrised gradient, pair for pair --
+    for the pair's thermal gain to equal its kinetic loss exactly, so
+    it reads them from here instead of forming them again.
+    """
 
     dv_dt: np.ndarray        # (n, 3)
     visc_pi: np.ndarray      # (m,) per-pair viscous pressure
-    #: per-pair antisymmetrised gradient (reused by the Energy kernel,
-    #: which must see the identical pairing for exact conservation)
-    delta_gw: np.ndarray     # (m, 3)
+    delta_gw: np.ndarray     # (m, 3) per-pair antisymmetrised gradient
     max_signal_speed: float  # CFL input
 
 
@@ -45,14 +50,13 @@ def pair_viscosity(
     h: np.ndarray,
     rho: np.ndarray,
     cs: np.ndarray,
-    velocity: np.ndarray,
+    vdotx: np.ndarray,
     *,
     alpha: float = VISC_ALPHA,
     beta: float = VISC_BETA,
 ) -> np.ndarray:
-    """Monaghan viscous pressure Pi_ij >= 0 on approaching pairs."""
-    dv = velocity[ctx.i] - velocity[ctx.j]
-    vdotx = xp.rowwise_dot(dv, ctx.dx)
+    """Monaghan viscous pressure Pi_ij >= 0 on approaching pairs
+    (``vdotx``, the per-pair (v_i - v_j) . (x_i - x_j), negative)."""
     h_ij = 0.5 * (h[ctx.i] + h[ctx.j])
     r2 = ctx.r**2
     mu = h_ij * vdotx / (r2 + VISC_EPS * h_ij**2)
@@ -62,17 +66,17 @@ def pair_viscosity(
     return rho_ij * (-alpha * cs_ij * mu + beta * mu**2)
 
 
-def antisymmetric_gradients(
-    ctx: PairContext, h: np.ndarray, corr: CorrectionResult
-) -> np.ndarray:
-    """(grad_i W^R_ij - grad_j W^R_ji) / 2 on the directed pair list.
+def antisymmetric_gradients(ctx: PairContext, g: np.ndarray) -> np.ndarray:
+    """(grad_i W^R_ij - grad_j W^R_ji) / 2 on the directed pair list,
+    from ``g``, the per-pair grad_i W^R_ij.
 
     By :class:`PairContext`'s mirror contract grad_j W^R_ji of row k is
     grad_i W^R_ij of row ``half + k``: one evaluation serves both sides
     and the result is ``[D, -D]``, antisymmetric bit for bit -- which
     gives the momentum equation its exact conservation property.
     """
-    g = corrected_kernel_gradients(ctx, h, corr)
+    if g.shape != (ctx.n_pairs, 3):
+        raise ValueError("kernel gradients do not match the pair context")
     half = ctx.n_pairs // 2
     delta = 0.5 * (g[:half] - g[half:])
     return xp.concatenate([delta, -delta])
@@ -88,8 +92,11 @@ def compute_acceleration(
     cs: np.ndarray,
     velocity: np.ndarray,
     corr: CorrectionResult,
+    grad_w: np.ndarray | None = None,
 ) -> AccelerationResult:
-    """The Acceleration kernel."""
+    """The Acceleration kernel.  ``grad_w``, when given, must be
+    ``corrected_kernel_gradients(ctx, h, corr)`` of these very arguments
+    (``ExtrasResult.grad_w``); it is evaluated here otherwise."""
     for name, arr in (
         ("volume", volume),
         ("mass", mass),
@@ -102,8 +109,11 @@ def compute_acceleration(
     if np.asarray(velocity).shape != (ctx.n, 3):
         raise ValueError("velocity must be (n, 3)")
 
-    visc = pair_viscosity(ctx, h, rho, cs, velocity)
-    delta_gw = antisymmetric_gradients(ctx, h, corr)
+    vdotx = xp.rowwise_dot(velocity[ctx.i] - velocity[ctx.j], ctx.dx)
+    visc = pair_viscosity(ctx, h, rho, cs, vdotx)
+    if grad_w is None:
+        grad_w = corrected_kernel_gradients(ctx, h, corr)
+    delta_gw = antisymmetric_gradients(ctx, grad_w)
 
     vi = volume[ctx.i]
     vj = volume[ctx.j]
@@ -113,8 +123,6 @@ def compute_acceleration(
 
     # signal speed for the CFL criterion: sound crossing + viscous signal
     if ctx.n_pairs:
-        dv = velocity[ctx.i] - velocity[ctx.j]
-        vdotx = xp.rowwise_dot(dv, ctx.dx)
         r_safe = xp.where(ctx.r > 0, ctx.r, 1.0)
         approach = xp.where(vdotx < 0, -vdotx / r_safe, 0.0)
         sig = cs[ctx.i] + cs[ctx.j] + 3.0 * approach

@@ -25,13 +25,22 @@ from repro.hacc.sph.pairs import PairContext
 
 @dataclass(frozen=True)
 class ExtrasResult:
-    """Density and state gradients."""
+    """Density and state gradients.
+
+    Handed to the next kernel: ``grad_w``, the per-pair grad_i W^R_ij
+    every gradient estimate here was formed with.  It depends on
+    ``(ctx, h, corr)`` alone, so an Acceleration evaluation on the same
+    three (the first hydro pass of a step) takes it instead of
+    evaluating it again; the post-drift pass has other pairs and
+    evaluates its own.
+    """
 
     rho: np.ndarray        # (n,)
     grad_rho: np.ndarray   # (n, 3)
     grad_v: np.ndarray     # (n, 3, 3); grad_v[p, a, b] = d v_a / d x_b
     div_v: np.ndarray      # (n,)
     grad_p: np.ndarray     # (n, 3)
+    grad_w: np.ndarray     # (m, 3) per-pair corrected kernel gradient
 
 
 def compute_extras(
@@ -76,5 +85,10 @@ def compute_extras(
     grad_p = gradient_of(pressure)
     div_v = xp.trace(grad_v)
     return ExtrasResult(
-        rho=rho, grad_rho=grad_rho, grad_v=grad_v, div_v=div_v, grad_p=grad_p
+        rho=rho,
+        grad_rho=grad_rho,
+        grad_v=grad_v,
+        div_v=div_v,
+        grad_p=grad_p,
+        grad_w=gw,
     )

@@ -84,46 +84,6 @@ def kernel_self_value(h: np.ndarray) -> np.ndarray:
     return _NORM_3D / h**3
 
 
-def wendland_c2(r: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Wendland C2 kernel in 3-D with support 2h.
-
-    Production CRKSPH codes favour Wendland kernels for their stability
-    against the pairing instability at high neighbour counts; provided
-    as an alternative to the cubic spline.  Normalised so the 3-D
-    integral over the support is 1.
-
-        W(q) = (21 / 16 pi h^3) (1 - q/2)^4 (2 q + 1),  q = r/h < 2.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if np.any(h <= 0):
-        raise ValueError("smoothing lengths must be positive")
-    q = r / h
-    base = np.maximum(1.0 - 0.5 * q, 0.0)
-    w = base**4 * (2.0 * q + 1.0)
-    return (21.0 / (16.0 * np.pi)) * w / h**3
-
-
-def wendland_c2_derivative(r: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """dW/dr of the Wendland C2 kernel."""
-    r = np.asarray(r, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if np.any(h <= 0):
-        raise ValueError("smoothing lengths must be positive")
-    q = r / h
-    base = np.maximum(1.0 - 0.5 * q, 0.0)
-    # d/dq [ (1-q/2)^4 (2q+1) ] = -5 q (1-q/2)^3
-    dwdq = -5.0 * q * base**3
-    return (21.0 / (16.0 * np.pi)) * dwdq / h**4
-
-
-#: kernel families available to the SPH pipeline
-KERNELS = {
-    "cubic-spline": (cubic_spline, cubic_spline_derivative),
-    "wendland-c2": (wendland_c2, wendland_c2_derivative),
-}
-
-
 def verify_normalisation(h: float = 1.0, n_samples: int = 200) -> float:
     """Numerical check that the kernel integrates to 1 over its support.
 
@@ -132,14 +92,4 @@ def verify_normalisation(h: float = 1.0, n_samples: int = 200) -> float:
     """
     r = np.linspace(0.0, SUPPORT * h, n_samples)
     w = cubic_spline(r, np.full_like(r, h))
-    return float(np.trapezoid(4.0 * np.pi * r**2 * w, r))
-
-
-def verify_kernel_normalisation(kernel: str, h: float = 1.0, n_samples: int = 400) -> float:
-    """Quadrature of any registered kernel over its support."""
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {sorted(KERNELS)}")
-    w_fn, _dw = KERNELS[kernel]
-    r = np.linspace(0.0, SUPPORT * h, n_samples)
-    w = w_fn(r, np.full_like(r, h))
     return float(np.trapezoid(4.0 * np.pi * r**2 * w, r))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import xp
-from repro.hacc.neighbors import CellList, find_pairs
+from repro.hacc.neighbors import CellListCache, find_pairs
 from repro.hacc.sph.kernels_math import SUPPORT, cubic_spline, cubic_spline_gradient
 
 #: largest cutoff the minimum-image pair search admits, as a fraction
@@ -92,13 +92,13 @@ class PairContext:
         h: np.ndarray,
         box: float,
         *,
-        cell_list: CellList | None = None,
+        cells: CellListCache | None = None,
         metrics=None,
     ) -> "PairContext":
         """Pairs within the kernel support ``SUPPORT * max(h)``.
 
-        ``cell_list``, when given, must be the cell list of ``pos`` at
-        that cutoff (see :func:`~repro.hacc.neighbors.find_pairs`); the
+        ``cells``, when given, is where the cell list of ``pos`` at the
+        search cutoff comes from (the driver's counted source); the
         context is the same with or without it.
 
         A support radius beyond the minimum-image bound cannot be
@@ -132,6 +132,7 @@ class PairContext:
             )
             if metrics is not None:
                 metrics.counter("sim.pairs.cutoff_truncated").inc()
+        cell_list = cells.get(pos, cutoff) if cells is not None else None
         idx_i, idx_j = find_pairs(pos, box, cutoff, cell_list=cell_list)
         # geometry of the canonical half only; the mirror is its negation
         half = len(idx_i) // 2

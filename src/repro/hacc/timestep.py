@@ -20,6 +20,7 @@ every device x variant combination of the paper's study.
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -35,11 +36,11 @@ from repro.hacc.particles import ParticleData, Species
 from repro.hacc.pm import PMConfig, PMSolver
 from repro.hacc.short_range import ShortRangeSolver
 from repro.hacc.sph.acceleration import compute_acceleration
-from repro.hacc.sph.corrections import compute_corrections
+from repro.hacc.sph.corrections import CorrectionResult, compute_corrections
 from repro.hacc.sph.energy import compute_energy_rate
 from repro.hacc.sph.extras import compute_extras
 from repro.hacc.sph.geometry import compute_geometry
-from repro.hacc.sph.pairs import CutoffTruncationWarning, PairContext, sph_cutoff
+from repro.hacc.sph.pairs import CutoffTruncationWarning, PairContext
 from repro.observability.metrics import INTERACTIONS_BUCKETS, MetricsRegistry
 from repro.observability.tracing import TraceRecorder, maybe_span
 
@@ -150,6 +151,75 @@ class StepDiagnostics:
     max_density_contrast: float
 
 
+#: ``observe(timer, evaluate, *outputs)`` runs one kernel evaluation and
+#: returns its result, of which the attributes ``outputs`` are what an
+#: observer may see; what else happens around it is the caller's business
+KernelObserver = Callable[..., Any]
+
+
+def hydro_state(
+    ctx: PairContext, p: ParticleData, idx: np.ndarray, observe: KernelObserver
+) -> tuple[CorrectionResult, np.ndarray]:
+    """upGeo -> upCor -> upBarEx -> EOS refresh on the gas rows ``idx``
+    of ``p``, whose pair context is ``ctx``; volume, smoothing length,
+    density, pressure and sound speed are updated in place.
+
+    The one definition of the hydro pass, with :func:`hydro_force`: the
+    driver's opening pass and the standalone replay both run it, each
+    with its own ``observe``.  Returns the coefficients and the per-pair
+    grad W^R that upBarEx evaluated on ``(ctx, h, corr)``.
+    """
+    geo = observe(
+        "upGeo", lambda: compute_geometry(ctx, p.hsml[idx]), "volume", "h_new"
+    )
+    p.volume[idx] = geo.volume
+    p.hsml[idx] = h = geo.h_new
+    corr = observe("upCor", lambda: compute_corrections(ctx, h, geo.volume), "a", "b")
+    extras = observe(
+        "upBarEx",
+        lambda: compute_extras(
+            ctx, h, geo.volume, p.mass[idx], p.velocities[idx], p.pressure[idx], corr
+        ),
+        "rho", "grad_rho", "div_v", "grad_p",
+    )
+    p.rho[idx] = extras.rho
+    eos.update_thermodynamics(p)
+    return corr, extras.grad_w
+
+
+def hydro_force(
+    ctx: PairContext,
+    p: ParticleData,
+    idx: np.ndarray,
+    corr: CorrectionResult,
+    observe: KernelObserver,
+    grad_w: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """upBarAc -> upBarDu on the gas rows ``idx`` of ``p``: all-particle
+    (dv_dt, du_dt), zero on dark matter, and the max signal speed.
+    ``grad_w`` is :func:`hydro_state`'s when ``(ctx, h, corr)`` are the
+    ones it was evaluated on, else ``None``."""
+    h, volume, mass = p.hsml[idx], p.volume[idx], p.mass[idx]
+    pressure, vel = p.pressure[idx], p.velocities[idx]
+    accel = observe(
+        "upBarAc",
+        lambda: compute_acceleration(
+            ctx, h, volume, mass, p.rho[idx], pressure, p.cs[idx], vel, corr, grad_w
+        ),
+        "dv_dt",
+    )
+    energy = observe(
+        "upBarDu",
+        lambda: compute_energy_rate(ctx, volume, mass, pressure, vel, accel),
+        "du_dt",
+    )
+    dv_dt = np.zeros((len(p), 3))
+    du_dt = np.zeros(len(p))
+    dv_dt[idx] = accel.dv_dt
+    du_dt[idx] = energy.du_dt
+    return dv_dt, du_dt, accel.max_signal_speed
+
+
 class AdiabaticDriver:
     """Runs the adiabatic mini-app and records the workload trace.
 
@@ -194,8 +264,10 @@ class AdiabaticDriver:
             self.config.box, self.pm.split_scale, sr_cutoff
         )
         #: builds (and counts) the cell list of every pair query: one
-        #: per gravity evaluation, one per SPH pair context
+        #: per gravity evaluation, one per SPH pair context built
         self.pair_cache = CellListCache(self.config.box)
+        #: (box, positions, h, context) of the last gas state: see _gas_view
+        self._gas_context: tuple | None = None
         self.trace = WorkloadTrace()
         self.diagnostics: list[StepDiagnostics] = []
         #: completed steps of the configured schedule
@@ -284,100 +356,52 @@ class AdiabaticDriver:
             self._record_kernel(GRAVITY_KERNEL, n, pair_count / max(1, n), {"acc": acc})
         return acc
 
-    def _gas_view(self):
-        """Gas arrays + pair context for the hydro kernels.
+    def _gas_view(self) -> tuple[np.ndarray, PairContext]:
+        """Gas row indices and the pair context of the current gas state.
 
-        The cell list is binned over the gas positions alone, at the
-        SPH cutoff."""
-        p = self.particles
-        mask = p.species_mask(Species.BARYON)
-        idx = np.nonzero(mask)[0]
-        pos = p.positions[idx]
-        h = p.hsml[idx]
-        if len(idx) == 0:
-            return mask, idx, PairContext.build(pos, h, p.box)
-        _requested, cutoff = sph_cutoff(h, p.box)
-        cl = self.pair_cache.get(pos, cutoff)
-        ctx = PairContext.build(pos, h, p.box, cell_list=cl, metrics=self.metrics)
-        return mask, idx, ctx
-
-    def _hydro_rates(self, label_suffix: str = "") -> tuple[np.ndarray, np.ndarray, float]:
-        """One pass of the five-kernel hydro pipeline.
-
-        Returns per-gas-particle (dv_dt, du_dt, max_signal_speed) and
-        records the kernel invocations (with the F suffix for the
-        post-drift pass, reproducing the paper's doubled timers).
+        A context is a function of (positions, ``h``, box), and the
+        post-drift pass of one step and the opening pass of the next
+        see the same three: the last context is kept and returned when
+        they are equal *by value* (the key arrays are this method's own
+        copies), so a steady step builds one.  A restored or
+        rolled-back state simply misses.  The cell list is binned over
+        the gas positions alone, at the SPH cutoff.
         """
         p = self.particles
-        mask, idx, ctx = self._gas_view()
-        n_gas = len(idx)
-        per_item = ctx.mean_neighbors()
+        idx = np.nonzero(p.species_mask(Species.BARYON))[0]
+        pos, h = p.positions[idx], p.hsml[idx]
+        if self._gas_context is not None:
+            box, kept_pos, kept_h, ctx = self._gas_context
+            if (
+                box == p.box
+                and np.array_equal(kept_pos, pos)
+                and np.array_equal(kept_h, h)
+            ):
+                return idx, ctx
+            # dropped (this local too) before its successor is built
+            del ctx
+            self._gas_context = None
+        ctx = PairContext.build(
+            pos, h, p.box, cells=self.pair_cache, metrics=self.metrics
+        )
+        self._gas_context = (p.box, pos, h, ctx)
+        return idx, ctx
 
-        h = p.hsml[idx]
-        mass = p.mass[idx]
-        u = p.u[idx]
-        vel = p.velocities[idx]
-
-        if not label_suffix:
-            with self._kernel_span("upGeo"):
-                geo = compute_geometry(ctx, h)
-                self._record_kernel(
-                    "upGeo", n_gas, per_item, {"volume": geo.volume, "h_new": geo.h_new}
-                )
-            p.volume[idx] = geo.volume
-            p.hsml[idx] = geo.h_new
-            h = geo.h_new
-
-            with self._kernel_span("upCor"):
-                corr = compute_corrections(ctx, h, geo.volume)
-                self._record_kernel("upCor", n_gas, per_item, {"a": corr.a, "b": corr.b})
-            self._corr = corr
-
-            with self._kernel_span("upBarEx"):
-                extras = compute_extras(
-                    ctx, h, geo.volume, mass, vel, p.pressure[idx], corr
-                )
-                self._record_kernel(
-                    "upBarEx",
-                    n_gas,
-                    per_item,
-                    {
-                        "rho": extras.rho,
-                        "grad_rho": extras.grad_rho,
-                        "div_v": extras.div_v,
-                        "grad_p": extras.grad_p,
-                    },
-                )
-            p.rho[idx] = extras.rho
-            eos.update_thermodynamics(p)
-        else:
-            # post-drift pass reuses geometry/corrections (CRK-HACC's
-            # final kick re-evaluates only the force kernels)
-            corr = self._corr
-
-        volume = p.volume[idx]
-        rho = p.rho[idx]
-        pressure = p.pressure[idx]
-        cs = p.cs[idx]
-        with self._kernel_span("upBarAc" + label_suffix):
-            accel = compute_acceleration(
-                ctx, h, volume, mass, rho, pressure, cs, vel, corr
-            )
-            self._record_kernel(
-                "upBarAc" + label_suffix, n_gas, per_item, {"dv_dt": accel.dv_dt}
-            )
-
-        with self._kernel_span("upBarDu" + label_suffix):
-            energy = compute_energy_rate(ctx, volume, mass, pressure, vel, accel)
-            self._record_kernel(
-                "upBarDu" + label_suffix, n_gas, per_item, {"du_dt": energy.du_dt}
-            )
-
-        dv_full = np.zeros((len(p), 3))
-        du_full = np.zeros(len(p))
-        dv_full[idx] = accel.dv_dt
-        du_full[idx] = energy.du_dt
-        return dv_full, du_full, accel.max_signal_speed
+    def _observe(
+        self, suffix: str, ctx: PairContext, timer: str, evaluate, *outputs: str
+    ) -> Any:
+        """The driver's view of one kernel evaluation on ``ctx``: its
+        span, its launch record and the resilience hook on the fresh
+        ``outputs``, under ``timer + suffix`` ("F" for the post-drift
+        pass, reproducing the paper's doubled timers).  A method handed
+        out as a ``functools.partial``, not a closure over ``self``: a
+        frame keeps its function alive, and an exception raised by the
+        hook must not pin the driver."""
+        with self._kernel_span(timer + suffix):
+            result = evaluate()
+            live = {name: getattr(result, name) for name in outputs}
+            self._record_kernel(timer + suffix, ctx.n, ctx.mean_neighbors(), live)
+        return result
 
     # ------------------------------------------------------------------
     def cfl_subcycles(self, max_signal_speed: float, drift: float) -> int:
@@ -441,7 +465,15 @@ class AdiabaticDriver:
 
         # gravity half kick (gravity stays on the outer step)
         grav = self._gravity()
-        dv_h, du_h, sig = self._hydro_rates("")
+        idx, ctx = self._gas_view()
+        observe = functools.partial(self._observe, "", ctx)
+        # the post-drift passes reuse the coefficients (CRK-HACC's final
+        # kick re-evaluates only the force kernels); the per-pair
+        # gradient goes from upBarEx to this pass's upBarAc only
+        corr, grad_w = hydro_state(ctx, p, idx, observe)
+        dv_h, du_h, sig = hydro_force(ctx, p, idx, corr, observe, grad_w)
+        # no local outlives the kept context's replacement
+        del ctx, observe, grad_w
         n_sub = self.cfl_subcycles(sig, drift_total)
         self.last_subcycles = n_sub
 
@@ -456,7 +488,10 @@ class AdiabaticDriver:
         for _sub in range(n_sub):
             pos = p.positions + p.velocities * (drift_total / n_sub)
             p.set_positions(pos % p.box)
-            dv_h, du_h, _sig = self._hydro_rates("F")
+            idx, ctx = self._gas_view()
+            observe = functools.partial(self._observe, "F", ctx)
+            dv_h, du_h, _sig = hydro_force(ctx, p, idx, corr, observe)
+            del ctx, observe
             vel = p.velocities + dv_h * share
             p.set_velocities(vel)
             p.u[:] = np.maximum(p.u + du_h * share, 0.0)

@@ -455,6 +455,10 @@ def run_simulation(
             lead = min(completed)
             driver = final_drivers[lead]
             guard_warnings.extend(final_warnings.get(lead, []))
+            # the replicas go now, by reference count: every attempt's
+            # rank_fn shares this closure cell, and a failed attempt's
+            # is kept by its exceptions until the cyclic collector runs
+            final_drivers.clear()
             degraded = bool(failed) or bool(degradation_events)
             if degraded and metrics is not None:
                 metrics.counter("sim.resilience.degraded").inc()

@@ -1,6 +1,7 @@
 """Tests for standalone-kernel checkpoints (Section 7.2)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from repro.hacc.checkpoint import (
     run_standalone,
 )
 from repro.hacc.particles import Species
+from repro.hacc.sph.pairs import CutoffTruncationWarning
+from repro.hacc.timestep import TIMER_NAMES, AdiabaticDriver, SimulationConfig
 
 
 @pytest.fixture(scope="module")
@@ -146,11 +149,35 @@ class TestStandaloneRuns:
         with pytest.raises(ValueError):
             run_standalone(checkpoint, "subgrid_agn")
 
-    def test_standalone_matches_pipeline_volume(self, checkpoint):
-        # a standalone Geometry replay is deterministic
-        a = run_standalone(checkpoint, "geometry")["volume"]
-        b = run_standalone(checkpoint, "geometry")["volume"]
-        assert np.array_equal(a, b)
+    @pytest.fixture(scope="class")
+    def in_run(self):
+        """A checkpoint taken at a step boundary of an untruncated
+        cell-path run, and what ``kernel_hook`` hands out in the first
+        hydro pass of the step after it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CutoffTruncationWarning)
+            driver = AdiabaticDriver(
+                SimulationConfig(n_per_side=9, pm_mesh=36, n_steps=2, seed=7)
+            )
+            driver.advance()
+            taken = KernelCheckpoint.capture(driver.particles)
+            hooked = {}
+            driver.kernel_hook = lambda name, _step, outputs: hooked.update(
+                {name: {k: v.copy() for k, v in outputs.items()}}
+            )
+            driver.advance()
+        return taken, hooked
+
+    @pytest.mark.parametrize(
+        "kernel, timer", zip(STANDALONE_KERNELS, TIMER_NAMES), ids=STANDALONE_KERNELS
+    )
+    def test_standalone_matches_pipeline(self, in_run, kernel, timer):
+        # a replay computes what the application computes, bit for bit
+        taken, hooked = in_run
+        replayed = run_standalone(taken, kernel)
+        assert replayed.keys() == hooked[timer].keys()
+        for name, arr in replayed.items():
+            assert np.array_equal(arr, hooked[timer][name]), f"{kernel}/{name}"
 
     def test_acceleration_conserves_momentum(self, checkpoint):
         dv = run_standalone(checkpoint, "acceleration")["dv_dt"]

@@ -38,19 +38,6 @@ class TestFindPairs:
         i, j = find_pairs(pos, 10.0, 3.0)
         assert np.all(i != j)
 
-    def test_cross_pairs_against_other_set(self, rng):
-        a = rng.uniform(0, 10, (30, 3))
-        b = rng.uniform(0, 10, (40, 3))
-        i, j = find_pairs(a, 10.0, 2.0, pos_other=b)
-        assert i.max(initial=-1) < 30
-        assert j.max(initial=-1) < 40
-        # verify one pair by hand
-        if len(i):
-            half = 5.0
-            d = a[i[0]] - b[j[0]]
-            d = (d + half) % 10.0 - half
-            assert np.linalg.norm(d) < 2.0
-
     def test_excessive_cutoff_rejected(self, rng):
         with pytest.raises(ValueError):
             find_pairs(rng.uniform(0, 10, (5, 3)), 10.0, 6.0)
@@ -66,32 +53,9 @@ class TestFindPairs:
         i, j = find_pairs(pos, 10.0, 0.5)
         assert len(i) == 0
 
-    def test_cross_mode_drops_exact_coincidences_cell_path(self, rng):
-        # an i-particle exactly on top of a ghost/j-particle has r = 0,
-        # which divides by zero in every gather-style kernel downstream
-        a = rng.uniform(0, 10, (30, 3))
-        b = np.concatenate([a[:5], rng.uniform(0, 10, (20, 3))])
-        i, j = find_pairs(a, 10.0, 1.5, pos_other=b)  # cell path (6 cells)
-        assert len(i) > 0
-        d = a[i] - b[j]
-        d = (d + 5.0) % 10.0 - 5.0
-        assert np.all(np.einsum("ij,ij->i", d, d) > 0.0)
-        # the coincident copies must not appear as (k, k) pairs
-        for k in range(5):
-            assert not np.any((i == k) & (j == k))
-
-    def test_cross_mode_drops_exact_coincidences_bruteforce_path(self, rng):
-        a = rng.uniform(0, 10, (10, 3))
-        b = a.copy()  # every particle coincides with its ghost copy
-        i, j = find_pairs(a, 10.0, 4.0, pos_other=b)  # brute force (2 cells)
-        assert np.all(i != j)
-        d = a[i] - b[j]
-        d = (d + 5.0) % 10.0 - 5.0
-        assert np.all(np.einsum("ij,ij->i", d, d) > 0.0)
-
     def test_symmetric_mode_keeps_coincident_distinct_particles(self):
-        # symmetric mode is unchanged: coincident *distinct* particles
-        # are still within any cutoff (matching the brute-force oracle)
+        # coincident *distinct* particles are within any cutoff
+        # (matching the brute-force oracle)
         pos = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [5.0, 5.0, 5.0]])
         i, j = find_pairs(pos, 10.0, 1.0)
         assert set(zip(i.tolist(), j.tolist())) == {(0, 1), (1, 0)}
@@ -156,19 +120,15 @@ class TestFindPairsPropertyStyle:
             assert all((b, a) in pairs for a, b in pairs), cutoff
 
 
-def dense_oracle(pos, other, box, cutoff, symmetric):
+def dense_oracle(pos, box, cutoff):
     """The one-shot (n, n, 3) dense search ``_find_pairs_bruteforce``
     used before it went blocked; its pair *order* is the contract."""
     half = 0.5 * box
-    d = pos[:, None, :] - other[None, :, :]
+    d = pos[:, None, :] - pos[None, :, :]
     d = (d + half) % box - half
     r2 = np.einsum("abi,abi->ab", d, d)
-    mask = r2 < cutoff * cutoff
-    if symmetric:
-        i, j = np.nonzero(np.triu(mask, k=1))
-        return np.concatenate([i, j]), np.concatenate([j, i])
-    i, j = np.nonzero(mask & (r2 > 0.0))
-    return i, j
+    i, j = np.nonzero(np.triu(r2 < cutoff * cutoff, k=1))
+    return np.concatenate([i, j]), np.concatenate([j, i])
 
 
 class TestDenseSearch:
@@ -178,21 +138,18 @@ class TestDenseSearch:
     BOX, CUTOFF = 10.0, 3.5  # 2 cells per side: find_pairs goes dense
 
     @pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 700])
-    @pytest.mark.parametrize("symmetric", [True, False])
-    def test_same_pairs_in_same_order(self, n, symmetric):
+    @pytest.mark.parametrize("prebuilt", [True, False])
+    def test_same_pairs_in_same_order(self, n, prebuilt):
+        # the driver hands find_pairs a pre-built list, a bare call bins
+        # its own: either way the dense search answers, in oracle order
         rng = np.random.default_rng(n)
         pos = rng.uniform(0, self.BOX, (n, 3))
-        if symmetric:
-            other = pos
-            got = find_pairs(pos, self.BOX, self.CUTOFF)
-        else:
-            # j-side: coincident copies of some i-particles plus strangers
-            other = np.concatenate(
-                [pos[: n // 2], rng.uniform(0, self.BOX, (n // 3 + 1, 3))]
-            )
-            got = find_pairs(pos, self.BOX, self.CUTOFF, pos_other=other)
-        assert not CellList.build(other, self.BOX, self.CUTOFF).use_cells
-        want = dense_oracle(pos, other, self.BOX, self.CUTOFF, symmetric)
+        cl = CellList.build(pos, self.BOX, self.CUTOFF)
+        assert not cl.use_cells
+        got = find_pairs(
+            pos, self.BOX, self.CUTOFF, cell_list=cl if prebuilt else None
+        )
+        want = dense_oracle(pos, self.BOX, self.CUTOFF)
         for g, w in zip(got, want):
             assert g.dtype == np.int64
             assert np.array_equal(g, w)
@@ -208,7 +165,7 @@ class TestDenseSearch:
         pos = rng.uniform(0, self.BOX, (n, 3))
         assert CellList.build(pos, self.BOX, cutoff).use_cells
         got = np.column_stack(find_pairs(pos, self.BOX, cutoff))
-        want = np.column_stack(dense_oracle(pos, pos, self.BOX, cutoff, True))
+        want = np.column_stack(dense_oracle(pos, self.BOX, cutoff))
         assert len(want) > 0
         assert np.array_equal(got[np.lexsort(got.T)], want[np.lexsort(want.T)])
 
@@ -250,8 +207,6 @@ class TestCellList:
         for cutoff in (1.01, 4.9):
             with pytest.raises(ValueError, match="cannot answer cutoff"):
                 find_pairs(pos, 10.0, cutoff, cell_list=cl)
-            with pytest.raises(ValueError, match="cannot answer cutoff"):
-                find_pairs(pos[:5], 10.0, cutoff, pos_other=pos, cell_list=cl)
 
     def test_cutoff_an_ulp_above_the_cell_size_is_its_own(self):
         # box / floor(box / cutoff) rounds below the cutoff it was built for

@@ -108,11 +108,15 @@ def test_step_builds_one_cell_list_per_pair_query():
     driver.metrics = MetricsRegistry()
     schedule = driver.schedule()
     driver.step(float(schedule[0]), float(schedule[1]))
-    # a plain KDK step makes 4 pair queries: 2 gravity evaluations +
-    # 2 hydro passes, each on a list binned for its own positions
+    # a cold KDK step bins 4 lists: 2 gravity evaluations + 2 hydro
+    # passes, each for its own positions ...
     assert driver.pair_cache.builds == 4
+    driver.step(float(schedule[1]), float(schedule[2]))
+    # ... a steady one 3: hydro bins one list per particle state, and
+    # its opening pass sees the state the last post-drift pass left
+    assert driver.pair_cache.builds == 4 + 3
     counters = driver.metrics.snapshot()["counters"]
-    assert counters["sim.pairs.cell_list.builds"] == 4
+    assert counters["sim.pairs.cell_list.builds"] == 4 + 3
 
 
 class TestGravityMemo:

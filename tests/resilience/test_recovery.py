@@ -7,7 +7,9 @@ recover from the last checkpoint and finish with a clean validation
 report.
 """
 
+import gc
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -88,6 +90,36 @@ class TestRankKillRecovery:
         assert failed.dead_ranks == tuple(range(8))
         assert completed.outcome == "completed"
         assert completed.restarted_from_step == 1
+
+    def test_a_finished_run_keeps_only_its_result_driver(self, tmp_path, monkeypatch):
+        """The drivers of dead ranks, failed attempts and non-lead
+        replicas (each pinning what it memoised) are released by
+        reference count when ``run_simulation`` returns; they do not
+        wait for the cyclic collector."""
+        built = []
+        init = AdiabaticDriver.__init__
+
+        def tracked(self, *args, **kwargs):
+            built.append(weakref.ref(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AdiabaticDriver, "__init__", tracked)
+        gc.disable()
+        try:
+            result = run_simulation(
+                small_config(),
+                world_size=2,
+                timeout=10.0,
+                checkpoint_dir=tmp_path,
+                checkpoint_every=1,
+                fault_plan=FaultPlan.parse("kill:rank=1,step=1", seed=7),
+            )
+            alive = [ref() for ref in built if ref() is not None]
+        finally:
+            gc.enable()
+        assert [a.outcome for a in result.attempts] == ["failed", "completed"]
+        assert len(built) == 4  # two ranks, one restart
+        assert alive == [result.driver]
 
 
 @pytest.mark.timeout(120)
