@@ -86,9 +86,9 @@ def fof(
     n = len(pos)
     uf = UnionFind(n)
     i, j = find_pairs(pos, box, linking_length)
-    for a, b in zip(i.tolist(), j.tolist()):
-        if a < b:
-            uf.union(a, b)
+    half = len(i) // 2  # the canonical half: each unordered pair once
+    for a, b in zip(i[:half].tolist(), j[:half].tolist()):
+        uf.union(a, b)
     raw = uf.labels()
     return _catalog_from_labels(raw, min_members, noise=np.zeros(n, dtype=bool))
 
@@ -117,8 +117,9 @@ def dbscan(
     core = degree >= min_points
 
     uf = UnionFind(n)
-    for a, b in zip(i.tolist(), j.tolist()):
-        if a < b and core[a] and core[b]:
+    half = len(i) // 2
+    for a, b in zip(i[:half].tolist(), j[:half].tolist()):
+        if core[a] and core[b]:
             uf.union(a, b)
     raw = uf.labels()
 

@@ -137,10 +137,7 @@ class CellList:
         if not self.use_cells:
             return _find_pairs_bruteforce(self.pos, self.box, cutoff)
         gi, gj, n_self = self._stencil_candidates()
-        half = 0.5 * self.box
-        d = self.pos[gi] - self.pos[gj]
-        d = (d + half) % self.box - half
-        r2 = xp.rowwise_dot(d, d)
+        _d, r2 = pair_separations(self.pos, self.box, gi, gj)
         mask = r2 < cutoff * cutoff
         # cross-cell candidates already appear once per unordered pair;
         # only the self cell (first stencil offset) needs the index dedup
@@ -158,7 +155,7 @@ class CellListCache:
     ``sim.pairs.cell_list.builds`` counter when ``metrics`` is set).
     The class and its name stay because ``bench/layers.py`` times
     ``CellListCache.get`` and ``CellList.build`` by name and reads
-    ``use_cells`` off the ``cell_list=`` keyword the driver passes on.
+    ``use_cells`` off the ``cell_list=`` the gravity solver passes on.
     """
 
     def __init__(self, box: float, *, metrics=None):
@@ -180,14 +177,12 @@ def find_pairs(
     *,
     cell_list: CellList | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All directed pairs (i, j), i != j, with |x_i - x_j| < cutoff.
+    """All directed pairs (i, j), i != j, with minimum-image |x_i - x_j| < cutoff.
 
     The symmetric list is a canonical half and its mirror: the cutoff is
     decided once per unordered pair and, with ``half = len(i) // 2``,
     ``i[half:] == j[:half]`` and ``j[half:] == i[:half]`` on both search
-    paths (:class:`~repro.hacc.sph.pairs.PairContext` relies on it).
-
-    Periodic minimum-image convention throughout.
+    paths; ``PairContext``, short-range gravity and FOF/DBSCAN rely on it.
 
     ``cell_list``, when given, must be the :class:`CellList` of ``pos``
     -- same box, same positions by value, cells at least ``cutoff``
@@ -212,6 +207,15 @@ def find_pairs(
     elif not np.array_equal(cell_list.pos, pos):
         raise ValueError("cell list was binned over other positions")
     return cell_list.pairs_within(cutoff)
+
+
+def pair_separations(pos, box, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-image ``x_i - x_j`` of the index pairs ``(i, j)`` and its
+    squared length: the one separation routine of every pair consumer."""
+    half = 0.5 * box
+    d = pos[i] - pos[j]
+    d = (d + half) % box - half
+    return d, xp.rowwise_dot(d, d)
 
 
 #: rows per block of the dense search; its largest temporaries are

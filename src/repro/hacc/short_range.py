@@ -8,9 +8,9 @@ kernel is
 
 HACC does not evaluate erfc in the inner loop: it uses a fitted
 polynomial of the scaled separation (the ``HACC_CUDA_POLY_ORDER=5``
-build flag in the paper's Appendix A).  We reproduce both: the exact
-kernel, and a degree-5 polynomial fit in r^2 used by the GPU-style
-path, with tests pinning the fit error.
+build flag in the paper's Appendix A), and so does the solver: a
+degree-5 fit in r^2 is the only kernel it runs.  The exact kernel is
+the fit's target and the tests' reference, not a run-time path.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from scipy import special
 
 from repro import xp
-from repro.hacc.neighbors import CellList, find_pairs
+from repro.hacc.neighbors import CellList, CellListCache, find_pairs, pair_separations
 from repro.hacc.particles import ParticleData
 from repro.hacc.units import G_NEWTON
 
@@ -90,7 +90,7 @@ class _StateMemo:
     positions: np.ndarray
     i: np.ndarray
     j: np.ndarray
-    force_key: tuple[float, float, bool] | None = None
+    force_key: tuple[float, float] | None = None
     mass: np.ndarray | None = None
     acc: np.ndarray | None = None
 
@@ -122,7 +122,6 @@ class ShortRangeSolver:
         if (
             memo is not None
             and memo.search_key == (self.box, self.cutoff)
-            and memo.positions.shape == pos.shape
             and np.array_equal(memo.positions, pos)
         ):
             return memo
@@ -136,8 +135,7 @@ class ShortRangeSolver:
         Repeated calls at identical positions (the accelerations /
         interaction-count pattern of one force evaluation) reuse the
         stored list; ``cell_list``, when given, must be the cell list
-        of these positions at the solver's cutoff (see
-        :func:`~repro.hacc.neighbors.find_pairs`).
+        of these positions at the solver's cutoff (see ``find_pairs``).
         """
         pos = particles.positions
         memo = self._memo_at(pos)
@@ -147,21 +145,19 @@ class ShortRangeSolver:
         return memo.i, memo.j
 
     def accelerations(
-        self,
-        particles: ParticleData,
-        *,
-        use_polynomial: bool = True,
-        cell_list: CellList | None = None,
+        self, particles: ParticleData, *, cells: CellListCache | None = None
     ) -> np.ndarray:
         """(n, 3) short-range comoving accelerations.
 
         Memoised per state like :meth:`pair_list`; the caller always
         gets an array of its own, so mutating it (a fault-injecting
-        kernel hook does) cannot reach the next evaluation.
+        kernel hook does) cannot reach the next evaluation.  ``cells``
+        (the driver's counted source) is binned only for a state with
+        no pair list yet; the result is the same without it.
         """
         pos = particles.positions
         mass = particles.mass
-        force_key = (self.r_s, self.softening, bool(use_polynomial))
+        force_key = (self.r_s, self.softening)
         memo = self._memo_at(pos)
         if (
             memo is not None
@@ -169,30 +165,31 @@ class ShortRangeSolver:
             and np.array_equal(memo.mass, mass)
         ):
             return memo.acc.copy()
-        acc = self._evaluate(particles, pos, mass, use_polynomial, cell_list)
+        searches = memo is None and cells is not None
+        cell_list = cells.get(pos, self.cutoff) if searches else None
+        acc = self._evaluate(pos, mass, *self.pair_list(particles, cell_list=cell_list))
         memo = self._memo  # this state's: pair_list found or stored it
         memo.force_key, memo.mass, memo.acc = force_key, mass.copy(), acc.copy()
         return acc
 
-    def _evaluate(self, particles, pos, mass, use_polynomial, cell_list) -> np.ndarray:
-        """The direct sum over the (memoised) pair list."""
-        n = len(particles)
-        i, j = self.pair_list(particles, cell_list=cell_list)
-        acc = np.zeros((n, 3), dtype=np.asarray(pos).dtype)
-        if len(i) == 0:
-            return acc
-        d = pos[i] - pos[j]
-        d = particles.minimum_image(d)
-        r2 = xp.rowwise_dot(d, d) + self.softening**2
+    def _evaluate(self, pos, mass, i, j) -> np.ndarray:
+        """The direct sum, one evaluation per unordered pair: the
+        canonical half is evaluated and each mirror row (see
+        ``find_pairs``) takes the negated force, antisymmetric bitwise."""
+        n, half = len(pos), len(i) // 2
+        ih, jh = i[:half], j[:half]
+        d, r2 = pair_separations(pos, self.box, ih, jh)
+        r2 += self.softening**2
         r = xp.sqrt(r2)
-        factor = self.kernel(r) if use_polynomial else exact_short_range_factor(r, self.r_s)
-        # attraction of i toward j
-        f = -G_NEWTON * mass[j] * factor / (r2 * r)
-        contrib = f[:, None] * d
+        a = G_NEWTON * self.kernel(r) / (r2 * r)
+        # attraction of i toward j: -m_j a d on row k, +m_i a d on its mirror
+        f = xp.concatenate([-mass[jh] * a, mass[ih] * a])
+        acc = np.zeros((n, 3), dtype=pos.dtype)
         # per-axis bincount scatter: a particle's terms add in pair-list
         # order, so equal pair lists give bit-equal accelerations
         for axis in range(3):
-            acc[:, axis] = xp.bincount(i, weights=contrib[:, axis], minlength=n)
+            weights = f * xp.concatenate([d[:, axis], d[:, axis]])
+            acc[:, axis] = xp.bincount(i, weights=weights, minlength=n)
         return acc
 
     def interaction_count(self, particles: ParticleData) -> int:

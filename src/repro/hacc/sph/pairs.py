@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import xp
-from repro.hacc.neighbors import CellListCache, find_pairs
+from repro.hacc.neighbors import CellListCache, find_pairs, pair_separations
 from repro.hacc.sph.kernels_math import SUPPORT, cubic_spline, cubic_spline_gradient
 
 #: largest cutoff the minimum-image pair search admits, as a fraction
@@ -136,9 +136,8 @@ class PairContext:
         idx_i, idx_j = find_pairs(pos, box, cutoff, cell_list=cell_list)
         # geometry of the canonical half only; the mirror is its negation
         half = len(idx_i) // 2
-        d = pos[idx_i[:half]] - pos[idx_j[:half]]
-        d = (d + 0.5 * box) % box - 0.5 * box
-        r = xp.sqrt(xp.rowwise_dot(d, d))
+        d, r2 = pair_separations(pos, box, idx_i[:half], idx_j[:half])
+        r = xp.sqrt(r2)
         dx, r = xp.concatenate([d, -d]), xp.concatenate([r, r])
         return cls(i=idx_i, j=idx_j, dx=dx, r=r, n=len(pos))
 

@@ -263,8 +263,8 @@ class AdiabaticDriver:
         self.short_range = ShortRangeSolver(
             self.config.box, self.pm.split_scale, sr_cutoff
         )
-        #: builds (and counts) the cell list of every pair query: one
-        #: per gravity evaluation, one per SPH pair context built
+        #: builds (and counts) the cell list of every pair search: one
+        #: per gravity state searched, one per SPH pair context built
         self.pair_cache = CellListCache(self.config.box)
         #: (box, positions, h, context) of the last gas state: see _gas_view
         self._gas_context: tuple | None = None
@@ -348,8 +348,7 @@ class AdiabaticDriver:
         """Total gravitational acceleration; records the GPU kernel."""
         with self._kernel_span(GRAVITY_KERNEL):
             acc = self.pm.accelerations(self.particles)  # host-side FFT
-            cl = self.pair_cache.get(self.particles.positions, self.short_range.cutoff)
-            acc += self.short_range.accelerations(self.particles, cell_list=cl)
+            acc += self.short_range.accelerations(self.particles, cells=self.pair_cache)
             n = len(self.particles)
             # reuses the memoised pair list the accelerations just built
             pair_count = self.short_range.interaction_count(self.particles)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.hacc.neighbors import CellList, CellListCache, find_pairs
 from repro.hacc.particles import ParticleData
 from repro.hacc.pm import PMConfig, PMSolver
 from repro.hacc.short_range import (
@@ -19,6 +20,35 @@ def two_body(box=20.0, sep=1.0):
     p.set_positions(np.array([[10.0, 10.0, 10.0], [10.0 + sep, 10.0, 10.0]]))
     p.arrays["mass"][:] = 1.0e10
     return p
+
+
+def exact_direct_sum(solver, p):
+    """The short-range force with the exact kernel S(r), pair by pair:
+    the reference the fitted kernel is held to."""
+    acc = np.zeros((len(p), 3))
+    i, j = find_pairs(p.positions, solver.box, solver.cutoff)
+    for a, b in zip(i.tolist(), j.tolist()):
+        d = p.minimum_image(p.positions[a] - p.positions[b])
+        r2 = d @ d + solver.softening**2
+        r = np.sqrt(r2)
+        s = exact_short_range_factor(r, solver.r_s)
+        acc[a] -= G_NEWTON * p.mass[b] * s / (r2 * r) * d
+    return acc
+
+
+def full_list_oracle(solver, p):
+    """The retired evaluation: both halves of the directed list, the
+    mirror row with its own minimum-image wrap."""
+    i, j = find_pairs(p.positions, solver.box, solver.cutoff)
+    d = p.minimum_image(p.positions[i] - p.positions[j])
+    r2 = np.einsum("ij,ij->i", d, d) + solver.softening**2
+    r = np.sqrt(r2)
+    f = -G_NEWTON * p.mass[j] * solver.kernel(r) / (r2 * r)
+    contrib = f[:, None] * d
+    return np.stack(
+        [np.bincount(i, weights=contrib[:, a], minlength=len(p)) for a in range(3)],
+        axis=1,
+    )
 
 
 class TestShortRangeFactor:
@@ -59,12 +89,14 @@ class TestShortRangeSolver:
     def test_two_body_force_matches_filtered_newton(self):
         p = two_body(sep=0.5)
         solver = ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0, softening=1e-4)
-        acc = solver.accelerations(p, use_polynomial=False)
+        exact = exact_direct_sum(solver, p)
         r = 0.5
         expected = G_NEWTON * 1.0e10 / r**2 * exact_short_range_factor(
             np.array([r]), 1.0
         )[0]
-        assert abs(acc[0, 0]) == pytest.approx(expected, rel=1e-3)
+        assert abs(exact[0, 0]) == pytest.approx(expected, rel=1e-3)
+        acc = solver.accelerations(p)
+        assert acc[0, 0] == pytest.approx(exact[0, 0], rel=2e-2)
         # attraction: particle 0 pulled toward +x
         assert acc[0, 0] > 0 and acc[1, 0] < 0
 
@@ -83,8 +115,8 @@ class TestShortRangeSolver:
         p.set_positions(rng.uniform(5, 15, (30, 3)))
         p.arrays["mass"][:] = 1e10
         solver = ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0)
-        a_poly = solver.accelerations(p, use_polynomial=True)
-        a_exact = solver.accelerations(p, use_polynomial=False)
+        a_poly = solver.accelerations(p)
+        a_exact = exact_direct_sum(solver, p)
         denom = np.abs(a_exact).max()
         assert np.allclose(a_poly, a_exact, atol=2e-2 * denom)
 
@@ -119,17 +151,71 @@ class TestShortRangeSolver:
         assert len(calls) == 2
 
     def test_accelerations_accept_shared_cell_list(self, rng):
-        from repro.hacc.neighbors import CellList
-
         p = ParticleData.allocate(30, box=20.0)
         p.set_positions(rng.uniform(2, 18, (30, 3)))
         p.arrays["mass"][:] = rng.uniform(1e9, 1e10, 30)
         solver = ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0)
         plain = solver.accelerations(p)
         solver.clear_memo()
-        cl = CellList.build(p.positions, p.box, 3.0)
-        shared = solver.accelerations(p, cell_list=cl)
-        assert np.allclose(plain, shared)
+        cells = CellListCache(p.box)
+        shared = solver.accelerations(p, cells=cells)
+        assert cells.builds == 1
+        assert np.array_equal(plain, shared)
+
+
+class TestPairContract:
+    """One evaluation per unordered pair: the canonical half of the
+    directed list is evaluated and its mirror gets the negated force."""
+
+    @staticmethod
+    def scattered(rng, n, box):
+        p = ParticleData.allocate(n, box=box)
+        p.set_positions(rng.uniform(0, box, (n, 3)))
+        p.arrays["mass"][:] = rng.uniform(1e9, 1e10, n)
+        return p
+
+    def test_boundary_pairs_are_antisymmetric_bitwise(self, rng):
+        # 100 isolated equal-mass pairs, each straddling the x = 0 face,
+        # in the benchmark's 12-per-side box (a second minimum-image
+        # wrap of the mirror row is not its negation there): a
+        # particle's acceleration is its one pair force
+        box, k = 4.1484375, np.arange(100)
+        unit = box / 40.0
+        centre = np.column_stack([4.0 * (k // 10) + 2.0, 4.0 * (k % 10) + 2.0])
+        a = np.column_stack(
+            [40.0 - rng.uniform(0.05, 1.2, 100), centre + rng.uniform(-0.4, 0.4, (100, 2))]
+        )
+        b = np.column_stack(
+            [rng.uniform(0.05, 1.2, 100), centre + rng.uniform(-0.4, 0.4, (100, 2))]
+        )
+        p = ParticleData.allocate(200, box=box)
+        p.set_positions(np.concatenate([a, b]) * unit)
+        p.arrays["mass"][:] = 1e10
+        solver = ShortRangeSolver(box, r_s=unit, cutoff=3.0 * unit)
+        assert solver.interaction_count(p) == 200
+        acc = solver.accelerations(p)
+        assert np.all(acc[:100, 0] > 0)  # pulled across the face
+        assert np.array_equal(acc[100:], -acc[:100])
+
+    @pytest.mark.parametrize("cutoff", [3.0, 7.0], ids=["cell", "dense"])
+    def test_matches_the_full_list_evaluation(self, rng, cutoff):
+        p = self.scattered(rng, 400, 20.0)
+        solver = ShortRangeSolver(p.box, r_s=1.0, cutoff=cutoff)
+        assert CellList.build(p.positions, p.box, cutoff).use_cells == (cutoff == 3.0)
+        acc = solver.accelerations(p)
+        oracle = full_list_oracle(solver, p)
+        assert np.abs(acc - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_one_kernel_evaluation_of_the_canonical_half_per_miss(self, rng):
+        p = self.scattered(rng, 300, 20.0)
+        solver = ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0)
+        rows = []
+        fitted = solver.kernel
+        solver.kernel = lambda r: rows.append(len(r)) or fitted(r)
+        solver.accelerations(p)
+        assert rows == [solver.interaction_count(p) // 2]
+        solver.accelerations(p)
+        assert len(rows) == 1
 
 
 class TestStateMemo:
@@ -144,11 +230,11 @@ class TestStateMemo:
         return p, ShortRangeSolver(p.box, r_s=1.0, cutoff=3.0)
 
     @staticmethod
-    def fresh(solver, p, **kwargs):
+    def fresh(solver, p):
         clean = ShortRangeSolver(
             solver.box, solver.r_s, solver.cutoff, softening=solver.softening
         )
-        return clean.accelerations(p, **kwargs)
+        return clean.accelerations(p)
 
     def test_hit_skips_the_scatter_and_is_bit_equal(self, rng, monkeypatch):
         from repro import xp
@@ -195,13 +281,16 @@ class TestStateMemo:
         clean.cutoff = 1.5
         assert np.array_equal(solver.accelerations(p), clean.accelerations(p))
 
-    def test_misses_when_kernel_variant_changes(self, rng):
+    def test_bins_only_when_it_searches(self, rng):
         p, solver = self.case(rng)
-        poly = solver.accelerations(p, use_polynomial=True)
-        exact = solver.accelerations(p, use_polynomial=False)
-        assert not np.array_equal(poly, exact)
-        assert np.array_equal(exact, self.fresh(solver, p, use_polynomial=False))
-        assert np.array_equal(solver.accelerations(p, use_polynomial=True), poly)
+        cells = CellListCache(p.box)
+        solver.accelerations(p, cells=cells)
+        assert cells.builds == 1
+        solver.accelerations(p, cells=cells)  # force memo hit
+        assert cells.builds == 1
+        p.arrays["mass"][:] *= 2.0  # force miss on a memoised pair list
+        assert np.array_equal(solver.accelerations(p, cells=cells), self.fresh(solver, p))
+        assert cells.builds == 1
 
     def test_corrupting_the_result_does_not_poison_the_memo(self, rng):
         p, solver = self.case(rng)

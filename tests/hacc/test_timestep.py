@@ -112,11 +112,12 @@ def test_step_builds_one_cell_list_per_pair_query():
     # passes, each for its own positions ...
     assert driver.pair_cache.builds == 4
     driver.step(float(schedule[1]), float(schedule[2]))
-    # ... a steady one 3: hydro bins one list per particle state, and
-    # its opening pass sees the state the last post-drift pass left
-    assert driver.pair_cache.builds == 4 + 3
+    # ... a steady one 2: gravity and hydro each bin one list per
+    # particle state, and the opening passes see the state the last
+    # step's closing passes left
+    assert driver.pair_cache.builds == 4 + 2
     counters = driver.metrics.snapshot()["counters"]
-    assert counters["sim.pairs.cell_list.builds"] == 4 + 3
+    assert counters["sim.pairs.cell_list.builds"] == 4 + 2
 
 
 class TestGravityMemo:

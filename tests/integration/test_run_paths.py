@@ -228,10 +228,10 @@ def test_a_step_evaluates_once_per_particle_state(counted_steps):
     """The post-drift pass of step k and the opening pass of step k+1
     see one gas state and share one pair context; the opening pass
     evaluates ∇W^R once (``upBarEx`` hands it to ``upBarAc``), the
-    post-drift pass once more.  Gravity bins twice a step (its memo
-    keeps the force, not the cell list)."""
+    post-drift pass once more.  Gravity bins once a step: its opening
+    evaluation is a force-memo hit, which searches nothing."""
     _driver, per_step = counted_steps
-    assert per_step == [(2, 4, 2), (1, 3, 2), (1, 3, 2)]
+    assert per_step == [(2, 4, 2), (1, 2, 2), (1, 2, 2)]
 
 
 def test_workload_trace_is_the_one_hydro_rates_recorded(counted_steps):
