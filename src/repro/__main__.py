@@ -100,7 +100,7 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
         if bad:
             print(f"error: {message}")
             return 2, None, None
-    config = SimulationConfig.scaled(opts.n, n_steps=opts.steps)
+    config = SimulationConfig(n_per_side=opts.n, n_steps=opts.steps)
     print(
         f"2x {opts.n}^3 particles, box {config.box:.2f} Mpc/h, "
         f"{opts.steps} steps z={config.z_initial:.0f} -> {config.z_final:.0f}"

@@ -26,7 +26,7 @@ DEFAULT_N_PER_SIDE = 8
 
 def workload_config(n_per_side: int = DEFAULT_N_PER_SIDE) -> SimulationConfig:
     """The paper's test problem at reproduction scale."""
-    return SimulationConfig.scaled(n_per_side, n_steps=5)
+    return SimulationConfig(n_per_side=n_per_side, n_steps=5)
 
 
 @lru_cache(maxsize=4)

@@ -106,30 +106,23 @@ class SimulationConfig:
     z_final: float = 50.0
     n_steps: int = 5
     seed: int = 2023
-    pm_mesh: int = 16
+    #: PM mesh cells per side; ``None`` is four per particle spacing,
+    #: the knee of the measured step time (a 1.4-spacing short-range
+    #: cutoff: never clamped, and a cell search from 6 per side up)
+    pm_mesh: int | None = None
     #: CFL number for the hydro time-step criterion
     cfl_number: float = 0.25
     #: cap on CFL-driven hydro substeps per gravity step (HACC's stepping
     #: structure); 1 is the paper's five-step adiabatic run
     max_subcycles: int = 1
 
+    def __post_init__(self):
+        if self.pm_mesh is None:
+            object.__setattr__(self, "pm_mesh", 4 * self.n_per_side)
+
     @property
     def box(self) -> float:
         return 177.0 * self.n_per_side / 512.0
-
-    @classmethod
-    def scaled(
-        cls, n_per_side: int, *, n_steps: int = 5, seed: int = 2023
-    ) -> "SimulationConfig":
-        """The test problem at ``n_per_side``, with the PM mesh sized to
-        the particle grid -- the one mesh rule of the CLI, the service
-        and the experiment workload."""
-        return cls(
-            n_per_side=n_per_side,
-            pm_mesh=max(8, n_per_side),
-            n_steps=n_steps,
-            seed=seed,
-        )
 
     def ic_config(self) -> ICConfig:
         return ICConfig(
@@ -246,8 +239,8 @@ class AdiabaticDriver:
             particles = zeldovich_ics(self.config.ic_config(), self.cosmology)
         self.particles = particles
         self.pm = PMSolver(self.config.box, PMConfig(n_mesh=self.config.pm_mesh))
-        # the minimum-image pair search requires cutoff < box/2; coarse
-        # meshes (pm_mesh < 13) clamp the short-range cutoff accordingly
+        # the minimum-image pair search requires cutoff < box/2; explicit
+        # coarse meshes (pm_mesh < 13) clamp the short-range cutoff
         sr_cutoff = min(self.pm.cutoff, 0.45 * self.config.box)
         #: the clamp fired and no metrics registry has counted it yet
         self._truncation_uncounted = sr_cutoff < self.pm.cutoff

@@ -423,8 +423,8 @@ class SimulationService:
     # -- drivers, checkpoints, inputs ----------------------------------
     @staticmethod
     def _sim_config(spec: JobSpec) -> SimulationConfig:
-        return SimulationConfig.scaled(
-            spec.n_per_side, n_steps=spec.n_steps, seed=spec.seed
+        return SimulationConfig(
+            n_per_side=spec.n_per_side, n_steps=spec.n_steps, seed=spec.seed
         )
 
     def _build_driver(self, job: Job) -> AdiabaticDriver:

@@ -43,7 +43,7 @@ class TestFindPairs:
             find_pairs(rng.uniform(0, 10, (5, 3)), 10.0, 6.0)
 
     def test_bruteforce_path_for_small_boxes(self, rng):
-        # cutoff big enough that fewer than 3 cells fit per side
+        # cutoff big enough that fewer than 4 cells fit per side
         pos = rng.uniform(0, 10, (40, 3))
         i, j = find_pairs(pos, 10.0, 4.0)
         assert set(zip(i.tolist(), j.tolist())) == brute_force_pairs(pos, 10.0, 4.0)
@@ -95,11 +95,18 @@ class TestFindPairsPropertyStyle:
         self.assert_exact(pos, 10.0, 2.0)
 
     def test_n_cells_exactly_three(self, rng):
-        # box / cutoff in [3, 4): the smallest box where the stencil
-        # path (use_cells) engages
+        # box / cutoff in [3, 4): the half stencil would scan every pair
+        # of the box, so the dense search answers
         pos = rng.uniform(0, 10, (150, 3))
         cl = self.assert_exact(pos, 10.0, 10.0 / 3.2)
-        assert cl.use_cells and cl.n_cells == 3
+        assert not cl.use_cells and cl.n_cells == 3
+
+    def test_n_cells_exactly_four(self, rng):
+        # box / cutoff in [4, 5): the smallest box where the stencil
+        # path (use_cells) engages
+        pos = rng.uniform(0, 10, (150, 3))
+        cl = self.assert_exact(pos, 10.0, 10.0 / 4.2)
+        assert cl.use_cells and cl.n_cells == 4
 
     def test_asymmetric_wrap_canonical_direction(self):
         # a pair straddling the periodic seam at a separation within a

@@ -417,13 +417,13 @@ def per_pair_moment_gradients_oracle(ctx, h, volume):
 @functools.cache
 def _mirror_configs():
     rng = np.random.default_rng(23)
-    glass9 = glass_state(n_side=9, box=9.0)[0]
+    glass11 = glass_state(n_side=11, box=11.0)[0]
     cloud = rng.uniform(0, 4.0, (40, 3))
     return {
-        # 9 per side at h = SPH_ETA * spacing: 3 cells per side
-        "cell path": (glass9, 9.0, SPH_ETA, True),
+        # 11 per side at h = SPH_ETA * spacing: 4 cells per side
+        "cell path": (glass11, 11.0, SPH_ETA, True),
         "cell path, coincident": (
-            np.concatenate([glass9, glass9[:50]]), 9.0, SPH_ETA, True
+            np.concatenate([glass11, glass11[:50]]), 11.0, SPH_ETA, True
         ),
         "dense path": (cloud, 4.0, 0.9, False),
         "dense path, coincident": (

@@ -1,5 +1,8 @@
 """Tests for the adiabatic driver (the dynamical time stepper)."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,36 @@ class TestSimulationConfig:
         assert c.z_initial == 200.0
         assert c.z_final == 50.0
         assert c.n_steps == 5
+
+
+class TestPMMeshRule:
+    """``pm_mesh=None`` is four mesh cells per particle spacing."""
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_default_mesh_is_unclamped_and_searched_by_cells(self, n):
+        from repro.hacc.neighbors import CellList
+        from repro.hacc.sph.pairs import CutoffTruncationWarning
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CutoffTruncationWarning)
+            driver = AdiabaticDriver(SimulationConfig(n_per_side=n))
+        assert driver.config.pm_mesh == 4 * n
+        assert driver.short_range.cutoff == driver.pm.cutoff
+        cells = CellList.build(
+            driver.particles.positions, driver.config.box, driver.short_range.cutoff
+        )
+        assert cells.use_cells is (n >= 6)
+
+    def test_resolved_mesh_is_the_explicit_one(self):
+        from repro.core.confighash import config_hash
+
+        derived = SimulationConfig(n_per_side=12)
+        explicit = SimulationConfig(n_per_side=12, pm_mesh=48)
+        assert derived == explicit and hash(derived) == hash(explicit)
+        assert config_hash(derived) == config_hash(explicit)
+        assert dataclasses.asdict(derived)["pm_mesh"] == 48
+        # an explicit mesh wins
+        assert SimulationConfig(n_per_side=12, pm_mesh=16).pm_mesh == 16
 
 
 class TestWorkloadTrace:
@@ -224,7 +257,9 @@ class TestShortRangeCutoffClamp:
         driver.run()
         assert driver.metrics.counter("sim.pairs.cutoff_truncated").value == 1
 
-    @pytest.mark.parametrize("pm_mesh", [16, 48])  # grav_default, hydro_fine
+    @pytest.mark.parametrize(
+        "pm_mesh", [None, 48], ids=["default", "48"]  # grav_default, hydro_fine
+    )
     def test_benchmark_configs_are_not_clamped(self, pm_mesh, recwarn):
         from repro.hacc.sph.pairs import CutoffTruncationWarning
 

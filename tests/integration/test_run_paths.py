@@ -33,9 +33,9 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.hacc.sph.pairs.CutoffTruncationWarning"
 )
 
-#: the small config of tests/resilience (== ``SimulationConfig.scaled(5,
-#: n_steps=3)``, which is what lets the service arm run it)
-CONFIG = SimulationConfig(n_per_side=5, pm_mesh=8, n_steps=3)
+#: the size of tests/resilience's small config at the derived PM mesh,
+#: which is what lets the service arm run it
+CONFIG = SimulationConfig(n_per_side=5, n_steps=3)
 FIELDS = (
     "a",
     "kinetic_energy",
@@ -92,13 +92,13 @@ def _two_ranks():
 
 
 def _service_job():
-    assert SimulationConfig.scaled(5, n_steps=3) == CONFIG
+    spec = JobSpec(n_per_side=CONFIG.n_per_side, n_steps=CONFIG.n_steps)
+    assert SimulationService._sim_config(spec) == CONFIG
 
     async def submit():
         service = SimulationService(ServiceConfig(workers=1))
         await service.start()
         try:
-            spec = JobSpec(n_per_side=CONFIG.n_per_side, n_steps=CONFIG.n_steps)
             return await (await service.submit(spec)).future
         finally:
             await service.shutdown()
@@ -120,11 +120,11 @@ def test_every_run_path_ends_in_the_hand_stepped_state(arm, hand_stepped):
 
 
 def test_cell_path_state_does_not_depend_on_search_history():
-    """At 9 per side SPH takes the cell search, whose pair order (hence
-    every segment sum) must be a function of the state alone: a
-    checkpoint hop, a dropped force memo or a pair context rebuilt for
-    every pass ends in the same bits."""
-    config = SimulationConfig(n_per_side=9, n_steps=3, seed=7)
+    """At 11 per side SPH takes the cell search (gravity does from 6),
+    whose pair order (hence every segment sum) must be a function of the
+    state alone: a checkpoint hop, a dropped force memo or a pair context
+    rebuilt for every pass ends in the same bits."""
+    config = SimulationConfig(n_per_side=11, n_steps=3, seed=7)
 
     straight = AdiabaticDriver(config)
     straight.run()
@@ -148,6 +148,7 @@ def test_cell_path_state_does_not_depend_on_search_history():
     gas = p.species_mask(Species.BARYON)
     _requested, cutoff = sph_cutoff(p.hsml[gas], p.box)
     assert CellList.build(p.positions[gas], p.box, cutoff).use_cells
+    assert CellList.build(p.positions, p.box, straight.short_range.cutoff).use_cells
     assert state_sha256(hopped) == state_sha256(straight)
     assert state_sha256(forgetful) == state_sha256(straight)
     assert state_sha256(contextless) == state_sha256(straight)
