@@ -68,7 +68,7 @@ def test_bench_acceleration_kernel(benchmark):
 
 def test_bench_single_timestep(benchmark):
     def one_step():
-        driver = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8))
+        driver = AdiabaticDriver(SimulationConfig(n_per_side=6))
         schedule = driver.cosmology.step_schedule(
             driver.config.z_initial, driver.config.z_final, driver.config.n_steps
         )

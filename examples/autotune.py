@@ -30,7 +30,7 @@ def main() -> None:
     # the standalone-checkpoint deep dive for the heaviest kernel
     print("Standalone exploration: Acceleration on Aurora (Section 7.2)")
     print("=" * 72)
-    driver = AdiabaticDriver(SimulationConfig(n_per_side=8, pm_mesh=8, n_steps=2))
+    driver = AdiabaticDriver(SimulationConfig(n_per_side=8, n_steps=2))
     driver.run()
     checkpoint = KernelCheckpoint.capture(driver.particles)
     for device in all_devices():

@@ -32,7 +32,7 @@ N_RANKS = 8
 
 
 def main() -> None:
-    config = SimulationConfig(n_per_side=6, pm_mesh=8, n_steps=3)
+    config = SimulationConfig(n_per_side=6, n_steps=3)
 
     plan = FaultPlan.parse("kill:rank=3,step=1;kill:rank=5,step=2", seed=7)
     print("Fault plan:")

@@ -31,7 +31,7 @@ N_RANKS = 8
 
 
 def main() -> None:
-    config = SimulationConfig(n_per_side=6, pm_mesh=8, n_steps=3)
+    config = SimulationConfig(n_per_side=6, n_steps=3)
 
     # the hostile schedule: one fault of each flavour
     plan = FaultPlan.parse(

@@ -42,7 +42,7 @@ LEAK = "leak:step=3,rate=0.12,count=3"
 
 
 def main() -> None:
-    config = SimulationConfig(n_per_side=6, pm_mesh=8, n_steps=8)
+    config = SimulationConfig(n_per_side=6, n_steps=8)
     plan = FaultPlan.parse(LEAK)
     print("Fault plan:")
     print("  " + plan.describe().replace("\n", "\n  "))

@@ -25,7 +25,7 @@ from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 
 
 def main() -> None:
-    config = SimulationConfig(n_per_side=10, pm_mesh=10)
+    config = SimulationConfig(n_per_side=10)
     cosmo = Cosmology()
     driver = AdiabaticDriver(config, cosmo)
     linear = PowerSpectrum(cosmo)

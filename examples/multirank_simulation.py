@@ -30,7 +30,7 @@ N_RANKS = 8
 
 def main() -> None:
     # global problem: 2x 12^3 particles (box scaled for mass resolution)
-    config = SimulationConfig(n_per_side=12, pm_mesh=12, n_steps=3)
+    config = SimulationConfig(n_per_side=12, n_steps=3)
     particles = zeldovich_ics(config.ic_config())
     print(
         f"Global load: {len(particles)} particles "

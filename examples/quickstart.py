@@ -19,7 +19,7 @@ from repro.proglang.model import CompileError, ProgrammingModel
 
 def main() -> None:
     # 1. the physics: 2x 8^3 particles, five steps from z=200 to z=50
-    config = SimulationConfig(n_per_side=8, pm_mesh=8)
+    config = SimulationConfig(n_per_side=8)
     print(f"Simulating 2x {config.n_per_side}^3 particles in a "
           f"{config.box:.2f} Mpc/h box ...")
     driver = AdiabaticDriver(config)

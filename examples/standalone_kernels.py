@@ -29,7 +29,7 @@ from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 def main() -> None:
     # 1. simulate and capture
     print("Running 2 steps to build a realistic gas state ...")
-    driver = AdiabaticDriver(SimulationConfig(n_per_side=8, pm_mesh=8, n_steps=2))
+    driver = AdiabaticDriver(SimulationConfig(n_per_side=8, n_steps=2))
     driver.run()
     checkpoint = KernelCheckpoint.capture(driver.particles)
     path = Path(tempfile.mkdtemp(prefix="crkhacc-ckpt-")) / "gas_state.npz"

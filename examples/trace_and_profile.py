@@ -34,7 +34,7 @@ def main() -> None:
     # 1. the traced run: steps nest kernels, metrics count everything
     tracer = TraceRecorder()
     metrics = MetricsRegistry()
-    driver = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8, n_steps=3))
+    driver = AdiabaticDriver(SimulationConfig(n_per_side=6, n_steps=3))
     driver.tracer = tracer
     driver.metrics = metrics
     print("Tracing a 3-step run ...")

@@ -34,6 +34,10 @@ def _cell_index(pos: np.ndarray, box: float, n_cells: int) -> np.ndarray:
     return xp.clip(cell, 0, n_cells - 1)
 
 
+#: largest cutoff, as a fraction of the box, of any minimum-image pair
+#: search (strictly below box/2 to keep the image unique)
+MINIMUM_IMAGE_FRACTION = 0.499
+
 #: fewest cells per side the stencil search takes: below 3 the stencil
 #: would double count periodic images; at 3 the half stencil scans every
 #: pair of the box and loses to the dense search 1.6-1.8x (N 512-3456,
@@ -199,9 +203,9 @@ def find_pairs(
         raise ValueError("positions must be (n, 3)")
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
-    if cutoff * 2.0 > box:
+    if cutoff > MINIMUM_IMAGE_FRACTION * box:
         raise ValueError(
-            f"cutoff {cutoff} too large for box {box} under minimum image"
+            f"cutoff {cutoff} exceeds the minimum-image bound of box {box}"
         )
     if cell_list is None:
         cell_list = CellList.build(pos, box, cutoff)

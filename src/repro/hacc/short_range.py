@@ -21,7 +21,13 @@ import numpy as np
 from scipy import special
 
 from repro import xp
-from repro.hacc.neighbors import CellList, CellListCache, find_pairs, pair_separations
+from repro.hacc.neighbors import (
+    MINIMUM_IMAGE_FRACTION,
+    CellList,
+    CellListCache,
+    find_pairs,
+    pair_separations,
+)
 from repro.hacc.particles import ParticleData
 from repro.hacc.units import G_NEWTON
 
@@ -99,6 +105,12 @@ class ShortRangeSolver:
     """Direct particle-particle short-range gravity inside the cutoff."""
 
     def __init__(self, box: float, r_s: float, cutoff: float, softening: float | None = None):
+        # refused, not clamped: a shorter cutoff drops the pairs in between
+        if cutoff > MINIMUM_IMAGE_FRACTION * box:
+            raise ValueError(
+                f"short-range cutoff {cutoff:.6g} exceeds the minimum-image bound "
+                f"{MINIMUM_IMAGE_FRACTION * box:.6g} of box {box:.6g}: refine the PM mesh"
+            )
         self.box = box
         self.r_s = r_s
         self.cutoff = cutoff

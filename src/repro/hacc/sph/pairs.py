@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import xp
-from repro.hacc.neighbors import CellListCache, find_pairs, pair_separations
+from repro.hacc.neighbors import (
+    MINIMUM_IMAGE_FRACTION,
+    CellListCache,
+    find_pairs,
+    pair_separations,
+)
 from repro.hacc.sph.kernels_math import SUPPORT, cubic_spline, cubic_spline_gradient
-
-#: largest cutoff the minimum-image pair search admits, as a fraction
-#: of the box (strictly below box/2 to keep the image unique)
-MINIMUM_IMAGE_FRACTION = 0.499
 
 
 class CutoffTruncationWarning(RuntimeWarning):

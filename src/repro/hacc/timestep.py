@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -40,7 +39,7 @@ from repro.hacc.sph.corrections import CorrectionResult, compute_corrections
 from repro.hacc.sph.energy import compute_energy_rate
 from repro.hacc.sph.extras import compute_extras
 from repro.hacc.sph.geometry import compute_geometry
-from repro.hacc.sph.pairs import CutoffTruncationWarning, PairContext
+from repro.hacc.sph.pairs import PairContext
 from repro.observability.metrics import INTERACTIONS_BUCKETS, MetricsRegistry
 from repro.observability.tracing import TraceRecorder, maybe_span
 
@@ -108,7 +107,8 @@ class SimulationConfig:
     seed: int = 2023
     #: PM mesh cells per side; ``None`` is four per particle spacing,
     #: the knee of the measured step time (a 1.4-spacing short-range
-    #: cutoff: never clamped, and a cell search from 6 per side up)
+    #: cutoff: inside the minimum-image bound, and a cell search from 6
+    #: per side up); the driver refuses an explicit mesh below 12
     pm_mesh: int | None = None
     #: CFL number for the hydro time-step criterion
     cfl_number: float = 0.25
@@ -239,22 +239,8 @@ class AdiabaticDriver:
             particles = zeldovich_ics(self.config.ic_config(), self.cosmology)
         self.particles = particles
         self.pm = PMSolver(self.config.box, PMConfig(n_mesh=self.config.pm_mesh))
-        # the minimum-image pair search requires cutoff < box/2; explicit
-        # coarse meshes (pm_mesh < 13) clamp the short-range cutoff
-        sr_cutoff = min(self.pm.cutoff, 0.45 * self.config.box)
-        #: the clamp fired and no metrics registry has counted it yet
-        self._truncation_uncounted = sr_cutoff < self.pm.cutoff
-        if self._truncation_uncounted:
-            warnings.warn(
-                f"short-range cutoff {self.pm.cutoff:.6g} (4.5 r_s at "
-                f"pm_mesh={self.config.pm_mesh}) exceeds the minimum-image "
-                f"bound {sr_cutoff:.6g} of box {self.config.box:.6g}; the "
-                "particle-particle half of the force split is cut short",
-                CutoffTruncationWarning,
-                stacklevel=2,
-            )
         self.short_range = ShortRangeSolver(
-            self.config.box, self.pm.split_scale, sr_cutoff
+            self.config.box, self.pm.split_scale, self.pm.cutoff
         )
         #: builds (and counts) the cell list of every pair search: one
         #: per gravity state searched, one per SPH pair context built
@@ -425,9 +411,6 @@ class AdiabaticDriver:
         # mirror the cell-list build count into whatever registry the
         # caller attached after construction
         self.pair_cache.metrics = self.metrics
-        if self._truncation_uncounted and self.metrics is not None:
-            self.metrics.counter("sim.pairs.cutoff_truncated").inc()
-            self._truncation_uncounted = False
         wall_start = time.perf_counter()
         with maybe_span(
             self.tracer,

@@ -109,20 +109,15 @@ class RCBTree:
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
         pairs: list[tuple[int, int]] = []
-        n = self.n_leaves
         los = np.array([leaf.lo for leaf in self.leaves])
         his = np.array([leaf.hi for leaf in self.leaves])
-        for a in range(n):
-            # componentwise box-to-box gap
-            gap_lo = los[a][None, :] - his[a:]
-            gap_hi = los[a:] - his[a][None, :]
-            gap = np.maximum(np.maximum(gap_lo, gap_hi), 0.0)
-            if box is not None:
-                half = 0.5 * box
-                wrapped = box - np.maximum(
-                    np.abs(los[a][None, :] - his[a:]), np.abs(los[a:] - his[a][None, :])
-                )
-                gap = np.minimum(gap, np.maximum(wrapped, 0.0) * (gap > half))
+        # leaf boxes lie inside [0, box): one image either side suffices
+        shifts = np.array([0.0] if box is None else [-box, 0.0, box])[:, None, None]
+        for a in range(self.n_leaves):
+            # per-axis interval gap from box a to the nearest image of
+            # each box b >= a
+            gap = np.maximum(los[a:] + shifts - his[a], los[a] - his[a:] - shifts)
+            gap = np.maximum(gap, 0.0).min(axis=0)
             dist2 = np.einsum("ij,ij->i", gap, gap)
             hits = np.nonzero(dist2 < cutoff * cutoff)[0]
             pairs.extend((a, a + int(h)) for h in hits)

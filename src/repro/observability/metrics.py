@@ -29,7 +29,7 @@ METRIC_GLOSSARY: dict[str, str] = {
     "sim.kernel.interactions": "pair interactions computed, work-items x per-item (counter)",
     "sim.kernel.interactions_per_item": "per-launch mean neighbour count (histogram)",
     "sim.pairs.cell_list.builds": "cell lists built, one per pair search (counter)",
-    "sim.pairs.cutoff_truncated": "pair-search cutoffs clamped to the minimum-image bound: SPH support per build, short-range gravity once per driver (counter)",
+    "sim.pairs.cutoff_truncated": "SPH pair contexts whose kernel support was clamped to the minimum-image bound (counter)",
     "device.kernel.launches": "kernel submissions priced on a virtual device (counter)",
     "device.kernel.seconds": "simulated device seconds across submissions (counter)",
     "device.atomics.issued": "atomic operations issued on the device, per-launch totals (counter)",

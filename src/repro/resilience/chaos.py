@@ -48,14 +48,14 @@ CHAOS_COLLECTIVES = ("allgather", "barrier")
 #: typically exact — the allowance covers accumulation-order effects
 PHYSICS_RTOL = 1e-9
 
-#: the soak's deliberately tiny default problem: large enough to have
-#: real physics, small enough that 30+ runs stay in CI budget
+#: the soak's tiny default problem: the smallest box with untruncated
+#: SPH support, small enough that 30+ runs stay in CI budget
 DEFAULT_WORLD_SIZE = 3
 DEFAULT_TIMEOUT = 0.75
 
 
 def chaos_config(n_steps: int = 2) -> SimulationConfig:
-    return SimulationConfig(n_per_side=4, pm_mesh=8, n_steps=n_steps)
+    return SimulationConfig(n_per_side=6, n_steps=n_steps)
 
 
 _reference_cache: dict[tuple, list] = {}

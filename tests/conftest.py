@@ -13,8 +13,9 @@ import threading
 import numpy as np
 import pytest
 
+from repro.experiments.workload import workload_config
 from repro.hacc.ic import ICConfig, zeldovich_ics
-from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
+from repro.hacc.timestep import AdiabaticDriver
 
 #: per-test watchdog budget (seconds); override per test with
 #: ``@pytest.mark.timeout(seconds)``.  Generous enough for the
@@ -73,8 +74,8 @@ def _test_watchdog(request):
 
 @pytest.fixture(scope="session")
 def reference_driver():
-    """A completed small reference run (2x 8^3 particles, 5 steps)."""
-    driver = AdiabaticDriver(SimulationConfig(n_per_side=8, pm_mesh=8))
+    """The completed run the figures price (2x 8^3 particles, 5 steps)."""
+    driver = AdiabaticDriver(workload_config())
     driver.run()
     return driver
 

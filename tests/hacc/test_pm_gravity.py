@@ -15,7 +15,6 @@ from repro.hacc.short_range import (
     ShortRangeSolver,
     exact_short_range_factor,
 )
-from repro.hacc.sph.pairs import CutoffTruncationWarning
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 from repro.hacc.units import G_NEWTON
 
@@ -393,15 +392,6 @@ class TestForceSplit:
         assert rms_error(d.short_range.accelerations(p), pp) <= 0.01
         # measured 0.054: CIC assignment and interpolation, undeconvolved
         assert rms_error(d.pm.accelerations(p), pm) <= 0.08
-
-    def test_clamped_mesh_is_wrong_physics(self, poisson_set):
-        # mesh 8 asks for a cutoff of 0.70 box and gets 0.45 box: the PP
-        # pairs in between lose their force (measured 0.079)
-        p, ewald = poisson_set
-        with pytest.warns(CutoffTruncationWarning):
-            d = self.driver(p, 8)
-        total = d.pm.accelerations(p) + d.short_range.accelerations(p)
-        assert rms_error(total, ewald) >= 0.05
 
 
 class TestPMSolver:

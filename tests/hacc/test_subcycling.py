@@ -11,7 +11,6 @@ def subcycled_driver():
     driver = AdiabaticDriver(
         SimulationConfig(
             n_per_side=6,
-            pm_mesh=8,
             n_steps=2,
             cfl_number=0.005,  # deliberately strict to force subcycles
             max_subcycles=4,
@@ -24,7 +23,7 @@ def subcycled_driver():
 class TestCFLCriterion:
     def test_subcycle_count_bounds(self):
         driver = AdiabaticDriver(
-            SimulationConfig(n_per_side=6, pm_mesh=8, max_subcycles=8)
+            SimulationConfig(n_per_side=6, max_subcycles=8)
         )
         assert driver.cfl_subcycles(0.0, 1.0) == 1
         assert (
@@ -35,12 +34,12 @@ class TestCFLCriterion:
     def test_stricter_cfl_more_subcycles(self):
         loose = AdiabaticDriver(
             SimulationConfig(
-                n_per_side=6, pm_mesh=8, max_subcycles=8, cfl_number=0.5
+                n_per_side=6, max_subcycles=8, cfl_number=0.5
             )
         )
         strict = AdiabaticDriver(
             SimulationConfig(
-                n_per_side=6, pm_mesh=8, max_subcycles=8, cfl_number=0.005
+                n_per_side=6, max_subcycles=8, cfl_number=0.005
             )
         )
         signal, drift = 100.0, 0.01

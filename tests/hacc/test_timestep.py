@@ -1,7 +1,6 @@
 """Tests for the adiabatic driver (the dynamical time stepper)."""
 
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -35,11 +34,8 @@ class TestPMMeshRule:
     @pytest.mark.parametrize("n", range(4, 17))
     def test_default_mesh_is_unclamped_and_searched_by_cells(self, n):
         from repro.hacc.neighbors import CellList
-        from repro.hacc.sph.pairs import CutoffTruncationWarning
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", CutoffTruncationWarning)
-            driver = AdiabaticDriver(SimulationConfig(n_per_side=n))
+        driver = AdiabaticDriver(SimulationConfig(n_per_side=n))
         assert driver.config.pm_mesh == 4 * n
         assert driver.short_range.cutoff == driver.pm.cutoff
         cells = CellList.build(
@@ -137,7 +133,7 @@ class TestReferenceRun:
 def test_step_builds_one_cell_list_per_pair_query():
     from repro.observability.metrics import MetricsRegistry
 
-    driver = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8))
+    driver = AdiabaticDriver(SimulationConfig(n_per_side=6))
     driver.metrics = MetricsRegistry()
     schedule = driver.schedule()
     driver.step(float(schedule[0]), float(schedule[1]))
@@ -243,28 +239,20 @@ class TestGravityMemo:
 
 
 class TestShortRangeCutoffClamp:
-    """The 0.45 box clamp on the short-range cutoff is never silent."""
+    """The short-range cutoff is the force split's, never clamped: a PM
+    mesh too coarse for the minimum-image bound is refused."""
 
-    def test_coarse_mesh_warns_once_and_counts_once(self):
-        from repro.hacc.sph.pairs import CutoffTruncationWarning
-        from repro.observability.metrics import MetricsRegistry
-
-        with pytest.warns(CutoffTruncationWarning, match="short-range cutoff") as caught:
-            driver = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8, n_steps=2))
-        assert len(caught) == 1
-        assert driver.short_range.cutoff == pytest.approx(0.45 * driver.config.box)
-        driver.metrics = MetricsRegistry()
-        driver.run()
-        assert driver.metrics.counter("sim.pairs.cutoff_truncated").value == 1
+    def test_coarse_mesh_is_refused(self):
+        # mesh 8 asks for a cutoff of 0.70 box: refused, not cut short
+        with pytest.raises(ValueError, match="minimum-image"):
+            AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8))
+        # mesh 12 asks for 0.469 box: inside the bound, built as asked
+        driver = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=12))
+        assert driver.short_range.cutoff == driver.pm.cutoff
 
     @pytest.mark.parametrize(
         "pm_mesh", [None, 48], ids=["default", "48"]  # grav_default, hydro_fine
     )
-    def test_benchmark_configs_are_not_clamped(self, pm_mesh, recwarn):
-        from repro.hacc.sph.pairs import CutoffTruncationWarning
-
+    def test_benchmark_configs_are_not_clamped(self, pm_mesh):
         driver = AdiabaticDriver(SimulationConfig(n_per_side=12, pm_mesh=pm_mesh))
         assert driver.short_range.cutoff == driver.pm.cutoff
-        assert not any(
-            isinstance(w.message, CutoffTruncationWarning) for w in recwarn.list
-        )

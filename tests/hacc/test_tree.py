@@ -1,5 +1,7 @@
 """Tests for the RCB tree."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,58 @@ class TestLeafPairs:
         t, _pos = tree
         with pytest.raises(ValueError):
             t.leaf_pairs(0.0)
+
+
+def periodic_leaf_pairs_oracle(tree, cutoff, box):
+    """Leaf pairs whose boxes come within ``cutoff`` under one of the
+    27 whole-box shifts of b, each shift a plain interval gap."""
+    los = np.array([leaf.lo for leaf in tree.leaves])
+    his = np.array([leaf.hi for leaf in tree.leaves])
+    kept = []
+    for a in range(tree.n_leaves):
+        for b in range(a, tree.n_leaves):
+            for shift in itertools.product((-box, 0.0, box), repeat=3):
+                lo_b, hi_b = los[b] + shift, his[b] + shift
+                gap = np.maximum(0.0, np.maximum(lo_b - his[a], los[a] - hi_b))
+                if gap @ gap < cutoff * cutoff:
+                    kept.append((a, b))
+                    break
+    return kept
+
+
+class TestPeriodicLeafPairs:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_shift_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        box = rng.uniform(1.0, 10.0)
+        pos = rng.uniform(0.0, box, (rng.integers(40, 300), 3))
+        t = RCBTree.build(pos, leaf_size=int(rng.integers(4, 17)))
+        for cutoff in box * np.array([0.05, 0.15, 0.3]):
+            assert t.leaf_pairs(cutoff, box) == periodic_leaf_pairs_oracle(t, cutoff, box)
+
+    def test_keeps_every_leaf_pair_of_the_sph_pair_list(self):
+        # the figure workload's gas after one step, SPH cutoff, 16-particle
+        # leaves: each leaf pair holding a pair is kept, and 3 200 of the
+        # 8 256 possible leaf pairs are (a gap test that lets nearly every
+        # pair across the seam through keeps 8 109)
+        from repro.experiments.workload import workload_config
+        from repro.hacc.particles import Species
+        from repro.hacc.sph.pairs import PairContext, sph_cutoff
+        from repro.hacc.timestep import AdiabaticDriver
+
+        driver = AdiabaticDriver(workload_config(12))
+        driver.advance()
+        p = driver.particles
+        gas = p.species_mask(Species.BARYON)
+        pos, h = p.positions[gas], p.hsml[gas]
+        ctx = PairContext.build(pos, h, p.box)
+        t = RCBTree.build(pos, leaf_size=16)
+        leaf = t.leaf_of_particle()
+        a, b = leaf[ctx.i], leaf[ctx.j]
+        needed = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+        kept = set(t.leaf_pairs(sph_cutoff(h, p.box)[1], p.box))
+        assert needed <= kept
+        assert len(kept) < 0.5 * t.n_leaves * (t.n_leaves + 1) / 2
 
 
 class TestInteractionInstances:

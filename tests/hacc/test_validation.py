@@ -37,7 +37,7 @@ class TestCorruptionDetection:
     def driver(self):
         from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 
-        d = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8, n_steps=1))
+        d = AdiabaticDriver(SimulationConfig(n_per_side=6, n_steps=1))
         d.run()
         return d
 
@@ -102,7 +102,7 @@ class TestExactViolationNames:
     def driver(self):
         from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 
-        d = AdiabaticDriver(SimulationConfig(n_per_side=6, pm_mesh=8, n_steps=1))
+        d = AdiabaticDriver(SimulationConfig(n_per_side=6, n_steps=1))
         d.run()
         return d
 

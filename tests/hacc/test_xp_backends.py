@@ -99,13 +99,13 @@ NAMED_OPS = {"rowwise_dot", "segment_sum", "bincount", "einsum", "repeat"}
 class TestSeam:
     """The contract ``bench/layers.py`` depends on, checked in tier-1."""
 
-    @pytest.mark.filterwarnings("ignore::repro.hacc.sph.pairs.CutoffTruncationWarning")
     @pytest.mark.parametrize(
         "use_cells, config, named_ops",
         [
             (True, {"n_per_side": 8, "pm_mesh": 32}, NAMED_OPS),
-            # no cell stencil to expand, so no repeat
-            (False, {"n_per_side": 4, "pm_mesh": 8}, NAMED_OPS - {"repeat"}),
+            # gravity at 2 cells per side: no cell stencil to expand, so
+            # no repeat
+            (False, {"n_per_side": 6, "pm_mesh": 16}, NAMED_OPS - {"repeat"}),
         ],
         ids=["cell-path", "dense-path"],
     )

@@ -29,13 +29,9 @@ from repro.hacc.timestep import (
 from repro.resilience import SimulationCheckpoint, run_simulation
 from repro.service import JobSpec, ServiceConfig, SimulationService
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.hacc.sph.pairs.CutoffTruncationWarning"
-)
-
 #: the size of tests/resilience's small config at the derived PM mesh,
 #: which is what lets the service arm run it
-CONFIG = SimulationConfig(n_per_side=5, n_steps=3)
+CONFIG = SimulationConfig(n_per_side=6, n_steps=3)
 FIELDS = (
     "a",
     "kinetic_energy",

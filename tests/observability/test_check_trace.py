@@ -225,7 +225,7 @@ class TestResilienceInstantSchema:
 
         recorder = TraceRecorder()
         result = run_simulation(
-            SimulationConfig(n_per_side=4, pm_mesh=8, n_steps=2),
+            SimulationConfig(n_per_side=6, n_steps=2),
             world_size=3,
             timeout=10.0,
             fault_plan=FaultPlan.parse("kill:rank=1,step=1"),
@@ -326,7 +326,7 @@ class TestCounterAndAlertSchema:
         from repro.observability.health import HealthPolicy
 
         recorder = TraceRecorder()
-        driver = AdiabaticDriver(SimulationConfig(n_per_side=4, pm_mesh=8, n_steps=3))
+        driver = AdiabaticDriver(SimulationConfig(n_per_side=6, n_steps=3))
         driver.tracer = recorder
         monitor = HealthPolicy().build(tracer=recorder)
         driver.health = monitor

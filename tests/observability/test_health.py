@@ -256,7 +256,7 @@ class TestObserveStep:
 
         metrics = MetricsRegistry()
         driver = AdiabaticDriver(
-            SimulationConfig(n_per_side=6, pm_mesh=8, n_steps=5)
+            SimulationConfig(n_per_side=6, n_steps=5)
         )
         driver.metrics = metrics
         monitor = default_monitor(metrics=metrics)

@@ -10,7 +10,7 @@ from repro.observability import MetricsRegistry, TraceRecorder
 
 pytestmark = pytest.mark.observability
 
-SMALL = SimulationConfig(n_per_side=6, pm_mesh=8, n_steps=2)
+SMALL = SimulationConfig(n_per_side=6, n_steps=2)
 
 
 def kernels_with_spans(tracer):

@@ -30,7 +30,8 @@ from repro.hacc.sph.pairs import PairContext
 BACKENDS = xp.registered_backends()
 
 BOX = 1.0
-N_SIDE = 5
+#: the smallest lattice whose kernel support fits the minimum image
+N_SIDE = 6
 
 
 def _jittered_lattice(rng, n_side=N_SIDE, box=BOX, jitter=0.25):

@@ -215,7 +215,7 @@ class TestLeakFaults:
     def _driver(self):
         from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 
-        return AdiabaticDriver(SimulationConfig(n_per_side=4, pm_mesh=8))
+        return AdiabaticDriver(SimulationConfig(n_per_side=6))
 
     def test_drain_applies_only_inside_window(self):
         driver = self._driver()

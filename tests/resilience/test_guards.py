@@ -17,7 +17,7 @@ from repro.resilience.guards import (
 
 
 def tiny_driver(n_steps: int = 1) -> AdiabaticDriver:
-    return AdiabaticDriver(SimulationConfig(n_per_side=5, pm_mesh=8, n_steps=n_steps))
+    return AdiabaticDriver(SimulationConfig(n_per_side=6, n_steps=n_steps))
 
 
 class TestKernelGuard:

@@ -24,7 +24,7 @@ from repro.resilience.runner import SimulationAborted
 
 
 def small_config(n_steps: int = 8) -> SimulationConfig:
-    return SimulationConfig(n_per_side=6, pm_mesh=8, n_steps=n_steps)
+    return SimulationConfig(n_per_side=6, n_steps=n_steps)
 
 
 LEAK = "leak:step=3,rate=0.12,count=3"

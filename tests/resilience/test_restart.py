@@ -19,7 +19,7 @@ from repro.resilience.restart import (
 
 
 def small_config(n_steps: int = 3) -> SimulationConfig:
-    return SimulationConfig(n_per_side=5, pm_mesh=8, n_steps=n_steps)
+    return SimulationConfig(n_per_side=6, n_steps=n_steps)
 
 
 @pytest.fixture(scope="module")

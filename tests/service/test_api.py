@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import warnings
 
 import pytest
 
-from repro.hacc.sph.pairs import CutoffTruncationWarning
 from repro.service import (
     ServiceAPI,
     ServiceConfig,
@@ -23,7 +21,7 @@ from repro.service import (
     submit_job,
 )
 
-SPEC = {"n_per_side": 4, "n_steps": 1}
+SPEC = {"n_per_side": 6, "n_steps": 1}
 
 
 @pytest.fixture()
@@ -43,13 +41,11 @@ def server(tmp_path):
             ready.set()
             await api.serve_until_shutdown()
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CutoffTruncationWarning)
-            try:
-                asyncio.run(main())
-            except Exception as exc:  # pragma: no cover
-                failure.append(exc)
-                ready.set()
+        try:
+            asyncio.run(main())
+        except Exception as exc:  # pragma: no cover
+            failure.append(exc)
+            ready.set()
 
     thread = threading.Thread(target=host, daemon=True)
     thread.start()
@@ -90,7 +86,7 @@ class TestProtocol:
         assert second == {"ok": True, "version": 1}
 
     def test_malformed_spec_returns_submission_error(self, server):
-        lines = list(submit_job(server, {"n_per_side": 4, "warp": 9}))
+        lines = list(submit_job(server, {"n_per_side": 6, "warp": 9}))
         assert lines[-1]["ok"] is False
         assert lines[-1]["error"]["type"] == "SubmissionError"
 

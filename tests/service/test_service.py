@@ -1,8 +1,9 @@
 """End-to-end service tests: the whole submit → schedule → execute →
 cache path, against the real simulation driver.
 
-The specs here are tiny (n_per_side 4-6, 1-3 steps) so the suite stays
-fast, but nothing is mocked: products come from real driver runs,
+The specs here are tiny (6 per side, the smallest box whose SPH support
+fits the minimum image; 1-3 steps) so the suite stays fast, but nothing
+is mocked: products come from real driver runs,
 preemption writes a real checkpoint, and the fault scenario goes
 through the real resilience runner.
 """
@@ -10,12 +11,10 @@ through the real resilience runner.
 from __future__ import annotations
 
 import asyncio
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.hacc.sph.pairs import CutoffTruncationWarning
 from repro.service import (
     JobSpec,
     JobState,
@@ -26,18 +25,12 @@ from repro.service import (
     TenantQuota,
 )
 
-pytestmark = pytest.mark.filterwarnings(
-    "ignore::repro.hacc.sph.pairs.CutoffTruncationWarning"
-)
-
-#: tiny but real: 2x4^3 particles, one step
-TINY = JobSpec(n_per_side=4, n_steps=1)
+#: tiny but real: 2x6^3 particles, one step
+TINY = JobSpec(n_per_side=6, n_steps=1)
 
 
 def run(coro):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CutoffTruncationWarning)
-        return asyncio.run(coro)
+    return asyncio.run(coro)
 
 
 async def _with_service(body, config=None):
@@ -53,7 +46,7 @@ class TestConcurrentSubmissions:
     def test_duplicates_complete_once_and_share_products(self, tmp_path):
         async def body(service):
             distinct = [
-                JobSpec(n_per_side=4, n_steps=1, seed=seed) for seed in (1, 2)
+                JobSpec(n_per_side=6, n_steps=1, seed=seed) for seed in (1, 2)
             ]
             # 6 submissions over 2 distinct specs: 2 executions max
             jobs = []
@@ -103,7 +96,7 @@ class TestConcurrentSubmissions:
     def test_all_products_compute(self):
         async def body(service):
             spec = JobSpec(
-                n_per_side=4,
+                n_per_side=6,
                 n_steps=1,
                 products=("diagnostics", "power_spectrum", "halo_catalog", "trace"),
             )
@@ -122,7 +115,7 @@ class TestConcurrentSubmissions:
 
     def test_subscribers_stream_per_step_events(self):
         async def body(service):
-            job = await service.submit(JobSpec(n_per_side=4, n_steps=2, seed=9))
+            job = await service.submit(JobSpec(n_per_side=6, n_steps=2, seed=9))
             queue = job.subscribe()
             await job.future
             events = []
@@ -189,7 +182,7 @@ class TestFaultedJobs:
     def test_injected_fault_degrades_without_failing_the_request(self):
         async def body(service):
             spec = JobSpec(
-                n_per_side=4,
+                n_per_side=6,
                 n_steps=2,
                 faults="kill:rank=1,step=1",
                 ranks=4,
@@ -208,7 +201,7 @@ class TestFaultedJobs:
         # the same per-step event as a plain job's: `submit --stream`
         # printed "step ?" for these
         async def body(service):
-            job = await service.submit(JobSpec(n_per_side=4, n_steps=2, ranks=2))
+            job = await service.submit(JobSpec(n_per_side=6, n_steps=2, ranks=2))
             queue = job.subscribe()
             await job.future
             events = []
@@ -223,9 +216,9 @@ class TestFaultedJobs:
 class TestAdmission:
     def test_quota_rejection_is_typed(self):
         async def body(service):
-            await service.submit(JobSpec(n_per_side=4, n_steps=2, seed=1))
+            await service.submit(JobSpec(n_per_side=6, n_steps=2, seed=1))
             with pytest.raises(QuotaExceeded):
-                await service.submit(JobSpec(n_per_side=4, n_steps=2, seed=2))
+                await service.submit(JobSpec(n_per_side=6, n_steps=2, seed=2))
 
         run(
             _with_service(
@@ -239,14 +232,14 @@ class TestAdmission:
             with pytest.raises(
                 SubmissionError, match=r"unknown spec field\(s\): \['backend'\]"
             ):
-                await service.submit({"n_per_side": 4, "backend": "numpy"})
+                await service.submit({"n_per_side": 6, "backend": "numpy"})
 
         run(_with_service(body))
 
     def test_malformed_wire_spec_rejected(self):
         async def body(service):
             with pytest.raises(SubmissionError):
-                await service.submit({"n_per_side": 4, "warp": 9})
+                await service.submit({"n_per_side": 6, "warp": 9})
 
         run(_with_service(body))
 

@@ -140,7 +140,7 @@ class TestParserSurface:
 
 class TestCommands:
     def test_simulate_tiny(self, capsys):
-        assert main(["simulate", "-n", "4", "--steps", "1"]) == 0
+        assert main(["simulate", "-n", "6", "--steps", "1"]) == 0
         out = capsys.readouterr().out
         assert "kernel launches recorded" in out
 
@@ -209,7 +209,7 @@ class TestDegradationFlags:
     def test_simulate_shrink_kill_finishes_degraded(self, capsys):
         code = main(
             [
-                "simulate", "-n", "4", "--steps", "2", "--ranks", "3",
+                "simulate", "-n", "6", "--steps", "2", "--ranks", "3",
                 "--degrade-policy", "shrink",
                 "--faults", "kill:rank=1,step=1",
                 "--timeout", "10",
@@ -279,7 +279,7 @@ class TestRunCoreValidation:
 class TestServiceCli:
     def test_submit_without_service_is_a_usage_error(self, tmp_path, capsys):
         sock = str(tmp_path / "missing.sock")
-        assert main(["submit", "--socket", sock, "-n", "4"]) == 2
+        assert main(["submit", "--socket", sock, "-n", "6"]) == 2
         assert "no service listening" in capsys.readouterr().out
 
     def test_jobs_without_service_is_a_usage_error(self, tmp_path, capsys):

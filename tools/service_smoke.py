@@ -56,7 +56,7 @@ def _wait_for_socket(socket_path: Path, proc: subprocess.Popen, budget: float) -
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=6, help="submissions (>=2)")
-    parser.add_argument("--n", type=int, default=4, help="particles per side")
+    parser.add_argument("--n", type=int, default=6, help="particles per side")
     parser.add_argument("--steps", type=int, default=1, help="steps per job")
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--events-out", default=None, help="events JSONL to validate")
