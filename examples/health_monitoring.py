@@ -34,7 +34,6 @@ from repro.hacc.timestep import SimulationConfig
 from repro.observability import MetricsRegistry, TraceRecorder
 from repro.observability.dashboard import DashboardState, render
 from repro.observability.export import iter_events, write_event_log, write_openmetrics
-from repro.observability.health import HealthPolicy
 from repro.resilience import FaultPlan, run_simulation
 
 N_RANKS = 2
@@ -57,7 +56,7 @@ def main() -> None:
             checkpoint_dir=Path(tmp) / "ckpts",
             checkpoint_every=1,
             fault_plan=plan,
-            health=HealthPolicy(),
+            health=True,
             tracer=tracer,
             metrics=metrics,
         )

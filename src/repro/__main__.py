@@ -88,7 +88,7 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
     from repro.hacc.checkpoint import CheckpointError
     from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
     from repro import resilience
-    from repro.observability import HealthPolicy
+    from repro.observability import default_monitor
 
     opts = argparse.Namespace(**{**_RUN_DEFAULTS, **vars(args)})
     for bad, message in (
@@ -113,7 +113,7 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
             print(f"error: invalid --faults plan: {exc}")
             return 2, None, None
         print(fault_plan.describe())
-    health = HealthPolicy() if opts.health or opts.live else None
+    health = opts.health or opts.live
 
     if not (
         opts.ranks > 1 or opts.faults or opts.restart_from or opts.checkpoint_dir
@@ -121,8 +121,8 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
         driver = AdiabaticDriver(config)
         driver.tracer = tracer
         driver.metrics = metrics
-        if health is not None:
-            driver.health = health.build(tracer=tracer, metrics=metrics)
+        if health:
+            driver.health = default_monitor(tracer=tracer, metrics=metrics)
         driver.run(on_step)
         return 0, driver, None
     try:
@@ -599,6 +599,8 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.resilience.degrade import DEGRADE_POLICIES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=__doc__,
@@ -692,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--degrade-policy",
         default="restart",
-        choices=("shrink", "restart", "abort"),
+        choices=DEGRADE_POLICIES,
         help=(
             "degradation ladder on rank failure: shrink-and-continue, "
             "restart the world (default, pre-degradation behaviour), "
@@ -842,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--faults", help="fault plan (same syntax as simulate)")
     p.add_argument("--ranks", type=int, default=1)
-    p.add_argument("--degrade-policy", help="shrink | restart | abort")
+    p.add_argument("--degrade-policy", help=" | ".join(DEGRADE_POLICIES))
     p.add_argument("--tenant", default="default")
     p.add_argument(
         "--priority", type=int, default=1, help="priority class (lower = sooner)"

@@ -659,18 +659,6 @@ class SimWorld:
         return results
 
 
-def run_simulation(*args: Any, **kwargs: Any):
-    """Fault-tolerant multi-rank simulation entry point.
-
-    Thin delegate to :func:`repro.resilience.runner.run_simulation`
-    (imported lazily to avoid a circular import); see that module for
-    the full recovery semantics.
-    """
-    from repro.resilience.runner import run_simulation as _run
-
-    return _run(*args, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Domain decomposition
 # ---------------------------------------------------------------------------

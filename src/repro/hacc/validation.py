@@ -22,36 +22,14 @@ violated invariant:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.hacc import eos
 from repro.hacc.particles import Species
+from repro.hacc.timestep import GRAVITY_KERNEL, AdiabaticDriver
 from repro.hacc.units import GAMMA_ADIABATIC
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.hacc.timestep import AdiabaticDriver
-
-# NB: repro.hacc.timestep is imported lazily (inside the checks that
-# need its kernel names) — timestep itself imports the observability
-# recorders, and the observability package's health module imports
-# this one for Severity, so a module-level import here would cycle.
-
-
-class Severity(enum.Enum):
-    """How a step-level gate treats a violated invariant.
-
-    ``RunValidator`` itself always *reports*; the severity policy is
-    applied by consumers (the resilience step gate) to decide whether
-    a violation is ignored, logged, or aborts the step.
-    """
-
-    IGNORE = "ignore"
-    WARN = "warn"
-    FATAL = "fatal"
 
 
 @dataclass(frozen=True)
@@ -122,20 +100,10 @@ class RunValidator:
         self.driver = driver
 
     # ------------------------------------------------------------------
-    def validate(self, checks: Iterable[str] | None = None) -> ValidationReport:
-        """Audit the driver.  ``checks`` restricts the audit to a
-        subset of :attr:`CHECK_NAMES` — the step-level gate uses this
-        to run the cheap state invariants every step and leave the
-        whole-trace audit for run end."""
-        if checks is None:
-            selected = self.CHECK_NAMES
-        else:
-            selected = tuple(checks)
-            unknown = set(selected) - set(self.CHECK_NAMES)
-            if unknown:
-                raise ValueError(f"unknown validation checks: {sorted(unknown)}")
+    def validate(self) -> ValidationReport:
+        """Audit the driver against every check in :attr:`CHECK_NAMES`."""
         report = ValidationReport()
-        for name in selected:
+        for name in self.CHECK_NAMES:
             check = getattr(self, f"_check_{name}")
             report.checks_run.append(name)
             for violation in check():
@@ -211,8 +179,6 @@ class RunValidator:
             )
 
     def _check_timer_pattern(self):
-        from repro.hacc.timestep import GRAVITY_KERNEL
-
         by = self.driver.trace.by_kernel()
         steps = len(self.driver.diagnostics)
         if steps == 0:

@@ -16,8 +16,10 @@ three cooperating pieces:
 PR 7 adds the *consumption* layer on top of the recorders:
 
 - :mod:`repro.observability.health` — ring-buffered physics health
-  series with pluggable anomaly detectors whose severity-ranked
-  alerts escalate through the resilience runner;
+  series with anomaly detectors whose
+  :class:`~repro.observability.health.Severity`-ranked alerts escalate
+  through the resilience runner; ``default_monitor`` is the one
+  detector set the runner and ``simulate --health`` attach;
 - :mod:`repro.observability.export` — OpenMetrics/Prometheus text
   exposition and a structured JSONL event log;
 - :mod:`repro.observability.dashboard` — the live terminal dashboard
@@ -49,10 +51,9 @@ from repro.observability.health import (
     EWMADriftDetector,
     HealthEscalation,
     HealthMonitor,
-    HealthPolicy,
     SeriesBuffer,
+    Severity,
     ThresholdDetector,
-    ZScoreSpikeDetector,
     default_monitor,
 )
 from repro.observability.metrics import (
@@ -92,7 +93,6 @@ __all__ = [
     "Gauge",
     "HealthEscalation",
     "HealthMonitor",
-    "HealthPolicy",
     "Histogram",
     "INTERACTIONS_BUCKETS",
     "InstantEvent",
@@ -102,10 +102,10 @@ __all__ = [
     "MetricsRegistry",
     "ProfileRow",
     "SeriesBuffer",
+    "Severity",
     "SpanEvent",
     "ThresholdDetector",
     "TraceRecorder",
-    "ZScoreSpikeDetector",
     "default_monitor",
     "format_profile_table",
     "iter_events",

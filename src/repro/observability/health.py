@@ -10,22 +10,21 @@ simulation the way an operator would:
 - :class:`SeriesBuffer` — a ring-buffered per-step time series
   (conservation drift, step wall-time, guard hit rate, ...);
 - detectors — pluggable anomaly tests over a series:
-  :class:`ThresholdDetector` (absolute bands),
+  :class:`ThresholdDetector` (absolute bands) and
   :class:`EWMADriftDetector` (sustained drift of the value away from
-  its exponentially weighted history — the slow-energy-leak catcher),
-  and :class:`ZScoreSpikeDetector` (a single-step outlier against the
-  rolling window);
+  its exponentially weighted history — the slow-energy-leak catcher);
 - :class:`Alert` — one detector firing, ranked by the same
-  :class:`~repro.hacc.validation.Severity` the resilience step gate
-  uses, so a physics anomaly escalates through the *existing*
-  rollback machinery exactly like a NaN guard: a ``FATAL`` alert
-  raises :class:`HealthEscalation` and the fault-tolerant runner
-  retries from checkpoint;
+  :class:`Severity` the resilience step gate uses, so a physics
+  anomaly escalates through the *existing* rollback machinery exactly
+  like a NaN guard: a ``FATAL`` alert raises :class:`HealthEscalation`
+  and the fault-tolerant runner retries from checkpoint;
 - :class:`HealthMonitor` — owns the buffers and detectors, mirrors
   every observation into gauges (:class:`MetricsRegistry`), Perfetto
   counter tracks (:class:`TraceRecorder`), and alert instants, and
   derives the standard physics series from a driver's step
-  diagnostics (:meth:`HealthMonitor.observe_step`).
+  diagnostics (:meth:`HealthMonitor.observe_step`);
+- :func:`default_monitor` — the one monitor the runner and the CLI
+  attach: the detector set below, at this module's tolerances.
 
 The physics grounding of the conservation series: in the comoving
 (canonical-momentum) variables the total energy is *not* a constant —
@@ -46,12 +45,11 @@ steps before the hard band of the
 
 from __future__ import annotations
 
+import enum
 from collections import deque
-from dataclasses import dataclass, field
-from math import sqrt
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.hacc.validation import Severity
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import TraceRecorder
 
@@ -83,6 +81,20 @@ HEALTH_SERIES = (
     GUARD_HIT_RATE,
 )
 
+#: EWMA tolerance on the expansion-corrected thermal residual: a leak
+#: of more than this fraction per step escalates
+ENERGY_TOLERANCE = 0.03
+#: hard floor on the per-step residual (beyond-adiabatic cooling this
+#: large in one step is an instant escalation)
+ENERGY_FLOOR = 0.5
+#: relative momentum-drift ceiling (WARN; the validator's own tolerance
+#: is the FATAL backstop)
+MOMENTUM_TOLERANCE = 1e-6
+#: relative total-mass drift ceiling (FATAL: masses never change)
+MASS_TOLERANCE = 1e-9
+#: a NaN-guard hit rate above zero warns (the guard itself raises)
+GUARD_RATE_TOLERANCE = 0.0
+
 
 class HealthEscalation(RuntimeError):
     """A FATAL health alert, raised into the runner's rollback path.
@@ -97,6 +109,17 @@ class HealthEscalation(RuntimeError):
         self.alerts = tuple(alerts)
         details = "; ".join(a.describe() for a in self.alerts)
         super().__init__(f"health monitor escalation: {details}")
+
+
+class Severity(enum.Enum):
+    """How an alert, or a failed step-gate check, is treated.
+
+    ``WARN`` records; ``FATAL`` escalates into the resilience runner's
+    rollback.
+    """
+
+    WARN = "warn"
+    FATAL = "fatal"
 
 
 @dataclass(frozen=True)
@@ -278,55 +301,6 @@ class EWMADriftDetector(Detector):
         return message
 
 
-class ZScoreSpikeDetector(Detector):
-    """Single-step outlier against the rolling window.
-
-    Alerts when the new value sits more than ``z_threshold`` standard
-    deviations from the mean of the last ``window`` values.  A
-    ``min_std`` floor keeps a near-constant series (std → 0) from
-    alarming on round-off wiggles.
-    """
-
-    name = "zscore-spike"
-
-    def __init__(
-        self,
-        z_threshold: float = 6.0,
-        window: int = 16,
-        min_points: int = 4,
-        min_std: float = 1e-12,
-    ):
-        if z_threshold <= 0:
-            raise ValueError("z_threshold must be positive")
-        if window < 2:
-            raise ValueError("window must be >= 2")
-        if min_points < 2:
-            raise ValueError("min_points must be >= 2")
-        self.z_threshold = z_threshold
-        self.window = window
-        self.min_points = min_points
-        self.min_std = min_std
-        self._values: deque[float] = deque(maxlen=window)
-
-    def update(self, step: int, value: float) -> str | None:
-        message: str | None = None
-        if value != value:
-            return "value is NaN"
-        if len(self._values) >= self.min_points:
-            n = len(self._values)
-            mean = sum(self._values) / n
-            var = sum((v - mean) ** 2 for v in self._values) / n
-            std = max(sqrt(var), self.min_std)
-            z = (value - mean) / std
-            if abs(z) > self.z_threshold:
-                message = (
-                    f"value {value:.6g} spikes z={z:+.1f} against the "
-                    f"rolling mean {mean:.6g} (threshold {self.z_threshold})"
-                )
-        self._values.append(value)
-        return message
-
-
 @dataclass
 class _Attachment:
     detector: Detector
@@ -354,12 +328,10 @@ class HealthMonitor:
         *,
         tracer: TraceRecorder | None = None,
         metrics: MetricsRegistry | None = None,
-        capacity: int = 512,
         on_alert: Callable[[Alert], None] | None = None,
     ):
         self.tracer = tracer
         self.metrics = metrics
-        self.capacity = capacity
         self.on_alert = on_alert
         self._series: dict[str, SeriesBuffer] = {}
         self._attachments: dict[str, list[_Attachment]] = {}
@@ -373,7 +345,7 @@ class HealthMonitor:
     def series(self, name: str) -> SeriesBuffer:
         buf = self._series.get(name)
         if buf is None:
-            buf = self._series[name] = SeriesBuffer(name, self.capacity)
+            buf = self._series[name] = SeriesBuffer(name)
         return buf
 
     def series_names(self) -> list[str]:
@@ -561,99 +533,39 @@ class HealthMonitor:
         return "\n".join(lines)
 
 
-@dataclass
-class HealthPolicy:
-    """Configuration for the standard physics health monitors.
-
-    :meth:`build` wires a :class:`HealthMonitor` with the default
-    detector set.  Every FATAL detector watches a *deterministic*
-    function of the replicated physics state, so all ranks of a
-    lockstep world escalate identically; the metrics-derived series
-    (guard/cache rates) and wall-time only ever WARN.
-    """
-
-    #: EWMA tolerance on the expansion-corrected thermal residual; a
-    #: leak of more than this fraction per step escalates
-    energy_tolerance: float = 0.03
-    #: EWMA smoothing for the energy-drift detector
-    energy_alpha: float = 0.5
-    #: observations before the EWMA detector arms
-    energy_warmup: int = 2
-    #: hard floor on the per-step residual (beyond-adiabatic cooling
-    #: this large in one step is an instant escalation)
-    energy_floor: float = 0.5
-    #: relative momentum-drift ceiling (WARN; the validator's own
-    #: tolerance is the FATAL backstop)
-    momentum_tolerance: float = 1e-6
-    #: relative total-mass drift ceiling (FATAL: masses never change)
-    mass_tolerance: float = 1e-9
-    #: NaN-guard hit rate above zero warns (the guard itself raises)
-    guard_rate_tolerance: float = 0.0
-    #: z-score threshold for the step wall-time spike watch (WARN);
-    #: None disables the wall-time detector entirely
-    step_spike_z: float | None = None
-    #: what a FATAL energy alert does: Severity.FATAL escalates into
-    #: the runner's rollback, WARN only records
-    escalation: Severity = Severity.FATAL
-    #: ring-buffer capacity per series
-    capacity: int = 512
-
-    def build(
-        self,
-        *,
-        tracer: TraceRecorder | None = None,
-        metrics: MetricsRegistry | None = None,
-        on_alert: Callable[[Alert], None] | None = None,
-    ) -> HealthMonitor:
-        monitor = HealthMonitor(
-            tracer=tracer,
-            metrics=metrics,
-            capacity=self.capacity,
-            on_alert=on_alert,
-        )
-        monitor.attach(
-            ENERGY_DRIFT,
-            EWMADriftDetector(
-                tolerance=self.energy_tolerance,
-                alpha=self.energy_alpha,
-                warmup=self.energy_warmup,
-                direction="down",
-            ),
-            severity=self.escalation,
-        )
-        monitor.attach(
-            ENERGY_DRIFT,
-            ThresholdDetector(low=-self.energy_floor),
-            severity=self.escalation,
-        )
-        monitor.attach(
-            MOMENTUM_DRIFT,
-            ThresholdDetector(high=self.momentum_tolerance),
-            severity=Severity.WARN,
-        )
-        monitor.attach(
-            MASS_DRIFT,
-            ThresholdDetector(high=self.mass_tolerance),
-            severity=self.escalation,
-        )
-        monitor.attach(
-            GUARD_HIT_RATE,
-            ThresholdDetector(high=self.guard_rate_tolerance),
-            severity=Severity.WARN,
-        )
-        if self.step_spike_z is not None:
-            monitor.attach(
-                STEP_SECONDS,
-                ZScoreSpikeDetector(z_threshold=self.step_spike_z, min_points=5),
-                severity=Severity.WARN,
-            )
-        return monitor
-
-
 def default_monitor(
     *,
     tracer: TraceRecorder | None = None,
     metrics: MetricsRegistry | None = None,
+    on_alert: Callable[[Alert], None] | None = None,
 ) -> HealthMonitor:
-    """A monitor with the default :class:`HealthPolicy` detector set."""
-    return HealthPolicy().build(tracer=tracer, metrics=metrics)
+    """The standard physics health monitor, at this module's tolerances.
+
+    Every FATAL detector watches a *deterministic* function of the
+    replicated physics state, so all ranks of a lockstep world escalate
+    identically; the metrics-derived guard rate only ever WARNs, and
+    step wall-time is recorded but not watched.
+    """
+    monitor = HealthMonitor(tracer=tracer, metrics=metrics, on_alert=on_alert)
+    monitor.attach(
+        ENERGY_DRIFT,
+        EWMADriftDetector(tolerance=ENERGY_TOLERANCE, direction="down"),
+        severity=Severity.FATAL,
+    )
+    monitor.attach(
+        ENERGY_DRIFT, ThresholdDetector(low=-ENERGY_FLOOR), severity=Severity.FATAL
+    )
+    monitor.attach(
+        MOMENTUM_DRIFT,
+        ThresholdDetector(high=MOMENTUM_TOLERANCE),
+        severity=Severity.WARN,
+    )
+    monitor.attach(
+        MASS_DRIFT, ThresholdDetector(high=MASS_TOLERANCE), severity=Severity.FATAL
+    )
+    monitor.attach(
+        GUARD_HIT_RATE,
+        ThresholdDetector(high=GUARD_RATE_TOLERANCE),
+        severity=Severity.WARN,
+    )
+    return monitor

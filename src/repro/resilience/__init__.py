@@ -14,19 +14,18 @@ This package gives the reproduction the same property:
   versioned atomic writes and checksums, plus the periodic
   :class:`~repro.resilience.restart.CheckpointManager`;
 - :mod:`repro.resilience.guards` — in-flight NaN/Inf screens over the
-  hot kernels' outputs and a step-level validation gate with
-  configurable severity;
+  hot kernels' outputs and a step-level validation gate with one fixed
+  per-check severity map;
 - :mod:`repro.resilience.runner` — the fault-tolerant multi-rank
   entry point :func:`~repro.resilience.runner.run_simulation`, which
   walks the degradation ladder and retries from the last checkpoint
   with bounded backoff;
-- :mod:`repro.resilience.degrade` — the graceful-degradation ladder
-  (:class:`~repro.resilience.degrade.DegradationPolicy`:
-  shrink-and-continue → restart-world → abort);
+- :mod:`repro.resilience.degrade` — the graceful-degradation ladder,
+  one of :data:`~repro.resilience.degrade.DEGRADE_POLICIES`
+  (shrink-and-continue → restart-world → abort);
 - :mod:`repro.resilience.backoff` — the unified
   :class:`~repro.resilience.backoff.BackoffPolicy` (exponential +
-  deterministic seeded jitter, budget-aware) behind every transient
-  retry;
+  deterministic seeded jitter) behind every transient retry;
 - :mod:`repro.resilience.chaos` — the chaos-soak harness: seeded
   random fault plans asserting that every run terminates cleanly with
   correct physics or a coherent abort.
@@ -41,11 +40,7 @@ from repro.resilience.chaos import (
     run_chaos_plan,
     soak,
 )
-from repro.resilience.degrade import (
-    NAMED_LADDERS,
-    DegradationEvent,
-    DegradationPolicy,
-)
+from repro.resilience.degrade import DEGRADE_POLICIES, DegradationEvent
 from repro.resilience.faults import (
     CheckpointWriteFault,
     FaultInjector,
@@ -56,7 +51,6 @@ from repro.resilience.faults import (
 )
 from repro.resilience.guards import (
     GuardError,
-    GuardPolicy,
     GuardViolation,
     KernelGuard,
     RetryPolicy,
@@ -85,18 +79,16 @@ __all__ = [
     "CheckpointError",
     "CheckpointManager",
     "CheckpointWriteFault",
+    "DEGRADE_POLICIES",
     "DegradationEvent",
-    "DegradationPolicy",
     "DifferentialCheckpoint",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
     "GuardError",
-    "GuardPolicy",
     "GuardViolation",
     "InjectedFault",
     "KernelGuard",
-    "NAMED_LADDERS",
     "RankKilled",
     "RetryPolicy",
     "SimulationAborted",

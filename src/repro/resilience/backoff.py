@@ -1,4 +1,4 @@
-"""Unified retry backoff: exponential, seeded-jittered, budget-aware.
+"""Unified retry backoff: exponential with seeded jitter.
 
 Every transient-failure retry in the resilience stack — runner restart
 attempts, checkpoint I/O re-issues, post-shrink stabilisation pauses —
@@ -8,11 +8,6 @@ attempt ``k`` is drawn from ``np.random.default_rng([seed, k])``, so a
 fixed seed reproduces the exact delay sequence (the property the chaos
 soak and the regression tests assert), while distinct seeds decorrelate
 retry storms the way randomised jitter is meant to.
-
-An optional ``budget`` caps the *cumulative* sleep time: once the
-schedule's running total reaches the budget, later delays are clamped
-to whatever remains (eventually zero), so a retry loop can never spend
-unbounded wall-clock sleeping between attempts.
 """
 
 from __future__ import annotations
@@ -24,13 +19,19 @@ from typing import Callable
 import numpy as np
 
 
+#: exponential growth of the un-jittered delay per attempt
+BACKOFF_FACTOR = 2.0
+#: jitter fraction: a delay is stretched by up to this much
+BACKOFF_JITTER = 0.25
+
+
 @dataclass(frozen=True)
 class BackoffPolicy:
     """Exponential backoff with deterministic seeded jitter.
 
     ``delay_for(k)`` for attempt ``k`` (0-based) is::
 
-        min(base_delay * factor**k, max_delay) * (1 + jitter * u_k)
+        min(base_delay * BACKOFF_FACTOR**k, max_delay) * (1 + BACKOFF_JITTER * u_k)
 
     where ``u_k`` is uniform in ``[0, 1)`` drawn from a generator
     seeded by ``(seed, k)`` — the same attempt under the same seed
@@ -39,52 +40,24 @@ class BackoffPolicy:
 
     #: delay before the first retry, seconds
     base_delay: float = 0.05
-    #: exponential growth factor per attempt
-    factor: float = 2.0
     #: ceiling on the un-jittered delay, seconds
     max_delay: float = 5.0
-    #: jitter fraction: the delay is stretched by up to this much
-    jitter: float = 0.25
     #: jitter seed; a fixed seed makes the whole schedule deterministic
     seed: int = 0
-    #: optional cumulative sleep budget, seconds (None = unbounded)
-    budget: float | None = None
 
     def __post_init__(self):
         if self.base_delay < 0:
             raise ValueError("base_delay must be >= 0")
-        if self.factor < 1.0:
-            raise ValueError("factor must be >= 1")
         if self.max_delay < self.base_delay:
             raise ValueError("max_delay must be >= base_delay")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be >= 0 (or None)")
-
-    def _raw_delay(self, attempt: int) -> float:
-        if attempt < 0:
-            raise ValueError("attempt must be >= 0")
-        delay = min(self.base_delay * self.factor**attempt, self.max_delay)
-        if self.jitter:
-            u = float(np.random.default_rng([self.seed, attempt]).random())
-            delay *= 1.0 + self.jitter * u
-        return delay
 
     def delay_for(self, attempt: int) -> float:
-        """Delay (seconds) before retry number ``attempt`` (0-based),
-        after clamping the cumulative schedule to the budget."""
-        if self.budget is None:
-            return self._raw_delay(attempt)
-        spent = sum(self._raw_delay(k) for k in range(attempt))
-        remaining = self.budget - spent
-        if remaining <= 0:
-            return 0.0
-        return min(self._raw_delay(attempt), remaining)
-
-    def schedule(self, n: int) -> list[float]:
-        """The first ``n`` delays (what a run of ``n`` retries sleeps)."""
-        return [self.delay_for(k) for k in range(n)]
+        """Delay (seconds) before retry number ``attempt`` (0-based)."""
+        if attempt < 0:
+            raise ValueError("attempt must be >= 0")
+        delay = min(self.base_delay * BACKOFF_FACTOR**attempt, self.max_delay)
+        u = float(np.random.default_rng([self.seed, attempt]).random())
+        return delay * (1.0 + BACKOFF_JITTER * u)
 
     def sleep(
         self,

@@ -7,119 +7,33 @@ rank dies, the survivors agree on the failure set, shrink the
 communicator, adopt the dead rank's share of the state from in-memory
 buddy checkpoints, and keep computing — no world teardown, no disk.
 
-:class:`DegradationPolicy` encodes that preference as an explicit
-escalation ladder the runner consults on each failure.  Rungs, in
-order of decreasing grace:
+A run names its policy, one of :data:`DEGRADE_POLICIES`; each starts
+at its own rung and escalates rightward through the ones after it:
 
 ``shrink``
-    Survivors continue at reduced world size (requires the failure to
-    be survivable: enough ranks left, buddy state adoptable, and the
-    shrink budget not exhausted).
+    Survivors continue at reduced world size, when the buddy state of
+    every dead rank is adoptable (its holder survived); otherwise the
+    failure escalates to a restart.
 ``restart``
-    PR 1 behaviour — tear the world down and replay every rank from
-    the newest valid disk checkpoint.
+    PR 1 behaviour (the library default) — tear the world down and
+    replay every rank from the newest valid disk checkpoint.
 ``abort``
     Give up; :class:`~repro.resilience.runner.SimulationAborted`
     carries the attempt history.
 
-A policy is just the tuple of rungs it is willing to use, so
-``named("restart")`` reproduces PR 1 exactly (the library default) and
-``named("shrink")`` opts in to the full ladder.
-
-Every decision is *deterministic in its inputs* (survivor set, shrink
-count, buddy adoptability) — all of which the survivors learn from the
-same :class:`~repro.hacc.mpi_sim.AgreeOutcome` snapshot — so every
-survivor thread independently reaches the same verdict without a
-second round of agreement.
+Every shrink decision is *deterministic in its inputs* (survivor set,
+buddy adoptability) — which the survivors learn from the same
+:class:`~repro.hacc.mpi_sim.AgreeOutcome` snapshot — so every survivor
+thread independently reaches the same verdict without a second round
+of agreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-#: every rung the ladder knows, in escalation order
-RUNGS = ("shrink", "restart", "abort")
-
-#: the ladders the CLI exposes: each named policy starts at its rung
-#: and escalates rightward through the remaining ones
-NAMED_LADDERS = {
-    "shrink": ("shrink", "restart", "abort"),
-    "restart": ("restart", "abort"),
-    "abort": ("abort",),
-}
-
-
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """Which recovery rungs a run may use, and the shrink limits."""
-
-    ladder: tuple[str, ...] = NAMED_LADDERS["restart"]
-    #: never shrink below this many ranks
-    min_ranks: int = 1
-    #: cap on shrink events per run (None = only min_ranks limits)
-    max_shrinks: int | None = None
-
-    def __post_init__(self):
-        if not self.ladder:
-            raise ValueError("ladder must name at least one rung")
-        unknown = set(self.ladder) - set(RUNGS)
-        if unknown:
-            raise ValueError(f"unknown rung(s) {sorted(unknown)}; choose from {RUNGS}")
-        if list(self.ladder) != sorted(set(self.ladder), key=RUNGS.index):
-            raise ValueError("ladder rungs must be unique and in escalation order")
-        if self.min_ranks < 1:
-            raise ValueError("min_ranks must be >= 1")
-        if self.max_shrinks is not None and self.max_shrinks < 0:
-            raise ValueError("max_shrinks must be >= 0 (or None)")
-
-    @classmethod
-    def named(cls, name: str, **kwargs) -> "DegradationPolicy":
-        """The policy for a CLI ``--degrade-policy`` choice."""
-        try:
-            ladder = NAMED_LADDERS[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown degradation policy {name!r}; "
-                f"choose from {sorted(NAMED_LADDERS)}"
-            ) from None
-        return cls(ladder=ladder, **kwargs)
-
-    @property
-    def shrink_enabled(self) -> bool:
-        return "shrink" in self.ladder
-
-    @property
-    def allows_restart(self) -> bool:
-        return "restart" in self.ladder
-
-    def wants_shrink(
-        self,
-        *,
-        survivors: Sequence[int],
-        shrinks_done: int,
-        buddy_ok: bool = True,
-    ) -> tuple[bool, str]:
-        """Should this failure be handled by shrinking?
-
-        Returns ``(decision, reason)``; the reason string is recorded
-        in the :class:`DegradationEvent` either way, so a refusal is
-        auditable.  Deterministic in its arguments: every survivor
-        calling with the same agreed inputs gets the same verdict.
-        """
-        if not self.shrink_enabled:
-            return False, "policy ladder does not include shrink"
-        if len(survivors) < self.min_ranks:
-            return False, (
-                f"only {len(survivors)} survivor(s), below min_ranks={self.min_ranks}"
-            )
-        if not survivors:
-            return False, "no survivors"
-        if self.max_shrinks is not None and shrinks_done >= self.max_shrinks:
-            return False, f"shrink budget exhausted ({self.max_shrinks})"
-        if not buddy_ok:
-            return False, "buddy state not adoptable (holder died too)"
-        return True, f"shrinking to {len(survivors)} rank(s)"
+#: the policy names, in escalation order
+DEGRADE_POLICIES = ("shrink", "restart", "abort")
 
 
 @dataclass(frozen=True)
@@ -127,7 +41,7 @@ class DegradationEvent:
     """One rung taken: who died, who survived, what was decided."""
 
     step: int
-    action: str  # one of RUNGS
+    action: str  # one of DEGRADE_POLICIES
     dead_ranks: tuple[int, ...]
     survivors: tuple[int, ...]
     reason: str

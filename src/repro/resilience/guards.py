@@ -10,12 +10,12 @@ state.  The guards promote validation to a *step-level gate*:
   every hot kernel's freshly produced outputs for NaN/Inf *before*
   anything consumes them, raising :class:`GuardViolation` in the same
   step the corruption appears;
-- :class:`StepGate` runs the :class:`RunValidator` invariants after
-  every completed step, with a configurable per-check
-  :class:`~repro.hacc.validation.Severity` (ignore / warn / fatal);
+- :class:`StepGate` runs every :class:`RunValidator` invariant after
+  every completed step, and treats each failed check by its
+  :data:`STEP_SEVERITY` (warn or fatal);
 - :class:`RetryPolicy` bounds the recovery loop: how many times the
-  runner may retry from the last checkpoint, tightening the
-  checkpoint cadence on each recovery.
+  runner may retry from the last checkpoint (the runner halves the
+  checkpoint cadence on each recovery).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hacc.timestep import AdiabaticDriver
-from repro.hacc.validation import RunValidator, Severity, Violation
+from repro.hacc.validation import RunValidator, Violation
+from repro.observability.health import Severity
 from repro.resilience.backoff import BackoffPolicy
 
 
@@ -63,9 +64,6 @@ class RetryPolicy:
 
     #: restarts allowed before the run is declared lost
     max_retries: int = 3
-    #: halve the checkpoint cadence after each recovery (a repeatedly
-    #: faulting run loses less work per fault)
-    tighten_cadence: bool = True
     #: inter-attempt delay schedule (exponential + deterministic
     #: seeded jitter); shared by every transient retry in the stack
     backoff: BackoffPolicy = field(default_factory=BackoffPolicy)
@@ -75,30 +73,15 @@ class RetryPolicy:
             raise ValueError("max_retries must be >= 0")
 
 
-def _default_severity() -> dict[str, Severity]:
-    severity = dict.fromkeys(RunValidator.CHECK_NAMES, Severity.FATAL)
-    # the cumulative conservation band is the coarse backstop behind the
-    # per-step health monitors; by default it reports rather than kills,
-    # so the EWMA detector (which fires many steps earlier) owns the
-    # escalation and a validator audit of a mid-leak run stays a WARN
-    severity["conservation"] = Severity.WARN
-    return severity
-
-
-@dataclass
-class GuardPolicy:
-    """What the in-flight guards enforce, and how hard."""
-
-    #: screen hot-kernel outputs for NaN/Inf as they are produced
-    screen_kernels: bool = True
-    #: invariants audited after every step (subset of
-    #: :attr:`RunValidator.CHECK_NAMES`); all of them by default
-    step_checks: tuple[str, ...] = RunValidator.CHECK_NAMES
-    #: per-check severity; anything missing defaults to FATAL
-    severity: dict[str, Severity] = field(default_factory=_default_severity)
-
-    def severity_of(self, check: str) -> Severity:
-        return self.severity.get(check, Severity.FATAL)
+#: how :class:`StepGate` treats each failed check.  The cumulative
+#: conservation band is the coarse backstop behind the per-step health
+#: monitors: it reports rather than kills, so the EWMA detector (which
+#: fires many steps earlier) owns the escalation and a validator audit
+#: of a mid-leak run stays a WARN
+STEP_SEVERITY = {
+    check: Severity.WARN if check == "conservation" else Severity.FATAL
+    for check in RunValidator.CHECK_NAMES
+}
 
 
 class KernelGuard:
@@ -110,16 +93,13 @@ class KernelGuard:
     onto a driver's ``kernel_hook``.
     """
 
-    def __init__(self, policy: GuardPolicy | None = None, *, metrics=None):
-        self.policy = policy or GuardPolicy()
+    def __init__(self, *, metrics=None):
         self.screened_kernels = 0
         #: optional MetricsRegistry; feeds the guard-hit-rate health
         #: series (sim.resilience.guard_screens / guard_violations)
         self.metrics = metrics
 
     def screen(self, name: str, step: int, outputs: dict[str, np.ndarray]) -> None:
-        if not self.policy.screen_kernels:
-            return
         self.screened_kernels += 1
         if self.metrics is not None:
             self.metrics.counter("sim.resilience.guard_screens").inc()
@@ -144,30 +124,21 @@ class KernelGuard:
 
 
 class StepGate:
-    """Step-level validation gate with a severity policy.
+    """Step-level validation gate over :data:`STEP_SEVERITY`.
 
     Call :meth:`check` after each completed step; fatal violations
     raise :class:`StepValidationError`, warnings accumulate in
-    :attr:`warnings`, ignored checks are skipped entirely.
+    :attr:`warnings`.
     """
 
-    def __init__(self, driver: AdiabaticDriver, policy: GuardPolicy | None = None):
-        self.policy = policy or GuardPolicy()
+    def __init__(self, driver: AdiabaticDriver):
         self.validator = RunValidator(driver)
         self.warnings: list[Violation] = []
 
     def check(self, step_index: int) -> None:
-        active = tuple(
-            c
-            for c in self.policy.step_checks
-            if self.policy.severity_of(c) is not Severity.IGNORE
-        )
-        if not active:
-            return
-        report = self.validator.validate(checks=active)
         fatal: list[Violation] = []
-        for violation in report.violations:
-            if self.policy.severity_of(violation.check) is Severity.FATAL:
+        for violation in self.validator.validate().violations:
+            if STEP_SEVERITY[violation.check] is Severity.FATAL:
                 fatal.append(violation)
             else:
                 self.warnings.append(violation)

@@ -58,7 +58,6 @@ from repro.hacc.checkpoint import (
     payload_digest,
     verified_load,
 )
-from repro.hacc.cosmology import Cosmology
 from repro.hacc.particles import ParticleData
 from repro.hacc.timestep import (
     AdiabaticDriver,
@@ -73,6 +72,11 @@ from repro.resilience.faults import CheckpointWriteFault
 #: kernel-checkpoint format in :mod:`repro.hacc.checkpoint`)
 SIM_FORMAT_VERSION = 1
 _KIND = "crk-hacc-simulation"
+
+#: checkpoint files :class:`CheckpointManager` keeps (the newest ones)
+KEEP_CHECKPOINTS = 4
+#: re-issues of a checkpoint write after a transient OS-level error
+WRITE_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -113,18 +117,14 @@ class SimulationCheckpoint:
             arrays={name: arr.copy() for name, arr in self.particle_arrays.items()},
         )
 
-    def restore_driver(self, cosmology: Cosmology | None = None) -> AdiabaticDriver:
+    def restore_driver(self) -> AdiabaticDriver:
         """Build a driver resuming at :attr:`step_index`.
 
         Each call returns an independent driver (own particle arrays,
         trace, and RNG), so every rank of a simulated world can restore
         from one shared checkpoint object without aliasing state.
         """
-        driver = AdiabaticDriver(
-            config=self.config,
-            cosmology=cosmology,
-            particles=self.particles(),
-        )
+        driver = AdiabaticDriver(config=self.config, particles=self.particles())
         driver.restore(
             particles=driver.particles,
             step_index=self.step_index,
@@ -259,18 +259,19 @@ class CheckpointManager:
     """Periodic checkpoint policy over a directory.
 
     Writes ``sim-step****.npz`` every ``every`` steps, keeps the
-    newest ``keep`` files, and on restart returns the newest file that
-    *loads and verifies* (a torn, zero-byte, or corrupt file is
-    skipped with a warning — and counted on
+    newest :data:`KEEP_CHECKPOINTS` files, and on restart returns the
+    newest file that *loads and verifies* (a torn, zero-byte, or
+    corrupt file is skipped with a warning — and counted on
     ``sim.resilience.checkpoint_skipped`` — never trusted and never
     allowed to turn recovery into a load error).  ``tighten()``
     implements the retry backoff: after a recovery, checkpoint twice
     as often so repeated faults lose less work each round.
 
     ``io_backoff`` (a :class:`~repro.resilience.backoff.BackoffPolicy`)
-    governs retries of *transient* OS-level write errors in
-    :meth:`save_now`; injected :class:`CheckpointWriteFault`\\ s are
-    deliberately not retried (they model a crash, not a transient).
+    governs the :data:`WRITE_RETRIES` re-issues of a write after a
+    *transient* OS-level error in :meth:`save_now`; injected
+    :class:`CheckpointWriteFault`\\ s are deliberately not retried
+    (they model a crash, not a transient).
 
     The manager keeps the books on its own writes (``written`` /
     ``write_failures``, the ``checkpoint.*`` counters, the
@@ -282,28 +283,20 @@ class CheckpointManager:
         self,
         directory: str | Path,
         every: int = 1,
-        keep: int = 4,
         injector=None,
         metrics=None,
         io_backoff=None,
-        io_retries: int = 2,
         tracer=None,
     ):
         if every < 1:
             raise ValueError("checkpoint cadence must be >= 1 step")
-        if keep < 1:
-            raise ValueError("must keep at least one checkpoint")
-        if io_retries < 0:
-            raise ValueError("io_retries must be >= 0")
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.every = int(every)
-        self.keep = int(keep)
         self.injector = injector
         self.metrics = metrics
         self.tracer = tracer
         self.io_backoff = io_backoff
-        self.io_retries = int(io_retries)
         self.written: list[Path] = []
         #: injected write faults seen by :meth:`save_now`
         self.write_failures = 0
@@ -322,7 +315,7 @@ class CheckpointManager:
     def save_now(self, driver: AdiabaticDriver) -> Path:
         snapshot = SimulationCheckpoint.capture(driver)
         target = self.path_for(driver.step_index)
-        for io_attempt in range(self.io_retries + 1):
+        for io_attempt in range(WRITE_RETRIES + 1):
             try:
                 path = snapshot.save(target, injector=self.injector)
                 break
@@ -342,7 +335,7 @@ class CheckpointManager:
             except OSError:
                 # transient I/O (full pipe, flaky mount): back off and
                 # re-issue
-                if io_attempt == self.io_retries:
+                if io_attempt == WRITE_RETRIES:
                     raise
                 backoff = self.io_backoff
                 if backoff is None:
@@ -369,7 +362,7 @@ class CheckpointManager:
 
     def _prune(self) -> None:
         files = sorted(self.directory.glob("sim-step*.npz"))
-        for stale in files[: -self.keep]:
+        for stale in files[:-KEEP_CHECKPOINTS]:
             stale.unlink(missing_ok=True)
 
     def latest(self, config: Any | None = None) -> SimulationCheckpoint | None:

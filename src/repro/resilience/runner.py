@@ -23,16 +23,16 @@ MPI world with the full resilience stack threaded through it:
   :class:`CheckpointManager`; an injected checkpoint-write fault is
   absorbed (the run continues on the older restart point — losing a
   checkpoint must not lose the run);
-- when an attempt degrades or dies, the
-  :class:`~repro.resilience.degrade.DegradationPolicy` ladder decides
-  the response.  Under ``shrink`` the survivors agree on the failure
+- when an attempt degrades or dies, the degradation policy (one of
+  :data:`~repro.resilience.degrade.DEGRADE_POLICIES`) decides the
+  response.  Under ``shrink`` the survivors agree on the failure
   set (:meth:`SimComm.agree`), form a smaller communicator
   (:meth:`SimComm.shrunk`), roll back to the last agreed step from
   the buddy tier — the dead rank's holder adopts and verifies the
   orphaned snapshot — and continue at reduced size, never touching
   disk.  Under ``restart`` (the default, PR 1 behaviour) the world is
   torn down and every rank replays from the newest *valid* disk
-  checkpoint, with the checkpoint cadence tightened and the
+  checkpoint, with the checkpoint cadence halved and the
   inter-attempt delay drawn from the shared
   :class:`~repro.resilience.backoff.BackoffPolicy`.  When the ladder
   ends, or the :class:`~repro.resilience.guards.RetryPolicy` budget
@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.hacc.cosmology import Cosmology
 from repro.hacc.mpi_sim import RankFailure, SimComm, SimWorld
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 from repro.hacc.validation import RunValidator, ValidationReport, Violation
@@ -54,9 +53,9 @@ from repro.observability.health import (
     Alert,
     HealthEscalation,
     HealthMonitor,
-    HealthPolicy,
+    default_monitor,
 )
-from repro.resilience.degrade import DegradationEvent, DegradationPolicy
+from repro.resilience.degrade import DEGRADE_POLICIES, DegradationEvent
 from repro.resilience.faults import (
     CheckpointWriteFault,
     FaultInjector,
@@ -65,7 +64,6 @@ from repro.resilience.faults import (
 )
 from repro.resilience.guards import (
     GuardError,
-    GuardPolicy,
     KernelGuard,
     RetryPolicy,
     StepGate,
@@ -175,16 +173,13 @@ def run_simulation(
     *,
     world_size: int = 8,
     timeout: float | None = 30.0,
-    cosmology: Cosmology | None = None,
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = 1,
     restart_from: str | Path | None = None,
     fault_plan: FaultPlan | None = None,
-    injector: FaultInjector | None = None,
-    guard_policy: GuardPolicy | None = None,
     retry_policy: RetryPolicy | None = None,
-    degrade_policy: DegradationPolicy | str | None = None,
-    health: HealthPolicy | None = None,
+    degrade_policy: str = "restart",
+    health: bool = False,
     echo: Callable[[str], None] | None = None,
     tracer=None,
     metrics=None,
@@ -194,16 +189,14 @@ def run_simulation(
     Returns a :class:`SimulationResult` whose validation report is the
     final gate; raises :class:`SimulationAborted` when the degradation
     ladder (or the :class:`RetryPolicy` budget) is exhausted.
-    ``fault_plan`` (or a pre-armed ``injector``, which wins if both
-    are given) makes the failures; ``checkpoint_dir`` +
+    ``fault_plan`` makes the failures; ``checkpoint_dir`` +
     ``checkpoint_every`` make the disk recovery tier; ``restart_from``
     resumes an earlier run's checkpoint file.
 
-    ``degrade_policy`` selects the escalation ladder (a
-    :class:`~repro.resilience.degrade.DegradationPolicy`, or one of
-    the names in
-    :data:`~repro.resilience.degrade.NAMED_LADDERS`).  The default,
-    ``"restart"``, reproduces the pre-degradation behaviour exactly;
+    ``degrade_policy`` selects the escalation ladder, one of
+    :data:`~repro.resilience.degrade.DEGRADE_POLICIES`; an unknown
+    name raises :class:`ValueError`.  The default, ``"restart"``,
+    reproduces the pre-degradation behaviour exactly;
     ``"shrink"`` opts in to shrink-and-continue recovery through the
     in-memory buddy-checkpoint tier.
 
@@ -216,25 +209,24 @@ def run_simulation(
     restores, checkpoint writes, and recovery attempts become trace
     events/counters.
 
-    ``health`` (a :class:`~repro.observability.health.HealthPolicy`)
-    attaches the physics health monitors to every rank's driver: the
-    standard conservation/wall-time series are recorded per step and a
-    FATAL detector firing (e.g. the EWMA drift detector catching a
-    slow energy leak) raises
+    ``health`` attaches the physics health monitor
+    (:func:`~repro.observability.health.default_monitor`) to every
+    rank's driver: the standard conservation/wall-time series are
+    recorded per step and a FATAL detector firing (e.g. the EWMA drift
+    detector catching a slow energy leak) raises
     :class:`~repro.observability.health.HealthEscalation` at the step
     boundary — the run rolls back and retries from checkpoint exactly
     as it would for a NaN guard, typically many steps before the
     validator's cumulative conservation band would hard-fail.
     """
+    if degrade_policy not in DEGRADE_POLICIES:
+        raise ValueError(
+            f"unknown degradation policy {degrade_policy!r}; "
+            f"choose from {DEGRADE_POLICIES}"
+        )
     config = config or SimulationConfig()
     retry_policy = retry_policy or RetryPolicy()
-    guard_policy = guard_policy or GuardPolicy()
-    if degrade_policy is None:
-        degrade_policy = DegradationPolicy.named("restart")
-    elif isinstance(degrade_policy, str):
-        degrade_policy = DegradationPolicy.named(degrade_policy)
-    if injector is None and fault_plan is not None:
-        injector = FaultInjector(fault_plan)
+    injector = FaultInjector(fault_plan) if fault_plan is not None else None
     say = echo or (lambda _msg: None)
 
     if injector is not None and (tracer is not None or metrics is not None):
@@ -301,7 +293,7 @@ def run_simulation(
                 buddy snapshots."""
                 driver.tracer = tracer
                 driver.metrics = metrics
-                if health is not None:
+                if health:
                     # every rank monitors its own (replicated,
                     # deterministic) physics, so all ranks escalate at
                     # the same step; only rank 0 owns the sinks — shared
@@ -312,23 +304,23 @@ def run_simulation(
                     # compare post-rollback state against pre-rollback
                     # history)
                     lead = grank == 0
-                    driver.health = health.build(
+                    driver.health = default_monitor(
                         tracer=tracer if lead else None,
                         metrics=metrics if lead else None,
                         on_alert=health_alerts.append if lead else None,
                     )
                     if lead:
                         lead_monitors[attempt] = driver.health
-                KernelGuard(guard_policy, metrics=metrics).install(
+                KernelGuard(metrics=metrics).install(
                     driver, injector=injector, rank=grank
                 )
-                gate = StepGate(driver, guard_policy)
+                gate = StepGate(driver)
                 return gate, SimulationCheckpoint.capture(driver)
 
             if start is not None:
-                driver = start.restore_driver(cosmology)
+                driver = start.restore_driver()
             else:
-                driver = AdiabaticDriver(config=config, cosmology=cosmology)
+                driver = AdiabaticDriver(config=config)
             gate, base = _arm(driver)
             shrinks_done = 0
             while not driver.finished:
@@ -369,7 +361,7 @@ def run_simulation(
                             )
                     comm.barrier()
                 except RankFailure as exc:
-                    if not degrade_policy.shrink_enabled:
+                    if degrade_policy != "shrink":
                         raise
                     # ULFM failure detector: a live-but-absent peer is
                     # declared dead before the agreement, so the
@@ -385,19 +377,19 @@ def run_simulation(
                     survivors = outcome.survivors
                     dead = tuple(sorted(set(comm.group) - set(survivors)))
                     # every dead rank's buddy copy must be held by a
-                    # survivor, and this survivor needs its own
-                    # rollback point; otherwise escalate to restart
+                    # survivor (so an empty survivor set never shrinks),
+                    # and this survivor needs its own rollback point;
+                    # otherwise escalate to restart.  Deterministic in
+                    # the agreed outcome: every survivor decides alike
                     buddy_ok = buddies.own(grank) is not None and all(
                         buddies.adoptable(d, survivors) for d in dead
                     )
-                    decision, reason = degrade_policy.wants_shrink(
-                        survivors=survivors,
-                        shrinks_done=shrinks_done,
-                        buddy_ok=buddy_ok,
-                    )
-                    if not decision:
+                    if not buddy_ok:
                         if grank == min(survivors, default=grank):
-                            say(f"shrink refused at step {step}: {reason}")
+                            say(
+                                f"shrink refused at step {step}: buddy state "
+                                "not adoptable (holder died too)"
+                            )
                         raise
                     # adopt-and-verify the orphaned snapshots: the
                     # dead rank's ring buddy checksums its copy (the
@@ -413,7 +405,7 @@ def run_simulation(
                         rollback = buddies.own(grank)
                     assert rollback is not None  # buddy_ok checked above
                     restore_point = rollback.materialise()
-                    driver = restore_point.restore_driver(cosmology)
+                    driver = restore_point.restore_driver()
                     gate, base = _arm(driver)
                     # NB: dead ranks' store entries are left in place —
                     # purging here would race a slower survivor's
@@ -425,7 +417,7 @@ def run_simulation(
                         action="shrink",
                         dead_ranks=dead,
                         survivors=survivors,
-                        reason=reason,
+                        reason=f"shrinking to {len(survivors)} rank(s)",
                     )
                     if grank == survivors[0]:
                         degradation_events.append(event)
@@ -528,10 +520,10 @@ def run_simulation(
             f"attempt {attempt} failed ({type(exc).__name__}); "
             f"dead ranks: {sorted(obits)}"
         )
-        if not degrade_policy.allows_restart:
+        if degrade_policy == "abort":
             raise SimulationAborted(
                 f"run lost after {len(attempts)} attempt(s) "
-                f"(policy ladder {degrade_policy.ladder} forbids restart): {exc}",
+                f"(policy {degrade_policy!r} forbids restart): {exc}",
                 attempts,
             ) from exc
         if attempt == retry_policy.max_retries:
@@ -546,7 +538,7 @@ def run_simulation(
         if recovered is not None:
             start = recovered
             say(f"recovering from checkpoint at step {recovered.step_index}")
-        if manager is not None and retry_policy.tighten_cadence:
+        if manager is not None:
             manager.tighten()
         if metrics is not None:
             metrics.counter("resilience.retries").inc()

@@ -23,6 +23,7 @@ from enum import Enum
 from typing import Any
 
 from repro.core.confighash import config_hash
+from repro.resilience.degrade import DEGRADE_POLICIES
 
 #: products a job may request, in canonical order
 PRODUCT_NAMES = ("diagnostics", "power_spectrum", "halo_catalog", "trace")
@@ -111,7 +112,7 @@ class JobSpec:
             raise SubmissionError(
                 f"unknown product(s) {unknown} (known: {list(PRODUCT_NAMES)})"
             )
-        if self.degrade_policy not in ("shrink", "restart", "abort"):
+        if self.degrade_policy not in DEGRADE_POLICIES:
             raise SubmissionError(
                 f"unknown degrade policy {self.degrade_policy!r}"
             )

@@ -1,8 +1,14 @@
 """Tests for the run validator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.hacc.validation import RunValidator, validate_run
 
 
@@ -95,7 +101,7 @@ class TestCorruptionDetection:
 
 class TestExactViolationNames:
     """Each corruption trips *exactly* its own check — the resilience
-    step gate's severity policy keys on ``Violation.check``, so the
+    step gate's severity map keys on ``Violation.check``, so the
     names must be precise, not just present."""
 
     @pytest.fixture
@@ -143,3 +149,27 @@ class TestExactViolationNames:
         gas = driver.particles.species_mask(Species.BARYON)
         driver.particles.arrays["volume"][gas] *= 100.0
         assert self._violated(driver) == {"volumes"}
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "repro.hacc.validation",
+        "repro.observability.health",
+        "repro.resilience",
+        "repro.hacc",
+    ],
+)
+def test_imports_cleanly_when_first(module):
+    """No import cycle between the validator, the health monitors
+    (home of ``Severity``) and the step gate, whichever loads first."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -323,12 +323,12 @@ class TestCounterAndAlertSchema:
         whole trace passes the schema."""
         from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
         from repro.observability import TraceRecorder
-        from repro.observability.health import HealthPolicy
+        from repro.observability.health import default_monitor
 
         recorder = TraceRecorder()
         driver = AdiabaticDriver(SimulationConfig(n_per_side=6, n_steps=3))
         driver.tracer = recorder
-        monitor = HealthPolicy().build(tracer=recorder)
+        monitor = default_monitor(tracer=recorder)
         driver.health = monitor
         driver.run()
         # inject a leak-shaped observation so an alert instant is cut

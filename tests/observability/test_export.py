@@ -6,10 +6,10 @@ import json
 
 import pytest
 
-from repro.hacc.validation import Severity
 from repro.observability import (
     KernelProfiler,
     MetricsRegistry,
+    Severity,
     TraceRecorder,
 )
 from repro.observability.export import (

@@ -1,18 +1,15 @@
 """Health monitors: series buffers, detectors, alerts, escalation.
 
 The detector tests run on *synthetic* series so each failure mode is
-isolated: a slow injected leak must trip the EWMA drift detector, a
-single-step spike must trip the z-score detector, and a clean (healthy
-but noisy) series must trip neither.
+isolated: a slow injected leak must trip the EWMA drift detector, an
+out-of-band value the threshold detector, and a clean (healthy but
+noisy) series neither.
 """
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.hacc.validation import Severity
 from repro.observability import MetricsRegistry, TraceRecorder
 from repro.observability.health import (
     ENERGY_DRIFT,
@@ -28,10 +25,9 @@ from repro.observability.health import (
     EWMADriftDetector,
     HealthEscalation,
     HealthMonitor,
-    HealthPolicy,
     SeriesBuffer,
+    Severity,
     ThresholdDetector,
-    ZScoreSpikeDetector,
     default_monitor,
 )
 
@@ -160,32 +156,6 @@ class TestEWMADriftDetector:
             EWMADriftDetector(**kwargs)
 
 
-class TestZScoreSpikeDetector:
-    def test_spike_is_caught(self):
-        det = ZScoreSpikeDetector(z_threshold=6.0, min_points=4)
-        base = [1.0, 1.1, 0.9, 1.05, 0.95, 1.02]
-        assert all(det.update(s, v) is None for s, v in enumerate(base))
-        message = det.update(len(base), 5.0)
-        assert message is not None and "spikes" in message
-
-    def test_clean_noise_is_silent(self):
-        det = ZScoreSpikeDetector(z_threshold=6.0, min_points=4)
-        values = [1.0 + 0.05 * math.sin(i) for i in range(32)]
-        assert all(det.update(s, v) is None for s, v in enumerate(values))
-
-    def test_min_std_floor_suppresses_roundoff(self):
-        det = ZScoreSpikeDetector(z_threshold=6.0, min_points=3, min_std=1e-3)
-        for s in range(5):
-            det.update(s, 1.0)
-        # 1e-4 above a perfectly flat series: within the std floor
-        assert det.update(5, 1.0 + 1e-4) is None
-
-    def test_needs_min_points(self):
-        det = ZScoreSpikeDetector(min_points=4)
-        assert det.update(0, 0.0) is None
-        assert det.update(1, 100.0) is None  # only 1 point of history
-
-
 class TestHealthMonitor:
     def test_observe_feeds_series_and_sinks(self):
         tracer = TraceRecorder()
@@ -308,11 +278,11 @@ class TestObserveStep:
         assert max(monitor.series(MOMENTUM_DRIFT).values) < 1e-9
 
 
-class TestHealthPolicy:
-    def test_default_policy_catches_injected_leak(self):
-        """Synthetic end-to-end: feeding the policy's monitor a drift
+class TestDefaultMonitor:
+    def test_catches_injected_leak(self):
+        """Synthetic end-to-end: feeding the default monitor a drift
         series with a leak fires the EWMA detector at FATAL."""
-        monitor = HealthPolicy().build()
+        monitor = default_monitor()
         for step, clean in enumerate(CLEAN_DRIFT):
             monitor.observe(ENERGY_DRIFT, step, clean - (0.12 if step >= 4 else 0))
         assert monitor.fatal_alerts
@@ -320,24 +290,6 @@ class TestHealthPolicy:
         assert monitor.fatal_alerts[0].step == 4
 
     def test_energy_floor_is_instant(self):
-        monitor = HealthPolicy(energy_floor=0.5).build()
+        monitor = default_monitor()
         monitor.observe(ENERGY_DRIFT, 0, -0.7)
         assert monitor.fatal_alerts  # no warmup on the hard floor
-
-    def test_escalation_severity_configurable(self):
-        monitor = HealthPolicy(escalation=Severity.WARN).build()
-        for step in range(6):
-            monitor.observe(ENERGY_DRIFT, step, -0.2 * (step + 1))
-        assert monitor.alerts and not monitor.fatal_alerts
-        monitor.escalate()  # does not raise
-
-    def test_step_spike_watch_optional(self):
-        on = HealthPolicy(step_spike_z=4.0).build()
-        off = HealthPolicy(step_spike_z=None).build()
-        base = [1.0, 1.02, 0.98, 1.01, 0.99, 1.0]
-        for monitor in (on, off):
-            for step, value in enumerate(base):
-                monitor.observe(STEP_SECONDS, step, value)
-            monitor.observe(STEP_SECONDS, len(base), 30.0)
-        assert on.alerts and on.alerts[0].severity is Severity.WARN
-        assert off.alerts == []

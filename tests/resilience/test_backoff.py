@@ -4,18 +4,20 @@ import pytest
 
 from repro.observability import MetricsRegistry
 from repro.resilience import BackoffPolicy, RetryPolicy
+from repro.resilience.backoff import BACKOFF_JITTER
+
+
+def delays(policy: BackoffPolicy, n: int) -> list[float]:
+    return [policy.delay_for(k) for k in range(n)]
 
 
 class TestDeterminism:
     def test_same_seed_same_schedule(self):
         """Acceptance: backoff delays are a pure function of the seed."""
-        a = BackoffPolicy(seed=42)
-        b = BackoffPolicy(seed=42)
-        assert a.schedule(8) == b.schedule(8)
-        assert [a.delay_for(i) for i in range(8)] == list(b.schedule(8))
+        assert delays(BackoffPolicy(seed=42), 8) == delays(BackoffPolicy(seed=42), 8)
 
     def test_different_seeds_differ(self):
-        assert BackoffPolicy(seed=1).schedule(6) != BackoffPolicy(seed=2).schedule(6)
+        assert delays(BackoffPolicy(seed=1), 6) != delays(BackoffPolicy(seed=2), 6)
 
     def test_attempts_are_independent_draws(self):
         # jitter for attempt k must not depend on earlier attempts
@@ -25,50 +27,40 @@ class TestDeterminism:
 
 class TestShape:
     def test_exponential_growth_until_cap(self):
-        policy = BackoffPolicy(
-            base_delay=0.1, factor=2.0, max_delay=0.8, jitter=0.0, seed=0
-        )
-        assert policy.schedule(5) == [0.1, 0.2, 0.4, 0.8, 0.8]
+        """The un-jittered envelope doubles per attempt up to the cap."""
+        policy = BackoffPolicy(base_delay=0.1, max_delay=0.8, seed=0)
+        for delay, envelope in zip(delays(policy, 5), [0.1, 0.2, 0.4, 0.8, 0.8]):
+            assert envelope <= delay < envelope * (1.0 + BACKOFF_JITTER)
 
     def test_jitter_bounded(self):
-        policy = BackoffPolicy(base_delay=1.0, factor=1.0, jitter=0.25, seed=3)
+        policy = BackoffPolicy(base_delay=1.0, max_delay=1.0, seed=3)
         for attempt in range(20):
             delay = policy.delay_for(attempt)
             assert 1.0 <= delay <= 1.25
-
-    def test_budget_clamps_cumulative_sleep(self):
-        policy = BackoffPolicy(
-            base_delay=1.0, factor=2.0, max_delay=10.0, jitter=0.0, budget=4.0
-        )
-        schedule = policy.schedule(6)
-        assert sum(schedule) == pytest.approx(4.0)
-        # the clamp hits mid-schedule, then everything after is zero
-        assert schedule[0] == 1.0
-        assert schedule[-1] == 0.0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
             BackoffPolicy(base_delay=-1.0)
         with pytest.raises(ValueError):
-            BackoffPolicy(factor=0.5)
+            BackoffPolicy(base_delay=1.0, max_delay=0.5)
         with pytest.raises(ValueError):
-            BackoffPolicy(jitter=-0.1)
+            BackoffPolicy().delay_for(-1)
 
 
 class TestSleep:
     def test_sleep_uses_injected_sleeper_and_counts_metric(self):
         slept = []
         metrics = MetricsRegistry()
-        policy = BackoffPolicy(base_delay=0.25, jitter=0.0, seed=0)
+        policy = BackoffPolicy(base_delay=0.25, seed=0)
         policy.sleep(0, sleeper=slept.append, metrics=metrics)
         policy.sleep(1, sleeper=slept.append, metrics=metrics)
-        assert slept == [0.25, 0.5]
+        assert slept == delays(policy, 2)
         counter = metrics.counter("sim.resilience.backoff_seconds")
-        assert counter.value == pytest.approx(0.75)
+        assert counter.value == pytest.approx(sum(slept))
 
     def test_zero_delay_skips_sleeper(self):
         slept = []
-        policy = BackoffPolicy(base_delay=1.0, jitter=0.0, budget=0.0)
+        policy = BackoffPolicy(base_delay=0.0, max_delay=0.0)
         policy.sleep(0, sleeper=slept.append)
         assert slept == []
 
@@ -81,4 +73,14 @@ class TestRetryPolicyIntegration:
     def test_custom_backoff_threads_through(self):
         backoff = BackoffPolicy(base_delay=0.01, seed=9)
         policy = RetryPolicy(max_retries=1, backoff=backoff)
-        assert policy.backoff.schedule(3) == backoff.schedule(3)
+        assert delays(policy.backoff, 3) == delays(backoff, 3)
+
+    def test_runner_default_sleeps_are_pinned(self):
+        """The runner's default inter-attempt delays, bit for bit (a
+        two-restart run such as the ``resilient_ranks`` benchmark sleeps
+        the first two)."""
+        assert delays(RetryPolicy().backoff, 3) == [
+            0.057962021091518184,
+            0.12224346978195336,
+            0.20404120195865938,
+        ]

@@ -12,12 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
-from repro.hacc.validation import RunValidator, Severity
+from repro.hacc.validation import RunValidator
 from repro.observability import MetricsRegistry, TraceRecorder
 from repro.observability.health import (
     ENERGY_DRIFT,
     HealthEscalation,
-    HealthPolicy,
+    Severity,
+    default_monitor,
 )
 from repro.resilience import FaultPlan, run_simulation
 from repro.resilience.runner import SimulationAborted
@@ -41,7 +42,7 @@ class TestLeakEscalationRoundTrip:
             checkpoint_dir=tmp_path,
             checkpoint_every=1,
             fault_plan=FaultPlan.parse(LEAK),
-            health=HealthPolicy(),
+            health=True,
             metrics=MetricsRegistry(),
             tracer=TraceRecorder(),
         )
@@ -77,8 +78,8 @@ class TestLeakEscalationRoundTrip:
         alert_step = result.health_alerts[0].step
         leaked_fraction_at_alert = 1 - (1 - 0.12) ** (alert_step - 3 + 1)
         assert leaked_fraction_at_alert < RunValidator.CONSERVATION_BAND
-        report = RunValidator(result.driver).validate(checks=["conservation"])
-        assert report.ok
+        report = RunValidator(result.driver).validate()
+        assert not [v for v in report.violations if v.check == "conservation"]
 
     def test_final_monitor_is_clean(self, result):
         """The recovered attempt's own monitor saw no leak (the fired
@@ -103,7 +104,7 @@ class TestUnrecoverableLeak:
                 timeout=30.0,
                 retry_policy=RetryPolicy(max_retries=0),
                 fault_plan=FaultPlan.parse(LEAK),
-                health=HealthPolicy(),
+                health=True,
             )
         (attempt,) = excinfo.value.attempts
         assert "HealthEscalation" in attempt.failure
@@ -121,41 +122,23 @@ class TestValidatorConservationBackstop:
         eos.update_thermodynamics(driver.particles)
         # fake the last diagnostic reflecting the drained state
         driver.diagnostics.append(driver._diagnose(driver.diagnostics[-1].a))
-        report = RunValidator(driver).validate(checks=["conservation"])
-        assert not report.ok
-        assert "leaking" in report.violations[0].message
+        report = RunValidator(driver).validate()
+        (violation,) = [v for v in report.violations if v.check == "conservation"]
+        assert "leaking" in violation.message
 
     def test_default_severity_is_warn(self):
         """The health EWMA owns escalation; the validator's band only
         warns by default at the step gate."""
-        from repro.resilience.guards import GuardPolicy
+        from repro.resilience.guards import STEP_SEVERITY
 
-        assert GuardPolicy().severity["conservation"] is Severity.WARN
-
-
-class TestEscalationDisabled:
-    def test_warn_policy_records_without_rollback(self, tmp_path):
-        """HealthPolicy(escalation=WARN): the leak is observed and
-        logged but the run never rolls back."""
-        result = run_simulation(
-            small_config(6),
-            world_size=1,
-            timeout=30.0,
-            checkpoint_dir=tmp_path,
-            checkpoint_every=1,
-            fault_plan=FaultPlan.parse(LEAK),
-            health=HealthPolicy(escalation=Severity.WARN),
-        )
-        assert len(result.attempts) == 1
-        assert result.health_alerts
-        assert all(a.severity is Severity.WARN for a in result.health_alerts)
+        assert STEP_SEVERITY["conservation"] is Severity.WARN
 
 
 class TestDirectEscalation:
     def test_driver_level_monitor_raises(self):
         """Unit seam: a FATAL alert raises HealthEscalation out of
         monitor.escalate(), carrying the alerts."""
-        monitor = HealthPolicy().build()
+        monitor = default_monitor()
         for step, value in enumerate([0.001, 0.002, 0.003, -0.2, -0.25]):
             monitor.observe(ENERGY_DRIFT, step, value)
         with pytest.raises(HealthEscalation) as excinfo:

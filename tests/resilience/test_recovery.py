@@ -360,21 +360,24 @@ class TestGracefulDegradation:
             )
         assert len(exc.value.attempts) == 1
 
-    def test_min_ranks_floor_falls_back_to_restart(self, tmp_path):
-        """A shrink that would go below min_ranks is refused; the
-        ladder's next rung (restart) recovers the run instead."""
-        from repro.resilience import DegradationPolicy
-
+    def test_lost_buddy_copy_falls_back_to_restart(self, tmp_path):
+        """Rank 1 and its ring buddy, rank 2, die at the same step: no
+        survivor holds rank 1's snapshot, so the shrink is refused and
+        the ladder's next rung (restart) recovers the full world."""
         result = run_simulation(
             small_config(n_steps=2),
-            world_size=2,
+            world_size=3,
             timeout=10.0,
             checkpoint_dir=tmp_path,
             checkpoint_every=1,
-            fault_plan=FaultPlan.parse("kill:rank=1,step=1"),
-            degrade_policy=DegradationPolicy.named("shrink", min_ranks=2),
+            fault_plan=FaultPlan.parse("kill:rank=1,step=1;kill:rank=2,step=1"),
+            degrade_policy="shrink",
         )
         assert result.ok
         assert result.recovered  # restarted, did not shrink to 1
-        assert result.final_world_size == 2
+        assert result.final_world_size == 3
         assert not result.degradations
+
+    def test_unknown_policy_is_refused(self):
+        with pytest.raises(ValueError, match="shrink.*restart.*abort"):
+            run_simulation(small_config(n_steps=1), world_size=1, degrade_policy="panic")

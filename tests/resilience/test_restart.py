@@ -12,6 +12,7 @@ from repro.resilience.faults import (
     plan_from_specs,
 )
 from repro.resilience.restart import (
+    KEEP_CHECKPOINTS,
     SIM_FORMAT_VERSION,
     CheckpointManager,
     SimulationCheckpoint,
@@ -218,16 +219,18 @@ class TestCheckpointManager:
         assert found is not None and found.step_index == checkpoint.step_index
 
     def test_prune_keeps_newest(self, tmp_path, checkpoint):
-        manager = CheckpointManager(tmp_path, keep=2)
+        manager = CheckpointManager(tmp_path)
         import dataclasses
 
-        for step in (1, 2, 3):
+        for step in range(1, KEEP_CHECKPOINTS + 2):
             dataclasses.replace(checkpoint, step_index=step).save(
                 manager.path_for(step)
             )
         manager._prune()
         remaining = sorted(p.name for p in tmp_path.glob("sim-step*.npz"))
-        assert remaining == ["sim-step0002.npz", "sim-step0003.npz"]
+        assert remaining == [
+            manager.path_for(step).name for step in range(2, KEEP_CHECKPOINTS + 2)
+        ]
 
     def test_tighten_halves_cadence(self, tmp_path):
         manager = CheckpointManager(tmp_path, every=4)
@@ -240,8 +243,6 @@ class TestCheckpointManager:
     def test_invalid_parameters(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointManager(tmp_path, every=0)
-        with pytest.raises(ValueError):
-            CheckpointManager(tmp_path, keep=0)
 
 
 class TestLatestSkipsDamagedFiles:

@@ -30,7 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.resilience.chaos import soak  # noqa: E402
-from repro.resilience.degrade import NAMED_LADDERS  # noqa: E402
+from repro.resilience.degrade import DEGRADE_POLICIES  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -40,7 +40,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--policy",
         default="shrink",
-        choices=sorted(NAMED_LADDERS),
+        choices=DEGRADE_POLICIES,
         help="degradation ladder to soak (default: shrink)",
     )
     parser.add_argument(
