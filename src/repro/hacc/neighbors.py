@@ -111,28 +111,24 @@ class CellList:
                 f"cutoff {cutoff:.6g}"
             )
 
-    def _stencil_candidates(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(i, j, count from the self cell) candidate pairs over the
-        half stencil, fully vectorised (cumsum-based ragged gather, no
-        Python-level per-particle loops)."""
-        n_q = len(self.pos)
-        cells_q = _cell_index(self.pos, self.box, self.n_cells)
-        ncell = (cells_q[None, :, :] + _HALF_STENCIL[:, None, :]) % self.n_cells
-        nflat = (
-            (ncell[..., 0] * self.n_cells + ncell[..., 1]) * self.n_cells
-            + ncell[..., 2]
-        ).ravel()
+    def _offset_candidates(
+        self, cells: np.ndarray, offset: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) candidate pairs of every particle's cell with the cell
+        at ``offset`` from it, fully vectorised (cumsum-based ragged
+        gather, no Python-level per-particle loops)."""
+        n = self.n_cells
+        ncell = (cells + offset) % n
+        nflat = (ncell[:, 0] * n + ncell[:, 1]) * n + ncell[:, 2]
         starts = self.boundaries[nflat]
         counts = self.boundaries[nflat + 1] - starts
         total = int(xp.sum(counts))
-        n_first = int(xp.sum(counts[:n_q]))
-        rep = xp.repeat(xp.tile(xp.arange(n_q), len(_HALF_STENCIL)), counts)
+        rep = xp.repeat(xp.arange(len(self.pos)), counts)
         # ragged ranges 0..counts[k] for every bucket, without a Python
         # loop: a global arange minus each element's bucket offset
         shifts = xp.cumsum(counts) - counts
         within = xp.arange(total, dtype=np.int64) - xp.repeat(shifts, counts)
-        cand = self.order[xp.repeat(starts, counts) + within]
-        return rep, cand, n_first
+        return rep, self.order[xp.repeat(starts, counts) + within]
 
     def pairs_within(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
         """All directed pairs (i, j), i != j, within ``cutoff`` among the
@@ -140,18 +136,26 @@ class CellList:
 
         The cutoff decision is made once per unordered pair in the
         canonical direction and mirrored, so the directed list is
-        exactly symmetric (see :func:`find_pairs`).
+        exactly symmetric (see :func:`find_pairs`).  The half stencil
+        is searched one offset at a time, in its order, so the largest
+        temporaries hold one offset's candidates, not fourteen.
         """
         self._check_cutoff(cutoff)
         if not self.use_cells:
             return _find_pairs_bruteforce(self.pos, self.box, cutoff)
-        gi, gj, n_self = self._stencil_candidates()
-        _d, r2 = pair_separations(self.pos, self.box, gi, gj)
-        mask = r2 < cutoff * cutoff
-        # cross-cell candidates already appear once per unordered pair;
-        # only the self cell (first stencil offset) needs the index dedup
-        mask[:n_self] &= gi[:n_self] < gj[:n_self]
-        i, j = gi[mask], gj[mask]
+        cells = _cell_index(self.pos, self.box, self.n_cells)
+        rows, cols = [], []
+        for k, offset in enumerate(_HALF_STENCIL):
+            gi, gj = self._offset_candidates(cells, offset)
+            _d, r2 = pair_separations(self.pos, self.box, gi, gj)
+            mask = r2 < cutoff * cutoff
+            # cross-cell candidates already appear once per unordered
+            # pair; only the self cell (offset 0) needs the index dedup
+            if k == 0:
+                mask &= gi < gj
+            rows.append(gi[mask])
+            cols.append(gj[mask])
+        i, j = xp.concatenate(rows), xp.concatenate(cols)
         return xp.concatenate([i, j]), xp.concatenate([j, i])
 
 

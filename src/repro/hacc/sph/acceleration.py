@@ -51,35 +51,38 @@ def pair_viscosity(
     rho: np.ndarray,
     cs: np.ndarray,
     vdotx: np.ndarray,
+    rows: slice = slice(None),
     *,
     alpha: float = VISC_ALPHA,
     beta: float = VISC_BETA,
 ) -> np.ndarray:
-    """Monaghan viscous pressure Pi_ij >= 0 on approaching pairs
-    (``vdotx``, the per-pair (v_i - v_j) . (x_i - x_j), negative)."""
-    h_ij = 0.5 * (h[ctx.i] + h[ctx.j])
-    r2 = ctx.r**2
+    """Monaghan viscous pressure Pi_ij >= 0 on the approaching pairs of
+    ``rows`` (all pairs by default; ``vdotx``, their per-pair
+    (v_i - v_j) . (x_i - x_j), negative)."""
+    i, j = ctx.i[rows], ctx.j[rows]
+    h_ij = 0.5 * (h[i] + h[j])
+    r2 = ctx.r[rows] ** 2
     mu = h_ij * vdotx / (r2 + VISC_EPS * h_ij**2)
     mu = xp.where(vdotx < 0.0, mu, 0.0)  # only approaching pairs
-    cs_ij = 0.5 * (cs[ctx.i] + cs[ctx.j])
-    rho_ij = 0.5 * (rho[ctx.i] + rho[ctx.j])
+    cs_ij = 0.5 * (cs[i] + cs[j])
+    rho_ij = 0.5 * (rho[i] + rho[j])
     return rho_ij * (-alpha * cs_ij * mu + beta * mu**2)
 
 
-def antisymmetric_gradients(ctx: PairContext, g: np.ndarray) -> np.ndarray:
-    """(grad_i W^R_ij - grad_j W^R_ji) / 2 on the directed pair list,
-    from ``g``, the per-pair grad_i W^R_ij.
+def antisymmetric_gradients(ctx: PairContext, g: np.ndarray, rows: slice) -> np.ndarray:
+    """(grad_i W^R_ij - grad_j W^R_ji) / 2 on ``rows`` (a block of
+    :meth:`PairContext.blocks`), from ``g``, the whole list's per-pair
+    grad_i W^R_ij.
 
     By :class:`PairContext`'s mirror contract grad_j W^R_ji of row k is
-    grad_i W^R_ij of row ``half + k``: one evaluation serves both sides
-    and the result is ``[D, -D]``, antisymmetric bit for bit -- which
-    gives the momentum equation its exact conservation property.
+    grad_i W^R_ij of row ``mirror[k]``: one evaluation serves both
+    sides, and since ``a - b == -(b - a)`` in floating point the result
+    is antisymmetric bit for bit -- which gives the momentum equation
+    its exact conservation property.
     """
     if g.shape != (ctx.n_pairs, 3):
         raise ValueError("kernel gradients do not match the pair context")
-    half = ctx.n_pairs // 2
-    delta = 0.5 * (g[:half] - g[half:])
-    return xp.concatenate([delta, -delta])
+    return 0.5 * (g[rows] - xp.take(g, ctx.mirror[rows]))
 
 
 def compute_acceleration(
@@ -96,7 +99,8 @@ def compute_acceleration(
 ) -> AccelerationResult:
     """The Acceleration kernel.  ``grad_w``, when given, must be
     ``corrected_kernel_gradients(ctx, h, corr)`` of these very arguments
-    (``ExtrasResult.grad_w``); it is evaluated here otherwise."""
+    (``ExtrasResult.grad_w``); it is evaluated here otherwise, block by
+    block, before the pass that reads each row's mirror."""
     for name, arr in (
         ("volume", volume),
         ("mass", mass),
@@ -109,30 +113,32 @@ def compute_acceleration(
     if np.asarray(velocity).shape != (ctx.n, 3):
         raise ValueError("velocity must be (n, 3)")
 
-    vdotx = xp.rowwise_dot(velocity[ctx.i] - velocity[ctx.j], ctx.dx)
-    visc = pair_viscosity(ctx, h, rho, cs, vdotx)
     if grad_w is None:
-        grad_w = corrected_kernel_gradients(ctx, h, corr)
-    delta_gw = antisymmetric_gradients(ctx, grad_w)
+        grad_w = xp.empty(ctx.dx.shape)
+        for rows, _starts, _ids in ctx.blocks():
+            grad_w[rows] = corrected_kernel_gradients(ctx, h, corr, rows)
 
-    vi = volume[ctx.i]
-    vj = volume[ctx.j]
-    p_sum = pressure[ctx.i] + pressure[ctx.j] + visc
-    scale = -vi * vj * 0.5 * p_sum / mass[ctx.i]
-    dv_dt = ctx.scatter_sum(scale[:, None] * delta_gw)
-
+    visc = xp.empty(ctx.n_pairs)
+    delta_gw = xp.empty(ctx.dx.shape)
+    dv_dt = xp.zeros((ctx.n, 3))
     # signal speed for the CFL criterion: sound crossing + viscous signal
-    if ctx.n_pairs:
-        r_safe = xp.where(ctx.r > 0, ctx.r, 1.0)
-        approach = xp.where(vdotx < 0, -vdotx / r_safe, 0.0)
-        sig = cs[ctx.i] + cs[ctx.j] + 3.0 * approach
-        max_signal = float(xp.max(sig))
-    else:
-        max_signal = float(2.0 * xp.max(cs)) if ctx.n else 0.0
+    max_signal = float(2.0 * xp.max(cs)) if ctx.n and not ctx.n_pairs else 0.0
+    for rows, starts, ids in ctx.blocks():
+        i, j = ctx.i[rows], ctx.j[rows]
+        vdotx = xp.rowwise_dot(velocity[i] - velocity[j], ctx.dx[rows])
+        pi = visc[rows] = pair_viscosity(ctx, h, rho, cs, vdotx, rows)
+        delta = delta_gw[rows] = antisymmetric_gradients(ctx, grad_w, rows)
+        p_sum = pressure[i] + pressure[j] + pi
+        scale = -volume[i] * volume[j] * 0.5 * p_sum / mass[i]
+        dv_dt[ids] = xp.segment_sum(scale[:, None] * delta, starts)
+
+        r = ctx.r[rows]
+        approach = xp.where(vdotx < 0, -vdotx / xp.where(r > 0, r, 1.0), 0.0)
+        max_signal = xp.maximum(max_signal, xp.max(cs[i] + cs[j] + 3.0 * approach))
 
     return AccelerationResult(
         dv_dt=dv_dt,
         visc_pi=visc,
         delta_gw=delta_gw,
-        max_signal_speed=max_signal,
+        max_signal_speed=float(max_signal),
     )

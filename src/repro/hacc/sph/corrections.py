@@ -59,18 +59,43 @@ class CorrectionResult:
     grad_b: np.ndarray
 
 
-def compute_moments(
+def _moment_sums(
     ctx: PairContext, h: np.ndarray, volume: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Geometric moments m0, m1, m2 (self term included in m0)."""
-    vw = volume[ctx.j] * ctx.kernel_values(h)
-    m0 = ctx.scatter_sum(vw) + volume * kernel_self_value(h)
-    # x_j - x_i = -dx  (ctx.dx stores x_i - x_j)
-    dji = -ctx.dx
-    m1 = ctx.scatter_sum(vw[:, None] * dji)
-    outer = dji[:, :, None] * dji[:, None, :]
-    m2 = ctx.scatter_sum(vw[:, None, None] * outer)
-    return m0, m1, m2
+) -> tuple[np.ndarray, ...]:
+    """The six pair sums (m0, m1, m2, dm0, dm1, dm2) of the moments and
+    their gradients, in one pass over the pair blocks.
+
+    With ``dji = x_j - x_i`` and the uncorrected kernel's ``W`` and
+    ``dW`` (its gradient with respect to x_i):
+
+        m0 = sum_j V_j W                 m1 = sum_j V_j dji W
+        m2 = sum_j V_j dji dji^T W       dm0 = sum_j V_j dW
+        dm1 = sum_j V_j dji dW^T         dm2 = sum_j V_j dji dji dW
+
+    -- the pair parts only; :func:`compute_corrections` adds the self
+    term and the product rule's delta-terms per particle.  Each term is
+    reduced as it is formed: copying the six into one (rows, 52) array
+    for a single ``segment_sum`` measured 30 % slower (5 to 12 particles
+    per side, x86-64 Xeon).
+    """
+    n = ctx.n
+    m0, m1, m2 = xp.zeros(n), xp.zeros((n, 3)), xp.zeros((n, 3, 3))
+    dm0, dm1, dm2 = xp.zeros((n, 3)), xp.zeros((n, 3, 3)), xp.zeros((n, 3, 3, 3))
+    for rows, starts, ids in ctx.blocks():
+        vj = volume[ctx.j[rows]]
+        # x_j - x_i = -dx  (ctx.dx stores x_i - x_j)
+        dji = -ctx.dx[rows]
+        vw = vj * ctx.kernel_values(h, rows)
+        vgw = vj[:, None] * ctx.kernel_gradients(h, rows)
+        outer = dji[:, :, None] * dji[:, None, :]
+        dgw = dji[:, :, None] * vgw[:, None, :]
+        m0[ids] = xp.segment_sum(vw, starts)
+        m1[ids] = xp.segment_sum(vw[:, None] * dji, starts)
+        m2[ids] = xp.segment_sum(vw[:, None, None] * outer, starts)
+        dm0[ids] = xp.segment_sum(vgw, starts)
+        dm1[ids] = xp.segment_sum(dgw, starts)
+        dm2[ids] = xp.segment_sum(dji[:, :, None, None] * dgw[:, None, :, :], starts)
+    return m0, m1, m2, dm0, dm1, dm2
 
 
 def _regularised(m2: np.ndarray) -> np.ndarray:
@@ -110,41 +135,6 @@ def solve_coefficients(
     return a, b
 
 
-def compute_moment_gradients(
-    ctx: PairContext,
-    h: np.ndarray,
-    volume: np.ndarray,
-    m0: np.ndarray,
-    m1: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spatial gradients of the moments with respect to x_i.
-
-    With ``dji = x_j - x_i`` (so ``d dji / d x_i = -I``):
-
-        dm0[p, g]       = sum_j V_j dW_g
-        dm1[p, a, g]    = sum_j V_j dji_a dW_g - delta_ag m0
-        dm2[p, a, b, g] = sum_j V_j dji_a dji_b dW_g
-                          - (delta_ag m1_b + delta_bg m1_a)
-
-    where ``dW`` is the gradient of the uncorrected kernel with respect
-    to x_i.  The product rule's ``-I W`` terms sum to the ``m0``/``m1``
-    of :func:`compute_moments` (self term included: its ``dji`` and
-    ``dW`` vanish, its ``-delta W`` is in m0), so they enter per particle.
-    """
-    vgw = volume[ctx.j][:, None] * ctx.kernel_gradients(h)
-    dji = -ctx.dx
-    eye = xp.eye(3, dtype=vgw.dtype)
-
-    dm0 = ctx.scatter_sum(vgw)
-    dgw = dji[:, :, None] * vgw[:, None, :]
-    dm1 = ctx.scatter_sum(dgw) - eye * m0[:, None, None]
-    dm2 = ctx.scatter_sum(dji[:, :, None, None] * dgw[:, None, :, :]) - (
-        eye[:, None, :] * m1[:, None, :, None]
-        + eye[None, :, :] * m1[:, :, None, None]
-    )
-    return dm0, dm1, dm2
-
-
 def solve_coefficient_gradients(
     m0: np.ndarray,
     m1: np.ndarray,
@@ -182,13 +172,27 @@ def compute_corrections(
     ctx: PairContext, h: np.ndarray, volume: np.ndarray
 ) -> CorrectionResult:
     """The Corrections kernel: moments, coefficients, and their
-    gradients."""
+    gradients.
+
+    The moment gradients with respect to x_i (``d dji / d x_i = -I``)
+    are the pair sums of :func:`_moment_sums` minus the product rule's
+    ``-I W`` terms, which sum to m0 / m1 (self term included: its
+    ``dji`` and ``dW`` vanish, its ``-delta W`` is in m0) and so enter
+    per particle:
+
+        dm1[p, a, g]    = sum_j V_j dji_a dW_g - delta_ag m0
+        dm2[p, a, b, g] = sum_j V_j dji_a dji_b dW_g
+                          - (delta_ag m1_b + delta_bg m1_a)
+    """
     volume = xp.ensure_float(volume)
     if len(volume) != ctx.n:
         raise ValueError("volume array does not match the pair context")
-    m0, m1, m2 = compute_moments(ctx, h, volume)
+    m0, m1, m2, dm0, dm1, dm2 = _moment_sums(ctx, h, volume)
+    m0 += volume * kernel_self_value(h)
     a, b = solve_coefficients(m0, m1, m2)
-    dm0, dm1, dm2 = compute_moment_gradients(ctx, h, volume, m0, m1)
+    eye = xp.eye(3, dtype=dm1.dtype)
+    dm1 -= eye * m0[:, None, None]
+    dm2 -= eye[:, None, :] * m1[:, None, :, None] + eye[None, :, :] * m1[:, :, None, None]
     grad_a, grad_b = solve_coefficient_gradients(m0, m1, m2, a, b, dm0, dm1, dm2)
     return CorrectionResult(
         a=a, b=b, m0=m0, m1=m1, m2=m2, grad_a=grad_a, grad_b=grad_b
@@ -205,10 +209,11 @@ def corrected_kernel_values(
 
 
 def corrected_kernel_gradients(
-    ctx: PairContext, h: np.ndarray, corr: CorrectionResult
+    ctx: PairContext, h: np.ndarray, corr: CorrectionResult, rows: slice = slice(None)
 ) -> np.ndarray:
-    """The full gradient grad_i W^R_ij, including the grad-A / grad-B
-    terms.
+    """The full gradient grad_i W^R_ij on ``rows`` (a block of
+    :meth:`PairContext.blocks`; all pairs by default), including the
+    grad-A / grad-B terms.  The one evaluation of grad W^R.
 
     With ``d = x_i - x_j`` and ``lin = 1 + B_i . d``:
 
@@ -219,12 +224,13 @@ def corrected_kernel_gradients(
     property the test suite pins and the reason the Corrections kernel
     is one of the paper's five arithmetic hotspots.
     """
-    a = corr.a[ctx.i]
-    b = corr.b[ctx.i]
-    lin = 1.0 + xp.rowwise_dot(b, ctx.dx)
-    db_dot_d = xp.einsum("pag,pa->pg", corr.grad_b[ctx.i], ctx.dx)
-    coeff_term = corr.grad_a[ctx.i] * lin[:, None] + a[:, None] * (db_dot_d + b)
+    i, d = ctx.i[rows], ctx.dx[rows]
+    a = corr.a[i]
+    b = corr.b[i]
+    lin = 1.0 + xp.rowwise_dot(b, d)
+    db_dot_d = xp.einsum("pag,pa->pg", corr.grad_b[i], d)
+    coeff_term = corr.grad_a[i] * lin[:, None] + a[:, None] * (db_dot_d + b)
     return (
-        coeff_term * ctx.kernel_values(h)[:, None]
-        + (a * lin)[:, None] * ctx.kernel_gradients(h)
+        coeff_term * ctx.kernel_values(h, rows)[:, None]
+        + (a * lin)[:, None] * ctx.kernel_gradients(h, rows)
     )

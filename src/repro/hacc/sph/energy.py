@@ -53,13 +53,13 @@ def compute_energy_rate(
     if accel.delta_gw.shape != (ctx.n_pairs, 3):
         raise ValueError("acceleration result does not match the pair context")
 
-    dv = velocity[ctx.i] - velocity[ctx.j]
-    work = xp.rowwise_dot(dv, accel.delta_gw)
-    vi = volume[ctx.i]
-    vj = volume[ctx.j]
-    p_eff = pressure[ctx.i] + 0.5 * accel.visc_pi
-    contrib = vi * vj * 0.5 * p_eff * work / mass[ctx.i]
-    du_dt = ctx.scatter_sum(contrib)
+    du_dt = xp.zeros(ctx.n)
+    for rows, starts, ids in ctx.blocks():
+        i, j = ctx.i[rows], ctx.j[rows]
+        work = xp.rowwise_dot(velocity[i] - velocity[j], accel.delta_gw[rows])
+        p_eff = pressure[i] + 0.5 * accel.visc_pi[rows]
+        contrib = volume[i] * volume[j] * 0.5 * p_eff * work / mass[i]
+        du_dt[ids] = xp.segment_sum(contrib, starts)
     return EnergyResult(du_dt=du_dt)
 
 

@@ -69,26 +69,24 @@ def compute_extras(
         raise FloatingPointError("non-positive volumes")
     rho = mass / volume
 
-    gw = corrected_kernel_gradients(ctx, h, corr)
-    vj = volume[ctx.j]
-
-    def gradient_of(field: np.ndarray) -> np.ndarray:
-        diff = field[ctx.j] - field[ctx.i]
-        if diff.ndim == 1:
-            return ctx.scatter_sum((vj * diff)[:, None] * gw)
+    grad_w = xp.empty(ctx.dx.shape)
+    grad_rho, grad_p = xp.zeros((ctx.n, 3)), xp.zeros((ctx.n, 3))
+    grad_v = xp.zeros((ctx.n, 3, 3))
+    for rows, starts, ids in ctx.blocks():
+        i, j = ctx.i[rows], ctx.j[rows]
+        gw = grad_w[rows] = corrected_kernel_gradients(ctx, h, corr, rows)
+        vj = volume[j]
+        grad_rho[ids] = xp.segment_sum((vj * (rho[j] - rho[i]))[:, None] * gw, starts)
         # vector field: outer product (F_j - F_i)_a * gw_b
-        contrib = vj[:, None, None] * diff[:, :, None] * gw[:, None, :]
-        return ctx.scatter_sum(contrib)
+        diff = velocity[j] - velocity[i]
+        grad_v[ids] = xp.segment_sum(vj[:, None, None] * diff[:, :, None] * gw[:, None, :], starts)
+        grad_p[ids] = xp.segment_sum((vj * (pressure[j] - pressure[i]))[:, None] * gw, starts)
 
-    grad_rho = gradient_of(rho)
-    grad_v = gradient_of(velocity)
-    grad_p = gradient_of(pressure)
-    div_v = xp.trace(grad_v)
     return ExtrasResult(
         rho=rho,
         grad_rho=grad_rho,
         grad_v=grad_v,
-        div_v=div_v,
+        div_v=xp.trace(grad_v),
         grad_p=grad_p,
-        grad_w=gw,
+        grad_w=grad_w,
     )

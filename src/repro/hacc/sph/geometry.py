@@ -49,7 +49,9 @@ def compute_geometry(
     h = xp.ensure_float(h)
     if len(h) != ctx.n:
         raise ValueError("h array does not match the pair context")
-    number_density = ctx.scatter_sum(ctx.kernel_values(h))
+    number_density = xp.zeros(ctx.n)
+    for rows, starts, ids in ctx.blocks():
+        number_density[ids] = xp.segment_sum(ctx.kernel_values(h, rows), starts)
     number_density += kernel_self_value(h)
     if xp.any(number_density <= 0):
         raise FloatingPointError("non-positive number density")

@@ -2,19 +2,25 @@
 
 All five hot kernels iterate the same neighbour structure; CRK-HACC
 builds interaction lists once per step and reuses them.  The
-:class:`PairContext` caches the directed pair list, displacements and
+:class:`PairContext` holds the directed pair list, displacements and
 separations so the kernel modules stay focused on their physics.
 
-The list is a canonical half followed by its mirror (see
-:class:`PairContext`).  Scatter reductions are segmented sums: the list
-is sorted by i once (stable, so a particle's terms add in pair-list
-order) and every reduction is one contiguous ``xp.segment_sum`` pass.
+The rows are in segment order: :meth:`PairContext.build` sorts the
+search's list by i once (stable, so a particle's terms add in
+pair-list order), and ``mirror`` names the row of each pair's reverse.
+A kernel streams the list through :meth:`PairContext.blocks`:
+contiguous row slices of about :data:`PAIR_BLOCK` rows that never split
+a particle's segment, whose per-pair terms ``xp.segment_sum`` reduces
+into the particles the block holds.  Nothing pair-sized is allocated but
+the arrays one kernel hands the next -- the GPU kernels of CRK-HACC
+stream interactions through registers the same way and store nothing
+per interaction.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +32,14 @@ from repro.hacc.neighbors import (
     pair_separations,
 )
 from repro.hacc.sph.kernels_math import SUPPORT, cubic_spline, cubic_spline_gradient
+
+#: rows per block of every pass over a pair context (a block ends at the
+#: first segment start past it).  Measured on the ``hydro_fine`` step
+#: (138 240 pairs): peak memory is flat from 2 048 to 16 384 rows and
+#: grows at 32 768, the kernels' time is flat from 4 096 to 16 384 and
+#: slower at 32 768; 8 192 sits inside both plateaus (EXPERIMENTS.md
+#: "One streaming pass")
+PAIR_BLOCK = 8192
 
 
 class CutoffTruncationWarning(RuntimeWarning):
@@ -58,33 +72,51 @@ def sph_cutoff(h: np.ndarray, box: float) -> tuple[float, float]:
 
 @dataclass
 class PairContext:
-    """Directed SPH pair list with cached geometry.
+    """Directed SPH pair list with its geometry, in segment order.
 
     ``i``/``j`` index into the position array; pairs are directed
     (both (i, j) and (j, i) present), which matches the scatter-free
     gather formulation of the vectorised kernels.
 
-    Mirror contract, with ``half = n_pairs // 2``: row ``half + k`` is
-    row ``k`` reversed -- ``i[half:] == j[:half]``, ``j[half:] ==
-    i[:half]`` (anything else is a ``ValueError``) and, from
-    :meth:`build`, ``dx[half:] == -dx[:half]``, ``r[half:] == r[:half]``
-    bitwise.  Side j of pair k is side i of pair ``half + k``, which is
+    Contract, checked here (anything else is a ``ValueError``):
+
+    - ``i`` is non-decreasing, so each particle's rows are one
+      contiguous segment; ``starts`` and ``ids`` are the segments'
+      first rows and particle ids;
+    - row ``mirror[k]`` is row ``k`` reversed: ``i[mirror] == j``,
+      ``j[mirror] == i`` and ``mirror[mirror] == arange(n_pairs)``.
+
+    From :meth:`build` also ``dx[mirror] == -dx`` and ``r[mirror] == r``
+    bitwise.  Side j of row k is side i of row ``mirror[k]``, which is
     how the Acceleration kernel antisymmetrises one gradient evaluation.
+
+    The kernels read the rows through :meth:`blocks`.
     """
 
     i: np.ndarray
     j: np.ndarray
-    dx: np.ndarray  # x_i - x_j, minimum image, shape (m, 3)
-    r: np.ndarray   # |dx|
-    n: int          # number of particles
+    dx: np.ndarray       # x_i - x_j, minimum image, shape (m, 3)
+    r: np.ndarray        # |dx|
+    n: int               # number of particles
+    mirror: np.ndarray   # row of each row's reverse
+    starts: np.ndarray = field(init=False, repr=False)
+    ids: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        half = len(self.i) // 2  # an odd list fails on the slice lengths
-        if not (
-            np.array_equal(self.i[half:], self.j[:half])
-            and np.array_equal(self.j[half:], self.i[:half])
+        i, j, mirror = self.i, self.j, self.mirror
+        m = len(i)
+        if len(j) != m or len(mirror) != m or xp.any(i[1:] < i[:-1]):
+            raise ValueError("pair rows are not in segment order, one mirror each")
+        if m and not (
+            0 <= mirror.min()
+            and mirror.max() < m
+            and np.array_equal(mirror[mirror], xp.arange(m))
+            and np.array_equal(i[mirror], j)
+            and np.array_equal(j[mirror], i)
         ):
-            raise ValueError("pair list is not a canonical half and its mirror")
+            raise ValueError("mirror is not the row of each pair's reverse")
+        self.starts = xp.flatnonzero(np.r_[True, i[1:] != i[:-1]]) if m else i[:0]
+        self.ids = i[self.starts]
 
     @classmethod
     def build(
@@ -118,6 +150,7 @@ class PairContext:
                 dx=xp.zeros((0, 3), dtype=pos.dtype),
                 r=xp.zeros(0, dtype=pos.dtype),
                 n=0,
+                mirror=empty,
             )
         if xp.any(h <= 0):
             raise ValueError("smoothing lengths must be positive")
@@ -139,61 +172,75 @@ class PairContext:
         half = len(idx_i) // 2
         d, r2 = pair_separations(pos, box, idx_i[:half], idx_j[:half])
         r = xp.sqrt(r2)
-        dx, r = xp.concatenate([d, -d]), xp.concatenate([r, r])
-        return cls(i=idx_i, j=idx_j, dx=dx, r=r, n=len(pos))
+        # row k holds the search's pair order[k]; pair p < half is
+        # reversed by pair p + half and vice versa, found in row_of[...]
+        order = xp.argsort(idx_i)
+        row_of = xp.empty(len(order), dtype=np.int64)
+        row_of[order] = xp.arange(len(order))
+        return cls(
+            i=idx_i[order],
+            j=idx_j[order],
+            dx=xp.take(xp.concatenate([d, -d]), order),
+            r=xp.concatenate([r, r])[order],
+            n=len(pos),
+            mirror=row_of[xp.where(order < half, order + half, order - half)],
+        )
 
     @property
     def n_pairs(self) -> int:
         return len(self.i)
 
-    def _h_i(self, h) -> np.ndarray:
-        """Per-pair i-side smoothing lengths, broadcasting a scalar
-        ``h`` like the rest of the SPH API does."""
+    def blocks(self):
+        """The rows in contiguous blocks: ``(rows, starts, ids)`` per
+        block, where ``rows`` is a slice (so ``self.dx[rows]`` is a
+        view, not a gather), ``starts`` are the block's segment starts
+        relative to ``rows.start`` and ``ids`` the particle of each
+        segment.  A block opens at the first segment start in each run
+        of :data:`PAIR_BLOCK` rows, so it never splits a segment and a
+        particle's sum is the same whatever the block size."""
+        if not self.n_pairs:
+            return
+        window = self.starts // PAIR_BLOCK
+        first = xp.flatnonzero(np.r_[True, window[1:] != window[:-1]])
+        segments = np.append(first, len(self.starts)).tolist()
+        edges = np.append(self.starts[first], self.n_pairs).tolist()
+        for k in range(len(first)):
+            s0, s1, lo = segments[k], segments[k + 1], edges[k]
+            yield slice(lo, edges[k + 1]), self.starts[s0:s1] - lo, self.ids[s0:s1]
+
+    def _h_i(self, h, rows: slice) -> np.ndarray:
+        """Per-pair i-side smoothing lengths of ``rows``, broadcasting a
+        scalar ``h`` like the rest of the SPH API does."""
         h = xp.ensure_float(h)
         if h.ndim == 0:
             return h
-        return h[self.i]
+        return h[self.i[rows]]
 
-    def kernel_values(self, h: np.ndarray) -> np.ndarray:
-        """W(r_ij, h_i) on all pairs; ``h`` may be (n,) or scalar."""
-        return cubic_spline(self.r, self._h_i(h))
-
-    def kernel_gradients(self, h: np.ndarray) -> np.ndarray:
-        """grad_i W(r_ij, h_i) on all pairs, shape (m, 3); ``h`` may be
+    def kernel_values(self, h: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """W(r_ij, h_i) on ``rows`` (all pairs by default); ``h`` may be
         (n,) or scalar."""
-        return cubic_spline_gradient(self.dx, self.r, self._h_i(h))
+        return cubic_spline(self.r[rows], self._h_i(h, rows))
 
-    def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sort order, segment starts, segment particle ids) of the
-        pair list grouped by i; computed once and cached, since every
-        kernel's scatter reuses it."""
-        cached = getattr(self, "_segment_cache", None)
-        if cached is None:
-            order = xp.argsort(self.i)
-            i_sorted = self.i[order]
-            starts = xp.flatnonzero(
-                np.r_[True, i_sorted[1:] != i_sorted[:-1]]
-            )
-            cached = (order, starts, i_sorted[starts])
-            self._segment_cache = cached
-        return cached
+    def kernel_gradients(self, h: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
+        """grad_i W(r_ij, h_i) on ``rows`` (all pairs by default), shape
+        (rows, 3); ``h`` may be (n,) or scalar."""
+        return cubic_spline_gradient(self.dx[rows], self.r[rows], self._h_i(h, rows))
 
     def scatter_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum pair values into per-particle accumulators over i.
+        """Sum whole-list pair values into per-particle accumulators
+        over i.
 
         ``values`` may be (m,) or (m, k); returns (n,) or (n, k) in the
         *input dtype* (float32 pair values accumulate as float32
         instead of silently upcasting to float64).  This is the
         vectorised analogue of the GPU kernels' atomic adds; a
         particle's terms add in pair-list order, so equal inputs give
-        bit-equal sums.
+        bit-equal sums -- the sums a pass over :meth:`blocks` gives.
         """
         values = xp.asarray(values)
         out = xp.zeros((self.n,) + values.shape[1:], dtype=values.dtype)
-        if self.n_pairs == 0:
-            return out
-        order, starts, ids = self._segments()
-        out[ids] = xp.segment_sum(values[order], starts)
+        if self.n_pairs:
+            out[self.ids] = xp.segment_sum(values, self.starts)
         return out
 
     def mean_neighbors(self) -> float:

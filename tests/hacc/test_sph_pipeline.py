@@ -12,17 +12,21 @@ The decisive invariants:
 """
 
 import functools
+import hashlib
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.hacc import eos
 from repro.hacc.neighbors import CellList, find_pairs
 from repro.hacc.sph.acceleration import compute_acceleration, pair_viscosity
 from repro.hacc.sph.corrections import (
     compute_corrections,
-    compute_moment_gradients,
     corrected_kernel_gradients,
     corrected_kernel_values,
+    solve_coefficient_gradients,
 )
 from repro.hacc.sph.energy import compute_energy_rate, pairwise_energy_balance
 from repro.hacc.sph.extras import compute_extras
@@ -33,7 +37,8 @@ from repro.hacc.sph.kernels_math import (
     cubic_spline_gradient,
     kernel_self_value,
 )
-from repro.hacc.sph.pairs import PairContext
+from repro.hacc.sph.pairs import PAIR_BLOCK, PairContext
+from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 from repro.hacc.units import SPH_ETA
 
 
@@ -265,8 +270,6 @@ def _full_hydro_state(state, geometry):
     mass = geometry.volume * 1.2
     rho = mass / geometry.volume
     u = rng.uniform(0.5, 1.5, n)
-    from repro.hacc import eos
-
     pressure = eos.pressure(rho, u)
     cs = eos.sound_speed(rho, u)
     vel = rng.normal(0, 0.1, (n, 3))
@@ -436,9 +439,11 @@ def _mirror_configs():
 
 
 class TestMirrorContract:
-    """Row ``half + k`` of a symmetric pair list is row k reversed --
-    indices from either search path, ``dx``/``r`` bit for bit -- and
-    the kernels that lean on it agree with their from-scratch oracles.
+    """The search's list is a canonical half and its mirror; the pair
+    context holds its rows in segment order with ``mirror`` naming each
+    row's reverse -- indices from either search path, ``dx``/``r`` bit
+    for bit -- and the kernels that lean on it agree with their
+    from-scratch oracles.
     """
 
     @pytest.mark.parametrize("name", list(_mirror_configs()))
@@ -446,48 +451,73 @@ class TestMirrorContract:
         pos, box, h0, cells = _mirror_configs()[name]
         cutoff = SUPPORT * h0
         assert CellList.build(pos, box, cutoff).use_cells == cells
+        # the search's layout, which gravity and FOF/DBSCAN read
         i, j = find_pairs(pos, box, cutoff)
         half = len(i) // 2
         assert len(i) == 2 * half
         assert np.array_equal(i[half:], j[:half])
         assert np.array_equal(j[half:], i[:half])
+        # the context: the same rows, stably sorted by i
         ctx = PairContext.build(pos, np.full(len(pos), h0), box)
-        assert np.array_equal(ctx.i, i) and np.array_equal(ctx.j, j)
-        assert np.array_equal(ctx.dx[half:], -ctx.dx[:half])
-        assert np.array_equal(ctx.r[half:], ctx.r[:half])
-        d = (pos[ctx.i[:half]] - pos[ctx.j[:half]] + 0.5 * box) % box - 0.5 * box
-        assert np.array_equal(ctx.dx[:half], d)
-        assert np.array_equal(ctx.r[:half], np.sqrt(np.einsum("pa,pa->p", d, d)))
+        pair = np.argsort(i, kind="stable")
+        assert np.array_equal(ctx.i, i[pair]) and np.array_equal(ctx.j, j[pair])
+        assert np.array_equal(ctx.ids, np.unique(i))
+        assert np.array_equal(ctx.starts, np.searchsorted(ctx.i, ctx.ids))
+        # mirror: an involution onto each row's reverse, geometry bitwise
+        m = ctx.n_pairs
+        assert np.array_equal(ctx.mirror[ctx.mirror], np.arange(m))
+        assert np.array_equal(ctx.i[ctx.mirror], ctx.j)
+        assert np.array_equal(ctx.j[ctx.mirror], ctx.i)
+        assert np.array_equal(ctx.dx[ctx.mirror], -ctx.dx)
+        assert np.array_equal(ctx.r[ctx.mirror], ctx.r)
+        # geometry: the separation of the canonical half, negated on
+        # the rows that came from the mirror half
+        d = (pos[i[:half]] - pos[j[:half]] + 0.5 * box) % box - 0.5 * box
+        d = np.concatenate([d, -d])[pair]
+        assert np.array_equal(ctx.dx, d)
+        assert np.array_equal(ctx.r, np.sqrt(np.einsum("pa,pa->p", d, d)))
         if "coincident" in name:
             assert np.count_nonzero(ctx.r == 0.0) >= 2
 
     def test_unmirrored_list_rejected(self, state):
         _pos, _h, ctx, _box = state
-        shuffle = np.random.default_rng(4).permutation(ctx.n_pairs)
+        m = ctx.n_pairs
+
+        def context(rows, mirror):
+            return PairContext(
+                i=ctx.i[rows], j=ctx.j[rows], dx=ctx.dx[rows], r=ctx.r[rows],
+                n=ctx.n, mirror=mirror,
+            )
+
+        # the same pairs and a valid mirror, out of segment order
+        shuffle = np.random.default_rng(4).permutation(m)
+        row_of = np.empty(m, dtype=np.int64)
+        row_of[shuffle] = np.arange(m)
+        with pytest.raises(ValueError, match="segment order"):
+            context(shuffle, row_of[ctx.mirror[shuffle]])
+        # in segment order, with two rows' mirrors swapped
+        broken = ctx.mirror.copy()
+        broken[[0, 1]] = broken[[1, 0]]
         with pytest.raises(ValueError, match="mirror"):
-            PairContext(
-                i=ctx.i[shuffle], j=ctx.j[shuffle], dx=ctx.dx[shuffle],
-                r=ctx.r[shuffle], n=ctx.n,
-            )
-        with pytest.raises(ValueError, match="mirror"):  # odd length
-            PairContext(i=ctx.i[:-1], j=ctx.j[:-1], dx=ctx.dx[:-1], r=ctx.r[:-1], n=ctx.n)
-        half = ctx.n_pairs // 2
-        with pytest.raises(ValueError, match="mirror"):  # one-sided (cross) list
-            PairContext(
-                i=ctx.i[:half], j=ctx.j[:half], dx=ctx.dx[:half], r=ctx.r[:half],
-                n=ctx.n,
-            )
+            context(np.arange(m), broken)
+        with pytest.raises(ValueError, match="mirror"):  # a row without a reverse
+            context(np.arange(m - 1), ctx.mirror[:-1])
+        one_sided = np.flatnonzero(ctx.i < ctx.j)  # a cross list
+        with pytest.raises(ValueError, match="mirror"):
+            context(one_sided, np.arange(len(one_sided)))
+        # a valid list is accepted as given
+        assert np.array_equal(context(np.arange(m), ctx.mirror).starts, ctx.starts)
 
     def test_mirror_half_is_the_side_j_evaluation(self, state, corrections):
         _pos, h, ctx, _box = state
         g = corrected_kernel_gradients(ctx, h, corrections)
-        oracle = side_j_oracle(ctx, h, corrections)
-        half = ctx.n_pairs // 2
-        assert np.array_equal(g[half:], oracle[:half])
-        assert np.array_equal(g[:half], oracle[half:])
+        assert np.array_equal(g[ctx.mirror], side_j_oracle(ctx, h, corrections))
 
     def test_moment_gradients_match_per_pair_oracle(self):
-        # a disordered set: m1 and the delta-terms are far from zero
+        # a disordered set: m1 and the delta-terms are far from zero.
+        # The kernel's moment gradients (pair sums, delta-terms per
+        # particle) must give the coefficient gradients the per-pair
+        # formula gives
         rng = np.random.default_rng(8)
         box = 6.0
         pos = rng.uniform(0, box, (300, 3))
@@ -496,9 +526,11 @@ class TestMirrorContract:
         volume = compute_geometry(ctx, h).volume
         corr = compute_corrections(ctx, h, volume)
         assert np.abs(corr.m1).max() > 1e-3
-        got = compute_moment_gradients(ctx, h, volume, corr.m0, corr.m1)
-        want = per_pair_moment_gradients_oracle(ctx, h, volume)
-        for name, g, w in zip(("dm0", "dm1", "dm2"), got, want):
+        want = solve_coefficient_gradients(
+            corr.m0, corr.m1, corr.m2, corr.a, corr.b,
+            *per_pair_moment_gradients_oracle(ctx, h, volume),
+        )
+        for name, g, w in zip(("grad_a", "grad_b"), (corr.grad_a, corr.grad_b), want):
             assert g.shape == w.shape, name
             assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
 
@@ -516,21 +548,189 @@ class TestMirrorContract:
             vol[ctx.i] * vol[ctx.j]
             * (pressure[ctx.i] + pressure[ctx.j] + accel.visc_pi)
         )[:, None] * accel.delta_gw
-        half = ctx.n_pairs // 2
-        assert np.array_equal(flux[:half], -flux[half:])
+        assert np.array_equal(flux, -flux[ctx.mirror])
 
-    def test_corrections_peak_memory_per_pair(self):
-        import tracemalloc
 
-        _pos, h, ctx, _box = glass_state(n_side=9, box=9.0)
-        volume = compute_geometry(ctx, h).volume
-        tracemalloc.start()
-        try:
-            compute_corrections(ctx, h, volume)
-            _size, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # 561 measured: two (m, 3, 3, 3) temporaries (the dm2 terms and
-        # their sorted gather) plus the (m, 3, 3) and (m, 3) factors;
-        # with a per-pair delta-term and its sum it was 1017
-        assert peak < 700 * ctx.n_pairs
+def _outputs(result) -> dict[str, np.ndarray]:
+    return {k: v for k, v in vars(result).items() if isinstance(v, np.ndarray)}
+
+
+def _every_kernel_output(state) -> dict[str, np.ndarray]:
+    """Every array the five kernels return on ``state``, Acceleration
+    both with upBarEx's gradients (the opening pass) and without (the
+    post-drift pass, which evaluates its own)."""
+    _pos, h, ctx, _box = state
+    geo = compute_geometry(ctx, h)
+    corr = compute_corrections(ctx, h, geo.volume)
+    mass, rho, _u, pressure, cs, vel = _full_hydro_state(state, geo)
+    extras = compute_extras(ctx, h, geo.volume, mass, vel, pressure, corr)
+    hydro = (geo.volume, mass, rho, pressure, cs, vel, corr)
+    accel = compute_acceleration(ctx, h, *hydro, extras.grad_w)
+    drifted = compute_acceleration(ctx, h, *hydro)
+    energy = compute_energy_rate(ctx, geo.volume, mass, pressure, vel, accel)
+    out = {}
+    for kernel, result in (
+        ("upGeo", geo), ("upCor", corr), ("upBarEx", extras),
+        ("upBarAc", accel), ("upBarAcF", drifted), ("upBarDu", energy),
+    ):
+        out.update({f"{kernel}.{k}": v for k, v in _outputs(result).items()})
+    out["upBarAc.max_signal_speed"] = np.array(accel.max_signal_speed)
+    out["upBarAcF.max_signal_speed"] = np.array(drifted.max_signal_speed)
+    return out
+
+
+def _state_sha256(driver: AdiabaticDriver) -> str:
+    p = driver.particles
+    digest = hashlib.sha256()
+    for arr in (p.positions, p.velocities, p.u):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def _uniform_gas(n: int):
+    """``n`` gas particles at uniform random positions, one per unit
+    volume, at h = SPH_ETA (about 75 neighbours each); the SPH search
+    takes the cell path from about 1 200 particles."""
+    box = n ** (1.0 / 3.0)
+    pos = np.random.default_rng(3).uniform(0.0, box, (n, 3))
+    return pos, np.full(n, SPH_ETA), box
+
+
+def _traced_peak(fn):
+    """(result, peak traced bytes above the call's start)."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        out = fn()
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - base
+
+
+def _largest_offset(cells: CellList) -> int:
+    """Candidate pairs of the half-stencil offset with the most."""
+    n = cells.n_cells
+    count = np.diff(cells.boundaries).reshape(n, n, n)
+    return max(
+        int((count * np.roll(count, tuple(-x for x in o), axis=(0, 1, 2))).sum())
+        for o in itertools.product((-1, 0, 1), repeat=3)
+        if o >= (0, 0, 0)
+    )
+
+
+@functools.cache
+def _pass_transients(n: int):
+    """Per pass over the pairs of :func:`_uniform_gas`, the traced peak
+    above the call's start minus what the call returns: (pairs, blocks,
+    largest stencil offset, {pass: bytes}).
+
+    Allowances: the post-drift Acceleration evaluates the whole list's
+    grad W^R (the array upBarEx hands the opening pass); the search
+    also holds the accepted pairs it concatenates into its output (one
+    output array's worth)."""
+    pos, h, box = _uniform_gas(n)
+    ctx = PairContext.build(pos, h, box)
+    rng = np.random.default_rng(42)
+    u = rng.uniform(0.5, 1.5, n)
+    vel = rng.normal(0, 0.1, (n, 3))
+    geo, peak = _traced_peak(lambda: compute_geometry(ctx, h))
+    out = {"upGeo": peak}
+    vol = geo.volume
+    mass = 1.2 * vol
+    rho = mass / vol
+    pressure, cs = eos.pressure(rho, u), eos.sound_speed(rho, u)
+    corr, out["upCor"] = _traced_peak(lambda: compute_corrections(ctx, h, vol))
+    extras, out["upBarEx"] = _traced_peak(
+        lambda: compute_extras(ctx, h, vol, mass, vel, pressure, corr)
+    )
+    accel, out["upBarAcF"] = _traced_peak(
+        lambda: compute_acceleration(ctx, h, vol, mass, rho, pressure, cs, vel, corr)
+    )
+    out["upBarAcF"] -= extras.grad_w.nbytes
+    energy, out["upBarDu"] = _traced_peak(
+        lambda: compute_energy_rate(ctx, vol, mass, pressure, vel, accel)
+    )
+    for kernel, result in (
+        ("upGeo", geo), ("upCor", corr), ("upBarEx", extras),
+        ("upBarAcF", accel), ("upBarDu", energy),
+    ):
+        out[kernel] -= sum(a.nbytes for a in _outputs(result).values())
+    cutoff = SUPPORT * SPH_ETA
+    cells = CellList.build(pos, box, cutoff)
+    assert cells.use_cells
+    (i, j), peak = _traced_peak(lambda: cells.pairs_within(cutoff))
+    out["search"] = peak - 3 * i.nbytes  # i, j and the accepted halves
+    return ctx.n_pairs, len(list(ctx.blocks())), _largest_offset(cells), out
+
+
+class TestStreamingPass:
+    """Every kernel streams the pair list in blocks of about
+    ``PAIR_BLOCK`` rows that never split a particle's segment: per
+    particle results do not depend on the block size, and what a pass
+    allocates beyond its outputs is sized by the block, not the list."""
+
+    BLOCK_SIZES = (1, 4099, 10**9)
+
+    def test_blocks_tile_the_list_at_segment_starts(self, state, monkeypatch):
+        _pos, _h, ctx, _box = state
+        for block in self.BLOCK_SIZES:
+            monkeypatch.setattr("repro.hacc.sph.pairs.PAIR_BLOCK", block)
+            blocks = list(ctx.blocks())
+            rows = [r for r, _s, _i in blocks]
+            assert rows[0].start == 0 and rows[-1].stop == ctx.n_pairs
+            assert all(a.stop == b.start for a, b in zip(rows, rows[1:]))
+            assert all(r.start in ctx.starts for r in rows)
+            assert np.array_equal(
+                np.concatenate([s + r.start for r, s, _i in blocks]), ctx.starts
+            )
+            assert np.array_equal(np.concatenate([i for _r, _s, i in blocks]), ctx.ids)
+            assert all(ctx.i[r].base is not None for r in rows)  # views
+            expected = {1: len(ctx.ids), 10**9: 1}.get(block, -(-ctx.n_pairs // block))
+            assert len(blocks) == expected, block
+
+    def test_kernel_outputs_do_not_depend_on_the_block_size(self, state, monkeypatch):
+        runs = []
+        for block in self.BLOCK_SIZES:
+            monkeypatch.setattr("repro.hacc.sph.pairs.PAIR_BLOCK", block)
+            runs.append(_every_kernel_output(state))
+        assert len(runs[0]) == 25
+        for other in runs[1:]:
+            assert other.keys() == runs[0].keys()
+            for name, value in runs[0].items():
+                assert np.array_equal(other[name], value), name
+
+    def test_driver_state_does_not_depend_on_the_block_size(self, monkeypatch):
+        shas = set()
+        for block in self.BLOCK_SIZES:
+            monkeypatch.setattr("repro.hacc.sph.pairs.PAIR_BLOCK", block)
+            driver = AdiabaticDriver(SimulationConfig(n_per_side=9, n_steps=2, seed=7))
+            driver.run()
+            shas.add(_state_sha256(driver))
+        assert len(shas) == 1
+
+    def test_pass_peaks_are_block_sized(self):
+        """Each kernel's transient stays under 80 float64 words per
+        ``PAIR_BLOCK`` row (about 480 B measured for upCor, the largest:
+        the 27-wide dm2 product and its factors), and the search's under
+        12 words per candidate of one stencil offset (about 73 B
+        measured) -- at least 8 blocks, and a list of more than 100 000
+        pairs."""
+        n_pairs, n_blocks, offset, transient = _pass_transients(1500)
+        assert n_blocks >= 8 and n_pairs > 100_000
+        for name, size in transient.items():
+            bound = 96 * offset if name == "search" else 640 * PAIR_BLOCK
+            assert size < bound, (name, size, bound)
+
+    def test_pass_peaks_do_not_scale_with_the_pairs(self):
+        """Twice the particles and pairs: every kernel's transient moves
+        less than 10 % (the per-particle arrays: 7.5 % measured for
+        upCor).  The search's unit, one offset's candidates, grows with
+        the particle count; it is held to its bound at both sizes."""
+        small, large = _pass_transients(1500), _pass_transients(3000)
+        assert large[0] > 1.9 * small[0]
+        for name, size in small[3].items():
+            if name == "search":
+                assert large[3][name] < 96 * large[2]
+            else:
+                assert abs(large[3][name] - size) < 0.1 * size, name

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import hashlib
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -181,7 +182,8 @@ def test_corrupted_kernel_outputs_do_not_reach_a_kept_context():
     assert state_sha256(keeping) == state_sha256(rebuilding)
 
 
-#: (``PairContext.build``, ``CellListCache.get``, ∇W^R evaluations) per step
+#: (``PairContext.build``, ``CellListCache.get``, ∇W^R evaluations) per
+#: step; ∇W^R is counted in whole passes over a context's rows
 _COUNTED = ("build", "get", "grad")
 
 
@@ -200,7 +202,13 @@ def _counted_run(monkeypatch, **config) -> tuple[AdiabaticDriver, list[tuple]]:
     build = classmethod(counting("build", PairContext.build.__func__))
     monkeypatch.setattr(PairContext, "build", build)
     monkeypatch.setattr(CellListCache, "get", counting("get", CellListCache.get))
-    grad = counting("grad", corrections.corrected_kernel_gradients)
+    evaluate = corrections.corrected_kernel_gradients
+
+    def grad(ctx, h, corr, rows=slice(None)):
+        # the fraction of the context's rows this block evaluates
+        calls["grad"] += Fraction(len(range(ctx.n_pairs)[rows]), ctx.n_pairs)
+        return evaluate(ctx, h, corr, rows)
+
     for module in (extras, acceleration):
         monkeypatch.setattr(module, "corrected_kernel_gradients", grad)
 
@@ -225,8 +233,9 @@ def test_a_step_evaluates_once_per_particle_state(counted_steps):
     """The post-drift pass of step k and the opening pass of step k+1
     see one gas state and share one pair context; the opening pass
     evaluates ∇W^R once (``upBarEx`` hands it to ``upBarAc``), the
-    post-drift pass once more.  Gravity bins once a step: its opening
-    evaluation is a force-memo hit, which searches nothing."""
+    post-drift pass once more -- each a pass over every row, block by
+    block.  Gravity bins once a step: its opening evaluation is a
+    force-memo hit, which searches nothing."""
     _driver, per_step = counted_steps
     assert per_step == [(2, 4, 2), (1, 2, 2), (1, 2, 2)]
 
