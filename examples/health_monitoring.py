@@ -16,9 +16,9 @@ plausible), and shows the telemetry pipeline catching it:
 3. the resilience runner escalates the alert through the same
    rollback seam a NaN guard uses: the attempt fails, the run
    restarts from the last pre-leak checkpoint, the (transient) leak
-   does not replay, and the recovered run finishes clean —
-   many steps before the RunValidator's coarse 50% conservation band
-   would have noticed anything.
+   does not replay, and the recovered run finishes clean.
+
+No option turns the monitor on: every driver carries one.
 
 The run's telemetry is then exported: a JSONL event log (replayable
 with ``python -m repro dashboard``), an OpenMetrics exposition, and
@@ -56,7 +56,6 @@ def main() -> None:
             checkpoint_dir=Path(tmp) / "ckpts",
             checkpoint_every=1,
             fault_plan=plan,
-            health=True,
             tracer=tracer,
             metrics=metrics,
         )

@@ -25,7 +25,7 @@ import sys
 def _observability_sinks(args: argparse.Namespace):
     """(tracer, metrics) when the flags ask for them, else (None, None)."""
     outs = (args.trace_out, args.metrics_out, args.events_out, args.openmetrics_out)
-    wanted = any(outs) or getattr(args, "live", False) or getattr(args, "health", False)
+    wanted = any(outs) or getattr(args, "live", False)
     if not wanted:
         return None, None
     from repro.observability import MetricsRegistry, TraceRecorder
@@ -70,7 +70,6 @@ def _write_observability(
 _RUN_DEFAULTS = dict(
     ranks=1, faults=None, fault_seed=0, checkpoint_dir=None, checkpoint_every=1,
     restart_from=None, timeout=30.0, max_retries=3, degrade_policy="restart",
-    health=False, live=False,
 )
 
 
@@ -113,7 +112,6 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
             print(f"error: invalid --faults plan: {exc}")
             return 2, None, None
         print(fault_plan.describe())
-    health = opts.health or opts.live
 
     if not (
         opts.ranks > 1 or opts.faults or opts.restart_from or opts.checkpoint_dir
@@ -121,8 +119,7 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
         driver = AdiabaticDriver(config)
         driver.tracer = tracer
         driver.metrics = metrics
-        if health:
-            driver.health = default_monitor(tracer=tracer, metrics=metrics)
+        driver.health = default_monitor(tracer=tracer, metrics=metrics)
         driver.run(on_step)
         return 0, driver, None
     try:
@@ -136,7 +133,6 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
             fault_plan=fault_plan,
             retry_policy=resilience.RetryPolicy(max_retries=opts.max_retries),
             degrade_policy=opts.degrade_policy,
-            health=health,
             echo=print,
             tracer=tracer,
             metrics=metrics,
@@ -188,7 +184,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
     if result is None:
         monitor, alerts = driver.health, None
-        if monitor is not None and monitor.alerts:
+        if monitor.alerts:
             print(monitor.summary())
         print(f"kernel launches recorded: {len(driver.trace.invocations)}")
     else:
@@ -711,19 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos-seed", type=int, default=0, help="base seed for --chaos-runs"
     )
     p.add_argument(
-        "--health",
-        action="store_true",
-        help=(
-            "attach the physics health monitors (conservation drift, "
-            "wall-time, cache rates); with --ranks > 1 a FATAL alert "
-            "rolls the run back like a NaN guard"
-        ),
-    )
-    p.add_argument(
         "--live",
         action="store_true",
         help=(
-            "live terminal dashboard (implies --health); redraws per "
+            "live terminal dashboard; redraws per "
             "step on a TTY, prints the final frame on the multi-rank path"
         ),
     )

@@ -40,6 +40,7 @@ from repro.hacc.sph.energy import compute_energy_rate
 from repro.hacc.sph.extras import compute_extras
 from repro.hacc.sph.geometry import compute_geometry
 from repro.hacc.sph.pairs import PairContext
+from repro.observability.health import HealthMonitor, default_monitor
 from repro.observability.metrics import INTERACTIONS_BUCKETS, MetricsRegistry
 from repro.observability.tracing import TraceRecorder, maybe_span
 
@@ -261,10 +262,10 @@ class AdiabaticDriver:
         #: interactions (see repro.observability)
         self.tracer: TraceRecorder | None = None
         self.metrics: MetricsRegistry | None = None
-        #: health monitor: when set, its ``observe_step(driver, diag,
-        #: wall_seconds)`` runs after every completed step (duck-typed;
-        #: see repro.observability.health.HealthMonitor)
-        self.health: Any | None = None
+        #: the judge of every completed step's physics (its
+        #: ``observe_step`` runs at the end of :meth:`step`); the
+        #: resilience runner escalates its FATAL alerts
+        self.health: HealthMonitor = default_monitor()
         #: hydro subcycles taken by the most recent step (the
         #: timestep-collapse health series)
         self.last_subcycles = 1
@@ -292,6 +293,8 @@ class AdiabaticDriver:
             self.diagnostics = diagnostics
         if rng_state is not None:
             self.rng.bit_generator.state = rng_state
+        # restored state breaks every series: a fresh judge
+        self.health = default_monitor()
 
     def _record_kernel(
         self,
@@ -422,12 +425,11 @@ class AdiabaticDriver:
             diag = self._kdk(a0, a1)
         if self.metrics is not None:
             self.metrics.counter("sim.steps").inc()
-        if self.health is not None:
-            # observe *before* the index bump so alert steps match the
-            # step that produced the state
-            self.health.observe_step(
-                self, diag, wall_seconds=time.perf_counter() - wall_start
-            )
+        # observe *before* the index bump so alert steps match the step
+        # that produced the state
+        self.health.observe_step(
+            self, diag, wall_seconds=time.perf_counter() - wall_start
+        )
         self.step_index += 1
         return diag
 

@@ -18,8 +18,8 @@ PR 7 adds the *consumption* layer on top of the recorders:
 - :mod:`repro.observability.health` — ring-buffered physics health
   series with anomaly detectors whose
   :class:`~repro.observability.health.Severity`-ranked alerts escalate
-  through the resilience runner; ``default_monitor`` is the one
-  detector set the runner and ``simulate --health`` attach;
+  through the resilience runner; ``default_monitor`` is the one judge
+  of a step's physics, carried by every driver;
 - :mod:`repro.observability.export` — OpenMetrics/Prometheus text
   exposition and a structured JSONL event log;
 - :mod:`repro.observability.dashboard` — the live terminal dashboard

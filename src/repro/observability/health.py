@@ -14,17 +14,17 @@ simulation the way an operator would:
   :class:`EWMADriftDetector` (sustained drift of the value away from
   its exponentially weighted history — the slow-energy-leak catcher);
 - :class:`Alert` — one detector firing, ranked by the same
-  :class:`Severity` the resilience step gate uses, so a physics
-  anomaly escalates through the *existing* rollback machinery exactly
-  like a NaN guard: a ``FATAL`` alert raises :class:`HealthEscalation`
-  and the fault-tolerant runner retries from checkpoint;
+  :class:`Severity`, so a physics anomaly escalates through the
+  resilience runner's rollback machinery exactly like a NaN guard: a
+  ``FATAL`` alert raises :class:`HealthEscalation` and the
+  fault-tolerant runner retries from checkpoint;
 - :class:`HealthMonitor` — owns the buffers and detectors, mirrors
   every observation into gauges (:class:`MetricsRegistry`), Perfetto
   counter tracks (:class:`TraceRecorder`), and alert instants, and
   derives the standard physics series from a driver's step
   diagnostics (:meth:`HealthMonitor.observe_step`);
-- :func:`default_monitor` — the one monitor the runner and the CLI
-  attach: the detector set below, at this module's tolerances.
+- :func:`default_monitor` — the one judge of a step's physics: every
+  invariant's series, detector, tolerance and severity, in one table.
 
 The physics grounding of the conservation series: in the comoving
 (canonical-momentum) variables the total energy is *not* a constant —
@@ -38,9 +38,15 @@ hydro can only heat (shocks, viscosity), never cool.  The
 
 which a healthy run keeps ≥ 0 (small positive, growing with
 structure); a leak — an injected fault, a lossy restart, a unit bug —
-shows up as a sustained negative drift the EWMA detector catches
-steps before the hard band of the
-:class:`~repro.hacc.validation.RunValidator` ``conservation`` check.
+shows up as a sustained negative drift the EWMA detector catches on
+its first leaking step.
+
+The state invariants — momentum, mass, containment, gas
+thermodynamics and the CRK volume tiling — are plain functions of the
+particle state (:func:`state_invariants`), judged by threshold
+detectors in the same table.  Every driver carries a monitor, so every
+step of every run is judged once, here; a finished run's
+:func:`~repro.hacc.validation.validate_run` reads the same table.
 """
 
 from __future__ import annotations
@@ -50,10 +56,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+import numpy as np
+
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.hacc.particles import ParticleData
     from repro.hacc.timestep import AdiabaticDriver, StepDiagnostics
 
 #: the standard physics-health series (all literal so the metric
@@ -64,6 +73,9 @@ TOTAL_ENERGY = "sim.health.total_energy"
 ENERGY_DRIFT = "sim.health.energy_drift"
 MOMENTUM_DRIFT = "sim.health.momentum_drift"
 MASS_DRIFT = "sim.health.mass_drift"
+CONTAINMENT_BREACHES = "sim.health.containment_breaches"
+THERMO_VIOLATIONS = "sim.health.thermo_violations"
+VOLUME_RATIO = "sim.health.volume_ratio"
 STEP_SECONDS = "sim.health.step_seconds"
 SUBCYCLES = "sim.health.subcycles"
 GUARD_HIT_RATE = "sim.health.guard_hit_rate"
@@ -76,6 +88,9 @@ HEALTH_SERIES = (
     ENERGY_DRIFT,
     MOMENTUM_DRIFT,
     MASS_DRIFT,
+    CONTAINMENT_BREACHES,
+    THERMO_VIOLATIONS,
+    VOLUME_RATIO,
     STEP_SECONDS,
     SUBCYCLES,
     GUARD_HIT_RATE,
@@ -84,14 +99,23 @@ HEALTH_SERIES = (
 #: EWMA tolerance on the expansion-corrected thermal residual: a leak
 #: of more than this fraction per step escalates
 ENERGY_TOLERANCE = 0.03
-#: hard floor on the per-step residual (beyond-adiabatic cooling this
-#: large in one step is an instant escalation)
+#: hard floor on the per-step residual: a drop this large lands even
+#: inside the EWMA's warm-up (the first drift observations of a run or
+#: of a rolled-back attempt, which only seed its mean)
 ENERGY_FLOOR = 0.5
-#: relative momentum-drift ceiling (WARN; the validator's own tolerance
-#: is the FATAL backstop)
+#: relative total-momentum drift ceiling: the pair-antisymmetric forces
+#: conserve momentum to accumulated round-off
 MOMENTUM_TOLERANCE = 1e-6
-#: relative total-mass drift ceiling (FATAL: masses never change)
+#: relative total-mass drift ceiling: masses never change
 MASS_TOLERANCE = 1e-9
+#: relative pressure error against P = (gamma-1) rho u, scaled by the
+#: largest expected pressure
+EOS_TOLERANCE = 1e-10
+#: acceptable band for sum(V)/box^3.  Exact tiling only holds for
+#: near-uniform gas; clustering legitimately shrinks the covered
+#: fraction (voids fall outside every kernel support), so the band
+#: guards against order-of-magnitude corruption, not percent drift
+VOLUME_BAND = (0.3, 2.0)
 #: a NaN-guard hit rate above zero warns (the guard itself raises)
 GUARD_RATE_TOLERANCE = 0.0
 
@@ -112,7 +136,7 @@ class HealthEscalation(RuntimeError):
 
 
 class Severity(enum.Enum):
-    """How an alert, or a failed step-gate check, is treated.
+    """How an alert is treated.
 
     ``WARN`` records; ``FATAL`` escalates into the resilience runner's
     rollback.
@@ -175,10 +199,6 @@ class SeriesBuffer:
         return bool(self._points)
 
     @property
-    def points(self) -> list[tuple[int, float]]:
-        return list(self._points)
-
-    @property
     def steps(self) -> list[int]:
         return [s for s, _ in self._points]
 
@@ -190,12 +210,6 @@ class SeriesBuffer:
         if not self._points:
             raise IndexError(f"series {self.name!r} is empty")
         return self._points[-1]
-
-    def window(self, n: int) -> list[float]:
-        """The most recent ``n`` values (fewer if short)."""
-        if n <= 0:
-            return []
-        return [v for _, v in list(self._points)[-n:]]
 
 
 # ----------------------------------------------------------------------
@@ -310,9 +324,9 @@ class _Attachment:
 class HealthMonitor:
     """Named series + attached detectors + alert log.
 
-    Feed it directly with :meth:`observe`, or set it as a driver's
-    ``health`` attribute and :meth:`observe_step` derives the standard
-    physics series after every step.  Observations mirror into the
+    Feed it directly with :meth:`observe`; a driver's own ``health``
+    monitor derives the standard physics series after every step
+    through :meth:`observe_step`.  Observations mirror into the
     attached sinks: gauges in ``metrics``, Perfetto counter tracks in
     ``tracer`` (so health series render alongside kernel spans), and
     ``alert`` instants for every detector firing.
@@ -339,7 +353,8 @@ class HealthMonitor:
         self._escalated = 0
         # per-step deltas of shared counters (guard / cache rates)
         self._counter_marks: dict[str, float] = {}
-        self._mass_reference: float | None = None
+        #: total mass at the first observed step, the mass drift's base
+        self.mass_reference: float | None = None
 
     # -- series & detectors --------------------------------------------
     def series(self, name: str) -> SeriesBuffer:
@@ -347,9 +362,6 @@ class HealthMonitor:
         if buf is None:
             buf = self._series[name] = SeriesBuffer(name)
         return buf
-
-    def series_names(self) -> list[str]:
-        return sorted(self._series)
 
     def attach(
         self,
@@ -367,9 +379,6 @@ class HealthMonitor:
     @property
     def alerts(self) -> list[Alert]:
         return list(self._alerts)
-
-    def alerts_for(self, series: str) -> list[Alert]:
-        return [a for a in self._alerts if a.series == series]
 
     @property
     def fatal_alerts(self) -> list[Alert]:
@@ -453,10 +462,7 @@ class HealthMonitor:
         stay bit-for-bit agreed — which is what lets every rank raise
         the same escalation at the same step.
         """
-        import numpy as np
-
         step = driver.step_index
-        p = driver.particles
         alerts: list[Alert] = []
 
         thermal_series = self.series(THERMAL_ENERGY)
@@ -484,21 +490,12 @@ class HealthMonitor:
                 drift = diag.thermal_energy / expected - 1.0
                 alerts += self.observe(ENERGY_DRIFT, step, drift)
 
-        mom = np.abs(np.asarray(diag.total_momentum)).max()
-        scale = float(np.abs(p.mass[:, None] * p.velocities).sum())
-        alerts += self.observe(
-            MOMENTUM_DRIFT, step, float(mom) / scale if scale > 0 else 0.0
-        )
-
-        total_mass = float(p.mass.sum())
-        if self._mass_reference is None:
-            self._mass_reference = total_mass
-        mass_drift = (
-            abs(total_mass - self._mass_reference) / self._mass_reference
-            if self._mass_reference > 0
-            else 0.0
-        )
-        alerts += self.observe(MASS_DRIFT, step, mass_drift)
+        if self.mass_reference is None:
+            self.mass_reference = float(driver.particles.mass.sum())
+        for name, value in state_invariants(
+            driver.particles, self.mass_reference
+        ).items():
+            alerts += self.observe(name, step, value)
 
         if wall_seconds is not None:
             alerts += self.observe(STEP_SECONDS, step, wall_seconds)
@@ -533,13 +530,66 @@ class HealthMonitor:
         return "\n".join(lines)
 
 
+def state_invariants(p: "ParticleData", mass_reference: float) -> dict[str, float]:
+    """The value of every state invariant's series on ``p``; reads only.
+
+    ``mass_reference`` is the total mass the drift is measured against.
+    A NaN or non-positive mass is the mass invariant's alone: momentum
+    is only measured over a valid mass set.
+    """
+    # imported here: repro.hacc imports this module through the driver
+    from repro.hacc import eos
+    from repro.hacc.particles import Species
+    from repro.hacc.units import GAMMA_ADIABATIC
+
+    mass, pos, vel = p.mass, p.positions, p.velocities
+    scale = float(np.abs(mass[:, None] * vel).sum())
+    momentum = 0.0
+    if scale > 0 and np.all(mass > 0):
+        momentum = float(np.abs(p.total_momentum()).max()) / scale
+    values = {
+        MOMENTUM_DRIFT: momentum,
+        MASS_DRIFT: (
+            abs(float(mass.sum()) - mass_reference) / mass_reference
+            if mass_reference > 0
+            else 0.0
+        ),
+        CONTAINMENT_BREACHES: float(
+            np.count_nonzero(
+                ~((pos >= 0) & (pos < p.box)).all(axis=1)
+                | ~np.isfinite(vel).all(axis=1)
+            )
+        ),
+    }
+    gas = p.species_mask(Species.BARYON)
+    if gas.any():
+        u, rho, pressure = p.u[gas], p.rho[gas], p.pressure[gas]
+        expected = eos.pressure(rho, u, GAMMA_ADIABATIC)
+        tolerance = EOS_TOLERANCE * max(float(np.abs(expected).max()), 1e-300)
+        with np.errstate(invalid="ignore"):
+            broken = (
+                (u < 0)
+                | ~(rho > 0)
+                | ~np.isfinite(rho)
+                | ~np.isfinite(pressure)
+                | ~np.isfinite(p.cs[gas])
+                | ~(np.abs(pressure - expected) <= tolerance)
+            )
+        values[THERMO_VIOLATIONS] = float(np.count_nonzero(broken))
+        volume = p.volume[gas]
+        values[VOLUME_RATIO] = (
+            float(volume.sum()) / p.box**3 if np.all(volume > 0) else 0.0
+        )
+    return values
+
+
 def default_monitor(
     *,
     tracer: TraceRecorder | None = None,
     metrics: MetricsRegistry | None = None,
     on_alert: Callable[[Alert], None] | None = None,
 ) -> HealthMonitor:
-    """The standard physics health monitor, at this module's tolerances.
+    """The one judge of a step's physics, at this module's tolerances.
 
     Every FATAL detector watches a *deterministic* function of the
     replicated physics state, so all ranks of a lockstep world escalate
@@ -547,25 +597,16 @@ def default_monitor(
     step wall-time is recorded but not watched.
     """
     monitor = HealthMonitor(tracer=tracer, metrics=metrics, on_alert=on_alert)
-    monitor.attach(
-        ENERGY_DRIFT,
-        EWMADriftDetector(tolerance=ENERGY_TOLERANCE, direction="down"),
-        severity=Severity.FATAL,
-    )
-    monitor.attach(
-        ENERGY_DRIFT, ThresholdDetector(low=-ENERGY_FLOOR), severity=Severity.FATAL
-    )
-    monitor.attach(
-        MOMENTUM_DRIFT,
-        ThresholdDetector(high=MOMENTUM_TOLERANCE),
-        severity=Severity.WARN,
-    )
-    monitor.attach(
-        MASS_DRIFT, ThresholdDetector(high=MASS_TOLERANCE), severity=Severity.FATAL
-    )
-    monitor.attach(
-        GUARD_HIT_RATE,
-        ThresholdDetector(high=GUARD_RATE_TOLERANCE),
-        severity=Severity.WARN,
-    )
+    fatal, warn = Severity.FATAL, Severity.WARN
+    for series, detector, severity in (
+        (ENERGY_DRIFT, EWMADriftDetector(ENERGY_TOLERANCE, direction="down"), fatal),
+        (ENERGY_DRIFT, ThresholdDetector(low=-ENERGY_FLOOR), fatal),
+        (MOMENTUM_DRIFT, ThresholdDetector(high=MOMENTUM_TOLERANCE), fatal),
+        (MASS_DRIFT, ThresholdDetector(high=MASS_TOLERANCE), fatal),
+        (CONTAINMENT_BREACHES, ThresholdDetector(high=0.0), fatal),
+        (THERMO_VIOLATIONS, ThresholdDetector(high=0.0), fatal),
+        (VOLUME_RATIO, ThresholdDetector(*VOLUME_BAND), fatal),
+        (GUARD_HIT_RATE, ThresholdDetector(high=GUARD_RATE_TOLERANCE), warn),
+    ):
+        monitor.attach(series, detector, severity)
     return monitor

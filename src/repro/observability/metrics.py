@@ -50,8 +50,11 @@ METRIC_GLOSSARY: dict[str, str] = {
     "sim.health.thermal_energy": "total gas thermal energy after each step (gauge)",
     "sim.health.total_energy": "kinetic + thermal energy after each step (gauge)",
     "sim.health.energy_drift": "per-step thermal-energy residual beyond adiabatic expansion (gauge)",
-    "sim.health.momentum_drift": "relative total-momentum drift, the validator's conservation scale (gauge)",
-    "sim.health.mass_drift": "relative total-mass drift against the run's first step (gauge)",
+    "sim.health.momentum_drift": "largest total-momentum component over the summed absolute m*v of every particle, after each step (gauge)",
+    "sim.health.mass_drift": "relative total-mass drift against the monitor's first observed step (gauge)",
+    "sim.health.containment_breaches": "particles outside the periodic box or with non-finite velocity, after each step (gauge)",
+    "sim.health.thermo_violations": "gas particles with u < 0, bad rho/P/cs, or P off the equation of state, after each step (gauge)",
+    "sim.health.volume_ratio": "summed gas CRK volumes over the box volume, after each step (gauge)",
     "sim.health.step_seconds": "wall-clock seconds of the latest completed step (gauge)",
     "sim.health.subcycles": "hydro subcycles taken by the latest step, timestep-collapse watch (gauge)",
     "sim.health.guard_hit_rate": "NaN-guard violations per screened kernel output this step (gauge)",

@@ -14,8 +14,7 @@ This package gives the reproduction the same property:
   versioned atomic writes and checksums, plus the periodic
   :class:`~repro.resilience.restart.CheckpointManager`;
 - :mod:`repro.resilience.guards` — in-flight NaN/Inf screens over the
-  hot kernels' outputs and a step-level validation gate with one fixed
-  per-check severity map;
+  hot kernels' outputs and the retry budget;
 - :mod:`repro.resilience.runner` — the fault-tolerant multi-rank
   entry point :func:`~repro.resilience.runner.run_simulation`, which
   walks the degradation ladder and retries from the last checkpoint
@@ -54,8 +53,6 @@ from repro.resilience.guards import (
     GuardViolation,
     KernelGuard,
     RetryPolicy,
-    StepGate,
-    StepValidationError,
 )
 from repro.resilience.restart import (
     BuddyStore,
@@ -94,8 +91,6 @@ __all__ = [
     "SimulationAborted",
     "SimulationCheckpoint",
     "SimulationResult",
-    "StepGate",
-    "StepValidationError",
     "random_fault_plan",
     "run_chaos_plan",
     "run_simulation",

@@ -1,21 +1,16 @@
 """In-flight guards: catch corruption the step it happens.
 
-Before this module, a NaN emitted by a hot kernel propagated silently
-through kicks and drifts until the post-hoc
-:class:`~repro.hacc.validation.RunValidator` noticed a sick final
-state.  The guards promote validation to a *step-level gate*:
-
 - :class:`KernelGuard` installs itself as the driver's
   :attr:`~repro.hacc.timestep.AdiabaticDriver.kernel_hook` and screens
   every hot kernel's freshly produced outputs for NaN/Inf *before*
   anything consumes them, raising :class:`GuardViolation` in the same
   step the corruption appears;
-- :class:`StepGate` runs every :class:`RunValidator` invariant after
-  every completed step, and treats each failed check by its
-  :data:`STEP_SEVERITY` (warn or fatal);
 - :class:`RetryPolicy` bounds the recovery loop: how many times the
   runner may retry from the last checkpoint (the runner halves the
   checkpoint cadence on each recovery).
+
+The physics of a completed step is judged elsewhere, once: by the
+driver's health monitor (:mod:`repro.observability.health`).
 """
 
 from __future__ import annotations
@@ -25,8 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.hacc.timestep import AdiabaticDriver
-from repro.hacc.validation import RunValidator, Violation
-from repro.observability.health import Severity
 from repro.resilience.backoff import BackoffPolicy
 
 
@@ -48,16 +41,6 @@ class GuardViolation(GuardError):
         self.n_bad = n_bad
 
 
-class StepValidationError(GuardError):
-    """The step-level validation gate found a fatal violation."""
-
-    def __init__(self, step: int, violations: list[Violation]):
-        details = "; ".join(str(v) for v in violations)
-        super().__init__(f"step {step} failed validation: {details}")
-        self.step = step
-        self.violations = tuple(violations)
-
-
 @dataclass
 class RetryPolicy:
     """Bounds for the retry-from-last-checkpoint loop."""
@@ -73,17 +56,6 @@ class RetryPolicy:
             raise ValueError("max_retries must be >= 0")
 
 
-#: how :class:`StepGate` treats each failed check.  The cumulative
-#: conservation band is the coarse backstop behind the per-step health
-#: monitors: it reports rather than kills, so the EWMA detector (which
-#: fires many steps earlier) owns the escalation and a validator audit
-#: of a mid-leak run stays a WARN
-STEP_SEVERITY = {
-    check: Severity.WARN if check == "conservation" else Severity.FATAL
-    for check in RunValidator.CHECK_NAMES
-}
-
-
 class KernelGuard:
     """NaN/Inf screen over the hot kernels' outputs.
 
@@ -94,13 +66,11 @@ class KernelGuard:
     """
 
     def __init__(self, *, metrics=None):
-        self.screened_kernels = 0
         #: optional MetricsRegistry; feeds the guard-hit-rate health
         #: series (sim.resilience.guard_screens / guard_violations)
         self.metrics = metrics
 
     def screen(self, name: str, step: int, outputs: dict[str, np.ndarray]) -> None:
-        self.screened_kernels += 1
         if self.metrics is not None:
             self.metrics.counter("sim.resilience.guard_screens").inc()
         for out_name, arr in outputs.items():
@@ -121,26 +91,3 @@ class KernelGuard:
             self.screen(name, step, outputs)
 
         driver.kernel_hook = hook
-
-
-class StepGate:
-    """Step-level validation gate over :data:`STEP_SEVERITY`.
-
-    Call :meth:`check` after each completed step; fatal violations
-    raise :class:`StepValidationError`, warnings accumulate in
-    :attr:`warnings`.
-    """
-
-    def __init__(self, driver: AdiabaticDriver):
-        self.validator = RunValidator(driver)
-        self.warnings: list[Violation] = []
-
-    def check(self, step_index: int) -> None:
-        fatal: list[Violation] = []
-        for violation in self.validator.validate().violations:
-            if STEP_SEVERITY[violation.check] is Severity.FATAL:
-                fatal.append(violation)
-            else:
-                self.warnings.append(violation)
-        if fatal:
-            raise StepValidationError(step_index, fatal)

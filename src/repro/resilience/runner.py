@@ -15,7 +15,7 @@ MPI world with the full resilience stack threaded through it:
   the timeout) and a divergence detector (replicas must agree
   bit-for-bit; silent corruption on one rank trips
   :class:`DivergenceError`);
-- after each validated step every rank deposits a
+- after each judged step every rank deposits a
   :class:`~repro.resilience.restart.DifferentialCheckpoint` in the
   in-memory :class:`~repro.resilience.restart.BuddyStore` (one copy
   for itself, one with its ring buddy), and the lowest rank writes
@@ -48,7 +48,7 @@ from typing import Callable
 
 from repro.hacc.mpi_sim import RankFailure, SimComm, SimWorld
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
-from repro.hacc.validation import RunValidator, ValidationReport, Violation
+from repro.hacc.validation import ValidationReport, validate_run
 from repro.observability.health import (
     Alert,
     HealthEscalation,
@@ -62,12 +62,7 @@ from repro.resilience.faults import (
     FaultPlan,
     InjectedFault,
 )
-from repro.resilience.guards import (
-    GuardError,
-    KernelGuard,
-    RetryPolicy,
-    StepGate,
-)
+from repro.resilience.guards import GuardError, KernelGuard, RetryPolicy
 from repro.resilience.restart import (
     BuddyStore,
     CheckpointManager,
@@ -102,14 +97,12 @@ class SimulationResult:
     world_size: int
     attempts: list[AttemptRecord]
     checkpoints: list[Path] = field(default_factory=list)
-    guard_warnings: list[Violation] = field(default_factory=list)
     checkpoint_write_failures: int = 0
     final_world_size: int | None = None
     #: health-detector alerts raised across all attempts (rank 0's
     #: monitor; replicated ranks raise identical alerts)
     health_alerts: list[Alert] = field(default_factory=list)
-    #: the final attempt's monitor (series + alert log), when health
-    #: monitoring was enabled
+    #: the final attempt's rank-0 monitor (series + alert log)
     health_monitor: HealthMonitor | None = None
 
     def __post_init__(self):
@@ -179,7 +172,6 @@ def run_simulation(
     fault_plan: FaultPlan | None = None,
     retry_policy: RetryPolicy | None = None,
     degrade_policy: str = "restart",
-    health: bool = False,
     echo: Callable[[str], None] | None = None,
     tracer=None,
     metrics=None,
@@ -209,15 +201,13 @@ def run_simulation(
     restores, checkpoint writes, and recovery attempts become trace
     events/counters.
 
-    ``health`` attaches the physics health monitor
-    (:func:`~repro.observability.health.default_monitor`) to every
-    rank's driver: the standard conservation/wall-time series are
-    recorded per step and a FATAL detector firing (e.g. the EWMA drift
-    detector catching a slow energy leak) raises
+    Every rank's driver is judged by its health monitor
+    (:func:`~repro.observability.health.default_monitor`) on every
+    step: a FATAL alert (e.g. the EWMA drift detector catching a slow
+    energy leak, or a broken state invariant) raises
     :class:`~repro.observability.health.HealthEscalation` at the step
-    boundary — the run rolls back and retries from checkpoint exactly
-    as it would for a NaN guard, typically many steps before the
-    validator's cumulative conservation band would hard-fail.
+    boundary, and the run rolls back and retries from checkpoint
+    exactly as it would for a NaN guard.
     """
     if degrade_policy not in DEGRADE_POLICIES:
         raise ValueError(
@@ -266,7 +256,6 @@ def run_simulation(
             config = start.config
 
     attempts: list[AttemptRecord] = []
-    guard_warnings: list[Violation] = []
     health_alerts: list[Alert] = []
     lead_monitors: dict[int, HealthMonitor] = {}
 
@@ -280,48 +269,38 @@ def run_simulation(
             world.pre_collective_hook = injector.collective_hook()
         buddies = BuddyStore(tracer=tracer, metrics=metrics)
         final_drivers: dict[int, AdiabaticDriver] = {}
-        final_warnings: dict[int, list[Violation]] = {}
         degradation_events: list[DegradationEvent] = []
         restarted_from = start.step_index if start is not None else None
 
         def rank_fn(comm: SimComm) -> int:
             grank = comm.global_rank
 
-            def _arm(driver: AdiabaticDriver):
+            def _arm(driver: AdiabaticDriver) -> SimulationCheckpoint:
                 """Wire a freshly built or rolled-back driver into this
-                attempt; returns its step gate and the diff base of its
-                buddy snapshots."""
+                attempt; returns the diff base of its buddy snapshots."""
                 driver.tracer = tracer
                 driver.metrics = metrics
-                if health:
-                    # every rank monitors its own (replicated,
-                    # deterministic) physics, so all ranks escalate at
-                    # the same step; only rank 0 owns the sinks — shared
-                    # counters, trace tracks, and the result's alert log
-                    # must not be multiplied by the world size.  A fresh
-                    # monitor each time: a rollback makes the previous
-                    # series discontinuous (the drift baselines would
-                    # compare post-rollback state against pre-rollback
-                    # history)
-                    lead = grank == 0
+                # every rank judges its own (replicated, deterministic)
+                # physics with the fresh monitor its driver was built or
+                # restored with, so all ranks escalate at the same step;
+                # only rank 0's monitor owns the sinks — shared counters,
+                # trace tracks, and the result's alert log must not be
+                # multiplied by the world size
+                if grank == 0:
                     driver.health = default_monitor(
-                        tracer=tracer if lead else None,
-                        metrics=metrics if lead else None,
-                        on_alert=health_alerts.append if lead else None,
+                        tracer=tracer, metrics=metrics, on_alert=health_alerts.append
                     )
-                    if lead:
-                        lead_monitors[attempt] = driver.health
+                    lead_monitors[attempt] = driver.health
                 KernelGuard(metrics=metrics).install(
                     driver, injector=injector, rank=grank
                 )
-                gate = StepGate(driver)
-                return gate, SimulationCheckpoint.capture(driver)
+                return SimulationCheckpoint.capture(driver)
 
             if start is not None:
                 driver = start.restore_driver()
             else:
                 driver = AdiabaticDriver(config=config)
-            gate, base = _arm(driver)
+            base = _arm(driver)
             shrinks_done = 0
             while not driver.finished:
                 step = driver.step_index
@@ -330,9 +309,7 @@ def run_simulation(
                         injector.on_step_start(grank, step)  # may raise RankKilled
                         injector.drain_energy(driver, grank, step)
                     diag = driver.advance()
-                    gate.check(step)
-                    if driver.health is not None:
-                        driver.health.escalate()  # may raise HealthEscalation
+                    driver.health.escalate()  # may raise HealthEscalation
                     # heartbeat + replica agreement: every rank must
                     # both arrive (else RankFailure) and agree
                     # bit-for-bit
@@ -343,7 +320,7 @@ def run_simulation(
                         raise DivergenceError(
                             f"replicated ranks diverged at step {step}: {digests}"
                         )
-                    # agreed and validated: this step is the new
+                    # agreed and judged: this step is the new
                     # rollback point for shrink recovery
                     buddies.deposit(
                         grank,
@@ -406,7 +383,7 @@ def run_simulation(
                     assert rollback is not None  # buddy_ok checked above
                     restore_point = rollback.materialise()
                     driver = restore_point.restore_driver()
-                    gate, base = _arm(driver)
+                    base = _arm(driver)
                     # NB: dead ranks' store entries are left in place —
                     # purging here would race a slower survivor's
                     # adopt; they are dropped with the world instead
@@ -435,7 +412,6 @@ def run_simulation(
                     # their wakeup before the survivors press on
                     retry_policy.backoff.sleep(shrinks_done - 1, metrics=metrics)
             final_drivers[grank] = driver
-            final_warnings[grank] = list(gate.warnings)
             return driver.step_index
 
         results, errors = world.run_outcomes(rank_fn)
@@ -446,7 +422,6 @@ def run_simulation(
             # the run finished — at full size, or degraded but alive
             lead = min(completed)
             driver = final_drivers[lead]
-            guard_warnings.extend(final_warnings.get(lead, []))
             # the replicas go now, by reference count: every attempt's
             # rank_fn shares this closure cell, and a failed attempt's
             # is kept by its exceptions until the cyclic collector runs
@@ -467,14 +442,13 @@ def run_simulation(
                     degradations=tuple(degradation_events),
                 )
             )
-            report = RunValidator(driver).validate()
+            report = validate_run(driver)
             return SimulationResult(
                 driver=driver,
                 report=report,
                 world_size=world_size,
                 attempts=attempts,
                 checkpoints=list(manager.written) if manager is not None else [],
-                guard_warnings=guard_warnings,
                 checkpoint_write_failures=(
                     manager.write_failures if manager is not None else 0
                 ),

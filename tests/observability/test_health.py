@@ -12,7 +12,11 @@ import pytest
 
 from repro.observability import MetricsRegistry, TraceRecorder
 from repro.observability.health import (
+    CONTAINMENT_BREACHES,
     ENERGY_DRIFT,
+    ENERGY_FLOOR,
+    ENERGY_TOLERANCE,
+    GUARD_HIT_RATE,
     HEALTH_SERIES,
     KINETIC_ENERGY,
     MASS_DRIFT,
@@ -20,7 +24,9 @@ from repro.observability.health import (
     STEP_SECONDS,
     SUBCYCLES,
     THERMAL_ENERGY,
+    THERMO_VIOLATIONS,
     TOTAL_ENERGY,
+    VOLUME_RATIO,
     Alert,
     EWMADriftDetector,
     HealthEscalation,
@@ -47,7 +53,6 @@ class TestSeriesBuffer:
         assert len(buf) == 2
         assert buf.steps == [0, 1]
         assert buf.values == [1.0, 2.0]
-        assert buf.points == [(0, 1.0), (1, 2.0)]
         assert buf.last() == (1, 2.0)
 
     def test_ring_evicts_oldest(self):
@@ -55,14 +60,6 @@ class TestSeriesBuffer:
         for i in range(6):
             buf.append(i, float(i))
         assert buf.steps == [3, 4, 5]
-
-    def test_window(self):
-        buf = SeriesBuffer("s")
-        for i in range(5):
-            buf.append(i, float(i))
-        assert buf.window(2) == [3.0, 4.0]
-        assert buf.window(99) == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert buf.window(0) == []
 
     def test_empty_last_raises(self):
         with pytest.raises(IndexError):
@@ -236,7 +233,7 @@ class TestObserveStep:
 
     def test_all_standard_series_recorded(self, run):
         driver, monitor = run
-        names = set(monitor.series_names())
+        names = set(monitor.snapshot()["series"])
         # guard_hit_rate only exists when a KernelGuard is screening
         # (the resilience runner's path); everything else is standard
         for name in HEALTH_SERIES:
@@ -253,6 +250,9 @@ class TestObserveStep:
             TOTAL_ENERGY,
             MOMENTUM_DRIFT,
             MASS_DRIFT,
+            CONTAINMENT_BREACHES,
+            THERMO_VIOLATIONS,
+            VOLUME_RATIO,
             STEP_SECONDS,
             SUBCYCLES,
         ):
@@ -277,6 +277,12 @@ class TestObserveStep:
         assert max(monitor.series(MASS_DRIFT).values) == 0.0
         assert max(monitor.series(MOMENTUM_DRIFT).values) < 1e-9
 
+    def test_state_invariants_hold_on_clean_run(self, run):
+        _, monitor = run
+        assert set(monitor.series(CONTAINMENT_BREACHES).values) == {0.0}
+        assert set(monitor.series(THERMO_VIOLATIONS).values) == {0.0}
+        assert all(0.3 < v < 2.0 for v in monitor.series(VOLUME_RATIO).values)
+
 
 class TestDefaultMonitor:
     def test_catches_injected_leak(self):
@@ -290,6 +296,32 @@ class TestDefaultMonitor:
         assert monitor.fatal_alerts[0].step == 4
 
     def test_energy_floor_is_instant(self):
+        """A drop inside the EWMA's warm-up — the first drift values of
+        a run or of a rolled-back attempt only seed its mean — is
+        missed by the EWMA alone; the hard floor catches it."""
+        ewma = EWMADriftDetector(ENERGY_TOLERANCE, direction="down")
+        drops = [-0.7, -0.7, -0.7]
+        assert all(ewma.update(s, v) is None for s, v in enumerate(drops))
         monitor = default_monitor()
-        monitor.observe(ENERGY_DRIFT, 0, -0.7)
-        assert monitor.fatal_alerts  # no warmup on the hard floor
+        monitor.observe(ENERGY_DRIFT, 0, drops[0])
+        (alert,) = monitor.fatal_alerts
+        assert alert.detector == "threshold"
+        assert drops[0] < -ENERGY_FLOOR
+
+    @pytest.mark.parametrize(
+        "series, bad, severity",
+        [
+            (ENERGY_DRIFT, -0.9, Severity.FATAL),
+            (MOMENTUM_DRIFT, 1e-3, Severity.FATAL),
+            (MASS_DRIFT, float("nan"), Severity.FATAL),
+            (CONTAINMENT_BREACHES, 1.0, Severity.FATAL),
+            (THERMO_VIOLATIONS, 1.0, Severity.FATAL),
+            (VOLUME_RATIO, 10.0, Severity.FATAL),
+            (GUARD_HIT_RATE, 0.5, Severity.WARN),
+        ],
+    )
+    def test_every_invariant_has_one_severity(self, series, bad, severity):
+        """The one table: every physics invariant escalates; the
+        metrics-derived guard rate only warns."""
+        alerts = default_monitor().observe(series, 0, bad)
+        assert alerts and {a.severity for a in alerts} == {severity}

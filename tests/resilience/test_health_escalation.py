@@ -1,10 +1,10 @@
 """Health alerts escalating through the resilience rollback path.
 
 The acceptance scenario of the telemetry pipeline: an injected slow
-energy leak is detected by the EWMA drift monitor and escalated into
-the runner's checkpoint/rollback machinery *before* the run ends —
-many steps before the ``RunValidator``'s coarse ``conservation`` band
-would hard-fail the finished run.
+energy leak is detected by the EWMA drift monitor every driver carries
+and escalated into the runner's checkpoint/rollback machinery on its
+first leaking step — no option turns the judge on, so a run that
+leaks can never come back ``ok`` with the leaked state.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from __future__ import annotations
 import pytest
 
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
-from repro.hacc.validation import RunValidator
-from repro.observability import MetricsRegistry, TraceRecorder
+from repro.hacc.validation import validate_run
 from repro.observability.health import (
     ENERGY_DRIFT,
+    ENERGY_FLOOR,
     HealthEscalation,
     Severity,
     default_monitor,
@@ -34,17 +34,13 @@ LEAK = "leak:step=3,rate=0.12,count=3"
 class TestLeakEscalationRoundTrip:
     @pytest.fixture(scope="class")
     def result(self, tmp_path_factory):
-        tmp_path = tmp_path_factory.mktemp("ckpts")
+        # no sink and no option: the judge every driver carries is enough
         return run_simulation(
             small_config(),
             world_size=2,
-            timeout=30.0,
-            checkpoint_dir=tmp_path,
+            checkpoint_dir=tmp_path_factory.mktemp("ckpts"),
             checkpoint_every=1,
             fault_plan=FaultPlan.parse(LEAK),
-            health=True,
-            metrics=MetricsRegistry(),
-            tracer=TraceRecorder(),
         )
 
     def test_run_recovers_and_validates(self, result):
@@ -71,15 +67,26 @@ class TestLeakEscalationRoundTrip:
         assert second.restarted_from_step == 3  # pre-leak checkpoint
 
     def test_detection_precedes_validator_hard_fail(self, result):
-        """The monitor catches one 12% leaked step; the validator's
-        hard band (50% cumulative) would need several — the alert step
-        must come first, and the *recovered* run must not trip the
-        band at all."""
+        """The EWMA catches one 12% leaked step, far inside the hard
+        per-step floor; the recovered run's verdict holds no energy
+        violation at all."""
         alert_step = result.health_alerts[0].step
         leaked_fraction_at_alert = 1 - (1 - 0.12) ** (alert_step - 3 + 1)
-        assert leaked_fraction_at_alert < RunValidator.CONSERVATION_BAND
-        report = RunValidator(result.driver).validate()
-        assert not [v for v in report.violations if v.check == "conservation"]
+        assert leaked_fraction_at_alert < ENERGY_FLOOR
+        report = validate_run(result.driver)
+        assert report.ok
+        assert not [v for v in report.violations if v.check == ENERGY_DRIFT]
+
+    def test_recovered_diagnostics_equal_the_fault_free_run(self, result):
+        reference = AdiabaticDriver(small_config())
+        reference.run()
+        assert [
+            (d.a, d.kinetic_energy, d.thermal_energy, d.max_density_contrast)
+            for d in result.driver.diagnostics
+        ] == [
+            (d.a, d.kinetic_energy, d.thermal_energy, d.max_density_contrast)
+            for d in reference.diagnostics
+        ]
 
     def test_final_monitor_is_clean(self, result):
         """The recovered attempt's own monitor saw no leak (the fired
@@ -104,7 +111,6 @@ class TestUnrecoverableLeak:
                 timeout=30.0,
                 retry_policy=RetryPolicy(max_retries=0),
                 fault_plan=FaultPlan.parse(LEAK),
-                health=True,
             )
         (attempt,) = excinfo.value.attempts
         assert "HealthEscalation" in attempt.failure
@@ -112,26 +118,24 @@ class TestUnrecoverableLeak:
 
 class TestValidatorConservationBackstop:
     def test_catastrophic_leak_trips_the_hard_band(self):
-        """Without monitors, the end-of-run validator still refuses a
-        run that leaked most of its thermal energy."""
+        """Without the runner, the finished-run verdict still refuses a
+        plain driver that leaked most of its thermal energy in flight:
+        the drop lands inside the EWMA's warm-up, so the hard floor is
+        the detector that judged it."""
         driver = AdiabaticDriver(small_config(4))
-        driver.run()
+        driver.advance()
         driver.particles.u[:] *= 1e-3
-        from repro.hacc import eos
-
-        eos.update_thermodynamics(driver.particles)
-        # fake the last diagnostic reflecting the drained state
-        driver.diagnostics.append(driver._diagnose(driver.diagnostics[-1].a))
-        report = RunValidator(driver).validate()
-        (violation,) = [v for v in report.violations if v.check == "conservation"]
-        assert "leaking" in violation.message
-
-    def test_default_severity_is_warn(self):
-        """The health EWMA owns escalation; the validator's band only
-        warns by default at the step gate."""
-        from repro.resilience.guards import STEP_SEVERITY
-
-        assert STEP_SEVERITY["conservation"] is Severity.WARN
+        driver.run()
+        (alert,) = driver.health.fatal_alerts
+        assert (alert.series, alert.detector, alert.step) == (
+            ENERGY_DRIFT,
+            "threshold",
+            1,
+        )
+        report = validate_run(driver)
+        (violation,) = report.violations
+        assert violation.check == ENERGY_DRIFT
+        assert "below the floor" in violation.message
 
 
 class TestDirectEscalation:

@@ -68,8 +68,8 @@ class TestRankKillRecovery:
 
     def test_kill_rank3_midstep_recovers_and_validates(self, tmp_path):
         """Acceptance: rank 3 dies at step 1 of an 8-rank run; the run
-        restarts from the last SimulationCheckpoint and completes with
-        RunValidator.ok == True."""
+        restarts from the last SimulationCheckpoint and completes with a
+        clean validation report."""
         result = run_simulation(
             small_config(),
             world_size=8,

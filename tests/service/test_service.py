@@ -197,6 +197,27 @@ class TestFaultedJobs:
 
         run(_with_service(body))
 
+    def test_leaking_job_is_rolled_back_to_the_fault_free_result(self):
+        """A slow energy leak in a supervised job is judged in flight:
+        the job rolls back, reports degraded, and its diagnostics are
+        the fault-free job's, bit for bit."""
+
+        async def body(service):
+            leaky = JobSpec(
+                n_per_side=6, n_steps=8, faults="leak:step=3,rate=0.12,count=3"
+            )
+            clean = JobSpec(n_per_side=6, n_steps=8)
+            return await asyncio.gather(
+                (await service.submit(leaky)).future,
+                (await service.submit(clean)).future,
+            )
+
+        leaked, clean = run(_with_service(body))
+        assert leaked.degraded
+        assert leaked.attempts == 2
+        for fld, values in clean.products["diagnostics"].items():
+            np.testing.assert_array_equal(leaked.products["diagnostics"][fld], values)
+
     def test_supervised_job_streams_numbered_steps(self):
         # the same per-step event as a plain job's: `submit --stream`
         # printed "step ?" for these

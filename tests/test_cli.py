@@ -54,7 +54,6 @@ PARSER_SURFACE = {
         "--chaos-seed": 0,
         "--trace-out": None,
         "--metrics-out": None,
-        "--health": False,
         "--live": False,
         "--events-out": None,
         "--openmetrics-out": None,
