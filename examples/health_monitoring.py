@@ -20,9 +20,9 @@ plausible), and shows the telemetry pipeline catching it:
 
 No option turns the monitor on: every driver carries one.
 
-The run's telemetry is then exported: a JSONL event log (replayable
-with ``python -m repro dashboard``), an OpenMetrics exposition, and
-the final dashboard frame rendered to stdout.
+The run's telemetry is then written to its one record, the JSONL
+event log, and the final dashboard frame is rendered from that file
+(what ``python -m repro dashboard events.jsonl`` prints).
 
 Run:  python examples/health_monitoring.py
 """
@@ -32,8 +32,8 @@ from pathlib import Path
 
 from repro.hacc.timestep import SimulationConfig
 from repro.observability import MetricsRegistry, TraceRecorder
-from repro.observability.dashboard import DashboardState, render
-from repro.observability.export import iter_events, write_event_log, write_openmetrics
+from repro.observability.dashboard import load_events, render
+from repro.observability.export import write_event_log
 from repro.resilience import FaultPlan, run_simulation
 
 N_RANKS = 2
@@ -92,21 +92,12 @@ def main() -> None:
             alerts=result.health_alerts,
             meta={"title": "health_monitoring example"},
         )
-        prom_path = write_openmetrics(Path(tmp) / "metrics.prom", metrics)
         print()
         print(f"Event log: {events_path.name} ({len(events_path.read_text().splitlines())} records)")
-        print(f"OpenMetrics exposition: {prom_path.name}")
 
-        # --- final dashboard frame ----------------------------------
-        state = DashboardState()
-        for event in iter_events(
-            tracer=tracer,
-            metrics=metrics,
-            monitor=result.health_monitor,
-            alerts=result.health_alerts,
-            meta={"title": "health_monitoring example"},
-        ):
-            state.apply(event)
+        # --- final dashboard frame, replayed from the log -------------
+        state = load_events(events_path)
+        assert [a["detector"] for a in state.alerts] == ["ewma-drift"]
         print()
         print(render(state))
     print()

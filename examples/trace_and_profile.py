@@ -8,14 +8,14 @@ This drives the full observability layer in ~60 lines of user code:
 2. replay the recorded GPU workload through a device cost model with a
    :class:`KernelProfiler`, adding a simulated device track whose
    kernel spans carry occupancy/roofline annotations;
-3. write ``trace.json`` (open it at https://ui.perfetto.dev or in
-   ``chrome://tracing``) and ``metrics.json``, and print the
-   per-kernel profile table and a flame summary.
+3. write the run's one record, the JSONL event log, convert it to the
+   Chrome trace (what ``python -m repro perfetto events.jsonl`` prints;
+   open it at https://ui.perfetto.dev or in ``chrome://tracing``), and
+   print the per-kernel profile table and a flame summary.
 
 Run:  python examples/trace_and_profile.py
 """
 
-import json
 import tempfile
 from pathlib import Path
 
@@ -25,8 +25,11 @@ from repro.observability import (
     KernelProfiler,
     MetricsRegistry,
     TraceRecorder,
+    chrome_trace,
     format_profile_table,
     profile_trace,
+    read_events,
+    write_event_log,
 )
 
 
@@ -51,14 +54,21 @@ def main() -> None:
     print("\nPer-kernel profile (simulated Aurora):")
     print(format_profile_table(profiler.rows()))
 
-    # 3. the artefacts
+    # 3. the record: one event log, and the Chrome trace converted from it
     outdir = Path(tempfile.mkdtemp(prefix="repro-trace-"))
-    trace_path = tracer.write(outdir / "trace.json")
-    metrics_path = metrics.write(outdir / "metrics.json")
-    n_events = len(json.loads(trace_path.read_text())["traceEvents"])
-    print(f"\ntrace.json:   {trace_path} ({n_events} events)")
-    print(f"metrics.json: {metrics_path}")
-    print("open the trace at https://ui.perfetto.dev\n")
+    events_path = write_event_log(
+        outdir / "events.jsonl", tracer=tracer, metrics=metrics, profiler=profiler
+    )
+    records = read_events(events_path)
+    timeline = chrome_trace(records)["traceEvents"]
+    assert sum(e["ph"] == "X" for e in timeline) == len(tracer.spans)
+    assert records[-1]["snapshot"] == metrics.snapshot()
+    print(f"\nevents.jsonl: {events_path} ({len(records)} records)")
+    print(
+        f"Chrome trace: {len(timeline)} events -- write it with "
+        f"python -m repro perfetto {events_path} > trace.json\n"
+        "and open it at https://ui.perfetto.dev\n"
+    )
     print(tracer.flame_summary(limit=12))
 
 

@@ -11,9 +11,10 @@ Commands:
 ``export``     write every artefact to one JSON document
 ``validate``   run the mini-app and audit its invariants
 ``roofline``   roofline positions of the hot kernels on a device
-``trace``      run the mini-app and write trace.json + metrics.json
+``trace``      run the mini-app and write its event log (events.jsonl)
 ``profile``    per-kernel, per-device profile table (cost-model annotated)
 ``dashboard``  render a recorded telemetry event log (JSONL) as a dashboard
+``perfetto``   convert an event log to Chrome-trace JSON on stdout
 """
 
 from __future__ import annotations
@@ -23,10 +24,9 @@ import sys
 
 
 def _observability_sinks(args: argparse.Namespace):
-    """(tracer, metrics) when the flags ask for them, else (None, None)."""
-    outs = (args.trace_out, args.metrics_out, args.events_out, args.openmetrics_out)
-    wanted = any(outs) or getattr(args, "live", False)
-    if not wanted:
+    """(tracer, metrics) when the run records an event log or a live
+    dashboard, else (None, None)."""
+    if not (args.events_out or getattr(args, "live", False)):
         return None, None
     from repro.observability import MetricsRegistry, TraceRecorder
 
@@ -36,34 +36,17 @@ def _observability_sinks(args: argparse.Namespace):
 def _write_observability(
     args: argparse.Namespace, tracer, metrics, monitor=None, alerts=None
 ) -> None:
-    if tracer is not None and args.trace_out:
-        path = tracer.write(args.trace_out)
-        print(
-            f"trace written to {path} "
-            f"({len(tracer.spans)} spans, {len(tracer.instants)} events) "
-            "-- open at https://ui.perfetto.dev"
-        )
-    if metrics is not None and args.metrics_out:
-        print(f"metrics written to {metrics.write(args.metrics_out)}")
-    if args.events_out:
-        from repro.observability.export import write_event_log
+    if not args.events_out:
+        return
+    from repro.observability.export import write_event_log
 
-        path = write_event_log(
-            args.events_out,
-            tracer=tracer,
-            metrics=metrics,
-            monitor=monitor,
-            alerts=alerts,
-        )
-        print(
-            f"event log written to {path} "
-            f"-- replay with: python -m repro dashboard {path}"
-        )
-    if metrics is not None and args.openmetrics_out:
-        from repro.observability.export import write_openmetrics
-
-        path = write_openmetrics(args.openmetrics_out, metrics)
-        print(f"openmetrics exposition written to {path}")
+    path = write_event_log(
+        args.events_out, tracer=tracer, metrics=metrics, monitor=monitor, alerts=alerts
+    )
+    print(
+        f"event log written to {path} -- replay with: python -m repro dashboard "
+        f"{path}; for Perfetto: python -m repro perfetto {path} > trace.json"
+    )
 
 
 #: what the run core uses for a flag its subcommand does not declare
@@ -335,7 +318,7 @@ def _cmd_roofline(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """The run core with its sinks on by default, then the device
+    """The run core with its event log on by default, then the device
     replay and the flame summary."""
     tracer, metrics = _observability_sinks(args)
     code, driver, result = _run(args, tracer, metrics)
@@ -363,7 +346,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 print(f"device timeline added for {args.device}")
             except CompileError as exc:
                 print(f"device replay skipped (does not compile): {exc}")
-    # a lost run is exactly when the trace matters most: write it anyway
+    # a lost run is exactly when the log matters most: write it anyway
     _write_observability(args, tracer, metrics)
     if args.flame:
         print()
@@ -407,6 +390,25 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
         print(f"error: {exc}")
         return 2
     print(render(state, width=args.width))
+    return 0
+
+
+def _cmd_perfetto(args: argparse.Namespace) -> int:
+    """Print the Chrome-trace JSON of a recorded event log, for
+    ``chrome://tracing`` or https://ui.perfetto.dev."""
+    import json
+
+    from repro.observability.export import chrome_trace, read_events
+
+    try:
+        document = chrome_trace(read_events(args.events))
+    except OSError as exc:
+        print(f"error: cannot read {args.events}: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, KeyError) as exc:
+        print(f"error: {args.events} is not a valid event log: {exc}", file=sys.stderr)
+        return 2
+    print(json.dumps(document))
     return 0
 
 
@@ -616,26 +618,13 @@ def build_parser() -> argparse.ArgumentParser:
             group.add_argument("--steps", type=int, default=steps)
         return group
 
-    def sinks(trace_out=None, metrics_out=None, *short) -> argparse.ArgumentParser:
+    def sink(*short, default=None) -> argparse.ArgumentParser:
         group = argparse.ArgumentParser(add_help=False)
         group.add_argument(
             *short,
-            "--trace-out",
-            default=trace_out,
-            help="write a Chrome-trace/Perfetto JSON timeline of the run here",
-        )
-        group.add_argument(
-            "--metrics-out",
-            default=metrics_out,
-            help="write a metrics snapshot (JSON) of the run here",
-        )
-        group.add_argument(
             "--events-out",
-            help="write the telemetry JSONL event log here (repro dashboard input)",
-        )
-        group.add_argument(
-            "--openmetrics-out",
-            help="write an OpenMetrics/Prometheus text exposition of the metrics here",
+            default=default,
+            help="write the run's JSONL event log here (repro dashboard/perfetto input)",
         )
         return group
 
@@ -684,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     socket.add_argument("--socket", default="repro.sock", help="unix socket path")
 
     p = sub.add_parser(
-        "simulate", help="run the mini-app", parents=[size(8, 5), recovery, sinks()]
+        "simulate", help="run the mini-app", parents=[size(8, 5), recovery, sink()]
     )
     p.add_argument("--restart-from", help="resume from a simulation checkpoint file")
     p.add_argument(
@@ -755,10 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="run the mini-app and write trace.json + metrics.json",
-        parents=[
-            size(6, 2), recovery, sinks("trace.json", "metrics.json", "-o"), variant
-        ],
+        help="run the mini-app and write its event log",
+        parents=[size(6, 2), recovery, sink("-o", default="events.jsonl"), variant],
     )
     p.add_argument(
         "--device",
@@ -792,6 +779,12 @@ def build_parser() -> argparse.ArgumentParser:
         "writer's final metrics snapshot)",
     )
     p.set_defaults(func=_cmd_dashboard)
+
+    p = sub.add_parser(
+        "perfetto", help="convert an event log to Chrome-trace JSON (stdout)"
+    )
+    p.add_argument("events", help="JSONL event log (simulate/trace --events-out)")
+    p.set_defaults(func=_cmd_perfetto)
 
     p = sub.add_parser(
         "profile",

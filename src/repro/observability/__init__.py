@@ -5,10 +5,9 @@ validated timers, the per-kernel breakdowns of Figures 9-11), built as
 three cooperating pieces:
 
 - :mod:`repro.observability.tracing` — nested spans and instant events
-  on per-rank tracks, exported as Chrome-trace / Perfetto JSON and a
-  plain-text flame summary;
+  on per-rank tracks, with a plain-text flame summary;
 - :mod:`repro.observability.metrics` — counters, gauges, and
-  fixed-bucket histograms with JSON snapshot/delta export;
+  fixed-bucket histograms with JSON snapshot/delta;
 - :mod:`repro.observability.profiler` — per-launch kernel spans
   annotated with the cost model's breakdown, rolled up into a
   per-device, per-kernel profile table.
@@ -20,14 +19,15 @@ PR 7 adds the *consumption* layer on top of the recorders:
   :class:`~repro.observability.health.Severity`-ranked alerts escalate
   through the resilience runner; ``default_monitor`` is the one judge
   of a step's physics, carried by every driver;
-- :mod:`repro.observability.export` — OpenMetrics/Prometheus text
-  exposition and a structured JSONL event log;
+- :mod:`repro.observability.export` — the JSONL event log, the one
+  record a run writes, and its Chrome-trace conversion;
 - :mod:`repro.observability.dashboard` — the live terminal dashboard
   (``python -m repro dashboard events.jsonl`` / ``simulate --live``).
 
-Capture a trace from the CLI with ``python -m repro trace`` and open
-``trace.json`` at https://ui.perfetto.dev; print the profile table
-with ``python -m repro profile <device>``.
+Record a run with ``python -m repro trace`` (it writes
+``events.jsonl``), convert it with ``python -m repro perfetto
+events.jsonl > trace.json`` and open that at https://ui.perfetto.dev;
+print the profile table with ``python -m repro profile <device>``.
 """
 
 from repro.observability.dashboard import (
@@ -38,12 +38,10 @@ from repro.observability.dashboard import (
     sparkline,
 )
 from repro.observability.export import (
+    chrome_trace,
     iter_events,
-    parse_openmetrics,
     read_events,
-    to_openmetrics,
     write_event_log,
-    write_openmetrics,
 )
 from repro.observability.health import (
     Alert,
@@ -106,18 +104,16 @@ __all__ = [
     "SpanEvent",
     "ThresholdDetector",
     "TraceRecorder",
+    "chrome_trace",
     "default_monitor",
     "format_profile_table",
     "iter_events",
     "load_events",
     "maybe_span",
-    "parse_openmetrics",
     "profile_trace",
     "read_events",
     "render",
     "sparkline",
-    "to_openmetrics",
     "validate_against_profiler",
     "write_event_log",
-    "write_openmetrics",
 ]

@@ -1,206 +1,90 @@
-"""Telemetry exporters: OpenMetrics exposition and JSONL event logs.
+"""The JSONL event log: the one record a run writes.
 
-Two wire formats turn the in-process observability objects into things
-other tools consume:
+One JSON object per line, each tagged with a ``kind``.  The log holds
+everything a run observed — trace spans, instants and counter samples,
+track names, health series and alerts, kernel profile rows, and the
+final metrics snapshot — so every other view is a function of it:
 
-- :func:`to_openmetrics` renders a :class:`MetricsRegistry` snapshot as
-  OpenMetrics / Prometheus text exposition, so a scrape endpoint or a
-  ``textfile`` collector can ship simulation metrics into an existing
-  monitoring stack.  :func:`parse_openmetrics` reads the format back
-  (round-trip tested; also handy for diffing two scrapes offline).
-- :func:`write_event_log` streams a structured JSONL event log — one
-  JSON object per line, each tagged with a ``kind`` — from any
-  combination of tracer, metrics registry, health monitor, and kernel
-  profiler.  This is the dashboard's feed: ``repro dashboard`` replays
-  the file, and a tail of the same file is what a service UI would
-  subscribe to.
+- ``repro dashboard`` replays the file (or tails it with ``--follow``
+  while ``repro serve`` is still appending);
+- :func:`chrome_trace` converts a finished log into the Chrome-trace
+  JSON that ``chrome://tracing`` and https://ui.perfetto.dev load
+  (``python -m repro perfetto events.jsonl > trace.json``).
 
-Metric names mangle for Prometheus (dots and dashes become
-underscores); the original name is preserved in the JSONL records.
+One writer, :class:`EventLogWriter`, serves both uses: a finished run
+dumped once (:func:`write_event_log`) and a service streaming records
+as they happen.  Every timestamp is seconds on the producing
+:class:`~repro.observability.tracing.TraceRecorder`'s clock.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.observability.metrics import METRIC_GLOSSARY, MetricsRegistry
+from repro.observability.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.observability.health import HealthMonitor
     from repro.observability.profiler import KernelProfiler
-    from repro.observability.tracing import TraceRecorder
+    from repro.observability.tracing import (
+        CounterEvent,
+        InstantEvent,
+        SpanEvent,
+        TraceRecorder,
+    )
 
 #: JSONL event-log schema version (bump on incompatible change)
-EVENT_LOG_VERSION = 1
-
-_NAME_MANGLE = re.compile(r"[^a-zA-Z0-9_:]")
-_SAMPLE_LINE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\s+(?P<value>[^\s]+)\s*$"
-)
+EVENT_LOG_VERSION = 2
 
 
-def mangle_name(name: str) -> str:
-    """A metric name as Prometheus accepts it (``sim.steps`` ->
-    ``sim_steps``)."""
-    return _NAME_MANGLE.sub("_", name)
+def header_record(meta: dict[str, Any] | None = None) -> dict[str, Any]:
+    """The record every log starts with."""
+    header: dict[str, Any] = {"kind": "header", "version": EVENT_LOG_VERSION}
+    if meta:
+        header["meta"] = dict(meta)
+    return header
 
 
-def _format_value(value: float) -> str:
-    if value == float("inf"):
-        return "+Inf"
-    if value == float("-inf"):
-        return "-Inf"
-    f = float(value)
-    return str(int(f)) if f.is_integer() else repr(f)
+def span_record(span: "SpanEvent") -> dict[str, Any]:
+    return {
+        "kind": "span",
+        "name": span.name,
+        "category": span.category,
+        "start": span.start,
+        "duration": span.duration,
+        "pid": span.pid,
+        "tid": span.tid,
+        "depth": span.depth,
+        "path": span.path,
+        "args": dict(span.args),
+    }
 
 
-def to_openmetrics(
-    snapshot: dict[str, Any], glossary: dict[str, str] | None = None
-) -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` as OpenMetrics text.
-
-    Counters gain the mandatory ``_total`` sample suffix; histograms
-    expose cumulative ``_bucket{le="..."}`` samples plus ``_sum`` and
-    ``_count``; every metric with a glossary entry carries it as the
-    ``HELP`` line.  The exposition ends with ``# EOF`` per the
-    OpenMetrics spec.
-    """
-    glossary = METRIC_GLOSSARY if glossary is None else glossary
-    lines: list[str] = []
-
-    def _describe(name: str, kind: str) -> None:
-        mangled = mangle_name(name)
-        help_text = glossary.get(name)
-        if help_text:
-            lines.append(f"# HELP {mangled} {help_text}")
-        lines.append(f"# TYPE {mangled} {kind}")
-
-    for name, value in sorted(snapshot.get("counters", {}).items()):
-        _describe(name, "counter")
-        lines.append(f"{mangle_name(name)}_total {_format_value(value)}")
-    for name, value in sorted(snapshot.get("gauges", {}).items()):
-        _describe(name, "gauge")
-        lines.append(f"{mangle_name(name)} {_format_value(value)}")
-    for name, hist in sorted(snapshot.get("histograms", {}).items()):
-        _describe(name, "histogram")
-        mangled = mangle_name(name)
-        cumulative = 0
-        for edge, count in zip(hist["edges"], hist["counts"]):
-            cumulative += count
-            lines.append(
-                f'{mangled}_bucket{{le="{_format_value(edge)}"}} {cumulative}'
-            )
-        lines.append(f'{mangled}_bucket{{le="+Inf"}} {hist["count"]}')
-        lines.append(f"{mangled}_sum {_format_value(hist['sum'])}")
-        lines.append(f"{mangled}_count {hist['count']}")
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"
+def instant_record(inst: "InstantEvent") -> dict[str, Any]:
+    return {
+        "kind": "instant",
+        "name": inst.name,
+        "category": inst.category,
+        "ts": inst.ts,
+        "pid": inst.pid,
+        "tid": inst.tid,
+        "args": dict(inst.args),
+    }
 
 
-def parse_openmetrics(text: str) -> dict[str, Any]:
-    """Parse OpenMetrics text back into a snapshot-shaped dict.
-
-    The inverse of :func:`to_openmetrics` up to name mangling: keys are
-    the *mangled* names.  Histograms are reconstructed with their bucket
-    edges and de-cumulated counts, so a full round trip preserves every
-    number.
-    """
-    types: dict[str, str] = {}
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    hist_raw: dict[str, dict[str, Any]] = {}
-
-    def _parse_float(text_value: str) -> float:
-        if text_value == "+Inf":
-            return float("inf")
-        if text_value == "-Inf":
-            return float("-inf")
-        return float(text_value)
-
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                types[parts[2]] = parts[3]
-            continue
-        match = _SAMPLE_LINE.match(line)
-        if match is None:
-            raise ValueError(f"unparseable OpenMetrics sample line: {line!r}")
-        name = match.group("name")
-        labels_text = match.group("labels")
-        value = _parse_float(match.group("value"))
-        labels: dict[str, str] = {}
-        if labels_text:
-            for item in labels_text.split(","):
-                key, _, raw = item.partition("=")
-                labels[key.strip()] = raw.strip().strip('"')
-        if name.endswith("_bucket") and types.get(name[: -len("_bucket")]) == "histogram":
-            base = name[: -len("_bucket")]
-            entry = hist_raw.setdefault(base, {"buckets": [], "sum": 0.0, "count": 0})
-            entry["buckets"].append((_parse_float(labels.get("le", "+Inf")), value))
-        elif name.endswith("_sum") and types.get(name[: -len("_sum")]) == "histogram":
-            hist_raw.setdefault(
-                name[: -len("_sum")], {"buckets": [], "sum": 0.0, "count": 0}
-            )["sum"] = value
-        elif name.endswith("_count") and types.get(name[: -len("_count")]) == "histogram":
-            hist_raw.setdefault(
-                name[: -len("_count")], {"buckets": [], "sum": 0.0, "count": 0}
-            )["count"] = int(value)
-        elif name.endswith("_total") and types.get(name[: -len("_total")]) == "counter":
-            counters[name[: -len("_total")]] = value
-        elif types.get(name) == "gauge":
-            gauges[name] = value
-        elif types.get(name) == "counter":
-            # tolerated: a counter sample without the _total suffix
-            counters[name] = value
-        else:
-            gauges[name] = value
-
-    histograms: dict[str, Any] = {}
-    for name, entry in hist_raw.items():
-        finite = sorted(
-            (le, v) for le, v in entry["buckets"] if le != float("inf")
-        )
-        edges = [le for le, _ in finite]
-        cumulative = [v for _, v in finite]
-        counts = [
-            int(c - (cumulative[i - 1] if i else 0)) for i, c in enumerate(cumulative)
-        ]
-        counts.append(int(entry["count"] - (cumulative[-1] if cumulative else 0)))
-        histograms[name] = {
-            "edges": edges,
-            "counts": counts,
-            "count": entry["count"],
-            "sum": entry["sum"],
-        }
-    return {"counters": counters, "gauges": gauges, "histograms": histograms}
-
-
-def write_openmetrics(
-    path: str | Path,
-    metrics: MetricsRegistry | dict[str, Any],
-    glossary: dict[str, str] | None = None,
-) -> Path:
-    """Write a registry (or a snapshot) as an OpenMetrics text file."""
-    snapshot = (
-        metrics.snapshot() if isinstance(metrics, MetricsRegistry) else metrics
-    )
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_openmetrics(snapshot, glossary))
-    return path
-
-
-# ----------------------------------------------------------------------
-# JSONL event log
+def counter_record(counter: "CounterEvent") -> dict[str, Any]:
+    return {
+        "kind": "counter",
+        "name": counter.name,
+        "category": counter.category,
+        "ts": counter.ts,
+        "pid": counter.pid,
+        "tid": counter.tid,
+        "value": counter.value,
+    }
 
 
 def iter_events(
@@ -215,20 +99,17 @@ def iter_events(
     """Yield the JSONL event-log records for the given sources.
 
     Record kinds: ``header`` (always first), ``series`` (one point of a
-    health series), ``alert``, ``instant`` (trace instants, e.g.
-    resilience events), ``counter`` (trace counter samples), ``span``
-    (trace spans, step/kernel timing), ``profile`` (one kernel profile
-    row), and ``metrics`` (the full registry snapshot, always last when
-    a registry is given).
+    health series), ``alert``, ``track`` (a track's name), ``span``
+    (trace spans, step/kernel timing), ``instant`` (trace instants,
+    e.g. resilience events), ``counter`` (trace counter samples),
+    ``profile`` (one kernel profile row), and ``metrics`` (the full
+    registry snapshot, always last when a registry is given).
 
     ``alerts`` overrides the monitor's own alert log — a recovered run
     hands the alerts accumulated across *all* attempts while the
     monitor only holds the final (clean) attempt's series.
     """
-    header: dict[str, Any] = {"kind": "header", "version": EVENT_LOG_VERSION}
-    if meta:
-        header["meta"] = dict(meta)
-    yield header
+    yield header_record(meta)
     if monitor is not None:
         snap = monitor.snapshot()
         for name, series in snap["series"].items():
@@ -240,38 +121,42 @@ def iter_events(
         record = alert.as_dict() if hasattr(alert, "as_dict") else dict(alert)
         yield {"kind": "alert", **record}
     if tracer is not None:
-        for span in tracer.spans:
-            yield {
-                "kind": "span",
-                "name": span.name,
-                "category": span.category,
-                "start": span.start,
-                "duration": span.duration,
-                "pid": span.pid,
-                "args": dict(span.args),
-            }
-        for inst in tracer.instants:
-            yield {
-                "kind": "instant",
-                "name": inst.name,
-                "category": inst.category,
-                "ts": inst.ts,
-                "pid": inst.pid,
-                "args": dict(inst.args),
-            }
-        for counter in tracer.counters:
-            yield {
-                "kind": "counter",
-                "name": counter.name,
-                "ts": counter.ts,
-                "pid": counter.pid,
-                "value": counter.value,
-            }
+        for pid, name in sorted(tracer.track_names.items()):
+            yield {"kind": "track", "pid": pid, "name": name}
+        yield from map(span_record, tracer.spans)
+        yield from map(instant_record, tracer.instants)
+        yield from map(counter_record, tracer.counters)
     if profiler is not None:
         for row in profiler.rows():
             yield {"kind": "profile", **row.as_dict()}
     if metrics is not None:
         yield {"kind": "metrics", "snapshot": metrics.snapshot()}
+
+
+class EventLogWriter:
+    """Append-only JSONL writer that flushes every line.
+
+    A follower tailing the file (``repro dashboard --follow``) sees
+    each record as soon as :meth:`write` returns.  Safe to call from
+    any thread; writes after :meth:`close` are dropped.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = self.path.open("w")
+        self._lock = threading.Lock()
+
+    def write(self, record: dict[str, Any]) -> None:
+        with self._lock:
+            if self._handle.closed:
+                return
+            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
+            self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            self._handle.close()
 
 
 def write_event_log(
@@ -284,10 +169,9 @@ def write_event_log(
     alerts: Iterable[Any] | None = None,
     meta: dict[str, Any] | None = None,
 ) -> Path:
-    """Write the JSONL event log; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as handle:
+    """Write the JSONL event log of a finished run; returns the path."""
+    writer = EventLogWriter(path)
+    try:
         for event in iter_events(
             tracer=tracer,
             metrics=metrics,
@@ -296,8 +180,10 @@ def write_event_log(
             alerts=alerts,
             meta=meta,
         ):
-            handle.write(json.dumps(event, sort_keys=True) + "\n")
-    return path
+            writer.write(event)
+    finally:
+        writer.close()
+    return writer.path
 
 
 def read_events(path: str | Path) -> list[dict[str, Any]]:
@@ -315,3 +201,62 @@ def read_events(path: str | Path) -> list[dict[str, Any]]:
             raise ValueError(f"{path}:{lineno}: event record needs a 'kind' field")
         events.append(event)
     return events
+
+
+def chrome_trace(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """The ``chrome://tracing`` / Perfetto JSON object of an event log.
+
+    Tracks become ``process_name`` metadata, spans complete (``X``)
+    events, instants thread-scoped ``i`` events and counter samples
+    ``C`` events, with timestamps in the microseconds Chrome expects.
+    Records of other kinds have no timeline form and are skipped.
+    """
+    records = list(records)
+
+    def of_kind(kind: str) -> list[dict[str, Any]]:
+        return [r for r in records if r["kind"] == kind]
+
+    tracks = {r["pid"]: r["name"] for r in of_kind("track")}
+    events: list[dict[str, Any]] = [
+        {"name": "process_name", "ph": "M", "pid": pid, "tid": 0, "args": {"name": name}}
+        for pid, name in sorted(tracks.items())
+    ]
+    for s in sorted(of_kind("span"), key=lambda s: (s["pid"], s["tid"], s["start"])):
+        events.append(
+            {
+                "name": s["name"],
+                "cat": s["category"],
+                "ph": "X",
+                "ts": s["start"] * 1e6,
+                "dur": s["duration"] * 1e6,
+                "pid": s["pid"],
+                "tid": s["tid"],
+                "args": {**s["args"], "depth": s["depth"], "path": s["path"]},
+            }
+        )
+    for i in sorted(of_kind("instant"), key=lambda i: (i["pid"], i["tid"], i["ts"])):
+        events.append(
+            {
+                "name": i["name"],
+                "cat": i["category"],
+                "ph": "i",
+                "ts": i["ts"] * 1e6,
+                "pid": i["pid"],
+                "tid": i["tid"],
+                "s": "t",
+                "args": dict(i["args"]),
+            }
+        )
+    for c in sorted(of_kind("counter"), key=lambda c: (c["pid"], c["name"], c["ts"])):
+        events.append(
+            {
+                "name": c["name"],
+                "cat": c["category"],
+                "ph": "C",
+                "ts": c["ts"] * 1e6,
+                "pid": c["pid"],
+                "tid": c["tid"],
+                "args": {"value": c["value"]},
+            }
+        )
+    return {"traceEvents": events, "displayTimeUnit": "ms"}

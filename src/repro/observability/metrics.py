@@ -5,7 +5,8 @@ happened, this module answers *how much*: kernel launches, pair
 interactions computed, atomics issued, checkpoint bytes, retries, rank
 failures.  A :class:`MetricsRegistry` is threaded through the stack
 alongside the trace recorder; its :meth:`~MetricsRegistry.snapshot`
-exports every instrument to plain JSON (``metrics.json``) and
+exports every instrument as plain JSON (the event log's closing
+``metrics`` record) and
 :meth:`~MetricsRegistry.delta` diffs two snapshots (e.g. warm-up vs
 timed steps).
 
@@ -15,11 +16,9 @@ listed in :data:`METRIC_GLOSSARY`; anything else is free-form.
 
 from __future__ import annotations
 
-import json
 import threading
 import warnings
 from bisect import bisect_left
-from pathlib import Path
 from typing import Any, Iterable
 
 #: canonical metric names emitted by the instrumented layers
@@ -284,10 +283,3 @@ class MetricsRegistry:
                 "sum": hist["sum"] - prev["sum"],
             }
         return out
-
-    def write(self, path: str | Path) -> Path:
-        """Write the snapshot as JSON; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.snapshot(), indent=1, sort_keys=True))
-        return path

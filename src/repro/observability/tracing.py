@@ -1,4 +1,4 @@
-"""Nested-span tracing with Chrome-trace / Perfetto export.
+"""Nested-span tracing on per-rank tracks.
 
 The paper's entire evaluation is *measurement*: per-kernel timings on
 three GPUs rolled up into performance-portability efficiencies
@@ -8,11 +8,11 @@ rank a collective stalled on, when a fault fired relative to the
 checkpoint that saved the run.  :class:`TraceRecorder` captures that
 structure as nested spans and instant events on per-rank/per-thread
 tracks (a bracket timer is then one span, and a recorder over another
-``clock`` times simulated seconds the same way), and exports them as
-
-- Chrome-trace JSON (``trace.json``), loadable in ``chrome://tracing``
-  or https://ui.perfetto.dev, and
-- a plain-text flame summary aggregated by span path.
+``clock`` times simulated seconds the same way).  A run writes them
+into its JSONL event log (:mod:`repro.observability.export`), which
+converts to Chrome-trace JSON for ``chrome://tracing`` or
+https://ui.perfetto.dev; :meth:`TraceRecorder.flame_summary` prints
+them aggregated by span path.
 
 Timeline model
 --------------
@@ -21,8 +21,7 @@ MPI rank, so a multi-rank run renders as parallel rank timelines) and
 a ``tid`` (one lane per OS thread within a track).  Rank threads
 select their track with :meth:`TraceRecorder.track`; everything else
 lands on the default track 0.  Timestamps are monotonic seconds from
-the recorder's epoch (its construction time) and are exported in the
-microseconds Chrome expects.
+the recorder's epoch (its construction time).
 
 The recorder is lock-safe: all rank threads of a
 :class:`~repro.hacc.mpi_sim.SimWorld` share one recorder and their
@@ -32,12 +31,10 @@ events merge into one coherent timeline.  Recorders filled separately
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Iterator
 
 #: ``pid`` of events recorded outside any explicit track (also the
@@ -124,7 +121,6 @@ class TraceRecorder:
         self._instants: list[InstantEvent] = []
         self._counters: list[CounterEvent] = []
         self._track_names: dict[int, str] = {}
-        self._thread_names: dict[tuple[int, int], str] = {}
         self._state = _ThreadState()
         self._next_tid = 0
 
@@ -293,8 +289,10 @@ class TraceRecorder:
         with self._lock:
             return list(self._counters)
 
-    def counter_series(self, name: str) -> list[CounterEvent]:
-        return [c for c in self.counters if c.name == name]
+    @property
+    def track_names(self) -> dict[int, str]:
+        with self._lock:
+            return dict(self._track_names)
 
     def spans_named(self, name: str) -> list[SpanEvent]:
         return [s for s in self.spans if s.name == name]
@@ -335,72 +333,7 @@ class TraceRecorder:
             for pid, name in names.items():
                 self._track_names.setdefault(pid + pid_offset, name)
 
-    # -- export --------------------------------------------------------
-    def to_chrome_trace(self) -> dict[str, Any]:
-        """The ``chrome://tracing`` / Perfetto JSON object."""
-        with self._lock:
-            spans = list(self._spans)
-            instants = list(self._instants)
-            counters = list(self._counters)
-            track_names = dict(self._track_names)
-        events: list[dict[str, Any]] = []
-        for pid, name in sorted(track_names.items()):
-            events.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"name": name},
-                }
-            )
-        for s in sorted(spans, key=lambda s: (s.pid, s.tid, s.start)):
-            events.append(
-                {
-                    "name": s.name,
-                    "cat": s.category,
-                    "ph": "X",
-                    "ts": s.start * 1e6,
-                    "dur": s.duration * 1e6,
-                    "pid": s.pid,
-                    "tid": s.tid,
-                    "args": {**s.args, "depth": s.depth, "path": s.path},
-                }
-            )
-        for i in sorted(instants, key=lambda i: (i.pid, i.tid, i.ts)):
-            events.append(
-                {
-                    "name": i.name,
-                    "cat": i.category,
-                    "ph": "i",
-                    "ts": i.ts * 1e6,
-                    "pid": i.pid,
-                    "tid": i.tid,
-                    "s": "t",
-                    "args": dict(i.args),
-                }
-            )
-        for c in sorted(counters, key=lambda c: (c.pid, c.name, c.ts)):
-            events.append(
-                {
-                    "name": c.name,
-                    "cat": c.category,
-                    "ph": "C",
-                    "ts": c.ts * 1e6,
-                    "pid": c.pid,
-                    "tid": c.tid,
-                    "args": {"value": c.value},
-                }
-            )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-    def write(self, path: str | Path) -> Path:
-        """Write the Chrome-trace JSON file; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_chrome_trace(), indent=1))
-        return path
-
+    # -- views ---------------------------------------------------------
     def flame_summary(self, limit: int | None = None) -> str:
         """Plain-text flame view: spans aggregated by ancestor path.
 

@@ -31,17 +31,17 @@ products land under ``result:<spec-hash>``.
 Every job's execution is a flame span (``category="job"``) on the
 service's :class:`~repro.observability.tracing.TraceRecorder`, with
 the driver's step/kernel spans nested inside it, and each completed
-step is streamed to the job's subscribers and to the live event log.
+step is streamed to the job's subscribers.  With ``events_out`` set,
+the service's own instants and counters (job submitted, cache hit,
+completed, preempted, failed; queue depth, cache hits) are recorded on
+that tracer and streamed, line by line, to the JSONL event log.
 """
 
 from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
 import tempfile
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -56,7 +56,12 @@ from repro.hacc.ic import zeldovich_ics
 from repro.hacc.particles import ParticleData, Species
 from repro.hacc.power import PowerSpectrum
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig, StepDiagnostics
-from repro.observability.export import EVENT_LOG_VERSION
+from repro.observability.export import (
+    EventLogWriter,
+    counter_record,
+    header_record,
+    instant_record,
+)
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import TraceRecorder, maybe_span
 from repro.resilience.restart import CheckpointManager, SimulationCheckpoint
@@ -83,66 +88,6 @@ class ServiceConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("need at least one worker")
-
-
-class ServiceEventLog:
-    """Append-only JSONL event log a live dashboard can tail.
-
-    Unlike :func:`~repro.observability.export.write_event_log` (which
-    dumps a finished run once), this writer appends records *as they
-    happen* and flushes each line, so ``repro dashboard --follow``
-    watching the file sees the service live.  Record kinds reuse the
-    event-log schema: ``header`` first, ``instant``/``counter`` while
-    serving, one final ``metrics`` snapshot on close.
-    """
-
-    def __init__(self, path: str | Path, meta: dict[str, Any] | None = None):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("w")
-        self._lock = threading.Lock()
-        self._start = time.perf_counter()
-        header = {"kind": "header", "version": EVENT_LOG_VERSION}
-        if meta:
-            header["meta"] = dict(meta)
-        self.emit(header)
-
-    def emit(self, record: dict[str, Any]) -> None:
-        with self._lock:
-            if self._handle.closed:
-                return
-            self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-            self._handle.flush()
-
-    def instant(self, name: str, **args: Any) -> None:
-        self.emit(
-            {
-                "kind": "instant",
-                "name": name,
-                "category": "service",
-                "ts": (time.perf_counter() - self._start) * 1e6,
-                "pid": 0,
-                "args": args,
-            }
-        )
-
-    def counter(self, name: str, value: float) -> None:
-        self.emit(
-            {
-                "kind": "counter",
-                "name": name,
-                "ts": (time.perf_counter() - self._start) * 1e6,
-                "pid": 0,
-                "value": float(value),
-            }
-        )
-
-    def close(self, metrics: MetricsRegistry | None = None) -> None:
-        if metrics is not None:
-            self.emit({"kind": "metrics", "snapshot": metrics.snapshot()})
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.close()
 
 
 class SimulationService:
@@ -175,11 +120,10 @@ class SimulationService:
             self.config.checkpoint_dir
             or tempfile.mkdtemp(prefix="repro-service-ckpt-")
         )
-        self.events: ServiceEventLog | None = None
+        self.events: EventLogWriter | None = None
         if self.config.events_out:
-            self.events = ServiceEventLog(
-                self.config.events_out, meta={"title": "repro serve"}
-            )
+            self.events = EventLogWriter(self.config.events_out)
+            self.events.write(header_record({"title": "repro serve"}))
         self._workers: list[asyncio.Task] = []
         self._started = False
 
@@ -207,8 +151,21 @@ class SimulationService:
             await task
         self._workers = []
         if self.events is not None:
-            self.events.instant("service-shutdown", jobs=len(self.scheduler.jobs))
-            self.events.close(self.metrics)
+            self._log_instant("service-shutdown", jobs=len(self.scheduler.jobs))
+            self.events.write({"kind": "metrics", "snapshot": self.metrics.snapshot()})
+            self.events.close()
+
+    # -- live event log ------------------------------------------------
+    def _log_instant(self, name: str, **args: Any) -> None:
+        """Record a service instant on the tracer and stream it to the log."""
+        if self.events is not None:
+            inst = self.tracer.instant(name, category="service", **args)
+            self.events.write(instant_record(inst))
+
+    def _log_counter(self, name: str, value: float) -> None:
+        if self.events is not None:
+            sample = self.tracer.counter(name, value, category="service")
+            self.events.write(counter_record(sample))
 
     # -- submission ----------------------------------------------------
     async def submit(
@@ -250,24 +207,20 @@ class SimulationService:
             self.metrics.counter("svc.jobs.submitted").inc()
             self.metrics.counter("svc.jobs.completed").inc()
             job.finish(dataclasses.replace(cached, from_cache=True))
-            if self.events is not None:
-                self.events.instant(
-                    "job-cache-hit", job=job.job_id, spec=job.spec_hash[:12]
-                )
+            self._log_instant("job-cache-hit", job=job.job_id, spec=job.spec_hash[:12])
             return job
 
         job = await self.scheduler.submit(
             spec, tenant=tenant, priority=priority, deadline=deadline
         )
-        if self.events is not None:
-            self.events.instant(
-                "job-submitted",
-                job=job.job_id,
-                spec=job.spec_hash[:12],
-                tenant=tenant,
-                state=str(job.state),
-            )
-            self.events.counter("svc.queue.depth", self.scheduler.depth)
+        self._log_instant(
+            "job-submitted",
+            job=job.job_id,
+            spec=job.spec_hash[:12],
+            tenant=tenant,
+            state=str(job.state),
+        )
+        self._log_counter("svc.queue.depth", self.scheduler.depth)
         return job
 
     # -- worker loop ---------------------------------------------------
@@ -296,15 +249,11 @@ class SimulationService:
             outcome = await asyncio.to_thread(self._execute_sync, job, wid, publish)
             if outcome == "preempted":
                 self.scheduler.requeue(job)
-                if self.events is not None:
-                    self.events.instant(
-                        "job-preempted", job=job.job_id, step=job.steps_done
-                    )
-                    self.events.counter("svc.queue.depth", self.scheduler.depth)
+                self._log_instant("job-preempted", job=job.job_id, step=job.steps_done)
+                self._log_counter("svc.queue.depth", self.scheduler.depth)
         except Exception as exc:  # noqa: BLE001 — a job must never kill its worker
             self.metrics.counter("svc.jobs.failed").inc()
-            if self.events is not None:
-                self.events.instant("job-failed", job=job.job_id, error=str(exc))
+            self._log_instant("job-failed", job=job.job_id, error=str(exc))
             job.fail(exc)
             self.scheduler.task_done(job)
         finally:
@@ -312,17 +261,15 @@ class SimulationService:
 
     def _complete(self, job: Job, result: JobResult) -> None:
         self.metrics.counter("svc.jobs.completed").inc()
+        self._log_instant(
+            "job-completed",
+            job=job.job_id,
+            spec=job.spec_hash[:12],
+            steps=result.steps_completed,
+            from_cache=result.from_cache,
+        )
         if self.events is not None:
-            self.events.instant(
-                "job-completed",
-                job=job.job_id,
-                spec=job.spec_hash[:12],
-                steps=result.steps_completed,
-                from_cache=result.from_cache,
-            )
-            self.events.counter(
-                "svc.cache.hits", self.cache.stats().hits
-            )
+            self._log_counter("svc.cache.hits", self.cache.stats().hits)
         job.finish(result)
         self.scheduler.task_done(job)
 

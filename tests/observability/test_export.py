@@ -1,4 +1,4 @@
-"""Exporters: OpenMetrics exposition and the JSONL event log."""
+"""The JSONL event log and its Chrome-trace conversion."""
 
 from __future__ import annotations
 
@@ -12,15 +12,13 @@ from repro.observability import (
     Severity,
     TraceRecorder,
 )
+from repro.observability.dashboard import load_events, render
 from repro.observability.export import (
     EVENT_LOG_VERSION,
+    chrome_trace,
     iter_events,
-    mangle_name,
-    parse_openmetrics,
     read_events,
-    to_openmetrics,
     write_event_log,
-    write_openmetrics,
 )
 from repro.observability.health import Alert, HealthMonitor, ThresholdDetector
 
@@ -37,50 +35,112 @@ def sample_registry() -> MetricsRegistry:
     return metrics
 
 
-class TestOpenMetrics:
-    def test_exposition_shape(self):
-        text = to_openmetrics(sample_registry().snapshot())
-        assert "# TYPE sim_steps counter" in text
-        assert "sim_steps_total 5" in text
-        assert "# TYPE sim_health_energy_drift gauge" in text
-        assert 'sim_kernel_interactions_per_item_bucket{le="+Inf"} 5' in text
-        assert "sim_kernel_interactions_per_item_count 5" in text
-        assert text.rstrip().endswith("# EOF")
+class FakeClock:
+    """A monotonic clock the tests advance by hand."""
 
-    def test_help_lines_come_from_glossary(self):
-        text = to_openmetrics(sample_registry().snapshot())
-        assert "# HELP sim_steps completed KDK steps (counter)" in text
+    def __init__(self):
+        self.t = 0.0
 
-    def test_round_trip_preserves_every_number(self):
-        snapshot = sample_registry().snapshot()
-        parsed = parse_openmetrics(to_openmetrics(snapshot))
-        assert parsed["counters"]["sim_steps"] == 5
-        assert parsed["gauges"]["sim_health_energy_drift"] == pytest.approx(0.0123)
-        hist = parsed["histograms"]["sim_kernel_interactions_per_item"]
-        original = snapshot["histograms"]["sim.kernel.interactions_per_item"]
-        assert hist["edges"] == original["edges"]
-        assert hist["counts"] == original["counts"]
-        assert hist["count"] == original["count"]
-        assert hist["sum"] == pytest.approx(original["sum"])
+    def __call__(self) -> float:
+        return self.t
 
-    def test_mangle_name(self):
-        assert mangle_name("sim.pairs.cell_list.builds") == "sim_pairs_cell_list_builds"
-        assert mangle_name("weird-name!") == "weird_name_"
+    def advance(self, dt: float) -> None:
+        self.t += dt
 
-    def test_unparseable_line_raises(self):
-        with pytest.raises(ValueError, match="unparseable"):
-            parse_openmetrics("!!! not a metric line")
 
-    def test_write_openmetrics_accepts_registry_and_snapshot(self, tmp_path):
-        metrics = sample_registry()
-        p1 = write_openmetrics(tmp_path / "a.prom", metrics)
-        p2 = write_openmetrics(tmp_path / "b.prom", metrics.snapshot())
-        assert p1.read_text() == p2.read_text()
+def golden_recorder() -> TraceRecorder:
+    """Two named rank tracks with nested spans, instants and counters,
+    a device-track span and an explicit second thread lane."""
+    clock = FakeClock()
+    rec = TraceRecorder(clock=clock)
+    rec.name_track(0, "rank 0")
+    with rec.span("step 0", category="step", step=0):
+        clock.advance(0.5)
+        with rec.span("upGeo", category="kernel"):
+            clock.advance(0.25)
+            rec.instant("fault:kill_rank", category="fault", rank=1)
+        rec.counter("sim.health.energy_drift", 0.01, category="health")
+        clock.advance(0.125)
+    with rec.track(1, name="rank 1"):
+        with rec.span("step 0", category="step", step=0):
+            clock.advance(1.0)
+            with rec.span("upCor", category="kernel"):
+                clock.advance(0.5)
+        rec.instant("retry", category="resilience", attempt=1)
+        rec.counter("sim.health.energy_drift", -0.02, category="health")
+    rec.add_span(
+        "upGeo", begin=0.0, end=2.5e-6, pid=100, tid=3, category="device",
+        args={"occupancy": 0.5},
+    )
+    rec.counter("svc.queue.depth", 2.0, pid=0, tid=1)
+    return rec
+
+
+#: the Chrome trace the recorder itself exported for :func:`golden_recorder`,
+#: generated once before that export became a conversion of the event log
+GOLDEN_CHROME_TRACE = {
+    "displayTimeUnit": "ms",
+    "traceEvents": [
+        {"name": "process_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "rank 0"}},
+        {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "rank 1"}},
+        {"name": "step 0", "cat": "step", "ph": "X", "ts": 0.0, "dur": 875000.0, "pid": 0, "tid": 0, "args": {"depth": 0, "path": "step 0", "step": 0}},
+        {"name": "upGeo", "cat": "kernel", "ph": "X", "ts": 500000.0, "dur": 250000.0, "pid": 0, "tid": 0, "args": {"depth": 1, "path": "step 0/upGeo"}},
+        {"name": "step 0", "cat": "step", "ph": "X", "ts": 875000.0, "dur": 1500000.0, "pid": 1, "tid": 0, "args": {"depth": 0, "path": "step 0", "step": 0}},
+        {"name": "upCor", "cat": "kernel", "ph": "X", "ts": 1875000.0, "dur": 500000.0, "pid": 1, "tid": 0, "args": {"depth": 1, "path": "step 0/upCor"}},
+        {"name": "upGeo", "cat": "device", "ph": "X", "ts": 0.0, "dur": 2.5, "pid": 100, "tid": 3, "args": {"depth": 0, "occupancy": 0.5, "path": "upGeo"}},
+        {"name": "fault:kill_rank", "cat": "fault", "ph": "i", "ts": 750000.0, "pid": 0, "tid": 0, "s": "t", "args": {"rank": 1}},
+        {"name": "retry", "cat": "resilience", "ph": "i", "ts": 2375000.0, "pid": 1, "tid": 0, "s": "t", "args": {"attempt": 1}},
+        {"name": "sim.health.energy_drift", "cat": "health", "ph": "C", "ts": 750000.0, "pid": 0, "tid": 0, "args": {"value": 0.01}},
+        {"name": "svc.queue.depth", "cat": "counter", "ph": "C", "ts": 2375000.0, "pid": 0, "tid": 1, "args": {"value": 2.0}},
+        {"name": "sim.health.energy_drift", "cat": "health", "ph": "C", "ts": 2375000.0, "pid": 1, "tid": 0, "args": {"value": -0.02}},
+    ],
+}
+
+
+#: the dashboard frame the same recorder's event log rendered before the
+#: log gained track records and the span/instant/counter fields
+GOLDEN_FRAME = """\
+────────────────────────────────────────────────────────────────────────────────
+ golden · step 2 · 0.84 steps/s · 0 alert(s) (0 fatal)
+────────────────────────────────────────────────────────────────────────────────
+     energy drift █▁  last=-0.02
+────────────────────────────────────────────────────────────────────────────────
+ events
+  fault:kill_rank [fault] rank=1
+  retry [resilience] attempt=1
+────────────────────────────────────────────────────────────────────────────────
+"""
+
+
+class TestChromeConversion:
+    def test_conversion_equals_the_recorders_own_export(self, tmp_path):
+        path = write_event_log(tmp_path / "events.jsonl", tracer=golden_recorder())
+        assert chrome_trace(read_events(path)) == GOLDEN_CHROME_TRACE
+
+    def test_dashboard_frame_is_unchanged(self, tmp_path):
+        path = write_event_log(
+            tmp_path / "events.jsonl", tracer=golden_recorder(), meta={"title": "golden"}
+        )
+        assert render(load_events(path), width=80) == GOLDEN_FRAME.rstrip("\n")
+
+    def test_perfetto_command_prints_the_conversion(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = write_event_log(tmp_path / "events.jsonl", tracer=golden_recorder())
+        assert main(["perfetto", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == GOLDEN_CHROME_TRACE
+
+    def test_perfetto_command_rejects_a_missing_log(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        assert main(["perfetto", str(tmp_path / "nope.jsonl")]) == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestEventLog:
     def build_sources(self):
         tracer = TraceRecorder()
+        tracer.name_track(0, "rank 0")
         with tracer.span("step", category="step"):
             pass
         tracer.instant("retry", category="resilience", attempt=1)
@@ -107,7 +167,9 @@ class TestEventLog:
             e["kind"]
             for e in iter_events(tracer=tracer, metrics=metrics, monitor=monitor)
         }
-        assert kinds == {"header", "series", "alert", "span", "instant", "counter", "metrics"}
+        assert kinds == {
+            "header", "series", "alert", "track", "span", "instant", "counter", "metrics"
+        }
 
     def test_round_trip_through_file(self, tmp_path):
         tracer, metrics, monitor, _ = self.build_sources()

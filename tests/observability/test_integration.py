@@ -1,7 +1,5 @@
 """End-to-end observability: traced runs, rank tracks, CLI artefacts."""
 
-import json
-
 import pytest
 
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
@@ -124,42 +122,40 @@ class TestCLI:
         return code, capsys.readouterr().out
 
     def test_simulate_trace_flags_write_artefacts(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
-        metrics_path = tmp_path / "metrics.json"
+        from repro.observability import chrome_trace, read_events
+        from tests.observability.test_check_trace import load_check_trace
+
+        events_path = tmp_path / "events.jsonl"
         code, out = self.run_cli(
-            [
-                "simulate",
-                "-n", "6",
-                "--steps", "2",
-                "--trace-out", str(trace_path),
-                "--metrics-out", str(metrics_path),
-            ],
+            ["simulate", "-n", "6", "--steps", "2", "--events-out", str(events_path)],
             capsys,
         )
         assert code == 0
-        assert "trace written" in out
-        doc = json.loads(trace_path.read_text())
-        assert any(e["ph"] == "X" for e in doc["traceEvents"])
-        assert json.loads(metrics_path.read_text())["counters"]["sim.steps"] == 2
+        assert "event log written" in out
+        assert load_check_trace().validate_file(events_path) == []
+        records = read_events(events_path)
+        assert any(e["ph"] == "X" for e in chrome_trace(records)["traceEvents"])
+        assert records[-1]["kind"] == "metrics"
+        assert records[-1]["snapshot"]["counters"]["sim.steps"] == 2
 
     def test_trace_command_validates_and_covers_hot_kernels(self, tmp_path, capsys):
+        from repro.observability import chrome_trace, read_events
         from tests.observability.test_check_trace import load_check_trace
 
-        trace_path = tmp_path / "trace.json"
+        events_path = tmp_path / "events.jsonl"
         code, out = self.run_cli(
             [
                 "trace",
                 "-n", "6",
                 "--steps", "2",
                 "--device", "Aurora",
-                "-o", str(trace_path),
-                "--metrics-out", str(tmp_path / "metrics.json"),
+                "-o", str(events_path),
             ],
             capsys,
         )
         assert code == 0
-        assert load_check_trace().validate_file(trace_path) == []
-        doc = json.loads(trace_path.read_text())
+        assert load_check_trace().validate_file(events_path) == []
+        doc = chrome_trace(read_events(events_path))
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
         covered = {TIMER_TO_KERNEL[n] for n in names if n in TIMER_TO_KERNEL}
         assert set(HOTSPOT_KERNELS) <= covered

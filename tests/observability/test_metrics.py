@@ -1,7 +1,5 @@
 """Tests for counters, gauges, histograms, and the registry."""
 
-import json
-
 import pytest
 
 from repro.observability import (
@@ -115,13 +113,6 @@ class TestRegistry:
         before = reg.snapshot()
         reg.counter("new").inc(3)
         assert reg.delta(before)["counters"]["new"] == pytest.approx(3.0)
-
-    def test_write_is_json_loadable(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.counter("sim.steps").inc()
-        path = reg.write(tmp_path / "metrics.json")
-        doc = json.loads(path.read_text())
-        assert doc["counters"]["sim.steps"] == 1.0
 
 
 class TestGlossary:

@@ -1,4 +1,4 @@
-"""Tests for the span recorder and its Chrome-trace export."""
+"""Tests for the span recorder and the Chrome-trace conversion of its log."""
 
 import json
 import threading
@@ -8,7 +8,11 @@ import pytest
 from repro.observability import (
     DEFAULT_TRACK,
     TraceRecorder,
+    chrome_trace,
+    iter_events,
     maybe_span,
+    read_events,
+    write_event_log,
 )
 
 pytestmark = pytest.mark.observability
@@ -160,6 +164,11 @@ class TestTracks:
         assert merged.pid == 10
 
 
+def chrome_events(recorder):
+    """The recorder's timeline through its event log's Chrome conversion."""
+    return chrome_trace(iter_events(tracer=recorder))["traceEvents"]
+
+
 class TestChromeExport:
     def test_export_is_schema_valid(self, recorder, clock, tmp_path):
         from tests.observability.test_check_trace import load_check_trace
@@ -170,15 +179,15 @@ class TestChromeExport:
             with recorder.span("upGeo", category="kernel"):
                 clock.advance(0.5)
         recorder.instant("fault", category="fault", rank=0)
-        path = recorder.write(tmp_path / "trace.json")
+        path = write_event_log(tmp_path / "events.jsonl", tracer=recorder)
         check = load_check_trace()
         assert check.validate_file(path) == []
 
     def test_export_round_trips_through_json(self, recorder, clock, tmp_path):
         with recorder.span("step"):
             clock.advance(0.25)
-        path = recorder.write(tmp_path / "trace.json")
-        doc = json.loads(path.read_text())
+        path = write_event_log(tmp_path / "events.jsonl", tracer=recorder)
+        doc = json.loads(json.dumps(chrome_trace(read_events(path))))
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
         (x,) = [e for e in events if e["ph"] == "X"]
@@ -191,8 +200,7 @@ class TestChromeExport:
     def test_named_tracks_export_metadata_events(self, recorder):
         recorder.name_track(1, "rank 1")
         recorder.add_span("k", begin=0.0, end=1.0, pid=1)
-        events = recorder.to_chrome_trace()["traceEvents"]
-        meta = [e for e in events if e["ph"] == "M"]
+        meta = [e for e in chrome_events(recorder) if e["ph"] == "M"]
         assert meta == [
             {
                 "name": "process_name",
@@ -205,9 +213,7 @@ class TestChromeExport:
 
     def test_instants_export_with_scope(self, recorder):
         recorder.instant("fault", ts=1.0)
-        (event,) = [
-            e for e in recorder.to_chrome_trace()["traceEvents"] if e["ph"] == "i"
-        ]
+        (event,) = [e for e in chrome_events(recorder) if e["ph"] == "i"]
         assert event["s"] == "t"
         assert event["ts"] == pytest.approx(1e6)
 

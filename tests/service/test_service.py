@@ -297,3 +297,23 @@ class TestEventLog:
         names = path.read_text()
         assert "job-submitted" in names
         assert "job-cache-hit" in names
+
+    def test_timestamps_are_seconds_on_the_service_clock(self, tmp_path):
+        import json
+        import time
+
+        path = tmp_path / "events.jsonl"
+
+        async def body(service):
+            await (await service.submit(TINY)).future
+
+        started = time.perf_counter()
+        run(_with_service(body, ServiceConfig(workers=1, events_out=str(path))))
+        wall = time.perf_counter() - started
+        stamps = [
+            record["ts"]
+            for record in map(json.loads, path.read_text().splitlines())
+            if "ts" in record
+        ]
+        assert len(stamps) >= 4  # submitted, queue depth, completed, shutdown, ...
+        assert all(0.0 <= ts <= wall for ts in stamps), (stamps, wall)

@@ -24,6 +24,7 @@ class TestParser:
             "trace",
             "profile",
             "dashboard",
+            "perfetto",
             "serve",
             "submit",
             "jobs",
@@ -52,11 +53,8 @@ PARSER_SURFACE = {
         "--degrade-policy": "restart",
         "--chaos-runs": 0,
         "--chaos-seed": 0,
-        "--trace-out": None,
-        "--metrics-out": None,
         "--live": False,
         "--events-out": None,
-        "--openmetrics-out": None,
     },
     "price": {"device": None, "--model": "sycl", "--variant": "select", "-n": 8},
     "tune": {"device": None, "-n": 8},
@@ -79,10 +77,7 @@ PARSER_SURFACE = {
         "--checkpoint-every": 1,
         "--timeout": 30.0,
         "--max-retries": 3,
-        "-o --trace-out": "trace.json",
-        "--metrics-out": "metrics.json",
-        "--events-out": None,
-        "--openmetrics-out": None,
+        "-o --events-out": "events.jsonl",
         "--flame": False,
     },
     "dashboard": {
@@ -92,6 +87,7 @@ PARSER_SURFACE = {
         "--poll": 0.2,
         "--duration": None,
     },
+    "perfetto": {"events": None},
     "profile": {"device": None, "--model": "sycl", "--variant": "select", "-n": 8},
     "serve": {
         "--socket": "repro.sock",

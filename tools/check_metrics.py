@@ -10,12 +10,12 @@ Usage::
 The observability layer's contract is that every metric name appearing
 in the instrumented source has a one-line description in
 :data:`repro.observability.metrics.METRIC_GLOSSARY` — that description
-becomes the ``HELP`` line of the OpenMetrics exposition and the row in
-the README's glossary table.  This lint keeps the contract honest in
-both directions:
+is the row in the README's glossary table, the reference for reading
+the ``metrics`` record that closes every event log.  This lint keeps
+the contract honest in both directions:
 
 - a metric name used in ``src/repro`` but missing from the glossary is
-  an *undocumented* metric (the exposition would ship without HELP);
+  an *undocumented* metric (it would reach the event log unexplained);
 - a glossary entry whose name never appears in the source is *stale*
   (documentation for a metric nothing emits).
 

@@ -1,44 +1,38 @@
 #!/usr/bin/env python
-"""Validate a Chrome-trace/Perfetto JSON file — or a JSONL telemetry
-event log — written by the repro observability layer.
+"""Validate a JSONL telemetry event log written by the repro
+observability layer.
 
 Usage::
 
-    python tools/check_trace.py trace.json [events.jsonl ...]
+    python tools/check_trace.py events.jsonl [more.jsonl ...]
 
-The format is auto-detected: a file whose first line is a JSON object
-with a ``kind`` field is checked as an event log (the
-``write_event_log`` / ``repro serve --events-out`` JSONL schema — see
-:data:`EVENT_LOG_KINDS` and :func:`validate_event_log`); anything else
-is checked as a Chrome trace.
+The schema is the one ``write_event_log`` (``simulate``/``trace
+--events-out``) and ``repro serve --events-out`` write; see
+:data:`EVENT_LOG_KINDS` and :func:`validate_event_log`.  Per file:
 
-Chrome-trace checks, per file:
-
-- the document is valid JSON with a ``traceEvents`` list and a
-  ``displayTimeUnit`` of ``ms`` or ``ns``;
-- every event has a ``ph`` in the supported set (``X``, ``i``, ``M``),
-  a string ``name``, and integer ``pid``/``tid``;
-- complete (``X``) events carry numeric non-negative ``ts`` and
-  ``dur`` microsecond fields;
-- instant (``i``) events carry numeric non-negative ``ts`` and a
-  scope ``s``;
-- metadata (``M``) events are well-formed ``process_name`` /
-  ``thread_name`` entries;
-- counter (``C``) events — Perfetto counter tracks, emitted for the
-  health series — carry numeric non-negative ``ts`` and a numeric
-  ``args.value``;
+- every line is a JSON object whose ``kind`` is in
+  :data:`EVENT_LOG_KINDS`; the first record is the ``header``, and a
+  ``metrics`` snapshot — the terminal record a live follower stops at
+  — comes last;
+- every record carries its kind's fields: names are non-empty
+  strings, ``pid``/``tid``/``step``/``version`` integers, and the
+  timeline fields ``ts``/``start``/``duration`` non-negative numbers
+  (seconds on the producing recorder's clock);
 - ``args``, when present, is a JSON object;
 - resilience/degradation instants (``shrink``, ``buddy-restore``,
   ``degrade``, ``retry``) carry the args the degradation ladder
-  promises (see :data:`RESILIENCE_INSTANT_ARGS`), so dashboards can
-  rely on them;
-- health ``alert`` instants carry the detector/series/severity args
-  the escalation path promises (see :data:`HEALTH_INSTANT_ARGS`).
+  promises (see :data:`RESILIENCE_INSTANT_ARGS`), and health ``alert``
+  instants the detector/series/severity args the escalation path
+  promises (see :data:`HEALTH_INSTANT_ARGS`), so dashboards can rely on
+  them.
+
+The Chrome trace is a conversion of a log (``python -m repro perfetto
+events.jsonl``), so a valid log is all there is to check.
 
 Exit status is 0 when every file passes and 1 otherwise; problems are
-printed one per line as ``file: event #n: message``.  The module is
-importable (used by the test suite): :func:`validate_events` checks a
-decoded document and returns the list of problems, and
+printed one per line as ``file: record #n: message``.  The module is
+importable (used by the test suite): :func:`validate_event_log` checks
+decoded records and returns the list of problems, and
 :func:`validate_file` wraps it with file I/O and JSON decoding.
 """
 
@@ -47,9 +41,6 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-
-SUPPORTED_PHASES = ("X", "i", "M", "C")
-METADATA_NAMES = ("process_name", "thread_name", "process_sort_index")
 
 #: required args keys for the degradation-ladder instant events
 RESILIENCE_INSTANT_ARGS = {
@@ -73,117 +64,69 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def validate_events(document) -> list[str]:
-    """Schema-check a decoded trace document; return problems found."""
-    problems: list[str] = []
-    if not isinstance(document, dict):
-        return ["document: top level must be a JSON object"]
-    events = document.get("traceEvents")
-    if not isinstance(events, list):
-        return ["document: missing 'traceEvents' list"]
-    unit = document.get("displayTimeUnit", "ms")
-    if unit not in ("ms", "ns"):
-        problems.append(f"document: displayTimeUnit must be 'ms' or 'ns', got {unit!r}")
-
-    for i, event in enumerate(events):
-        where = f"event #{i}"
-        if not isinstance(event, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        ph = event.get("ph")
-        if ph not in SUPPORTED_PHASES:
-            problems.append(f"{where}: unsupported phase {ph!r}")
-            continue
-        name = event.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append(f"{where}: missing or empty 'name'")
-        if not _is_int(event.get("pid")):
-            problems.append(f"{where}: 'pid' must be an integer")
-        if not _is_int(event.get("tid")):
-            problems.append(f"{where}: 'tid' must be an integer")
-        args = event.get("args")
-        if args is not None and not isinstance(args, dict):
-            problems.append(f"{where}: 'args' must be an object")
-
-        if ph == "X":
-            for key in ("ts", "dur"):
-                value = event.get(key)
-                if not _is_number(value):
-                    problems.append(f"{where}: 'X' event needs numeric {key!r}")
-                elif value < 0:
-                    problems.append(f"{where}: {key!r} must be >= 0, got {value}")
-        elif ph == "i":
-            ts = event.get("ts")
-            if not _is_number(ts):
-                problems.append(f"{where}: 'i' event needs numeric 'ts'")
-            elif ts < 0:
-                problems.append(f"{where}: 'ts' must be >= 0, got {ts}")
-            if event.get("s") not in ("t", "p", "g"):
-                problems.append(f"{where}: 'i' event needs scope 's' in t/p/g")
-            required = RESILIENCE_INSTANT_ARGS.get(name) or HEALTH_INSTANT_ARGS.get(
-                name
-            )
-            if required is not None:
-                present = args if isinstance(args, dict) else {}
-                for key in required:
-                    if key not in present:
-                        problems.append(
-                            f"{where}: {name!r} instant needs args.{key}"
-                        )
-        elif ph == "C":
-            ts = event.get("ts")
-            if not _is_number(ts):
-                problems.append(f"{where}: 'C' event needs numeric 'ts'")
-            elif ts < 0:
-                problems.append(f"{where}: 'ts' must be >= 0, got {ts}")
-            if not isinstance(args, dict) or not _is_number(args.get("value")):
-                problems.append(f"{where}: 'C' event needs numeric args.value")
-        else:  # "M"
-            if name not in METADATA_NAMES:
-                problems.append(f"{where}: unknown metadata event {name!r}")
-            elif name in ("process_name", "thread_name") and (
-                not isinstance(args, dict) or "name" not in args
-            ):
-                problems.append(f"{where}: metadata event needs args.name")
-    return problems
+def _check_name(kind, fld, value):
+    if not isinstance(value, str) or not value:
+        return f"missing or empty {fld!r}"
+    return None
 
 
-#: record kinds of the JSONL event-log schema, with their required
-#: (field, predicate) pairs
+def _check_int(kind, fld, value):
+    return None if _is_int(value) else f"{fld!r} must be an integer"
+
+
+def _check_number(kind, fld, value):
+    return None if _is_number(value) else f"{kind!r} record needs numeric {fld!r}"
+
+
+def _check_time(kind, fld, value):
+    if not _is_number(value):
+        return f"{kind!r} record needs numeric {fld!r}"
+    return f"{fld!r} must be >= 0, got {value}" if value < 0 else None
+
+
+def _check_object(kind, fld, value):
+    return None if isinstance(value, dict) else f"{kind!r} record needs object {fld!r}"
+
+
+#: record kinds of the JSONL event-log schema, each with its required
+#: fields and the check each must pass
 EVENT_LOG_KINDS = {
-    "header": (("version", _is_int),),
-    "series": (
-        ("name", lambda v: isinstance(v, str) and v),
-        ("step", _is_int),
-        ("value", _is_number),
-    ),
-    "alert": (),
-    "instant": (
-        ("name", lambda v: isinstance(v, str) and v),
-        ("ts", _is_number),
-    ),
-    "counter": (
-        ("name", lambda v: isinstance(v, str) and v),
-        ("ts", _is_number),
-        ("value", _is_number),
-    ),
-    "span": (
-        ("name", lambda v: isinstance(v, str) and v),
-        ("start", _is_number),
-        ("duration", _is_number),
-    ),
-    "profile": (("kernel", lambda v: isinstance(v, str) and v),),
-    "metrics": (("snapshot", lambda v: isinstance(v, dict)),),
+    "header": {"version": _check_int},
+    "series": {"name": _check_name, "step": _check_int, "value": _check_number},
+    "alert": {
+        "series": _check_name,
+        "step": _check_int,
+        "severity": _check_name,
+        "detector": _check_name,
+    },
+    "track": {"pid": _check_int, "name": _check_name},
+    "span": {
+        "name": _check_name,
+        "start": _check_time,
+        "duration": _check_time,
+        "pid": _check_int,
+        "tid": _check_int,
+    },
+    "instant": {
+        "name": _check_name,
+        "ts": _check_time,
+        "pid": _check_int,
+        "tid": _check_int,
+    },
+    "counter": {
+        "name": _check_name,
+        "ts": _check_time,
+        "value": _check_number,
+        "pid": _check_int,
+        "tid": _check_int,
+    },
+    "profile": {"kernel": _check_name},
+    "metrics": {"snapshot": _check_object},
 }
 
 
 def validate_event_log(records) -> list[str]:
-    """Schema-check decoded JSONL event-log records; return problems.
-
-    Beyond per-record field checks, the log's framing is enforced: the
-    first record must be the ``header``, and a ``metrics`` snapshot —
-    the terminal record a live follower stops at — must be last.
-    """
+    """Schema-check decoded JSONL event-log records; return problems."""
     problems: list[str] = []
     records = list(records)
     if not records:
@@ -202,12 +145,22 @@ def validate_event_log(records) -> list[str]:
             problems.append(f"{where}: first record must be the header, got {kind!r}")
         if i > 0 and kind == "header":
             problems.append(f"{where}: duplicate header")
-        for fld, predicate in EVENT_LOG_KINDS[kind]:
-            if not predicate(record.get(fld)):
-                problems.append(f"{where}: {kind!r} record needs valid {fld!r}")
+        for fld, check in EVENT_LOG_KINDS[kind].items():
+            problem = check(kind, fld, record.get(fld))
+            if problem:
+                problems.append(f"{where}: {problem}")
         args = record.get("args")
         if args is not None and not isinstance(args, dict):
             problems.append(f"{where}: 'args' must be an object")
+        if kind == "instant":
+            name = record.get("name")
+            required = RESILIENCE_INSTANT_ARGS.get(name) or HEALTH_INSTANT_ARGS.get(
+                name, ()
+            )
+            present = args if isinstance(args, dict) else {}
+            for key in required:
+                if key not in present:
+                    problems.append(f"{where}: {name!r} instant needs args.{key}")
         if saw_metrics_at is not None:
             problems.append(
                 f"{where}: record after the terminal 'metrics' snapshot "
@@ -219,57 +172,27 @@ def validate_event_log(records) -> list[str]:
     return problems
 
 
-def _decode_event_log(text: str) -> list | None:
-    """The decoded records if ``text`` looks like a JSONL event log."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        return None
+def validate_file(path: str | Path) -> list[str]:
+    """Validate one event-log file; return problems found."""
     try:
-        first = json.loads(lines[0])
-    except json.JSONDecodeError:
-        return None
-    if not isinstance(first, dict) or "kind" not in first:
-        return None
+        text = Path(path).read_text()
+    except OSError as exc:
+        return [f"cannot read: {exc}"]
     records = []
-    for line in lines:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            records.append({"kind": f"<unparseable: {exc}>"})
-    return records
-
-
-def validate_file(path: str | Path) -> list[str]:
-    """Validate one trace or event-log file; return problems found."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        return [f"cannot read: {exc}"]
-    records = _decode_event_log(text)
-    if records is not None:
-        return validate_event_log(records)
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return [f"not valid JSON: {exc}"]
-    return validate_events(document)
-
-
-def _count_events(path: str) -> int:
-    text = Path(path).read_text()
-    records = _decode_event_log(text)
-    if records is not None:
-        return len(records)
-    return len(json.loads(text)["traceEvents"])
+            return [f"line {lineno}: not valid JSON: {exc}"]
+    return validate_event_log(records)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv:
-        print(
-            "usage: check_trace.py TRACE.json [EVENTS.jsonl ...]", file=sys.stderr
-        )
+        print("usage: check_trace.py EVENTS.jsonl [EVENTS.jsonl ...]", file=sys.stderr)
         return 2
     failed = False
     for name in argv:
@@ -279,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
             for problem in problems:
                 print(f"{name}: {problem}")
         else:
-            print(f"{name}: OK ({_count_events(name)} events)")
+            n_records = sum(1 for line in Path(name).read_text().splitlines() if line.strip())
+            print(f"{name}: OK ({n_records} records)")
     return 1 if failed else 0
 
 
