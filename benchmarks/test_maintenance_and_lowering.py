@@ -26,12 +26,15 @@ def test_compiler_lowering(benchmark, trace):
     study = benchmark.pedantic(
         compiler_lowering_study, args=(trace,), rounds=1, iterations=1
     )
+    # the share of the hand specialisation's benefit the lowering captures
+    gain = study.pp_hand_specialised - study.pp_select
+    recovered = (study.pp_select_lowered - study.pp_select) / gain if gain > 0 else 1.0
     print(
         f"\nout-of-box Select PP:      {study.pp_select:.3f}\n"
         f"with compiler lowering:     {study.pp_select_lowered:.3f}\n"
         f"hand-specialised PP:        {study.pp_hand_specialised:.3f}\n"
-        f"benefit recovered:          {study.lowering_recovers:.0%}"
+        f"benefit recovered:          {recovered:.0%}"
     )
     # the Section 5.3.1 proposal would recover essentially all of the
     # hand specialization's benefit with zero code divergence
-    assert study.lowering_recovers > 0.9
+    assert recovered > 0.9

@@ -45,12 +45,3 @@ def code_divergence(platform_lines: Mapping[str, Set]) -> float:
 def code_convergence(platform_lines: Mapping[str, Set]) -> float:
     """1 - code divergence (the Figure 13 y-axis)."""
     return 1.0 - code_divergence(platform_lines)
-
-
-def pairwise_distances(platform_lines: Mapping[str, Set]) -> dict[tuple[str, str], float]:
-    """All pair-wise Jaccard distances (diagnostic view)."""
-    platforms = sorted(platform_lines)
-    return {
-        (i, j): jaccard_distance(platform_lines[i], platform_lines[j])
-        for i, j in itertools.combinations(platforms, 2)
-    }

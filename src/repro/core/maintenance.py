@@ -42,11 +42,6 @@ class MaintenanceEstimate:
     #: effective number of kernel-source copies to maintain
     factor: float
 
-    @property
-    def duplicated(self) -> bool:
-        """Whether maintenance is substantially duplicated (> 1.5x)."""
-        return self.factor > 1.5
-
 
 def _kernel_regions(
     analysis: CodebaseAnalysis, configuration: str

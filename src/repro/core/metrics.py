@@ -68,13 +68,3 @@ def performance_portability(efficiencies: Mapping[str, float] | Sequence[float])
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"efficiency {v} outside [0, 1]")
     return harmonic_mean(values)
-
-
-def architectural_efficiency(achieved_flops: float, peak_flops: float) -> float:
-    """Achieved fraction of the platform's peak (the other efficiency
-    notion the PP literature admits; provided for completeness)."""
-    if peak_flops <= 0:
-        raise ValueError("peak must be positive")
-    if achieved_flops < 0:
-        raise ValueError("achieved FLOP/s must be non-negative")
-    return min(1.0, achieved_flops / peak_flops)

@@ -37,10 +37,6 @@ class ReproductionReport:
         path.write_text(self.markdown)
         return path
 
-    def headline(self) -> dict[str, float]:
-        """The headline PP values, for programmatic checks."""
-        return dict(self.cascade.pp)
-
 
 def _section(out: io.StringIO, title: str) -> None:
     out.write(f"\n## {title}\n\n")

@@ -140,16 +140,3 @@ def standard_configurations() -> list[Configuration]:
         ),
     ]
     return configs
-
-
-def best_configuration() -> Configuration:
-    """The hypothetical best-of-everything application (the efficiency
-    yardstick of Figure 12)."""
-    return Configuration(
-        "Best",
-        {
-            "Aurora": PlatformChoice(ProgrammingModel.SYCL_VISA, "best"),
-            "Polaris": PlatformChoice(ProgrammingModel.CUDA, "best", fast_math=True),
-            "Frontier": PlatformChoice(ProgrammingModel.HIP, "best", fast_math=True),
-        },
-    )

@@ -108,10 +108,6 @@ class CrossoverPoint:
     cycles_32bit: float
     cycles_object: float
 
-    @property
-    def object_wins(self) -> bool:
-        return self.cycles_object < self.cycles_32bit
-
 
 def exchange_crossover(max_words: int = 16) -> list[CrossoverPoint]:
     """Exchange cost vs payload size for both local-memory variants."""
@@ -156,15 +152,6 @@ class CompilerLoweringStudy:
     pp_select: float
     pp_select_lowered: float
     pp_hand_specialised: float
-
-    @property
-    def lowering_recovers(self) -> float:
-        """Fraction of the hand-specialisation benefit the compiler
-        lowering captures (1.0 = all of it)."""
-        gain_full = self.pp_hand_specialised - self.pp_select
-        if gain_full <= 0:
-            return 1.0
-        return (self.pp_select_lowered - self.pp_select) / gain_full
 
 
 def compiler_lowering_study(trace: WorkloadTrace | None = None) -> CompilerLoweringStudy:

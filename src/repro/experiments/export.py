@@ -107,14 +107,3 @@ def export_all(trace: WorkloadTrace, path: str | Path) -> Path:
     path = Path(path)
     path.write_text(json.dumps(document, indent=2, sort_keys=True))
     return path
-
-
-def load_export(path: str | Path) -> dict:
-    """Load and version-check an exported document."""
-    document = json.loads(Path(path).read_text())
-    version = document.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(
-            f"export schema {version} not supported (expected {SCHEMA_VERSION})"
-        )
-    return document

@@ -41,12 +41,6 @@ class EfficiencyTable:
     #: variant name -> timer -> efficiency in (0, 1]
     efficiencies: dict[str, dict[str, float]]
 
-    def best_variant(self, timer: str) -> str:
-        return max(self.efficiencies, key=lambda v: self.efficiencies[v][timer])
-
-    def worst_variant(self, timer: str) -> str:
-        return min(self.efficiencies, key=lambda v: self.efficiencies[v][timer])
-
 
 def generate_for(device: DeviceSpec, trace: WorkloadTrace | None = None) -> EfficiencyTable:
     """The variant-efficiency table for one system."""

@@ -102,18 +102,6 @@ def explore_kernel(
     )
 
 
-def explore_all(
-    checkpoint: KernelCheckpoint, device: DeviceSpec
-) -> dict[str, StandaloneStudy]:
-    """Standalone studies for all five hot kernels."""
-    from repro.kernels.specs import HOTSPOT_KERNELS
-
-    return {
-        kernel: explore_kernel(checkpoint, kernel, device)
-        for kernel in HOTSPOT_KERNELS
-    }
-
-
 def format_study(study: StandaloneStudy, top: int = 5) -> str:
     lines = [
         f"{study.kernel} on {study.device}: {study.n_particles} particles, "

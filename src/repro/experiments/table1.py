@@ -4,34 +4,6 @@ from __future__ import annotations
 
 from repro.machine.registry import table1_rows
 
-#: the paper's Table 1, for comparison in tests and EXPERIMENTS.md
-PAPER_TABLE1 = [
-    {
-        "system": "Aurora",
-        "cpu": "Intel Xeon CPU Max 9470C, 52 cores",
-        "sockets": 2,
-        "gpu": "Intel Data Center GPU Max 1550",
-        "num_gpus": 6,
-        "fp32_peak_per_gpu_tflops": 45.9,
-    },
-    {
-        "system": "Polaris",
-        "cpu": "AMD EPYC 7543P, 32 cores",
-        "sockets": 1,
-        "gpu": "NVIDIA A100-SXM4-40GB",
-        "num_gpus": 4,
-        "fp32_peak_per_gpu_tflops": 19.5,
-    },
-    {
-        "system": "Frontier",
-        "cpu": "AMD EPYC 7A53, 64 cores",
-        "sockets": 1,
-        "gpu": "AMD Instinct MI250X",
-        "num_gpus": 4,
-        "fp32_peak_per_gpu_tflops": 53.0,
-    },
-]
-
 
 def generate() -> list[dict]:
     """Regenerate Table 1 from the device registry."""

@@ -105,14 +105,3 @@ class PMSolver:
             force_mesh = xp.irfftn(-1j * kcomp * phi_k, s=(n_mesh,) * 3, axes=(0, 1, 2))
             acc[:, axis] = cic_interpolate(force_mesh, pos, self.box)
         return acc
-
-    def potential_energy(self, particles: ParticleData) -> float:
-        """Long-range potential energy (diagnostic): 0.5 sum m phi."""
-        n_mesh = self.config.n_mesh
-        delta = self.density_contrast(particles)
-        delta_k = xp.rfftn(delta)
-        rho_bar = particles.total_mass() / self.box**3
-        phi_k = self.potential_k(delta_k, rho_bar)
-        phi_mesh = xp.irfftn(phi_k, s=(n_mesh,) * 3, axes=(0, 1, 2))
-        phi = cic_interpolate(phi_mesh, particles.positions, self.box)
-        return float(0.5 * np.sum(particles.mass * phi))

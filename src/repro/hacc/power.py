@@ -126,17 +126,3 @@ class PowerSpectrum:
             a = self.cosmology.a_of_z(z)
             pk = pk * self.cosmology.growth_factor(float(a)) ** 2
         return pk
-
-    def sigma_r(self, r: float, z: float = 0.0) -> float:
-        """RMS top-hat density fluctuation at radius ``r`` (Mpc/h)."""
-        if r <= 0:
-            raise ValueError("radius must be positive")
-
-        def integrand(lnk: float) -> float:
-            k = np.exp(lnk)
-            x = r * k
-            w = 3.0 * (np.sin(x) - x * np.cos(x)) / x**3
-            return float(self(np.array(k), z) * w**2 * k**3)
-
-        var, _err = integrate.quad(integrand, np.log(1e-5), np.log(50.0), limit=400)
-        return float(np.sqrt(var / (2.0 * np.pi**2)))

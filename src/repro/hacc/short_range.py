@@ -76,16 +76,6 @@ class PolynomialForceKernel:
         s = np.polynomial.polynomial.polyval(u, self.coefficients)
         return np.where(r < self.cutoff, s, 0.0)
 
-    def max_fit_error(self) -> float:
-        """Max absolute error of the fit strictly inside the cutoff.
-
-        The truncation error *at* the cutoff (where the kernel is
-        clamped to zero) is a property of the force split, not of the
-        polynomial fit, and is excluded here.
-        """
-        r = np.linspace(1e-3 * self.cutoff, 0.999 * self.cutoff, 2048)
-        return float(np.max(np.abs(self(r) - exact_short_range_factor(r, self.r_s))))
-
 
 @dataclass
 class _StateMemo:

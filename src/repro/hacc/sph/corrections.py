@@ -199,15 +199,6 @@ def compute_corrections(
     )
 
 
-def corrected_kernel_values(
-    ctx: PairContext, h: np.ndarray, corr: CorrectionResult
-) -> np.ndarray:
-    """W^R_ij = A_i (1 + B_i . (x_i - x_j)) W_ij on all pairs."""
-    w = ctx.kernel_values(h)
-    lin = 1.0 + xp.rowwise_dot(corr.b[ctx.i], ctx.dx)
-    return corr.a[ctx.i] * lin * w
-
-
 def corrected_kernel_gradients(
     ctx: PairContext, h: np.ndarray, corr: CorrectionResult, rows: slice = slice(None)
 ) -> np.ndarray:

@@ -61,22 +61,3 @@ def compute_energy_rate(
         contrib = volume[i] * volume[j] * 0.5 * p_eff * work / mass[i]
         du_dt[ids] = xp.segment_sum(contrib, starts)
     return EnergyResult(du_dt=du_dt)
-
-
-def pairwise_energy_balance(
-    ctx: PairContext,
-    volume: np.ndarray,
-    mass: np.ndarray,
-    pressure: np.ndarray,
-    velocity: np.ndarray,
-    accel: AccelerationResult,
-) -> float:
-    """Residual of the total-energy balance (diagnostic).
-
-    Computes d/dt (kinetic + thermal) from the two kernels' outputs;
-    the compatible discretisation makes this zero to round-off.
-    """
-    energy = compute_energy_rate(ctx, volume, mass, pressure, velocity, accel)
-    thermal_rate = float(np.sum(mass * energy.du_dt))
-    kinetic_rate = float(np.sum(mass[:, None] * velocity * accel.dv_dt))
-    return thermal_rate + kinetic_rate

@@ -82,14 +82,3 @@ def kernel_self_value(h: np.ndarray) -> np.ndarray:
     """W(0, h) -- the self contribution of each particle."""
     h = xp.ensure_float(h)
     return _NORM_3D / h**3
-
-
-def verify_normalisation(h: float = 1.0, n_samples: int = 200) -> float:
-    """Numerical check that the kernel integrates to 1 over its support.
-
-    Returns the quadrature value (tests assert it is ~1); exposed as a
-    library function so examples can demonstrate kernel correctness.
-    """
-    r = np.linspace(0.0, SUPPORT * h, n_samples)
-    w = cubic_spline(r, np.full_like(r, h))
-    return float(np.trapezoid(4.0 * np.pi * r**2 * w, r))

@@ -226,23 +226,6 @@ class PairContext:
         (rows, 3); ``h`` may be (n,) or scalar."""
         return cubic_spline_gradient(self.dx[rows], self.r[rows], self._h_i(h, rows))
 
-    def scatter_sum(self, values: np.ndarray) -> np.ndarray:
-        """Sum whole-list pair values into per-particle accumulators
-        over i.
-
-        ``values`` may be (m,) or (m, k); returns (n,) or (n, k) in the
-        *input dtype* (float32 pair values accumulate as float32
-        instead of silently upcasting to float64).  This is the
-        vectorised analogue of the GPU kernels' atomic adds; a
-        particle's terms add in pair-list order, so equal inputs give
-        bit-equal sums -- the sums a pass over :meth:`blocks` gives.
-        """
-        values = xp.asarray(values)
-        out = xp.zeros((self.n,) + values.shape[1:], dtype=values.dtype)
-        if self.n_pairs:
-            out[self.ids] = xp.segment_sum(values, self.starts)
-        return out
-
     def mean_neighbors(self) -> float:
         """Mean directed neighbour count (cost-model input)."""
         if self.n == 0:

@@ -24,9 +24,6 @@ GAMMA_ADIABATIC = 5.0 / 3.0
 #: CRK-SPH smoothing-length scaling: h = ETA * (volume)^(1/3)
 SPH_ETA = 1.3
 
-#: target number of neighbours implied by the kernel support (4/3 pi (2 eta)^3)
-SPH_TARGET_NEIGHBORS = 4.0 / 3.0 * 3.141592653589793 * (2.0 * SPH_ETA) ** 3
-
 
 def particle_mass(box_mpc_h: float, n_per_side: int, omega: float) -> float:
     """Mass of one particle of a species filling ``omega`` of critical.

@@ -121,14 +121,6 @@ class TimingReport:
     def total_seconds(self) -> float:
         return sum(self.seconds_by_timer.values())
 
-    def hotspot_seconds(self) -> float:
-        """Seconds in the five hydro hotspots only."""
-        from repro.kernels.specs import HOTSPOT_TIMERS
-
-        return sum(
-            s for t, s in self.seconds_by_timer.items() if t in HOTSPOT_TIMERS
-        )
-
 
 class TracePricer:
     """Prices workload traces on one device under one model."""
@@ -158,9 +150,6 @@ class TracePricer:
                 raise ValueError(f"variant mapping misses kernels: {sorted(missing)}")
             self._variants = dict(variants)
 
-    def variant_for(self, kernel_name: str) -> Variant:
-        return self._variants[kernel_name]
-
     # ------------------------------------------------------------------
     def price(self, trace: WorkloadTrace, tracer=None, profiler=None) -> TimingReport:
         """Replay ``trace``, returning per-timer simulated seconds.
@@ -173,8 +162,8 @@ class TracePricer:
         (Section 3.4.4): each submission is bracketed MPI_wtime-style
         by a span (category ``timer``).  The brackets must read this
         replay's executor, so pass a callable ``executor ->
-        TraceRecorder(clock=executor.total_seconds)``; see
-        :func:`~repro.observability.profiler.validate_against_profiler`.
+        TraceRecorder(clock=executor.total_seconds)``, which the tests
+        hold to the executor's ledger.
 
         ``profiler`` may be a
         :class:`~repro.observability.profiler.KernelProfiler`; it is

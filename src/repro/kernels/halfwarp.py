@@ -128,50 +128,3 @@ def _run_broadcast(
         mask = (lane_ids < half) != (src < half)
         accum += np.where(mask, pair_fn(lanes, other), 0.0)
     return HalfWarpResult(leaf_a=accum[:half], leaf_b=accum[half:])
-
-
-def reference_all_pairs(
-    payload_a: np.ndarray, payload_b: np.ndarray, pair_fn: PairFunction
-) -> HalfWarpResult:
-    """Ground truth: direct double loop over all cross-leaf pairs.
-
-    Evaluates ``pair_fn`` with single-lane arrays so any (correct)
-    pair function works for both the scheduled and reference paths.
-    """
-    lanes, _n_fields, half = _lane_layout(payload_a, payload_b)
-    size = 2 * half
-    accum = np.zeros(size)
-    for a in range(half):
-        for b in range(half, size):
-            own = lanes[:, [a, b]]
-            other = lanes[:, [b, a]]
-            contrib = pair_fn(own, other)
-            accum[a] += contrib[0]
-            accum[b] += contrib[1]
-    return HalfWarpResult(leaf_a=accum[:half], leaf_b=accum[half:])
-
-
-# ---------------------------------------------------------------------------
-# Example pair functions (used by tests and examples)
-# ---------------------------------------------------------------------------
-def density_pair_function(h: float) -> PairFunction:
-    """SPH number-density contribution W(|dx|, h); fields = (x, y, z)."""
-    from repro.hacc.sph.kernels_math import cubic_spline
-
-    def fn(own: np.ndarray, other: np.ndarray) -> np.ndarray:
-        dx = own[:3] - other[:3]
-        r = np.sqrt(np.einsum("fl,fl->l", dx, dx))
-        return cubic_spline(r, np.full_like(r, h))
-
-    return fn
-
-
-def gravity_pair_function(softening: float) -> PairFunction:
-    """Softened inverse-square magnitude; fields = (x, y, z, m)."""
-
-    def fn(own: np.ndarray, other: np.ndarray) -> np.ndarray:
-        dx = own[:3] - other[:3]
-        r2 = np.einsum("fl,fl->l", dx, dx) + softening**2
-        return other[3] / r2
-
-    return fn

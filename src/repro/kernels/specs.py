@@ -92,9 +92,6 @@ class KernelSpec:
     #: it, so its exchange cost is amortised over the instance.
     exchange_interval: float = 1.0
 
-    def timer_names(self) -> tuple[str, ...]:
-        return self.timers
-
 
 # ---------------------------------------------------------------------------
 # The five hot kernels (Section 5) + the short-range gravity kernel.
@@ -249,9 +246,6 @@ KERNEL_SPECS: dict[str, KernelSpec] = {
 TIMER_TO_KERNEL: dict[str, str] = {
     timer: spec.name for spec in KERNEL_SPECS.values() for timer in spec.timers
 }
-
-#: the five hydro hotspots (Section 5's ">85% of offloaded time")
-HOTSPOT_KERNELS = ("geometry", "corrections", "extras", "acceleration", "energy")
 
 #: the seven hydro timers of Figures 9-11
 HOTSPOT_TIMERS = (

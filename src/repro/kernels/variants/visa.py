@@ -20,9 +20,6 @@ from repro.kernels.variants.base import ProfileFields, Variant
 from repro.machine.device import DeviceSpec
 from repro.proglang import intrinsics
 
-#: the 226 source lines of inline assembly reported in Table 2
-VISA_SLOC = 226
-
 
 class VisaVariant(Variant):
     """Butterfly exchange via inline vISA (Intel only)."""

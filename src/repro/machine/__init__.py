@@ -37,7 +37,6 @@ from repro.machine.registry import (
     POLARIS,
     all_devices,
     device_by_name,
-    platform_set,
 )
 from repro.machine.cost_model import (
     CostModel,
@@ -66,7 +65,6 @@ __all__ = [
     "FRONTIER",
     "all_devices",
     "device_by_name",
-    "platform_set",
     "CostModel",
     "InstructionProfile",
     "KernelCost",

@@ -20,7 +20,6 @@ corrections that carry the paper's phenomena:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from repro.machine.atomics import AtomicOp, AtomicsModel
@@ -79,19 +78,6 @@ class InstructionProfile:
     #: inner-loop iterations (interaction count) per work-item; spills
     #: are charged once per iteration
     interactions: float = 1.0
-
-    def scaled(self, factor: float) -> "InstructionProfile":
-        """Profile with all *count* fields multiplied by ``factor``.
-
-        Register and local-memory footprints are per-work-item state,
-        not counts, and are left unchanged.
-        """
-        updates = {}
-        for f in dataclasses.fields(self):
-            if f.name in ("registers_needed", "local_mem_bytes_per_workgroup"):
-                continue
-            updates[f.name] = getattr(self, f.name) * factor
-        return dataclasses.replace(self, **updates)
 
     @property
     def flop_count(self) -> float:

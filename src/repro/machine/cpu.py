@@ -78,17 +78,6 @@ CPU_HOST = DeviceSpec(
 )
 
 
-def atomic_cycle_share(profile, launch, device: DeviceSpec = CPU_HOST) -> float:
-    """Share of per-work-item cycles spent in atomics for a profile."""
-    from repro.machine.cost_model import CostModel
-
-    cost = CostModel(device).kernel_cost(profile, launch)
-    total = sum(cost.cycles.values())
-    if total <= 0:
-        return 0.0
-    return cost.cycles["atomics"] / total
-
-
 def pp_with_cpu(trace, variants="memory_object") -> dict[str, float]:
     """PP over {Aurora, Polaris, Frontier} vs over the set + CPU.
 

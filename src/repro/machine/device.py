@@ -25,8 +25,7 @@ lane.  Absolute values matter only through the ratios they induce.
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class Vendor(enum.Enum):
@@ -213,20 +212,6 @@ class DeviceSpec:
     # derived quantities
     # ------------------------------------------------------------------
     @property
-    def total_lanes(self) -> int:
-        """Total FP32 lanes in the slice."""
-        return self.compute_units * self.simd_width
-
-    @property
-    def fma_lanes_equivalent(self) -> float:
-        """FP32 FMA lanes implied by the peak rating.
-
-        ``peak = lanes * 2 flops * clock`` -- useful as a cross-check of
-        the registry data.
-        """
-        return self.fp32_peak_tflops * 1e12 / (2.0 * self.clock_ghz * 1e9)
-
-    @property
     def peak_flops(self) -> float:
         """FP32 peak in FLOP/s."""
         return self.fp32_peak_tflops * 1e12
@@ -292,10 +277,6 @@ class DeviceSpec:
             return self.broadcast_cycles
         return self.indirect_access_cycles_per_lane * subgroup_size
 
-    def with_overrides(self, **kwargs) -> "DeviceSpec":
-        """Return a copy of this spec with fields replaced (for ablations)."""
-        return replace(self, **kwargs)
-
     def summary(self) -> dict:
         """A plain-dict summary used by the Table 1 regenerator."""
         return {
@@ -319,16 +300,3 @@ class DeviceSpec:
 
 class UnsupportedSubgroupSize(ValueError):
     """Raised when a kernel requests a sub-group size the device lacks."""
-
-
-def peak_consistency_error(spec: DeviceSpec) -> float:
-    """Relative error between the rated peak and lanes*2*clock.
-
-    The registry test uses this to guard against typos in the device
-    data; a small error is expected because vendors rate peaks at boost
-    clocks and with architecture-specific dual-issue rules.
-    """
-    implied = spec.total_lanes * 2.0 * spec.clock_ghz * 1e9
-    if implied == 0:
-        return math.inf
-    return abs(spec.peak_flops - implied) / implied

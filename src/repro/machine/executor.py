@@ -9,8 +9,7 @@ timers (Section 3.4.4) read its ledger.
 
 The executor's per-kernel times are the reproduction's equivalent of
 ``rocprof`` ground truth: bracket-timer spans over the executor's clock
-are validated against them
-(:func:`repro.observability.profiler.validate_against_profiler`),
+are validated against them (the tests' ``validate_against_profiler``),
 mirroring the paper's validation of CRK-HACC's internal timers.
 """
 
@@ -68,7 +67,6 @@ class DeviceExecutor:
         self._total_seconds = 0.0
         self._seconds_by_kernel: dict[str, float] = defaultdict(float)
         self._calls_by_kernel: dict[str, int] = defaultdict(int)
-        self._records_by_kernel: dict[str, list[ExecutionRecord]] = defaultdict(list)
         for record in self.records:  # pre-seeded ledgers stay consistent
             self._ingest(record)
 
@@ -76,7 +74,6 @@ class DeviceExecutor:
         self._total_seconds += record.seconds
         self._seconds_by_kernel[record.kernel_name] += record.seconds
         self._calls_by_kernel[record.kernel_name] += 1
-        self._records_by_kernel[record.kernel_name].append(record)
 
     def add_observer(self, observer: ExecutionObserver) -> None:
         """Subscribe to the ledger: ``observer(record, profile)`` fires
@@ -119,15 +116,3 @@ class DeviceExecutor:
     def calls_by_kernel(self) -> dict[str, int]:
         """Invocation counts by kernel name."""
         return dict(self._calls_by_kernel)
-
-    def records_for(self, kernel_name: str) -> list[ExecutionRecord]:
-        """All execution records of one kernel, in submission order."""
-        return list(self._records_by_kernel.get(kernel_name, ()))
-
-    def reset(self) -> None:
-        """Clear the ledger (e.g. between warm-up and timed steps)."""
-        self.records.clear()
-        self._total_seconds = 0.0
-        self._seconds_by_kernel.clear()
-        self._calls_by_kernel.clear()
-        self._records_by_kernel.clear()

@@ -34,10 +34,6 @@ class OccupancyResult:
     #: what bounded residency: "threads", "registers", "local_mem"
     limited_by: str
 
-    @property
-    def is_full(self) -> bool:
-        return self.occupancy >= 0.999
-
 
 class OccupancyCalculator:
     """Computes occupancy for kernel launches on one device."""

@@ -37,10 +37,6 @@ class RegisterAssignment:
     #: the budget that applied (fixed partition or architectural max)
     budget: int
 
-    @property
-    def has_spills(self) -> bool:
-        return self.spilled > 0
-
 
 class RegisterModel:
     """Per-device register assignment."""

@@ -212,11 +212,6 @@ def device_by_name(name: str) -> DeviceSpec:
     )
 
 
-def platform_set() -> tuple[str, ...]:
-    """The platform set H used in the PP metric (system names)."""
-    return tuple(d.system for d in all_devices())
-
-
 def table1_rows() -> list[dict]:
     """Rows mirroring Table 1 of the paper (per-node hardware summary)."""
     host = {

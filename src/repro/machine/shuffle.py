@@ -32,16 +32,6 @@ def select_cycles(device: DeviceSpec, subgroup_size: int, words: int = 1) -> flo
     return words * device.shuffle_cycles(subgroup_size)
 
 
-def xor_shuffle_cycles(device: DeviceSpec, subgroup_size: int, words: int = 1) -> float:
-    """Cycles for the half-warp XOR shuffle pattern (Figure 4).
-
-    The XOR pattern's source lanes are data-dependent across loop
-    iterations, so on indirect-register-access hardware it costs the
-    same as a general ``select_from_group``.
-    """
-    return select_cycles(device, subgroup_size, words)
-
-
 def broadcast_cycles(device: DeviceSpec, words: int = 1) -> float:
     """Cycles to broadcast ``words`` words from a known lane."""
     return words * device.broadcast_cycles

@@ -35,11 +35,6 @@ class CudaKernel:
     #: character span of the full definition in the source
     span: tuple[int, int]
 
-    @property
-    def signature(self) -> str:
-        args = ", ".join(p.declaration for p in self.params)
-        return f"__global__ void {self.name}({args})"
-
 
 @dataclass(frozen=True)
 class LaunchSite:

@@ -70,28 +70,6 @@ class MigrationPipeline:
         return {name: self.run(text) for name, text in sources.items()}
 
 
-    def run_directory_to(
-        self, sources: dict[str, str], output_dir
-    ) -> dict[str, "PipelineResult"]:
-        """Migrate a source set and write the SYCL project to disk.
-
-        Produces, per compilation unit, ``<name>.sycl.cpp`` plus one
-        generated ``<kernel>_functor.h`` header per kernel -- the file
-        layout the paper's pipeline emits (source structure preserved,
-        headers generated).
-        """
-        from pathlib import Path
-
-        output_dir = Path(output_dir)
-        output_dir.mkdir(parents=True, exist_ok=True)
-        results = self.run_directory(sources)
-        for name, result in results.items():
-            (output_dir / f"{name}.sycl.cpp").write_text(result.optimized_source)
-            for kernel_name, header in result.functors.headers.items():
-                (output_dir / f"{kernel_name}_functor.h").write_text(header)
-        return results
-
-
 def bundled_kernel_sources() -> dict[str, str]:
     """The five hot kernels in the mini-CUDA dialect (package data)."""
     sources = {}

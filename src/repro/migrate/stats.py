@@ -62,14 +62,6 @@ class MigrationStats:
             return float("inf")
         return self.sycl_total_sloc / self.cuda_sloc
 
-    @property
-    def header_share(self) -> float:
-        """Fraction of the inflation attributable to generated headers."""
-        extra = self.sycl_total_sloc - self.cuda_sloc
-        if extra <= 0:
-            return 0.0
-        return min(1.0, self.header_sloc / extra)
-
 
 def migration_stats(result: PipelineResult, kernel_file: str) -> MigrationStats:
     """Stats for one migrated compilation unit."""

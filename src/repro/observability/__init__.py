@@ -68,7 +68,6 @@ from repro.observability.profiler import (
     ProfileRow,
     format_profile_table,
     profile_trace,
-    validate_against_profiler,
 )
 from repro.observability.tracing import (
     DEFAULT_TRACK,
@@ -114,6 +113,5 @@ __all__ = [
     "read_events",
     "render",
     "sparkline",
-    "validate_against_profiler",
     "write_event_log",
 ]

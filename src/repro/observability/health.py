@@ -80,22 +80,6 @@ STEP_SECONDS = "sim.health.step_seconds"
 SUBCYCLES = "sim.health.subcycles"
 GUARD_HIT_RATE = "sim.health.guard_hit_rate"
 
-#: every series :meth:`HealthMonitor.observe_step` produces
-HEALTH_SERIES = (
-    KINETIC_ENERGY,
-    THERMAL_ENERGY,
-    TOTAL_ENERGY,
-    ENERGY_DRIFT,
-    MOMENTUM_DRIFT,
-    MASS_DRIFT,
-    CONTAINMENT_BREACHES,
-    THERMO_VIOLATIONS,
-    VOLUME_RATIO,
-    STEP_SECONDS,
-    SUBCYCLES,
-    GUARD_HIT_RATE,
-)
-
 #: EWMA tolerance on the expansion-corrected thermal residual: a leak
 #: of more than this fraction per step escalates
 ENERGY_TOLERANCE = 0.03

@@ -176,11 +176,6 @@ class Histogram:
         with self._lock:
             return self._sum
 
-    @property
-    def bucket_counts(self) -> tuple[int, ...]:
-        with self._lock:
-            return tuple(self._counts)
-
     def export(self) -> dict[str, Any]:
         with self._lock:
             return {

@@ -278,30 +278,3 @@ def profile_trace(
     )
     pricer.price(trace, profiler=profiler)
     return profiler
-
-
-def validate_against_profiler(
-    recorder: TraceRecorder,
-    executor: DeviceExecutor,
-    *,
-    rel_tolerance: float = 1.0e-9,
-) -> dict[str, float]:
-    """Compare bracket-timer spans with the executor's per-kernel ledger.
-
-    The paper validated CRK-HACC's ``MPI_Wtime()`` bracket timers
-    against ``rocprof`` (Section 3.4.4); here the brackets are spans of
-    a ``TraceRecorder(clock=executor.total_seconds)`` and the ledger is
-    the profiler.  Returns the per-kernel relative differences; raises
-    ``ValueError`` when a kernel's span total disagrees beyond
-    tolerance.  Spans without a ledger entry bracket host work.
-    """
-    diffs: dict[str, float] = {}
-    for name, profiled in executor.seconds_by_kernel().items():
-        bracketed = sum(span.duration for span in recorder.spans_named(name))
-        diffs[name] = abs(bracketed - profiled) / max(abs(profiled), 1e-300)
-        if diffs[name] > rel_tolerance:
-            raise ValueError(
-                f"timer {name!r} disagrees with the profiler: "
-                f"bracketed {bracketed:.6e}s vs profiled {profiled:.6e}s"
-            )
-    return diffs

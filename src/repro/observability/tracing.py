@@ -25,8 +25,7 @@ the recorder's epoch (its construction time).
 
 The recorder is lock-safe: all rank threads of a
 :class:`~repro.hacc.mpi_sim.SimWorld` share one recorder and their
-events merge into one coherent timeline.  Recorders filled separately
-(e.g. one per process) merge with :meth:`TraceRecorder.merge`.
+events merge into one coherent timeline.
 """
 
 from __future__ import annotations
@@ -294,9 +293,6 @@ class TraceRecorder:
         with self._lock:
             return dict(self._track_names)
 
-    def spans_named(self, name: str) -> list[SpanEvent]:
-        return [s for s in self.spans if s.name == name]
-
     def tracks(self) -> set[int]:
         """All pids that appear on the timeline."""
         with self._lock:
@@ -305,33 +301,6 @@ class TraceRecorder:
                 | {e.pid for e in self._instants}
                 | {e.pid for e in self._counters}
             )
-
-    def merge(self, other: "TraceRecorder", pid_offset: int = 0) -> None:
-        """Fold another recorder's events into this timeline.
-
-        ``pid_offset`` shifts the other recorder's tracks so two
-        independently filled recorders (e.g. separate worlds) do not
-        collide on track ids.
-        """
-        import dataclasses
-
-        with other._lock:
-            spans = list(other._spans)
-            instants = list(other._instants)
-            counters = list(other._counters)
-            names = dict(other._track_names)
-        with self._lock:
-            self._spans.extend(
-                dataclasses.replace(s, pid=s.pid + pid_offset) for s in spans
-            )
-            self._instants.extend(
-                dataclasses.replace(i, pid=i.pid + pid_offset) for i in instants
-            )
-            self._counters.extend(
-                dataclasses.replace(c, pid=c.pid + pid_offset) for c in counters
-            )
-            for pid, name in names.items():
-                self._track_names.setdefault(pid + pid_offset, name)
 
     # -- views ---------------------------------------------------------
     def flame_summary(self, limit: int | None = None) -> str:

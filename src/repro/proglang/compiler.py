@@ -152,14 +152,3 @@ class Compiler:
             grf_mode=opts.grf_mode,
             workgroup_size=opts.workgroup_size,
         )
-
-    def compile_all(
-        self,
-        definitions: list[KernelDefinition],
-        options: CompileOptions | None = None,
-    ) -> dict[str, CompiledKernel]:
-        """Compile a kernel set, keyed by kernel name."""
-        out = {}
-        for d in definitions:
-            out[d.name] = self.compile(d, options)
-        return out

@@ -7,13 +7,13 @@ the corresponding SYCL group operation.  They are the reproduction's
 equivalents of:
 
 - ``sycl::select_from_group``           -> :func:`select_from_group`
-- the XOR shuffle (``__shfl_xor_sync``) -> :func:`shuffle_xor`
 - ``sycl::group_broadcast``             -> :func:`group_broadcast`
-- ``sycl::reduce_over_group``           -> :func:`reduce_over_group`
+- the XOR shuffle (``__shfl_xor_sync``) -> :func:`xor_partner` lanes
 - the specialized butterfly shuffle of Section 5.3.3 (Figure 7)
-                                        -> :func:`butterfly_exchange`
+                                        -> :func:`butterfly_partner` lanes
 
-The half-warp algorithm's pair-wise symmetry property is stated (and
+A shuffle is a :func:`select_from_group` over partner lanes.  The
+half-warp algorithm's pair-wise symmetry property is stated (and
 property-tested) in terms of these functions.
 """
 
@@ -23,19 +23,8 @@ import numpy as np
 
 __all__ = [
     "select_from_group",
-    "shuffle_xor",
     "group_broadcast",
-    "reduce_over_group",
-    "inclusive_scan_over_group",
-    "exclusive_scan_over_group",
-    "any_of_group",
-    "all_of_group",
-    "none_of_group",
-    "shift_group_left",
-    "shift_group_right",
-    "permute_group_by_xor",
     "butterfly_partner",
-    "butterfly_exchange",
     "xor_partner",
 ]
 
@@ -70,35 +59,12 @@ def xor_partner(size: int, mask: int) -> np.ndarray:
     return lanes ^ mask
 
 
-def shuffle_xor(x: np.ndarray, mask: int) -> np.ndarray:
-    """Exchange values between lanes ``l`` and ``l ^ mask``.
-
-    The XOR pattern is an involution (applying it twice is the
-    identity), which is what gives the half-warp algorithm its
-    pair-wise symmetry.
-    """
-    size = _check_lanes(x)
-    if not 0 <= mask < size:
-        raise ValueError(f"mask {mask} out of range for sub-group size {size}")
-    return select_from_group(x, xor_partner(size, mask))
-
-
 def group_broadcast(x: np.ndarray, lane: int) -> np.ndarray:
     """All lanes read lane ``lane``'s value (``sycl::group_broadcast``)."""
     size = _check_lanes(x)
     if not 0 <= lane < size:
         raise ValueError(f"lane {lane} out of range for sub-group size {size}")
     value = x[..., lane]
-    return np.broadcast_to(value[..., None], x.shape).copy()
-
-
-def reduce_over_group(x: np.ndarray, op: str = "sum") -> np.ndarray:
-    """Sub-group reduction; every lane receives the combined value."""
-    _check_lanes(x)
-    ops = {"sum": np.sum, "min": np.min, "max": np.max}
-    if op not in ops:
-        raise ValueError(f"unsupported reduction {op!r}; choose from {sorted(ops)}")
-    value = ops[op](x, axis=-1)
     return np.broadcast_to(value[..., None], x.shape).copy()
 
 
@@ -124,79 +90,3 @@ def butterfly_partner(size: int, step: int) -> np.ndarray:
     partner[:half] = half + (lower + step) % half
     partner[half:] = (upper_m - step) % half
     return partner
-
-
-def butterfly_exchange(x: np.ndarray, step: int) -> np.ndarray:
-    """Apply one butterfly-shuffle step (Section 5.3.3)."""
-    size = _check_lanes(x)
-    return select_from_group(x, butterfly_partner(size, step))
-
-
-def inclusive_scan_over_group(x: np.ndarray, op: str = "sum") -> np.ndarray:
-    """Inclusive prefix scan along the sub-group
-    (``sycl::inclusive_scan_over_group``)."""
-    _check_lanes(x)
-    ops = {"sum": np.cumsum, "max": np.maximum.accumulate, "min": np.minimum.accumulate}
-    if op not in ops:
-        raise ValueError(f"unsupported scan {op!r}; choose from {sorted(ops)}")
-    return ops[op](x, axis=-1)
-
-
-def exclusive_scan_over_group(
-    x: np.ndarray, identity: float = 0.0, op: str = "sum"
-) -> np.ndarray:
-    """Exclusive prefix scan: lane l receives the combination of lanes
-    [0, l) with ``identity`` seeding lane 0."""
-    inclusive = inclusive_scan_over_group(x, op)
-    out = np.empty_like(inclusive)
-    out[..., 0] = identity
-    out[..., 1:] = inclusive[..., :-1]
-    return out
-
-
-def any_of_group(pred: np.ndarray) -> np.ndarray:
-    """``sycl::any_of_group``: every lane learns whether any predicate holds."""
-    _check_lanes(pred)
-    value = np.any(pred, axis=-1)
-    return np.broadcast_to(np.asarray(value)[..., None], pred.shape).copy()
-
-
-def all_of_group(pred: np.ndarray) -> np.ndarray:
-    """``sycl::all_of_group``."""
-    _check_lanes(pred)
-    value = np.all(pred, axis=-1)
-    return np.broadcast_to(np.asarray(value)[..., None], pred.shape).copy()
-
-
-def none_of_group(pred: np.ndarray) -> np.ndarray:
-    """``sycl::none_of_group``."""
-    return ~any_of_group(np.asarray(pred, dtype=bool))
-
-
-def shift_group_left(x: np.ndarray, delta: int = 1, fill: float = 0.0) -> np.ndarray:
-    """``sycl::shift_group_left``: lane l reads lane l + delta; lanes
-    shifted past the end receive ``fill``."""
-    size = _check_lanes(x)
-    if not 0 <= delta <= size:
-        raise ValueError(f"delta {delta} out of range for sub-group size {size}")
-    out = np.full_like(x, fill)
-    if delta < size:
-        out[..., : size - delta] = x[..., delta:]
-    return out
-
-
-def shift_group_right(x: np.ndarray, delta: int = 1, fill: float = 0.0) -> np.ndarray:
-    """``sycl::shift_group_right``: lane l reads lane l - delta."""
-    size = _check_lanes(x)
-    if not 0 <= delta <= size:
-        raise ValueError(f"delta {delta} out of range for sub-group size {size}")
-    out = np.full_like(x, fill)
-    if delta < size:
-        out[..., delta:] = x[..., : size - delta]
-    return out
-
-
-def permute_group_by_xor(x: np.ndarray, mask: int) -> np.ndarray:
-    """``sycl::permute_group_by_xor`` -- the SYCL 2020 spelling of the
-    XOR shuffle (alias of :func:`shuffle_xor`)."""
-    return shuffle_xor(x, mask)

@@ -65,11 +65,6 @@ def is_available(model: ProgrammingModel, device: DeviceSpec) -> bool:
     return device.vendor in _AVAILABILITY[model]
 
 
-def available_models(device: DeviceSpec) -> tuple[ProgrammingModel, ...]:
-    """All models that can target ``device``."""
-    return tuple(m for m in ProgrammingModel if is_available(m, device))
-
-
 def default_fast_math(model: ProgrammingModel) -> bool:
     """The compiler's fast-math default for ``model``."""
     return _FAST_MATH_DEFAULT[model]

@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -237,11 +237,6 @@ class FaultInjector:
         with self._lock:
             return list(self._fired)
 
-    @property
-    def armed(self) -> list[FaultSpec]:
-        with self._lock:
-            return list(self._armed)
-
     def _claim(
         self, predicate: Callable[[FaultSpec], bool], rank: int, step: int, detail: str
     ) -> FaultSpec | None:
@@ -413,8 +408,3 @@ class FaultInjector:
             for f in fired
         )
         return "\n".join(lines)
-
-
-def plan_from_specs(specs: Iterable[FaultSpec], seed: int = 0) -> FaultPlan:
-    """Convenience constructor used by tests."""
-    return FaultPlan(faults=tuple(specs), seed=seed)

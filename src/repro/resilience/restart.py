@@ -451,10 +451,6 @@ class DifferentialCheckpoint:
         payload["__step__"] = np.int64(step_index)
         return payload_digest(payload)
 
-    @property
-    def n_dirty(self) -> int:
-        return len(self.dirty_arrays)
-
     def verify(self) -> None:
         """Raise :class:`CheckpointError` if the payload was corrupted."""
         actual = self._digest(self.dirty_arrays, self.step_index)
@@ -571,10 +567,3 @@ class BuddyStore:
                 step=snapshot.step_index,
             )
         return snapshot
-
-    def forget(self, ranks: Sequence[int]) -> None:
-        """Drop dead ranks' entries once recovery has consumed them."""
-        with self._lock:
-            for rank in ranks:
-                self._own.pop(rank, None)
-                self._held.pop(rank, None)

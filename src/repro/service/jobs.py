@@ -18,7 +18,7 @@ execution.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -149,9 +149,6 @@ class JobSpec:
             "ranks": self.ranks,
             "degrade_policy": self.degrade_policy,
         }
-
-    def with_products(self, products: tuple[str, ...]) -> "JobSpec":
-        return replace(self, products=products)
 
 
 @dataclass

@@ -45,7 +45,6 @@ import asyncio
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.service.jobs import Job, JobSpec, JobState, ServiceError
 
@@ -305,11 +304,6 @@ class JobScheduler:
     @property
     def running(self) -> list[Job]:
         return list(self._running.values())
-
-    def active_jobs(self) -> Iterable[Job]:
-        return (j for j in self.jobs if j.state in (
-            JobState.QUEUED, JobState.RUNNING, JobState.PREEMPTED
-        ))
 
     async def close(self) -> None:
         """Stop granting; parked workers wake up with None."""

@@ -15,16 +15,13 @@ delegates to the one it replaced, and tests count ops the same way.
 >>> @xp.register_backend
 ... class Counting(xp.ArrayBackend):
 ...     name = "counting"
->>> with xp.use_backend("counting"):
-...     ...
+>>> backend = xp.set_backend("counting")
 
 A runtime that beats ``numpy`` on a ``BENCHMARK.json`` workload would
 plug into the same three steps (subclass, name, register).
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from repro.xp.base import OP_NAMES, ArrayBackend
 
@@ -36,7 +33,6 @@ __all__ = [
     "register_backend",
     "registered_backends",
     "set_backend",
-    "use_backend",
     *OP_NAMES,
 ]
 
@@ -52,9 +48,8 @@ _active: ArrayBackend = _REGISTRY[ArrayBackend.name]
 
 def register_backend(cls: type[ArrayBackend]) -> type[ArrayBackend]:
     """Register a backend class under its ``name`` (usable as a
-    decorator), making it selectable by :func:`set_backend` /
-    :func:`use_backend`.  The class must subclass
-    :class:`ArrayBackend` and set a ``name`` of its own."""
+    decorator), making it selectable by :func:`set_backend`.  The class
+    must subclass :class:`ArrayBackend` and set a ``name`` of its own."""
     if not issubclass(cls, ArrayBackend):
         raise TypeError(f"{cls!r} does not subclass ArrayBackend")
     if not cls.name or cls.name == ArrayBackend.name:
@@ -87,18 +82,6 @@ def set_backend(name: str) -> ArrayBackend:
 def get_backend() -> ArrayBackend:
     """The active backend (``numpy`` unless one was set)."""
     return _active
-
-
-@contextmanager
-def use_backend(name: str):
-    """Scoped backend selection; restores the previous one on exit."""
-    global _active
-    previous = _active
-    _active = _instance(name)
-    try:
-        yield _active
-    finally:
-        _active = previous
 
 
 def __getattr__(op: str):

@@ -24,7 +24,6 @@ import numpy as np
 #: exactly these names, each with at least one hot-path call site
 OP_NAMES = (
     # creation / conversion
-    "asarray",
     "ensure_float",
     "zeros",
     "zeros_like",
@@ -75,9 +74,6 @@ class ArrayBackend:
     name = "numpy"
 
     # -- creation / conversion -----------------------------------------
-    def asarray(self, x, dtype=None):
-        return np.asarray(x, dtype=dtype)
-
     def ensure_float(self, x):
         """As an array, in a floating dtype, preserving float32/float64.
 

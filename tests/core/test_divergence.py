@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.core.divergence import (
-    code_convergence,
-    code_divergence,
-    jaccard_distance,
-    pairwise_distances,
-)
+from repro.core.divergence import code_convergence, code_divergence, jaccard_distance
 
 
 class TestJaccard:
@@ -54,9 +49,3 @@ class TestCodeDivergence:
         mem = shared | {("mem", i) for i in range(19)}
         lines = {"Aurora": mem, "Polaris": shared, "Frontier": shared}
         assert code_convergence(lines) > 0.999
-
-    def test_pairwise_distances_view(self):
-        lines = {"A": {1, 2}, "B": {1}, "C": {3}}
-        d = pairwise_distances(lines)
-        assert set(d) == {("A", "B"), ("A", "C"), ("B", "C")}
-        assert d[("A", "B")] == pytest.approx(0.5)

@@ -51,12 +51,6 @@ class TestEstimateDetails:
         # (Table 2's 1.7x line inflation)
         assert est.kernel_region_sizes["Aurora"] > est.kernel_region_sizes["Polaris"]
 
-    def test_duplicated_flag(self, codebase_model):
-        assert maintenance_factor(codebase_model, "Unified").duplicated
-        assert not maintenance_factor(
-            codebase_model, "SYCL (Select + Memory)"
-        ).duplicated
-
     def test_unknown_configuration_rejected(self, codebase_model):
         with pytest.raises(KeyError):
             maintenance_factor(codebase_model, "Fortran")

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.metrics import (
     application_efficiency,
-    architectural_efficiency,
     harmonic_mean,
     performance_portability,
 )
@@ -75,17 +74,3 @@ class TestPerformancePortability:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             performance_portability({})
-
-
-class TestArchitecturalEfficiency:
-    def test_fraction_of_peak(self):
-        assert architectural_efficiency(5e12, 10e12) == pytest.approx(0.5)
-
-    def test_capped(self):
-        assert architectural_efficiency(11e12, 10e12) == 1.0
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            architectural_efficiency(1.0, 0.0)
-        with pytest.raises(ValueError):
-            architectural_efficiency(-1.0, 1.0)

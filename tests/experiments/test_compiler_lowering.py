@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.ablations import compiler_lowering_study
+from tests.experiments.oracles import lowering_recovers
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ class TestCompilerLowering:
         assert study.pp_select_lowered == pytest.approx(
             study.pp_hand_specialised, abs=0.02
         )
-        assert study.lowering_recovers > 0.9
+        assert lowering_recovers(study) > 0.9
 
     def test_select_baseline_is_the_out_of_box_pp(self, study):
         assert 0.4 < study.pp_select < 0.8

@@ -4,12 +4,13 @@ import pytest
 
 from repro.experiments.standalone import (
     checkpoint_workload,
-    explore_all,
     explore_kernel,
     format_study,
 )
 from repro.hacc.checkpoint import KernelCheckpoint
 from repro.machine.registry import AURORA, POLARIS
+from tests.kernels.oracles import HOTSPOT_KERNELS
+from tests.observability.oracles import spans_named
 
 
 @pytest.fixture(scope="module")
@@ -52,14 +53,15 @@ class TestExploration:
         assert study.upper_bound_speedup > 2.5
 
     def test_all_hotspots(self, checkpoint):
-        studies = explore_all(checkpoint, AURORA)
-        assert set(studies) == {
+        assert set(HOTSPOT_KERNELS) == {
             "geometry",
             "corrections",
             "extras",
             "acceleration",
             "energy",
         }
+        for kernel in HOTSPOT_KERNELS:
+            assert explore_kernel(checkpoint, kernel, AURORA).kernel == kernel
 
     def test_unknown_kernel_rejected(self, checkpoint):
         with pytest.raises(KeyError):
@@ -77,7 +79,8 @@ class TestTimerIntegration:
 
     def test_bracketed_replay_validates(self, reference_trace):
         from repro.kernels.adiabatic import TracePricer
-        from repro.observability import TraceRecorder, validate_against_profiler
+        from repro.observability import TraceRecorder
+        from tests.kernels.oracles import validate_against_profiler
         from repro.proglang.model import ProgrammingModel
 
         pricer = TracePricer(AURORA, ProgrammingModel.SYCL, "memory_object")
@@ -97,5 +100,5 @@ class TestTimerIntegration:
         # and the bracket totals equal the report's per-timer seconds
         # up to the compiler-variability factor (identity for SYCL)
         for timer, seconds in report.seconds_by_timer.items():
-            bracketed = sum(s.duration for s in recorder.spans_named(timer))
+            bracketed = sum(s.duration for s in spans_named(recorder, timer))
             assert bracketed == pytest.approx(seconds)

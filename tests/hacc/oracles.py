@@ -1,0 +1,129 @@
+"""Reference computations the hacc tests hold the product to.
+
+None of these runs in a step: each is a second, simpler route to a
+quantity the pipeline computes another way (a whole-list scatter, the
+corrected kernel on every pair, the energy balance, a quadrature of the
+kernel, the force-split fit error, the PM potential energy, sigma(R)),
+or the scoped backend selection the op-counting tests use.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+
+import numpy as np
+from scipy import integrate
+
+from repro import xp
+from repro.hacc.mesh import cic_interpolate
+from repro.hacc.particles import ParticleData
+from repro.hacc.pm import PMSolver
+from repro.hacc.power import PowerSpectrum
+from repro.hacc.short_range import PolynomialForceKernel, exact_short_range_factor
+from repro.hacc.sph.acceleration import AccelerationResult
+from repro.hacc.sph.corrections import CorrectionResult
+from repro.hacc.sph.energy import compute_energy_rate
+from repro.hacc.sph.kernels_math import SUPPORT, cubic_spline
+from repro.hacc.sph.pairs import PairContext
+
+
+@contextmanager
+def use_backend(name: str):
+    """Scoped backend selection; restores the previous one on exit."""
+    previous = xp.get_backend()
+    try:
+        yield xp.set_backend(name)
+    finally:
+        xp.set_backend(previous.name)
+
+
+def scatter_sum(ctx: PairContext, values: np.ndarray) -> np.ndarray:
+    """Sum whole-list pair values into per-particle accumulators
+    over i.
+
+    ``values`` may be (m,) or (m, k); returns (n,) or (n, k) in the
+    *input dtype* (float32 pair values accumulate as float32
+    instead of silently upcasting to float64).  This is the
+    vectorised analogue of the GPU kernels' atomic adds; a
+    particle's terms add in pair-list order, so equal inputs give
+    bit-equal sums -- the sums a pass over :meth:`PairContext.blocks`
+    gives.
+    """
+    values = np.asarray(values)
+    out = xp.zeros((ctx.n,) + values.shape[1:], dtype=values.dtype)
+    if ctx.n_pairs:
+        out[ctx.ids] = xp.segment_sum(values, ctx.starts)
+    return out
+
+
+def corrected_kernel_values(
+    ctx: PairContext, h: np.ndarray, corr: CorrectionResult
+) -> np.ndarray:
+    """W^R_ij = A_i (1 + B_i . (x_i - x_j)) W_ij on all pairs."""
+    w = ctx.kernel_values(h)
+    lin = 1.0 + xp.rowwise_dot(corr.b[ctx.i], ctx.dx)
+    return corr.a[ctx.i] * lin * w
+
+
+def pairwise_energy_balance(
+    ctx: PairContext,
+    volume: np.ndarray,
+    mass: np.ndarray,
+    pressure: np.ndarray,
+    velocity: np.ndarray,
+    accel: AccelerationResult,
+) -> float:
+    """Residual of the total-energy balance.
+
+    Computes d/dt (kinetic + thermal) from the two kernels' outputs;
+    the compatible discretisation makes this zero to round-off.
+    """
+    energy = compute_energy_rate(ctx, volume, mass, pressure, velocity, accel)
+    thermal_rate = float(np.sum(mass * energy.du_dt))
+    kinetic_rate = float(np.sum(mass[:, None] * velocity * accel.dv_dt))
+    return thermal_rate + kinetic_rate
+
+
+def verify_normalisation(h: float = 1.0, n_samples: int = 200) -> float:
+    """Quadrature of the kernel over its support (~1 when normalised)."""
+    r = np.linspace(0.0, SUPPORT * h, n_samples)
+    w = cubic_spline(r, np.full_like(r, h))
+    return float(np.trapezoid(4.0 * np.pi * r**2 * w, r))
+
+
+def max_fit_error(kernel: PolynomialForceKernel) -> float:
+    """Max absolute error of the fit strictly inside the cutoff.
+
+    The truncation error *at* the cutoff (where the kernel is
+    clamped to zero) is a property of the force split, not of the
+    polynomial fit, and is excluded here.
+    """
+    r = np.linspace(1e-3 * kernel.cutoff, 0.999 * kernel.cutoff, 2048)
+    return float(np.max(np.abs(kernel(r) - exact_short_range_factor(r, kernel.r_s))))
+
+
+def potential_energy(pm: PMSolver, particles: ParticleData) -> float:
+    """Long-range potential energy: 0.5 sum m phi."""
+    n_mesh = pm.config.n_mesh
+    delta = pm.density_contrast(particles)
+    delta_k = xp.rfftn(delta)
+    rho_bar = particles.total_mass() / pm.box**3
+    phi_k = pm.potential_k(delta_k, rho_bar)
+    phi_mesh = xp.irfftn(phi_k, s=(n_mesh,) * 3, axes=(0, 1, 2))
+    phi = cic_interpolate(phi_mesh, particles.positions, pm.box)
+    return float(0.5 * np.sum(particles.mass * phi))
+
+
+def sigma_r(power: PowerSpectrum, r: float, z: float = 0.0) -> float:
+    """RMS top-hat density fluctuation at radius ``r`` (Mpc/h)."""
+    if r <= 0:
+        raise ValueError("radius must be positive")
+
+    def integrand(lnk: float) -> float:
+        k = np.exp(lnk)
+        x = r * k
+        w = 3.0 * (np.sin(x) - x * np.cos(x)) / x**3
+        return float(power(np.array(k), z) * w**2 * k**3)
+
+    var, _err = integrate.quad(integrand, np.log(1e-5), np.log(50.0), limit=400)
+    return float(np.sqrt(var / (2.0 * np.pi**2)))

@@ -9,8 +9,8 @@ from repro.hacc.sph.kernels_math import (
     cubic_spline_derivative,
     cubic_spline_gradient,
     kernel_self_value,
-    verify_normalisation,
 )
+from tests.hacc.oracles import verify_normalisation
 
 
 class TestKernelValues:

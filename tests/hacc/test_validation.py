@@ -14,12 +14,12 @@ from repro.hacc.validation import validate_run
 from repro.observability.health import (
     CONTAINMENT_BREACHES,
     ENERGY_DRIFT,
-    HEALTH_SERIES,
     MASS_DRIFT,
     MOMENTUM_DRIFT,
     THERMO_VIOLATIONS,
     VOLUME_RATIO,
 )
+from tests.observability.oracles import HEALTH_SERIES
 
 #: every state invariant's series, in the order validate_run judges them
 STATE_SERIES = (

@@ -18,6 +18,7 @@ import pytest
 import repro
 from repro import xp
 from repro.xp.base import OP_NAMES, ArrayBackend
+from tests.hacc.oracles import scatter_sum, use_backend
 
 #: every backend registered at collection time (the reference alone)
 BACKENDS = xp.registered_backends()
@@ -68,7 +69,7 @@ class TestRegistry:
         assert xp.get_backend().name == "numpy"
 
     def test_use_backend_scopes_and_restores(self, echo_backend):
-        with xp.use_backend(echo_backend) as backend:
+        with use_backend(echo_backend) as backend:
             assert backend.name == echo_backend
             assert xp.get_backend() is backend
         assert xp.get_backend().name == "numpy"
@@ -205,7 +206,7 @@ class TestOpParity:
         values, starts = _segments_fixture(rng, trailing=trailing)
         for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
             typed = values.astype(dtype)
-            with xp.use_backend(backend):
+            with use_backend(backend):
                 got = xp.segment_sum(typed, starts)
             expect = _segment_sum_by_histogram(typed, starts)
             np.testing.assert_allclose(got, expect, rtol=tol, atol=tol)
@@ -216,7 +217,7 @@ class TestOpParity:
         rng = np.random.default_rng(11)
         a = rng.standard_normal((101, 3))
         b = rng.standard_normal((101, 3))
-        with xp.use_backend(backend):
+        with use_backend(backend):
             got = xp.rowwise_dot(a, b)
         np.testing.assert_allclose(got, (a * b).sum(axis=1), rtol=1e-13)
 
@@ -225,7 +226,7 @@ class TestOpParity:
         rng = np.random.default_rng(13)
         index = rng.integers(0, 20, size=300)
         weights = rng.standard_normal(300)
-        with xp.use_backend(backend):
+        with use_backend(backend):
             got = xp.bincount(index, weights=weights, minlength=25)
         expect = np.zeros(25)
         np.add.at(expect, index, weights)
@@ -234,7 +235,7 @@ class TestOpParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_argsort_is_stable(self, backend):
         keys = np.array([2, 1, 2, 1, 2, 1, 0, 0], dtype=np.int64)
-        with xp.use_backend(backend):
+        with use_backend(backend):
             order = xp.argsort(keys)
         # ties keep input order: the pair pipeline's determinism contract
         np.testing.assert_array_equal(order, [6, 7, 1, 3, 5, 0, 2, 4])
@@ -259,7 +260,7 @@ class TestDtypeFidelity:
         rng = np.random.default_rng(3)
         values, starts = _segments_fixture(rng, trailing=(3,))
         values = values.astype(dtype)
-        with xp.use_backend(backend):
+        with use_backend(backend):
             assert xp.segment_sum(values, starts).dtype == dtype
 
 
@@ -285,8 +286,8 @@ class TestScatterSumDtypeRegression:
         ctx, _h = _tiny_context()
         rng = np.random.default_rng(9)
         values = rng.standard_normal((ctx.n_pairs,) + shape).astype(np.float32)
-        with xp.use_backend(backend):
-            out = ctx.scatter_sum(values)
+        with use_backend(backend):
+            out = scatter_sum(ctx, values)
         assert out.dtype == np.float32
         assert out.shape == (ctx.n,) + shape
         np.testing.assert_allclose(
@@ -296,7 +297,7 @@ class TestScatterSumDtypeRegression:
     def test_float64_results_unchanged(self):
         ctx, _h = _tiny_context()
         values = np.random.default_rng(2).standard_normal(ctx.n_pairs)
-        out = ctx.scatter_sum(values)
+        out = scatter_sum(ctx, values)
         assert out.dtype == np.float64
         np.testing.assert_allclose(out, _reference_scatter(ctx, values), rtol=1e-12)
 
@@ -304,7 +305,7 @@ class TestScatterSumDtypeRegression:
         from repro.hacc.sph.pairs import PairContext
 
         ctx = PairContext.build(np.zeros((0, 3)), np.zeros(0), 1.0)
-        out = ctx.scatter_sum(np.zeros((0, 3), dtype=np.float32))
+        out = scatter_sum(ctx, np.zeros((0, 3), dtype=np.float32))
         assert out.dtype == np.float32
         assert out.shape == (0, 3)
 

@@ -14,6 +14,7 @@ import pytest
 from repro.core.cascade import cascade_data
 from repro.experiments import figure2, figures9_11
 from repro.kernels.specs import HOTSPOT_TIMERS
+from tests.experiments.oracles import best_variant, worst_variant
 
 
 @pytest.fixture(scope="module")
@@ -80,17 +81,17 @@ class TestFigures9to11Claims:
     def test_aurora_select_always_worst(self, efficiency_tables):
         table = efficiency_tables["Aurora"]
         for timer in HOTSPOT_TIMERS:
-            assert table.worst_variant(timer) == "select", timer
+            assert worst_variant(table, timer) == "select", timer
 
     def test_aurora_no_single_best_variant(self, efficiency_tables):
         table = efficiency_tables["Aurora"]
-        winners = {table.best_variant(t) for t in HOTSPOT_TIMERS}
+        winners = {best_variant(table, t) for t in HOTSPOT_TIMERS}
         assert len(winners) >= 2
 
     def test_aurora_broadcast_wins_atomic_heavy_kernels(self, efficiency_tables):
         table = efficiency_tables["Aurora"]
         for timer in ("upBarAc", "upBarAcF", "upBarDu", "upBarDuF"):
-            assert table.best_variant(timer) == "broadcast", timer
+            assert best_variant(table, timer) == "broadcast", timer
 
     def test_aurora_best_variant_gains_2_to_5x(self, efficiency_tables):
         # paper: "can improve performance by 2-5x"; the energy kernel
@@ -103,7 +104,7 @@ class TestFigures9to11Claims:
     def test_polaris_select_always_best(self, efficiency_tables):
         table = efficiency_tables["Polaris"]
         for timer in HOTSPOT_TIMERS:
-            assert table.best_variant(timer) == "select", timer
+            assert best_variant(table, timer) == "select", timer
 
     def test_polaris_broadcast_10x_on_some_kernels(self, efficiency_tables):
         table = efficiency_tables["Polaris"]
@@ -121,7 +122,7 @@ class TestFigures9to11Claims:
     def test_frontier_select_always_best(self, efficiency_tables):
         table = efficiency_tables["Frontier"]
         for timer in HOTSPOT_TIMERS:
-            assert table.best_variant(timer) == "select", timer
+            assert best_variant(table, timer) == "select", timer
 
     def test_frontier_memory_object_almost_always_second(self, efficiency_tables):
         table = efficiency_tables["Frontier"]

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.kernels.halfwarp import (
-    HalfWarpResult,
-    density_pair_function,
-    gravity_pair_function,
-    reference_all_pairs,
-    run_halfwarp,
-)
+from repro.kernels.halfwarp import HalfWarpResult, run_halfwarp
 from repro.kernels.variants import ALL_VARIANTS, variant_by_name
+from tests.kernels.oracles import density_pair_function, gravity_pair_function, reference_all_pairs
 
 
 @pytest.fixture

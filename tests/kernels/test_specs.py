@@ -4,11 +4,11 @@ import pytest
 
 from repro.hacc.timestep import GRAVITY_KERNEL, TIMER_NAMES
 from repro.kernels.specs import (
-    HOTSPOT_KERNELS,
     HOTSPOT_TIMERS,
     KERNEL_SPECS,
     TIMER_TO_KERNEL,
 )
+from tests.kernels.oracles import HOTSPOT_KERNELS
 
 
 class TestCoverage:

@@ -5,6 +5,7 @@ import pytest
 from repro.machine.cost_model import CostModel, InstructionProfile, KernelLaunch
 from repro.machine.device import GRFMode
 from repro.machine.registry import AURORA, FRONTIER, POLARIS
+from tests.machine.oracles import scaled
 
 
 def flop_profile(fma: float = 1000.0, **kw) -> InstructionProfile:
@@ -117,7 +118,7 @@ class TestProfileHelpers:
         p = InstructionProfile(
             fma=10, shuffles=2, registers_needed=77, local_mem_bytes_per_workgroup=512
         )
-        s = p.scaled(3.0)
+        s = scaled(p, 3.0)
         assert s.fma == 30
         assert s.shuffles == 6
         assert s.registers_needed == 77

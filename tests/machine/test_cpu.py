@@ -6,7 +6,7 @@ from repro.kernels.adiabatic import AdiabaticKernelDefinition, price_trace
 from repro.kernels.specs import KERNEL_SPECS
 from repro.kernels.variants import variant_by_name
 from repro.machine.cost_model import KernelLaunch
-from repro.machine.cpu import CPU_HOST, atomic_cycle_share, pp_with_cpu
+from repro.machine.cpu import CPU_HOST, pp_with_cpu
 from repro.machine.device import Vendor
 from repro.machine.registry import all_devices
 from repro.proglang.model import (
@@ -14,6 +14,7 @@ from repro.proglang.model import (
     ProgrammingModel,
     is_available,
 )
+from tests.machine.oracles import atomic_cycle_share
 
 
 class TestCPUDevice:

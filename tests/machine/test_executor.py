@@ -51,9 +51,3 @@ class TestLedger:
         submit(executor, "a")
         submit(executor, "a")
         assert executor.calls_by_kernel() == {"a": 2}
-
-    def test_reset_clears_ledger(self, executor):
-        submit(executor)
-        executor.reset()
-        assert executor.total_seconds() == 0.0
-        assert executor.records == []

@@ -12,7 +12,7 @@ class TestIntelOccupancy:
         occ = OccupancyCalculator(AURORA).calculate(
             subgroup_size=32, workgroup_size=128, registers_needed=32
         )
-        assert occ.is_full
+        assert occ.occupancy >= 0.999
         assert occ.limited_by == "threads"
 
     def test_large_grf_caps_occupancy_at_half(self):
@@ -40,7 +40,7 @@ class TestOccupancyTraded:
             workgroup_size=128,
             registers_needed=POLARIS.registers_per_thread,
         )
-        assert occ.is_full
+        assert occ.occupancy >= 0.999
 
     def test_high_register_demand_reduces_occupancy(self):
         calc = OccupancyCalculator(POLARIS)

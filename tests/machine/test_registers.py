@@ -28,7 +28,7 @@ class TestAssignment:
     def test_within_budget_no_spills(self):
         a = RegisterModel(POLARIS).assign(100, subgroup_size=32)
         assert a.allocated == 100
-        assert not a.has_spills
+        assert a.spilled == 0
 
     def test_beyond_budget_spills_excess(self):
         a = RegisterModel(POLARIS).assign(300, subgroup_size=32)

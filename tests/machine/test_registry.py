@@ -9,7 +9,6 @@ from repro.machine.registry import (
     POLARIS,
     all_devices,
     device_by_name,
-    platform_set,
     table1_rows,
 )
 
@@ -28,9 +27,6 @@ class TestRegistry:
     def test_unknown_device_raises(self):
         with pytest.raises(KeyError):
             device_by_name("el-capitan")
-
-    def test_platform_set(self):
-        assert platform_set() == ("Aurora", "Polaris", "Frontier")
 
     def test_vendors(self):
         assert AURORA.vendor is Vendor.INTEL

@@ -27,12 +27,6 @@ class TestSelect:
             12 * shuffle.select_cycles(AURORA, 32)
         )
 
-    def test_xor_pattern_costs_like_select(self):
-        # data-dependent source lanes: no compile-time lowering
-        assert shuffle.xor_shuffle_cycles(AURORA, 32) == shuffle.select_cycles(
-            AURORA, 32
-        )
-
 
 class TestBroadcast:
     def test_intel_broadcast_is_cheap(self):

@@ -45,10 +45,6 @@ class TestKernelParsing:
         assert "data[tid] *= 2.0f;" in k.body
         assert "second_kernel" not in k.body
 
-    def test_signature_reconstruction(self):
-        k = parse_cuda_source(SOURCE).kernel("simple_kernel")
-        assert k.signature == "__global__ void simple_kernel(float* data, int n)"
-
     def test_nested_braces_in_body(self):
         src = "__global__ void k(int n) { if (n) { for (;;) { n--; } } }"
         k = parse_cuda_source(src).kernel("k")

@@ -51,7 +51,8 @@ class TestMigrationStats:
         # "~6,000 lines of SYCL can be attributed to the kernel
         # function object definitions"
         for s in stats:
-            assert s.header_share > 0.5, s.kernel
+            inflation = s.sycl_total_sloc - s.cuda_sloc
+            assert 0 < inflation < 2 * s.header_sloc, s.kernel
 
     def test_kernel_bodies_similar_in_size(self, stats):
         # "The remainder of the SYCL code (the kernels themselves) is

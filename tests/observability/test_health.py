@@ -17,7 +17,6 @@ from repro.observability.health import (
     ENERGY_FLOOR,
     ENERGY_TOLERANCE,
     GUARD_HIT_RATE,
-    HEALTH_SERIES,
     KINETIC_ENERGY,
     MASS_DRIFT,
     MOMENTUM_DRIFT,
@@ -36,6 +35,7 @@ from repro.observability.health import (
     ThresholdDetector,
     default_monitor,
 )
+from tests.observability.oracles import HEALTH_SERIES
 
 pytestmark = pytest.mark.observability
 

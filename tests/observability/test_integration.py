@@ -3,8 +3,9 @@
 import pytest
 
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
-from repro.kernels.specs import HOTSPOT_KERNELS, TIMER_TO_KERNEL
+from repro.kernels.specs import TIMER_TO_KERNEL
 from repro.observability import MetricsRegistry, TraceRecorder
+from tests.kernels.oracles import HOTSPOT_KERNELS
 
 pytestmark = pytest.mark.observability
 

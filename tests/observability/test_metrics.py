@@ -44,13 +44,13 @@ class TestHistogramBuckets:
         h.observe(1.5)  # bucket 1 (<= 2)
         h.observe(4.0)  # bucket 2 (== last edge)
         h.observe(100.0)  # overflow
-        assert h.bucket_counts == (2, 1, 1, 1)
+        assert h.export()["counts"] == [2, 1, 1, 1]
         assert h.count == 5
         assert h.sum == pytest.approx(107.0)
 
     def test_n_edges_gives_n_plus_one_buckets(self):
         h = Histogram("h", edges=INTERACTIONS_BUCKETS)
-        assert len(h.bucket_counts) == len(INTERACTIONS_BUCKETS) + 1
+        assert len(h.export()["counts"]) == len(INTERACTIONS_BUCKETS) + 1
 
     def test_rejects_empty_edges(self):
         with pytest.raises(ValueError, match="at least one edge"):

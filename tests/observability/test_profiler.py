@@ -41,18 +41,6 @@ class TestExecutorLedger:
             sum(r.seconds for r in executor.records)
         )
 
-    def test_records_for_returns_per_kernel_records(self):
-        executor = DeviceExecutor(FRONTIER)
-        submit(executor, "a")
-        submit(executor, "b")
-        submit(executor, "a", fma=50.0)
-        records = executor.records_for("a")
-        assert [r.kernel_name for r in records] == ["a", "a"]
-        assert executor.records_for("missing") == []
-        # a copy: mutating it does not corrupt the ledger
-        records.clear()
-        assert len(executor.records_for("a")) == 2
-
     def test_observer_sees_every_submission(self):
         executor = DeviceExecutor(FRONTIER)
         seen = []
@@ -60,14 +48,6 @@ class TestExecutorLedger:
         submit(executor, "a")
         submit(executor, "b")
         assert seen == ["a", "b"]
-
-    def test_reset_clears_aggregates(self):
-        executor = DeviceExecutor(FRONTIER)
-        submit(executor, "a")
-        executor.reset()
-        assert executor.calls_by_kernel() == {}
-        assert executor.seconds_by_kernel() == {}
-        assert executor.records_for("a") == []
 
 
 class TestKernelProfiler:

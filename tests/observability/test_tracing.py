@@ -14,6 +14,7 @@ from repro.observability import (
     read_events,
     write_event_log,
 )
+from tests.observability.oracles import spans_named
 
 pytestmark = pytest.mark.observability
 
@@ -59,7 +60,7 @@ class TestSpanNesting:
             with recorder.span("inner"):
                 clock.advance(2.0)
             clock.advance(1.0)
-        inner, outer = recorder.spans_named("inner")[0], recorder.spans_named("outer")[0]
+        inner, outer = spans_named(recorder, "inner")[0], spans_named(recorder, "outer")[0]
         # the inner span is recorded first (it closes first) ...
         assert [s.name for s in recorder.spans] == ["inner", "outer"]
         # ... but the timeline nests it inside the outer span
@@ -74,7 +75,7 @@ class TestSpanNesting:
                 clock.advance(0.1)
             with recorder.span("b"):
                 clock.advance(0.1)
-        a, b = recorder.spans_named("a")[0], recorder.spans_named("b")[0]
+        a, b = spans_named(recorder, "a")[0], spans_named(recorder, "b")[0]
         assert a.depth == b.depth == 1
         assert a.path == "step/a"
         assert b.path == "step/b"
@@ -85,7 +86,7 @@ class TestSpanNesting:
             with recorder.span("doomed"):
                 clock.advance(1.0)
                 raise RuntimeError("kernel fault")
-        (span,) = recorder.spans_named("doomed")
+        (span,) = spans_named(recorder, "doomed")
         assert span.duration == pytest.approx(1.0)
 
     def test_span_args_recorded(self, recorder):
@@ -151,17 +152,6 @@ class TestTracks:
         with recorder.span("after"):
             pass
         assert recorder.spans[0].pid == DEFAULT_TRACK
-
-    def test_merge_with_pid_offset(self, recorder):
-        other = TraceRecorder(clock=FakeClock())
-        with other.track(0, name="rank 0"):
-            other.add_span("k", begin=0.0, end=1.0, pid=0)
-        other.instant("e", pid=1, ts=0.5)
-        recorder.add_span("local", begin=0.0, end=1.0)
-        recorder.merge(other, pid_offset=10)
-        assert recorder.tracks() == {DEFAULT_TRACK, 10, 11}
-        merged = recorder.spans_named("k")[0]
-        assert merged.pid == 10
 
 
 def chrome_events(recorder):

@@ -98,8 +98,3 @@ class TestSubmission:
         compiled = Compiler(FRONTIER, ProgrammingModel.SYCL).compile(ToyKernel())
         with pytest.raises(CompileError):
             compiled.submit(DeviceExecutor(POLARIS), 4096)
-
-    def test_compile_all_keys_by_name(self):
-        compiler = Compiler(POLARIS, ProgrammingModel.SYCL)
-        out = compiler.compile_all([ToyKernel()])
-        assert set(out) == {"toy"}

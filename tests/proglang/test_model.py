@@ -6,7 +6,6 @@ from repro.machine.registry import AURORA, FRONTIER, POLARIS
 from repro.proglang.model import (
     CompileError,
     ProgrammingModel,
-    available_models,
     default_fast_math,
     is_available,
     require_available,
@@ -32,10 +31,6 @@ class TestAvailabilityMatrix:
         assert is_available(ProgrammingModel.SYCL_VISA, AURORA)
         assert not is_available(ProgrammingModel.SYCL_VISA, POLARIS)
         assert not is_available(ProgrammingModel.SYCL_VISA, FRONTIER)
-
-    def test_available_models_lists(self):
-        assert ProgrammingModel.SYCL in available_models(AURORA)
-        assert ProgrammingModel.CUDA not in available_models(FRONTIER)
 
 
 class TestFastMathDefaults:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.machine.cost_model import CostModel, InstructionProfile, KernelLaunch
 from repro.machine.registry import AURORA, FRONTIER, POLARIS, all_devices
+from tests.machine.oracles import scaled
 
 devices = st.sampled_from(list(all_devices()))
 
@@ -56,7 +57,7 @@ class TestCostModelProperties:
     def test_monotone_in_work(self, device, profile, factor):
         cm = CostModel(device)
         base = cm.kernel_cost(profile, launch_for(device))
-        more = cm.kernel_cost(profile.scaled(factor), launch_for(device))
+        more = cm.kernel_cost(scaled(profile, factor), launch_for(device))
         assert more.seconds >= base.seconds * 0.999
 
     @given(devices, profiles())

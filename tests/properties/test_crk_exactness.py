@@ -18,14 +18,11 @@ import numpy as np
 import pytest
 
 from repro import xp
-from repro.hacc.sph.corrections import (
-    compute_corrections,
-    corrected_kernel_gradients,
-    corrected_kernel_values,
-)
+from repro.hacc.sph.corrections import compute_corrections, corrected_kernel_gradients
 from repro.hacc.sph.geometry import compute_geometry
 from repro.hacc.sph.kernels_math import SUPPORT, kernel_self_value
 from repro.hacc.sph.pairs import PairContext
+from tests.hacc.oracles import corrected_kernel_values, scatter_sum, use_backend
 
 BACKENDS = xp.registered_backends()
 
@@ -45,7 +42,7 @@ def crk_state(request):
     """(backend, pos, h, ctx, volume, corrections) computed end to end
     under one backend: build, geometry iteration, correction solve."""
     backend = request.param
-    with xp.use_backend(backend):
+    with use_backend(backend):
         rng = np.random.default_rng(1234)
         pos = _jittered_lattice(rng)
         h = np.full(len(pos), 1.3 * BOX / N_SIDE)
@@ -59,10 +56,10 @@ class TestReproducingConditions:
     def test_zeroth_moment_is_one(self, crk_state):
         # sum_j V_j W^R_ij + V_i W^R_ii = 1: constants are reproduced
         backend, _pos, h, ctx, volume, corr = crk_state
-        with xp.use_backend(backend):
+        with use_backend(backend):
             wr = corrected_kernel_values(ctx, h, corr)
             total = (
-                ctx.scatter_sum(volume[ctx.j] * wr)
+                scatter_sum(ctx, volume[ctx.j] * wr)
                 + corr.a * volume * kernel_self_value(h)
             )
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
@@ -70,9 +67,9 @@ class TestReproducingConditions:
     def test_first_moment_is_zero(self, crk_state):
         # sum_j V_j (x_j - x_i) W^R_ij = 0: linear moments annihilated
         backend, _pos, h, ctx, volume, corr = crk_state
-        with xp.use_backend(backend):
+        with use_backend(backend):
             wr = corrected_kernel_values(ctx, h, corr)
-            moment = ctx.scatter_sum((volume[ctx.j] * wr)[:, None] * (-ctx.dx))
+            moment = scatter_sum(ctx, (volume[ctx.j] * wr)[:, None] * (-ctx.dx))
         assert np.abs(moment).max() < 1e-7 * np.abs(ctx.dx).max()
 
     def test_linear_field_gradient_is_exact(self, crk_state):
@@ -81,10 +78,10 @@ class TestReproducingConditions:
         # through the minimum image so the periodic seam stays affine
         backend, _pos, h, ctx, volume, corr = crk_state
         slope = np.array([0.7, -0.4, 0.2])
-        with xp.use_backend(backend):
+        with use_backend(backend):
             gw = corrected_kernel_gradients(ctx, h, corr)
             df = (-ctx.dx) @ slope  # F_j - F_i, minimum image
-            grad = ctx.scatter_sum((volume[ctx.j] * df)[:, None] * gw)
+            grad = scatter_sum(ctx, (volume[ctx.j] * df)[:, None] * gw)
         np.testing.assert_allclose(
             grad, np.tile(slope, (ctx.n, 1)), atol=2e-7
         )
@@ -92,8 +89,8 @@ class TestReproducingConditions:
     def test_constant_field_gradient_vanishes(self, crk_state):
         # the same estimator on a constant field is identically zero
         backend, _pos, h, ctx, volume, corr = crk_state
-        with xp.use_backend(backend):
+        with use_backend(backend):
             gw = corrected_kernel_gradients(ctx, h, corr)
             zero = volume[ctx.j] * 0.0
-            grad = ctx.scatter_sum(zero[:, None] * gw)
+            grad = scatter_sum(ctx, zero[:, None] * gw)
         np.testing.assert_array_equal(grad, 0.0)

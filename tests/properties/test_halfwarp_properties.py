@@ -5,12 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.kernels.halfwarp import (
-    gravity_pair_function,
-    reference_all_pairs,
-    run_halfwarp,
-)
+from repro.kernels.halfwarp import run_halfwarp
 from repro.kernels.variants import ALL_VARIANTS
+from tests.kernels.oracles import gravity_pair_function, reference_all_pairs
 
 leaf_sizes = st.sampled_from([4, 8, 16])
 

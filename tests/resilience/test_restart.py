@@ -5,18 +5,14 @@ import pytest
 
 from repro.hacc.checkpoint import CheckpointError
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
-from repro.resilience.faults import (
-    CheckpointWriteFault,
-    FaultInjector,
-    FaultSpec,
-    plan_from_specs,
-)
+from repro.resilience.faults import CheckpointWriteFault, FaultInjector, FaultSpec
 from repro.resilience.restart import (
     KEEP_CHECKPOINTS,
     SIM_FORMAT_VERSION,
     CheckpointManager,
     SimulationCheckpoint,
 )
+from tests.resilience.oracles import plan_from_specs
 
 
 def small_config(n_steps: int = 3) -> SimulationConfig:
@@ -297,7 +293,7 @@ class TestDifferentialCheckpoint:
 
         base = SimulationCheckpoint.capture(mid_run_driver)
         diff = DifferentialCheckpoint.capture(mid_run_driver, base)
-        assert diff.n_dirty == 0  # nothing moved since the base
+        assert diff.dirty_arrays == {}  # nothing moved since the base
 
     def test_materialise_round_trips(self, mid_run_driver):
         from repro.resilience.restart import DifferentialCheckpoint
@@ -307,7 +303,7 @@ class TestDifferentialCheckpoint:
         schedule = driver.schedule()
         driver.step(float(schedule[2]), float(schedule[3]))
         diff = DifferentialCheckpoint.capture(driver, base)
-        assert diff.n_dirty > 0
+        assert diff.dirty_arrays
         restored = diff.materialise().restore_driver()
         assert restored.step_index == driver.step_index
         for name, arr in driver.particles.arrays.items():
