@@ -17,23 +17,9 @@ The package is organised by the layers of the paper's study:
   portability, code divergence, cascade/navigation charts, Table 2),
 - :mod:`repro.experiments` -- regenerators for every table and figure
   of the paper's evaluation.
+
+Importing the package loads nothing else: each layer is imported by
+name, so a run pays only for the layers it uses.
 """
 
 __version__ = "1.0.0"
-
-from repro.core.metrics import performance_portability
-from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
-from repro.kernels.adiabatic import price_trace
-from repro.machine.registry import AURORA, FRONTIER, POLARIS, all_devices
-
-__all__ = [
-    "__version__",
-    "performance_portability",
-    "AdiabaticDriver",
-    "SimulationConfig",
-    "price_trace",
-    "AURORA",
-    "POLARIS",
-    "FRONTIER",
-    "all_devices",
-]

@@ -7,15 +7,13 @@ canonical :func:`~repro.core.confighash.config_hash` of whatever
 produced the entry, so *any* two requests for the same computation hit
 the same entry regardless of who asked or when.
 
-Three entry classes share one store, namespaced by key prefix:
+Two entry classes share one store, namespaced by key prefix:
 
 - ``result:<spec-hash>`` — finished :class:`~repro.service.jobs.JobResult`
   products (the big win: a duplicate request never re-simulates);
 - ``ic:<ic-config-hash>`` — generated initial-condition particle
   loads, shared by every job at the same resolution/seed regardless
-  of step count or products;
-- ``tf:<cosmology-hash>`` — linear-theory P(k) tables (the transfer
-  function evaluated on the measurement grid).
+  of step count or products.
 
 Eviction is LRU over a byte budget.  Entries self-report their size
 (NumPy payloads via ``nbytes``); an entry larger than the whole

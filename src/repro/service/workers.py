@@ -22,11 +22,9 @@ Two execution paths:
   buddy adoption) instead of failing the request.
 
 Inputs are shared through the content-addressed cache: the Zel'dovich
-particle load (``ic:``, keyed on the IC config hash) and the
-sigma8-normalised linear power spectrum (``tf:``, keyed on the
-cosmology hash — its normalisation integral is the expensive part) are
-computed once and reused by every job that needs them.  Finished
-products land under ``result:<spec-hash>``.
+particle load (``ic:``, keyed on the IC config hash) is computed once
+and reused by every job that needs it.  Finished products land under
+``result:<spec-hash>``.
 
 Every job's execution is a flame span (``category="job"``) on the
 service's :class:`~repro.observability.tracing.TraceRecorder`, with
@@ -48,13 +46,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.core.confighash import config_hash
 from repro.hacc.analysis import measure_power_spectrum
-from repro.hacc.cosmology import Cosmology
 from repro.hacc.halo import fof
 from repro.hacc.ic import zeldovich_ics
 from repro.hacc.particles import ParticleData, Species
-from repro.hacc.power import PowerSpectrum
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig, StepDiagnostics
 from repro.observability.export import (
     EventLogWriter,
@@ -76,7 +71,7 @@ class ServiceConfig:
 
     #: concurrent worker tasks
     workers: int = 2
-    #: result/IC/transfer-function cache budget in bytes
+    #: result/IC cache budget in bytes
     cache_bytes: int = 256 * 1024 * 1024
     #: per-tenant active-job quota
     quota: TenantQuota = TenantQuota()
@@ -396,23 +391,15 @@ class SimulationService:
     def _initial_load(self, config: SimulationConfig) -> ParticleData:
         """The IC particle load, shared through the content cache.
 
-        The linear P(k) table (its sigma8 normalisation is a numeric
-        integral) is cached per cosmology (``tf:``); the generated
-        Zel'dovich load is cached per IC config (``ic:``) and deep-
-        copied out, since every driver mutates its particles.
+        The generated Zel'dovich load is cached per IC config (``ic:``)
+        and deep-copied out, since every driver mutates its particles.
         """
-        cosmology = Cosmology()
-        power = self.cache.get_or_create(
-            f"tf:{config_hash(cosmology)}", lambda: PowerSpectrum(cosmology)
-        )
         ic_config = config.ic_config()
         arrays = self.cache.get_or_create(
             f"ic:{ic_config.content_hash()}",
             lambda: {
                 name: arr.copy()
-                for name, arr in zeldovich_ics(
-                    ic_config, cosmology, power
-                ).arrays.items()
+                for name, arr in zeldovich_ics(ic_config).arrays.items()
             },
         )
         return ParticleData(

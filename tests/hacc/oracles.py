@@ -3,8 +3,9 @@
 None of these runs in a step: each is a second, simpler route to a
 quantity the pipeline computes another way (a whole-list scatter, the
 corrected kernel on every pair, the energy balance, a quadrature of the
-kernel, the force-split fit error, the PM potential energy, sigma(R)),
-or the scoped backend selection the op-counting tests use.
+kernel, the force-split fit error, the PM potential energy, sigma(R),
+the cosmology integrals by adaptive quadrature), or the scoped backend
+selection the op-counting tests use.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import numpy as np
 from scipy import integrate
 
 from repro import xp
+from repro.hacc.cosmology import Cosmology
 from repro.hacc.mesh import cic_interpolate
 from repro.hacc.particles import ParticleData
 from repro.hacc.pm import PMSolver
-from repro.hacc.power import PowerSpectrum
+from repro.hacc.power import TRANSFER_FUNCTIONS, PowerSpectrum
 from repro.hacc.short_range import PolynomialForceKernel, exact_short_range_factor
 from repro.hacc.sph.acceleration import AccelerationResult
 from repro.hacc.sph.corrections import CorrectionResult
@@ -125,5 +127,47 @@ def sigma_r(power: PowerSpectrum, r: float, z: float = 0.0) -> float:
         w = 3.0 * (np.sin(x) - x * np.cos(x)) / x**3
         return float(power(np.array(k), z) * w**2 * k**3)
 
-    var, _err = integrate.quad(integrand, np.log(1e-5), np.log(50.0), limit=400)
+    var, _err = integrate.quad(
+        integrand, np.log(1e-5), np.log(50.0), epsabs=0.0, epsrel=1e-12, limit=400
+    )
     return float(np.sqrt(var / (2.0 * np.pi**2)))
+
+
+#: QUADPACK held to round-off: what the product's fixed rules must match
+TIGHT_QUAD = {"epsabs": 0.0, "epsrel": 1e-13, "limit": 1000}
+
+
+def growth_factor(cosmology: Cosmology, a: float) -> float:
+    """D(a) = H(a) int_0^a da' / (a' H(a'))^3, normalised to D(1) = 1,
+    integrated in a' as written."""
+
+    def unnormalised(a: float) -> float:
+        value, _err = integrate.quad(
+            lambda ap: 1.0 / (ap * cosmology.E(ap)) ** 3, 0.0, a, **TIGHT_QUAD
+        )
+        return cosmology.E(a) * value
+
+    return float(unnormalised(a) / unnormalised(1.0))
+
+
+def leapfrog_integral(cosmology: Cosmology, a0: float, a1: float, power: int) -> float:
+    """int_a0^a1 da / (a^power H(a)): the drift (power 3) or kick (2)."""
+    value, _err = integrate.quad(
+        lambda a: 1.0 / (a**power * cosmology.H(a)), a0, a1, **TIGHT_QUAD
+    )
+    return float(value)
+
+
+def sigma8_amplitude(cosmology: Cosmology, transfer: str) -> float:
+    """The P(k) = A k^n_s T(k)^2 amplitude that puts sigma(8 Mpc/h) at
+    sigma8, from the public transfer fit."""
+
+    def integrand(lnk: float) -> float:
+        k = np.exp(lnk)
+        x = 8.0 * k
+        w = 3.0 * (np.sin(x) - x * np.cos(x)) / x**3
+        t = TRANSFER_FUNCTIONS[transfer](np.array([k]), cosmology)[0]
+        return float(k**cosmology.n_s * t**2 * w**2 * k**3)
+
+    var, _err = integrate.quad(integrand, np.log(1e-5), np.log(50.0), **TIGHT_QUAD)
+    return float(cosmology.sigma8**2 * 2.0 * np.pi**2 / var)

@@ -33,7 +33,7 @@ class TestTransferFunction:
 
 class TestNormalisation:
     def test_sigma8_pinned(self, power):
-        assert sigma_r(power, 8.0) == pytest.approx(power.cosmology.sigma8, rel=1e-2)
+        assert sigma_r(power, 8.0) == pytest.approx(power.cosmology.sigma8, rel=1e-9)
 
     def test_growth_scaling_with_redshift(self, power):
         k = np.array([0.1])

@@ -52,7 +52,7 @@ class TestTransferSelection:
         c = Cosmology()
         for name in TRANSFER_FUNCTIONS:
             p = PowerSpectrum(c, transfer=name)
-            assert sigma_r(p, 8.0) == pytest.approx(c.sigma8, rel=1e-2), name
+            assert sigma_r(p, 8.0) == pytest.approx(c.sigma8, rel=1e-9), name
 
     def test_different_shapes_after_normalisation(self):
         c = Cosmology()
