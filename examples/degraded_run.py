@@ -9,16 +9,15 @@ ranks and keeps going.  This example opts into that ladder
 without touching disk at all:
 
 1. rank 3 is killed at step 1 — the seven survivors agree on the dead
-   set, rank 4 adopts rank 3's buddy snapshot from the in-memory
-   differential-checkpoint tier, everyone rolls back one step, and the
-   run continues on a 7-rank communicator;
+   set, each rolls back to its own copy of the last step all ranks
+   agreed on, and the run continues on a 7-rank communicator;
 2. rank 5 is killed at step 2 — same protocol again, and the run
    finishes on 6 ranks.
 
-No ``checkpoint_dir`` is configured: recovery state lives entirely in
-the buddy tier (each rank deposits a differential snapshot with its
-ring neighbour every step).  The degraded run must still reproduce the
-fault-free reference bit for bit, because the replicated-lockstep
+No ``checkpoint_dir`` is configured: every rank is a replica, so the
+rollback point each keeps in memory after every agreed step is all the
+recovery state a shrink needs.  The degraded run must still reproduce
+the fault-free reference bit for bit, because the replicated-lockstep
 model computes identical physics on every rank regardless of world
 size.
 

@@ -1,7 +1,7 @@
 """Unit system of the mini-app.
 
 HACC works in comoving coordinates with lengths in Mpc/h, masses in
-Msun/h and internal "code" velocities; we adopt a compatible convention
+Msun/h and internal "code" velocities; we use a compatible convention
 and keep Newton's constant in those units as a single definition point.
 Every module that needs dimensional constants imports them from here.
 """

@@ -40,7 +40,6 @@ METRIC_GLOSSARY: dict[str, str] = {
     "resilience.retries": "attempt restarts performed by the recovery loop (counter)",
     "sim.resilience.degraded": "runs that finished degraded (shrunk world) rather than restarting (counter)",
     "sim.resilience.shrinks": "ULFM-style communicator shrinks performed by survivors (counter)",
-    "sim.resilience.buddy_restores": "dead ranks' snapshots adopted from the in-memory buddy tier (counter)",
     "sim.resilience.checkpoint_skipped": "invalid (zero-byte/torn/corrupt) checkpoint files skipped during recovery discovery (counter)",
     "sim.resilience.backoff_seconds": "wall seconds slept by the unified BackoffPolicy between retries (counter)",
     "sim.resilience.guard_screens": "hot-kernel outputs screened by the in-flight NaN/Inf guard (counter)",

@@ -54,12 +54,7 @@ from repro.resilience.guards import (
     KernelGuard,
     RetryPolicy,
 )
-from repro.resilience.restart import (
-    BuddyStore,
-    CheckpointManager,
-    DifferentialCheckpoint,
-    SimulationCheckpoint,
-)
+from repro.resilience.restart import CheckpointManager, SimulationCheckpoint
 from repro.resilience.runner import (
     AttemptRecord,
     SimulationAborted,
@@ -70,7 +65,6 @@ from repro.resilience.runner import (
 __all__ = [
     "AttemptRecord",
     "BackoffPolicy",
-    "BuddyStore",
     "ChaosOutcome",
     "ChaosReport",
     "CheckpointError",
@@ -78,7 +72,6 @@ __all__ = [
     "CheckpointWriteFault",
     "DEGRADE_POLICIES",
     "DegradationEvent",
-    "DifferentialCheckpoint",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

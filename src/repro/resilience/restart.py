@@ -19,45 +19,22 @@ propagated into physics).
 :class:`CheckpointManager` adds the periodic-write policy on top:
 checkpoint every *k* steps, keep a bounded history, find the newest
 *valid* checkpoint on restart (skipping any corrupt file).
-
-The buddy tier (shrink-and-continue recovery)
----------------------------------------------
-Disk checkpoints funnel through rank 0 — exactly the bottleneck and
-single point of failure graceful degradation must avoid.  The buddy
-tier keeps recovery *in memory and peer-to-peer*:
-
-- :class:`DifferentialCheckpoint` is a cheap per-step snapshot storing
-  only the arrays *dirty* since a base :class:`SimulationCheckpoint`
-  (for the replicated mini-app that is the mutating state; clean
-  arrays are shared by reference with the base), checksummed with the
-  same SHA-256 payload digest as the disk format;
-- :class:`BuddyStore` assigns every rank a *buddy* (the next live rank
-  around the ring) that holds a copy of its latest differential
-  snapshot.  After a shrink, a survivor adopts its dead buddy's
-  snapshot — verified against the stored checksum — so the world
-  resumes from the last agreed step without touching rank 0's disk.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import threading
 import warnings
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
 from repro.core.confighash import config_hash
-from repro.hacc.checkpoint import (
-    CheckpointError,
-    atomic_save,
-    payload_digest,
-    verified_load,
-)
+from repro.hacc.checkpoint import CheckpointError, atomic_save, verified_load
 from repro.hacc.particles import ParticleData
 from repro.hacc.timestep import (
     AdiabaticDriver,
@@ -399,171 +376,3 @@ class CheckpointManager:
         """Retry backoff: halve the cadence (checkpoint more often)."""
         self.every = max(1, self.every // 2)
 
-
-# ---------------------------------------------------------------------------
-# The in-memory buddy tier
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class DifferentialCheckpoint:
-    """A differential snapshot against a base :class:`SimulationCheckpoint`.
-
-    Stores only the particle arrays that changed since ``base``
-    (``dirty_arrays``); clean arrays are shared with the base by
-    reference.  The checksum covers the dirty payload plus the step
-    position, so a holder can verify an adopted copy before restoring
-    from it — the same trust-nothing discipline as the disk format.
-    """
-
-    base: SimulationCheckpoint
-    step_index: int
-    a: float
-    dirty_arrays: dict[str, np.ndarray]
-    rng_state: dict[str, Any]
-    trace: tuple[KernelInvocation, ...]
-    diagnostics: tuple[StepDiagnostics, ...]
-    checksum: str
-
-    @classmethod
-    def capture(
-        cls, driver: AdiabaticDriver, base: SimulationCheckpoint
-    ) -> "DifferentialCheckpoint":
-        """Snapshot ``driver`` as a diff against ``base``."""
-        dirty: dict[str, np.ndarray] = {}
-        for name, arr in driver.particles.arrays.items():
-            ref = base.particle_arrays.get(name)
-            if ref is None or not np.array_equal(ref, arr):
-                dirty[name] = arr.copy()
-        step = driver.step_index
-        return cls(
-            base=base,
-            step_index=step,
-            a=driver.a,
-            dirty_arrays=dirty,
-            rng_state=json.loads(json.dumps(driver.rng.bit_generator.state)),
-            trace=tuple(driver.trace.invocations),
-            diagnostics=tuple(driver.diagnostics),
-            checksum=cls._digest(dirty, step),
-        )
-
-    @staticmethod
-    def _digest(dirty: dict[str, np.ndarray], step_index: int) -> str:
-        payload = dict(dirty)
-        payload["__step__"] = np.int64(step_index)
-        return payload_digest(payload)
-
-    def verify(self) -> None:
-        """Raise :class:`CheckpointError` if the payload was corrupted."""
-        actual = self._digest(self.dirty_arrays, self.step_index)
-        if actual != self.checksum:
-            raise CheckpointError(
-                f"differential checkpoint at step {self.step_index}: "
-                f"checksum mismatch (stored {self.checksum[:12]}..., "
-                f"data {actual[:12]}...)"
-            )
-
-    def materialise(self) -> SimulationCheckpoint:
-        """Verify, then rebuild the full :class:`SimulationCheckpoint`
-        (base arrays overlaid with the dirty ones)."""
-        self.verify()
-        arrays = {
-            name: arr.copy() for name, arr in self.base.particle_arrays.items()
-        }
-        for name, arr in self.dirty_arrays.items():
-            arrays[name] = arr.copy()
-        return SimulationCheckpoint(
-            step_index=self.step_index,
-            a=self.a,
-            config=self.base.config,
-            box=self.base.box,
-            particle_arrays=arrays,
-            rng_state=json.loads(json.dumps(self.rng_state)),
-            trace=self.trace,
-            diagnostics=self.diagnostics,
-        )
-
-
-class BuddyStore:
-    """In-memory peer-held snapshots for shrink-and-continue recovery.
-
-    Every rank, after each validated step, deposits its latest
-    :class:`DifferentialCheckpoint` here: one copy under its own name
-    (its private rollback point) and one with its *buddy* — the next
-    live rank around the sorted ring.  When ranks die, a survivor that
-    holds a dead rank's snapshot adopts it (checksum-verified), so the
-    shrunk world resumes from the last agreed step without rank 0's
-    disk in the loop.
-
-    The store is shared by all rank threads of a simulated world;
-    access is lock-guarded.  In a real MPI deployment each deposit is
-    a point-to-point send to the buddy; here the shared dict plays the
-    transport.
-    """
-
-    def __init__(self, tracer=None, metrics=None):
-        self._lock = threading.Lock()
-        #: owner rank -> its own latest snapshot
-        self._own: dict[int, DifferentialCheckpoint] = {}
-        #: owner rank -> (holder rank, the copy the holder keeps)
-        self._held: dict[int, tuple[int, DifferentialCheckpoint]] = {}
-        self.tracer = tracer
-        self.metrics = metrics
-
-    @staticmethod
-    def buddy_of(rank: int, group: Sequence[int]) -> int:
-        """The buddy holding ``rank``'s snapshot: next in the sorted
-        ring over ``group`` (a 1-rank group is its own buddy)."""
-        ring = sorted(group)
-        if rank not in ring:
-            raise ValueError(f"rank {rank} not in group {ring}")
-        return ring[(ring.index(rank) + 1) % len(ring)]
-
-    def deposit(
-        self, rank: int, snapshot: DifferentialCheckpoint, group: Sequence[int]
-    ) -> int:
-        """Store ``rank``'s snapshot locally and with its buddy;
-        returns the buddy's rank."""
-        holder = self.buddy_of(rank, group)
-        with self._lock:
-            self._own[rank] = snapshot
-            self._held[rank] = (holder, snapshot)
-        return holder
-
-    def own(self, rank: int) -> DifferentialCheckpoint | None:
-        """``rank``'s own latest snapshot (its rollback point)."""
-        with self._lock:
-            return self._own.get(rank)
-
-    def adoptable(self, owner: int, survivors: Sequence[int]) -> bool:
-        """Can some survivor adopt ``owner``'s snapshot?  True when a
-        copy exists whose holder survived (or the owner's own copy is
-        irrelevant — the owner is dead, only the buddy copy counts)."""
-        alive = set(survivors)
-        with self._lock:
-            entry = self._held.get(owner)
-        return entry is not None and entry[0] in alive
-
-    def adopt(self, owner: int, adopter: int) -> DifferentialCheckpoint:
-        """The buddy copy of dead ``owner``'s snapshot, verified.
-
-        Emits ``sim.resilience.buddy_restores`` and a ``buddy-restore``
-        trace instant.  Raises :class:`CheckpointError` if no copy is
-        held or the copy fails its checksum.
-        """
-        with self._lock:
-            entry = self._held.get(owner)
-        if entry is None:
-            raise CheckpointError(f"no buddy copy held for rank {owner}")
-        holder, snapshot = entry
-        snapshot.verify()
-        if self.metrics is not None:
-            self.metrics.counter("sim.resilience.buddy_restores").inc()
-        if self.tracer is not None:
-            self.tracer.instant(
-                "buddy-restore",
-                category="resilience",
-                rank=adopter,
-                owner=owner,
-                holder=holder,
-                step=snapshot.step_index,
-            )
-        return snapshot

@@ -15,23 +15,21 @@ MPI world with the full resilience stack threaded through it:
   the timeout) and a divergence detector (replicas must agree
   bit-for-bit; silent corruption on one rank trips
   :class:`DivergenceError`);
-- after each judged step every rank deposits a
-  :class:`~repro.resilience.restart.DifferentialCheckpoint` in the
-  in-memory :class:`~repro.resilience.restart.BuddyStore` (one copy
-  for itself, one with its ring buddy), and the lowest rank writes
-  periodic :class:`SimulationCheckpoint` files through the
-  :class:`CheckpointManager`; an injected checkpoint-write fault is
-  absorbed (the run continues on the older restart point — losing a
-  checkpoint must not lose the run);
+- after each judged step every rank keeps a
+  :class:`SimulationCheckpoint` of it as its rollback point, and the
+  lowest rank writes periodic :class:`SimulationCheckpoint` files
+  through the :class:`CheckpointManager`; an injected
+  checkpoint-write fault is absorbed (the run continues on the older
+  restart point — losing a checkpoint must not lose the run);
 - when an attempt degrades or dies, the degradation policy (one of
   :data:`~repro.resilience.degrade.DEGRADE_POLICIES`) decides the
   response.  Under ``shrink`` the survivors agree on the failure
-  set (:meth:`SimComm.agree`), form a smaller communicator
-  (:meth:`SimComm.shrunk`), roll back to the last agreed step from
-  the buddy tier — the dead rank's holder adopts and verifies the
-  orphaned snapshot — and continue at reduced size, never touching
-  disk.  Under ``restart`` (the default, PR 1 behaviour) the world is
-  torn down and every rank replays from the newest *valid* disk
+  set (:meth:`SimComm.agree`), each rolls back to its own rollback
+  point (the replicas agreed on every step up to it, so all survivors
+  hold the same state), form a smaller communicator
+  (:meth:`SimComm.shrunk`) and continue at reduced size, never
+  touching disk.  Under ``restart`` (the default) the world is torn
+  down and every rank replays from the newest *valid* disk
   checkpoint, with the checkpoint cadence halved and the
   inter-attempt delay drawn from the shared
   :class:`~repro.resilience.backoff.BackoffPolicy`.  When the ladder
@@ -63,12 +61,7 @@ from repro.resilience.faults import (
     InjectedFault,
 )
 from repro.resilience.guards import GuardError, KernelGuard, RetryPolicy
-from repro.resilience.restart import (
-    BuddyStore,
-    CheckpointManager,
-    DifferentialCheckpoint,
-    SimulationCheckpoint,
-)
+from repro.resilience.restart import CheckpointManager, SimulationCheckpoint
 
 
 class DivergenceError(GuardError):
@@ -188,18 +181,17 @@ def run_simulation(
     ``degrade_policy`` selects the escalation ladder, one of
     :data:`~repro.resilience.degrade.DEGRADE_POLICIES`; an unknown
     name raises :class:`ValueError`.  The default, ``"restart"``,
-    reproduces the pre-degradation behaviour exactly;
-    ``"shrink"`` opts in to shrink-and-continue recovery through the
-    in-memory buddy-checkpoint tier.
+    tears the world down and replays from disk;
+    ``"shrink"`` opts in to shrink-and-continue recovery: the survivors
+    roll back to their last agreed step in memory.
 
     ``tracer`` (a :class:`~repro.observability.tracing.TraceRecorder`)
     and ``metrics`` (a
     :class:`~repro.observability.metrics.MetricsRegistry`) thread the
     observability layer through the whole run: each rank's steps,
     kernels, and collectives land on that rank's track of the shared
-    timeline, and injected faults, rank deaths, shrinks, buddy
-    restores, checkpoint writes, and recovery attempts become trace
-    events/counters.
+    timeline, and injected faults, rank deaths, shrinks, checkpoint
+    writes, and recovery attempts become trace events/counters.
 
     Every rank's driver is judged by its health monitor
     (:func:`~repro.observability.health.default_monitor`) on every
@@ -267,7 +259,6 @@ def run_simulation(
         world = SimWorld(world_size, timeout=timeout, tracer=tracer, metrics=metrics)
         if injector is not None:
             world.pre_collective_hook = injector.collective_hook()
-        buddies = BuddyStore(tracer=tracer, metrics=metrics)
         final_drivers: dict[int, AdiabaticDriver] = {}
         degradation_events: list[DegradationEvent] = []
         restarted_from = start.step_index if start is not None else None
@@ -277,7 +268,7 @@ def run_simulation(
 
             def _arm(driver: AdiabaticDriver) -> SimulationCheckpoint:
                 """Wire a freshly built or rolled-back driver into this
-                attempt; returns the diff base of its buddy snapshots."""
+                attempt; returns its rollback point."""
                 driver.tracer = tracer
                 driver.metrics = metrics
                 # every rank judges its own (replicated, deterministic)
@@ -300,7 +291,7 @@ def run_simulation(
                 driver = start.restore_driver()
             else:
                 driver = AdiabaticDriver(config=config)
-            base = _arm(driver)
+            rollback = _arm(driver)
             shrinks_done = 0
             while not driver.finished:
                 step = driver.step_index
@@ -322,11 +313,7 @@ def run_simulation(
                         )
                     # agreed and judged: this step is the new
                     # rollback point for shrink recovery
-                    buddies.deposit(
-                        grank,
-                        DifferentialCheckpoint.capture(driver, base),
-                        comm.group,
-                    )
+                    rollback = SimulationCheckpoint.capture(driver)
                     if comm.Get_rank() == 0 and manager is not None:
                         try:
                             manager.maybe_save(driver)
@@ -350,47 +337,20 @@ def run_simulation(
                             exc,
                             reason="declared dead: absent from collective",
                         )
+                    # raises if this rank was itself declared dead, so
+                    # the survivors always include it
                     outcome = comm.agree()
                     survivors = outcome.survivors
                     dead = tuple(sorted(set(comm.group) - set(survivors)))
-                    # every dead rank's buddy copy must be held by a
-                    # survivor (so an empty survivor set never shrinks),
-                    # and this survivor needs its own rollback point;
-                    # otherwise escalate to restart.  Deterministic in
-                    # the agreed outcome: every survivor decides alike
-                    buddy_ok = buddies.own(grank) is not None and all(
-                        buddies.adoptable(d, survivors) for d in dead
-                    )
-                    if not buddy_ok:
-                        if grank == min(survivors, default=grank):
-                            say(
-                                f"shrink refused at step {step}: buddy state "
-                                "not adoptable (holder died too)"
-                            )
-                        raise
-                    # adopt-and-verify the orphaned snapshots: the
-                    # dead rank's ring buddy checksums its copy (the
-                    # replicated state means every survivor then
-                    # rolls back to the same agreed step)
-                    rollback: DifferentialCheckpoint | None = None
-                    for d in dead:
-                        if BuddyStore.buddy_of(d, comm.group) == grank:
-                            adopted = buddies.adopt(d, grank)
-                            if rollback is None:
-                                rollback = adopted
-                    if rollback is None:
-                        rollback = buddies.own(grank)
-                    assert rollback is not None  # buddy_ok checked above
-                    restore_point = rollback.materialise()
-                    driver = restore_point.restore_driver()
-                    base = _arm(driver)
-                    # NB: dead ranks' store entries are left in place —
-                    # purging here would race a slower survivor's
-                    # adopt; they are dropped with the world instead
+                    # the replicas agreed on every step up to the
+                    # rollback point, so each survivor's own copy is the
+                    # state every other survivor rolls back to
+                    driver = rollback.restore_driver()
+                    rollback = _arm(driver)
                     comm = comm.shrunk(survivors)
                     shrinks_done += 1
                     event = DegradationEvent(
-                        step=restore_point.step_index,
+                        step=rollback.step_index,
                         action="shrink",
                         dead_ranks=dead,
                         survivors=survivors,

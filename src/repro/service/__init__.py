@@ -28,7 +28,7 @@ The pieces and the request lifecycle::
   linear-theory tables, and result products keyed on the spec hash,
   with size-bounded LRU eviction and hit/miss metrics.
 - :mod:`~repro.service.workers` — the worker pool: each job runs
-  under the resilience runner (faults degrade per the PR 4 ladder
+  under the resilience runner (faults degrade per the degradation ladder
   instead of failing the request) and streams in-situ snapshot events
   to subscribers.
 - :mod:`~repro.service.api` — the local front end (unix-socket JSONL

@@ -14,12 +14,12 @@ Two execution paths:
   worker checkpoints the driver through a
   :class:`~repro.resilience.restart.CheckpointManager` (the real
   atomic checksummed disk format), requeues the job, and the next
-  grant restores the driver from that checkpoint — PR 1's bit-exact
+  grant restores the driver from that checkpoint — the bit-exact
   restart is what makes service-level preemption free;
 - **supervised jobs** (a fault plan or ``ranks > 1``) run under
   :func:`~repro.resilience.runner.run_simulation`, so injected worker
-  faults degrade along the PR 4 ladder (retry from checkpoint, shrink,
-  buddy adoption) instead of failing the request.
+  faults degrade along the degradation ladder (shrink to the
+  survivors, retry from checkpoint) instead of failing the request.
 
 Inputs are shared through the content-addressed cache: the Zel'dovich
 particle load (``ic:``, keyed on the IC config hash) is computed once

@@ -184,7 +184,6 @@ class TestResilienceInstantSchema:
     def test_wellformed_degradation_instants_pass(self, check):
         log = good_log() + [
             self.instant("shrink", {"dead_ranks": [3], "survivors": [0, 1, 2]}),
-            self.instant("buddy-restore", {"rank": 4, "owner": 3}),
             self.instant("degrade", {"action": "shrink", "step": 1}),
             self.instant("retry", {"attempt": 1}),
         ]
@@ -195,7 +194,6 @@ class TestResilienceInstantSchema:
         [
             ("shrink", {"survivors": [0]}, "args.dead_ranks"),
             ("shrink", {"dead_ranks": [1]}, "args.survivors"),
-            ("buddy-restore", {"owner": 3}, "args.rank"),
             ("degrade", {"step": 1}, "args.action"),
             ("retry", {}, "args.attempt"),
         ],
@@ -232,7 +230,6 @@ class TestResilienceInstantSchema:
         names = {e["name"] for e in read_events(path) if e["kind"] == "instant"}
         assert "shrink" in names
         assert "degrade" in names
-        assert "buddy-restore" in names
 
 
 class TestCounterAndAlertSchema:

@@ -58,7 +58,7 @@ class TestSingleRuns:
 class TestSoakAcceptance:
     def test_thirty_plans_hold_the_invariant(self):
         """Acceptance: >= 30 seeded chaos plans all terminate cleanly
-        under the shrink ladder (in-memory buddy tier only)."""
+        under the shrink ladder (in-memory rollback only)."""
         report = soak(30, base_seed=0, degrade_policy="shrink")
         assert len(report.outcomes) == 30
         assert report.invariant_ok, report.summary()

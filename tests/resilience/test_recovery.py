@@ -30,6 +30,15 @@ def small_config(n_steps: int = 3) -> SimulationConfig:
     return SimulationConfig(n_per_side=6, n_steps=n_steps)
 
 
+def assert_matches_reference(driver, reference):
+    """Every step's conserved quantities equal the reference's bit for bit."""
+    assert len(driver.diagnostics) == len(reference.diagnostics)
+    for ref, got in zip(reference.diagnostics, driver.diagnostics):
+        assert got.kinetic_energy == ref.kinetic_energy
+        assert got.thermal_energy == ref.thermal_energy
+        np.testing.assert_array_equal(got.total_momentum, ref.total_momentum)
+
+
 @pytest.fixture(scope="module")
 def fault_free_driver():
     """The reference the recovered runs must reproduce."""
@@ -300,7 +309,8 @@ class TestGracefulDegradation:
 
     def test_two_kills_shrink_twice_without_disk(self, fault_free_driver):
         """Two separate node failures, no checkpoint directory at all:
-        the buddy tier alone carries the run from 8 ranks down to 6."""
+        the in-memory rollback points alone carry the run from 8 ranks
+        down to 6."""
         result = run_simulation(
             small_config(),
             world_size=8,
@@ -360,23 +370,39 @@ class TestGracefulDegradation:
             )
         assert len(exc.value.attempts) == 1
 
-    def test_lost_buddy_copy_falls_back_to_restart(self, tmp_path):
-        """Rank 1 and its ring buddy, rank 2, die at the same step: no
-        survivor holds rank 1's snapshot, so the shrink is refused and
-        the ladder's next rung (restart) recovers the full world."""
+    def test_first_step_failure_shrinks(self, fault_free_driver):
+        """Rank 1 dies before any step is agreed: the survivors roll
+        back to the attempt's starting state and shrink, in one
+        attempt, without a checkpoint directory."""
         result = run_simulation(
-            small_config(n_steps=2),
+            small_config(),
             world_size=3,
             timeout=10.0,
-            checkpoint_dir=tmp_path,
-            checkpoint_every=1,
+            fault_plan=FaultPlan.parse("kill:rank=1,step=0"),
+            degrade_policy="shrink",
+        )
+        assert len(result.attempts) == 1
+        assert result.final_world_size == 2
+        (event,) = result.degradations
+        assert event.dead_ranks == (1,)
+        assert_matches_reference(result.driver, fault_free_driver)
+
+    def test_neighbours_dying_together_shrink(self, fault_free_driver):
+        """Rank 1 and its ring neighbour, rank 2, die at the same step:
+        the last survivor rolls back to its own copy of the agreed
+        state and finishes alone."""
+        result = run_simulation(
+            small_config(),
+            world_size=3,
+            timeout=10.0,
             fault_plan=FaultPlan.parse("kill:rank=1,step=1;kill:rank=2,step=1"),
             degrade_policy="shrink",
         )
-        assert result.ok
-        assert result.recovered  # restarted, did not shrink to 1
-        assert result.final_world_size == 3
-        assert not result.degradations
+        assert len(result.attempts) == 1
+        assert result.final_world_size == 1
+        (event,) = result.degradations
+        assert event.dead_ranks == (1, 2)
+        assert_matches_reference(result.driver, fault_free_driver)
 
     def test_unknown_policy_is_refused(self):
         with pytest.raises(ValueError, match="shrink.*restart.*abort"):

@@ -287,92 +287,6 @@ class TestLatestSkipsDamagedFiles:
         assert metrics.counter("sim.resilience.checkpoint_skipped").value == 2
 
 
-class TestDifferentialCheckpoint:
-    def test_capture_stores_only_dirty_arrays(self, mid_run_driver):
-        from repro.resilience.restart import DifferentialCheckpoint
-
-        base = SimulationCheckpoint.capture(mid_run_driver)
-        diff = DifferentialCheckpoint.capture(mid_run_driver, base)
-        assert diff.dirty_arrays == {}  # nothing moved since the base
-
-    def test_materialise_round_trips(self, mid_run_driver):
-        from repro.resilience.restart import DifferentialCheckpoint
-
-        base = SimulationCheckpoint.capture(mid_run_driver)
-        driver = base.restore_driver()
-        schedule = driver.schedule()
-        driver.step(float(schedule[2]), float(schedule[3]))
-        diff = DifferentialCheckpoint.capture(driver, base)
-        assert diff.dirty_arrays
-        restored = diff.materialise().restore_driver()
-        assert restored.step_index == driver.step_index
-        for name, arr in driver.particles.arrays.items():
-            np.testing.assert_array_equal(restored.particles.arrays[name], arr)
-
-    def test_corruption_detected_before_materialise(self, mid_run_driver):
-        from repro.resilience.restart import DifferentialCheckpoint
-
-        base = SimulationCheckpoint.capture(mid_run_driver)
-        driver = base.restore_driver()
-        schedule = driver.schedule()
-        driver.step(float(schedule[2]), float(schedule[3]))
-        diff = DifferentialCheckpoint.capture(driver, base)
-        name = next(iter(diff.dirty_arrays))
-        diff.dirty_arrays[name][0] += 1e-3  # silent corruption in transit
-        with pytest.raises(CheckpointError, match="checksum mismatch"):
-            diff.materialise()
-
-
-class TestBuddyStore:
-    @pytest.fixture
-    def snapshot(self, mid_run_driver):
-        from repro.resilience.restart import DifferentialCheckpoint
-
-        base = SimulationCheckpoint.capture(mid_run_driver)
-        return DifferentialCheckpoint.capture(mid_run_driver, base)
-
-    def test_buddy_ring(self):
-        from repro.resilience.restart import BuddyStore
-
-        group = (0, 2, 3, 7)
-        assert BuddyStore.buddy_of(0, group) == 2
-        assert BuddyStore.buddy_of(7, group) == 0  # wraps the ring
-        assert BuddyStore.buddy_of(3, group) == 7
-
-    def test_deposit_and_adopt(self, snapshot):
-        from repro.observability import MetricsRegistry
-        from repro.resilience.restart import BuddyStore
-
-        metrics = MetricsRegistry()
-        store = BuddyStore(metrics=metrics)
-        group = (0, 1, 2, 3)
-        for rank in group:
-            store.deposit(rank, snapshot, group)
-        # rank 1 dies; its buddy (rank 2) holds a copy
-        assert store.adoptable(1, survivors=(0, 2, 3))
-        adopted = store.adopt(1, adopter=2)
-        assert adopted.step_index == snapshot.step_index
-        assert metrics.counter("sim.resilience.buddy_restores").value == 1
-
-    def test_not_adoptable_when_holder_also_died(self, snapshot):
-        from repro.resilience.restart import BuddyStore
-
-        store = BuddyStore()
-        group = (0, 1, 2)
-        for rank in group:
-            store.deposit(rank, snapshot, group)
-        # ranks 1 and its buddy 2 both die: nobody holds rank 1's copy
-        assert not store.adoptable(1, survivors=(0,))
-
-    def test_own_returns_private_rollback_point(self, snapshot):
-        from repro.resilience.restart import BuddyStore
-
-        store = BuddyStore()
-        store.deposit(0, snapshot, (0, 1))
-        assert store.own(0) is snapshot
-        assert store.own(1) is None
-
-
 class TestConfigHashStamp:
     """The canonical config hash recorded in every checkpoint."""
 

@@ -19,8 +19,8 @@ The schema is the one ``write_event_log`` (``simulate``/``trace
   timeline fields ``ts``/``start``/``duration`` non-negative numbers
   (seconds on the producing recorder's clock);
 - ``args``, when present, is a JSON object;
-- resilience/degradation instants (``shrink``, ``buddy-restore``,
-  ``degrade``, ``retry``) carry the args the degradation ladder
+- resilience/degradation instants (``shrink``, ``degrade``,
+  ``retry``) carry the args the degradation ladder
   promises (see :data:`RESILIENCE_INSTANT_ARGS`), and health ``alert``
   instants the detector/series/severity args the escalation path
   promises (see :data:`HEALTH_INSTANT_ARGS`), so dashboards can rely on
@@ -45,7 +45,6 @@ from pathlib import Path
 #: required args keys for the degradation-ladder instant events
 RESILIENCE_INSTANT_ARGS = {
     "shrink": ("dead_ranks", "survivors"),
-    "buddy-restore": ("rank", "owner"),
     "degrade": ("action", "step"),
     "retry": ("attempt",),
 }
