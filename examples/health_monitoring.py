@@ -31,9 +31,10 @@ import tempfile
 from pathlib import Path
 
 from repro.hacc.timestep import SimulationConfig
-from repro.observability import MetricsRegistry, TraceRecorder
 from repro.observability.dashboard import load_events, render
 from repro.observability.export import write_event_log
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracing import TraceRecorder
 from repro.resilience import FaultPlan, run_simulation
 
 N_RANKS = 2

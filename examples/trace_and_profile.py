@@ -6,12 +6,14 @@ This drives the full observability layer in ~60 lines of user code:
    :class:`MetricsRegistry` attached — every step, kernel, and
    collective becomes a span on a shared timeline;
 2. replay the recorded GPU workload through a device cost model with a
-   :class:`KernelProfiler`, adding a simulated device track whose
-   kernel spans carry occupancy/roofline annotations;
+   :class:`~repro.kernels.profiler.KernelProfiler` (the analysis side,
+   next to the ``TracePricer`` it listens to), adding a simulated
+   device track whose kernel spans carry occupancy/roofline
+   annotations, and print the per-kernel profile table;
 3. write the run's one record, the JSONL event log, convert it to the
    Chrome trace (what ``python -m repro perfetto events.jsonl`` prints;
    open it at https://ui.perfetto.dev or in ``chrome://tracing``), and
-   print the per-kernel profile table and a flame summary.
+   print a flame summary.
 
 Run:  python examples/trace_and_profile.py
 """
@@ -20,17 +22,11 @@ import tempfile
 from pathlib import Path
 
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
+from repro.kernels.profiler import KernelProfiler, format_profile_table, profile_trace
 from repro.machine.registry import device_by_name
-from repro.observability import (
-    KernelProfiler,
-    MetricsRegistry,
-    TraceRecorder,
-    chrome_trace,
-    format_profile_table,
-    profile_trace,
-    read_events,
-    write_event_log,
-)
+from repro.observability.export import chrome_trace, read_events, write_event_log
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracing import TraceRecorder
 
 
 def main() -> None:
@@ -56,9 +52,7 @@ def main() -> None:
 
     # 3. the record: one event log, and the Chrome trace converted from it
     outdir = Path(tempfile.mkdtemp(prefix="repro-trace-"))
-    events_path = write_event_log(
-        outdir / "events.jsonl", tracer=tracer, metrics=metrics, profiler=profiler
-    )
+    events_path = write_event_log(outdir / "events.jsonl", tracer=tracer, metrics=metrics)
     records = read_events(events_path)
     timeline = chrome_trace(records)["traceEvents"]
     assert sum(e["ph"] == "X" for e in timeline) == len(tracer.spans)

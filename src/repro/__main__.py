@@ -28,7 +28,8 @@ def _observability_sinks(args: argparse.Namespace):
     dashboard, else (None, None)."""
     if not (args.events_out or getattr(args, "live", False)):
         return None, None
-    from repro.observability import MetricsRegistry, TraceRecorder
+    from repro.observability.metrics import MetricsRegistry
+    from repro.observability.tracing import TraceRecorder
 
     return TraceRecorder(), MetricsRegistry()
 
@@ -70,7 +71,7 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
     from repro.hacc.checkpoint import CheckpointError
     from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
     from repro import resilience
-    from repro.observability import default_monitor
+    from repro.observability.health import default_monitor
 
     opts = argparse.Namespace(**{**_RUN_DEFAULTS, **vars(args)})
     for bad, message in (
@@ -330,8 +331,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if result is not None:
             print(result.summary())
         if args.device:
+            from repro.kernels.profiler import profile_trace
             from repro.machine.registry import device_by_name
-            from repro.observability import profile_trace
             from repro.proglang.model import CompileError
 
             try:
@@ -415,12 +416,12 @@ def _cmd_perfetto(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Per-kernel, per-device profile table over the reference trace."""
     from repro.experiments.workload import reference_trace
-    from repro.machine.registry import all_devices, device_by_name
-    from repro.observability import (
+    from repro.kernels.profiler import (
         KernelProfiler,
         format_profile_table,
         profile_trace,
     )
+    from repro.machine.registry import all_devices, device_by_name
     from repro.proglang.model import CompileError
 
     trace = reference_trace(args.n)

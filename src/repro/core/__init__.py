@@ -12,38 +12,6 @@
 - :mod:`repro.core.navigation` -- navigation-chart data (Figure 13),
 - :mod:`repro.core.specialization` -- the stitched configurations
   (Select+Memory, Select+vISA, Unified) of Section 6.
+
+Importing the package loads nothing; import the submodule you use.
 """
-
-from repro.core.metrics import (
-    application_efficiency,
-    harmonic_mean,
-    performance_portability,
-)
-from repro.core.divergence import code_convergence, code_divergence, jaccard_distance
-from repro.core.specialization import (
-    Configuration,
-    standard_configurations,
-)
-from repro.core.cascade import CascadeData, cascade_data
-from repro.core.charts import render_cascade, render_navigation
-from repro.core.maintenance import kernel_change_factors, maintenance_factor
-from repro.core.navigation import NavigationPoint, navigation_data
-
-__all__ = [
-    "application_efficiency",
-    "harmonic_mean",
-    "performance_portability",
-    "code_convergence",
-    "code_divergence",
-    "jaccard_distance",
-    "Configuration",
-    "standard_configurations",
-    "CascadeData",
-    "cascade_data",
-    "render_cascade",
-    "render_navigation",
-    "kernel_change_factors",
-    "maintenance_factor",
-    "NavigationPoint",
-    "navigation_data",
-]

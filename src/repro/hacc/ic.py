@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.hacc.confighash import config_hash
 from repro.hacc.cosmology import Cosmology
 from repro.hacc.mesh import fourier_grid
 from repro.hacc.particles import ParticleData, Species
@@ -50,8 +51,6 @@ class ICConfig:
     def content_hash(self) -> str:
         """Canonical content key of the particle load this config
         generates (the service caches generated ICs under it)."""
-        from repro.core.confighash import config_hash
-
         return config_hash(self)
 
 

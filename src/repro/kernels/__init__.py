@@ -12,7 +12,10 @@ This subpackage holds the virtual-GPU side of the five hot kernels:
   Section 5.3 (Select, Memory-32bit, Memory-Object, Broadcast, vISA),
 - :mod:`repro.kernels.adiabatic` -- kernel definitions binding specs
   to variants, and the workload-trace replay that prices a physics run
-  on any device under any variant.
+  on any device under any variant,
+- :mod:`repro.kernels.profiler` -- the per-kernel, per-device profile
+  of that replay: cost-model-annotated spans on simulated device
+  tracks and the profile table ``python -m repro profile`` prints.
 """
 
 from repro.kernels.specs import KERNEL_SPECS, KernelSpec, TIMER_TO_KERNEL

@@ -166,7 +166,7 @@ class TracePricer:
         hold to the executor's ledger.
 
         ``profiler`` may be a
-        :class:`~repro.observability.profiler.KernelProfiler`; it is
+        :class:`~repro.kernels.profiler.KernelProfiler`; it is
         attached to this replay's executor and sees every submission
         with its cost breakdown.
         """

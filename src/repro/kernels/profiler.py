@@ -1,16 +1,17 @@
 """Per-launch kernel profiling with cost-model annotations.
 
-:class:`KernelProfiler` subscribes to a
-:class:`~repro.machine.executor.DeviceExecutor`'s ledger and turns
-every kernel submission into
+The modelled side of the paper's per-kernel breakdowns (Figures 9-11):
+nothing here times the run.  :class:`KernelProfiler` subscribes to a
+:class:`~repro.machine.executor.DeviceExecutor`'s ledger while a
+:class:`~repro.kernels.adiabatic.TracePricer` replays a recorded
+workload, and turns every priced kernel submission into
 
 - a span on a *simulated-device timeline* (one trace track per
   attached device, timestamped in simulated seconds), annotated with
   the cost model's breakdown: occupancy and what limited it, the stall
   factor, the compute/memory split, the roofline position (arithmetic
   intensity and fraction of the attainable ceiling), and achieved vs
-  peak TFLOP/s — the per-kernel, per-device facts behind the paper's
-  Figures 9-11;
+  peak TFLOP/s;
 - per-(device, kernel) aggregates rolled up into a profile table
   (:meth:`KernelProfiler.rows` / :func:`format_profile_table`), the
   reproduction's ``rocprof``-style report;
@@ -24,13 +25,15 @@ a profiler attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.kernels.adiabatic import TracePricer
 from repro.machine.cost_model import InstructionProfile
 from repro.machine.device import DeviceSpec
 from repro.machine.executor import DeviceExecutor, ExecutionRecord
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import TraceRecorder
+from repro.proglang.model import ProgrammingModel
 
 #: device timelines start here so they never collide with rank tracks
 DEVICE_TRACK_BASE = 100
@@ -72,22 +75,6 @@ class ProfileRow:
     achieved_tflops: float
     peak_fraction: float  # achieved / roofline-attainable
     atomics: float
-
-    def as_dict(self) -> dict:
-        return {
-            "device": self.device,
-            "kernel": self.kernel,
-            "calls": self.calls,
-            "seconds": self.seconds,
-            "occupancy": self.occupancy,
-            "limited_by": self.limited_by,
-            "stall_factor": self.stall_factor,
-            "bound": self.bound,
-            "intensity_flops_per_byte": self.intensity,
-            "achieved_tflops": self.achieved_tflops,
-            "peak_fraction": self.peak_fraction,
-            "atomics": self.atomics,
-        }
 
 
 class KernelProfiler:
@@ -268,9 +255,6 @@ def profile_trace(
     Raises :class:`~repro.proglang.model.CompileError` when the variant
     cannot target the device, exactly as the pricing path does.
     """
-    from repro.kernels.adiabatic import TracePricer
-    from repro.proglang.model import ProgrammingModel
-
     if profiler is None:
         profiler = KernelProfiler(tracer=tracer, metrics=metrics)
     pricer = TracePricer(

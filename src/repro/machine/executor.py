@@ -53,7 +53,7 @@ class DeviceExecutor:
     Aggregates (total seconds, per-kernel seconds/calls, per-kernel
     record lists) are maintained incrementally on every submission, so
     the ledger queries are O(kernels), not O(records) — the
-    :class:`~repro.observability.profiler.KernelProfiler` and the
+    :class:`~repro.kernels.profiler.KernelProfiler` and the
     bracket timers read them on every launch.
     """
 

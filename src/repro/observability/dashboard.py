@@ -82,8 +82,6 @@ class DashboardState:
     alerts: list[dict[str, Any]] = field(default_factory=list)
     #: resilience / health instants, in arrival order
     events: list[dict[str, Any]] = field(default_factory=list)
-    #: kernel profile rows (dicts from ProfileRow.as_dict)
-    profile: list[dict[str, Any]] = field(default_factory=list)
     metrics: dict[str, Any] = field(default_factory=dict)
     #: wall seconds consumed so far (from step spans or live clock)
     elapsed: float = 0.0
@@ -128,8 +126,6 @@ class DashboardState:
                 spans.append((len(spans), float(event.get("duration", 0.0))))
                 if not self._series_names:
                     self.steps = max(self.steps, len(spans))
-        elif kind == "profile":
-            self.profile.append(event)
         elif kind == "metrics":
             self.metrics = event.get("snapshot", {})
 
@@ -282,23 +278,6 @@ def render(state: DashboardState, width: int = 80) -> str:
                 f"  [{alert.get('severity', '?').upper():5s}] step "
                 f"{alert.get('step', '?')} {alert.get('series', '?')}: "
                 f"{alert.get('message', '')}"[: width - 1]
-            )
-
-    if state.profile:
-        lines.append(bar)
-        lines.append(
-            f" {'kernel':>10s} {'device':>12s} {'calls':>6s} {'occup':>6s} "
-            f"{'bound':>8s} {'peak%':>6s}"
-        )
-        hottest = sorted(
-            state.profile, key=lambda r: -float(r.get("seconds", 0.0))
-        )[:8]
-        for row in hottest:
-            lines.append(
-                f" {row.get('kernel', '?'):>10s} {row.get('device', '?'):>12.12s} "
-                f"{row.get('calls', 0):6d} {row.get('occupancy', 0.0):6.2f} "
-                f"{row.get('bound', '?'):>8s} "
-                f"{100 * float(row.get('peak_fraction', 0.0)):5.1f}%"
             )
 
     resilience = [

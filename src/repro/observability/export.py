@@ -2,8 +2,8 @@
 
 One JSON object per line, each tagged with a ``kind``.  The log holds
 everything a run observed — trace spans, instants and counter samples,
-track names, health series and alerts, kernel profile rows, and the
-final metrics snapshot — so every other view is a function of it:
+track names, health series and alerts, and the final metrics
+snapshot — so every other view is a function of it:
 
 - ``repro dashboard`` replays the file (or tails it with ``--follow``
   while ``repro serve`` is still appending);
@@ -28,7 +28,6 @@ from repro.observability.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.observability.health import HealthMonitor
-    from repro.observability.profiler import KernelProfiler
     from repro.observability.tracing import (
         CounterEvent,
         InstantEvent,
@@ -92,7 +91,6 @@ def iter_events(
     tracer: "TraceRecorder | None" = None,
     metrics: MetricsRegistry | None = None,
     monitor: "HealthMonitor | None" = None,
-    profiler: "KernelProfiler | None" = None,
     alerts: Iterable[Any] | None = None,
     meta: dict[str, Any] | None = None,
 ) -> Iterator[dict[str, Any]]:
@@ -101,9 +99,9 @@ def iter_events(
     Record kinds: ``header`` (always first), ``series`` (one point of a
     health series), ``alert``, ``track`` (a track's name), ``span``
     (trace spans, step/kernel timing), ``instant`` (trace instants,
-    e.g. resilience events), ``counter`` (trace counter samples),
-    ``profile`` (one kernel profile row), and ``metrics`` (the full
-    registry snapshot, always last when a registry is given).
+    e.g. resilience events), ``counter`` (trace counter samples), and
+    ``metrics`` (the full registry snapshot, always last when a
+    registry is given).
 
     ``alerts`` overrides the monitor's own alert log — a recovered run
     hands the alerts accumulated across *all* attempts while the
@@ -126,9 +124,6 @@ def iter_events(
         yield from map(span_record, tracer.spans)
         yield from map(instant_record, tracer.instants)
         yield from map(counter_record, tracer.counters)
-    if profiler is not None:
-        for row in profiler.rows():
-            yield {"kind": "profile", **row.as_dict()}
     if metrics is not None:
         yield {"kind": "metrics", "snapshot": metrics.snapshot()}
 
@@ -165,7 +160,6 @@ def write_event_log(
     tracer: "TraceRecorder | None" = None,
     metrics: MetricsRegistry | None = None,
     monitor: "HealthMonitor | None" = None,
-    profiler: "KernelProfiler | None" = None,
     alerts: Iterable[Any] | None = None,
     meta: dict[str, Any] | None = None,
 ) -> Path:
@@ -176,7 +170,6 @@ def write_event_log(
             tracer=tracer,
             metrics=metrics,
             monitor=monitor,
-            profiler=profiler,
             alerts=alerts,
             meta=meta,
         ):

@@ -1,7 +1,7 @@
 """Physics health monitors: time series, anomaly detectors, alerts.
 
-PR 2 built the *recording* substrate (spans, counters, kernel
-profiles); this module is the layer that **consumes** it in flight.
+The tracer and the metrics registry *record* a run (spans,
+counters); this module is the layer that **consumes** them in flight.
 The paper's tuning methodology is continuous measurement — a
 regression or a sick run only shows up when someone is watching the
 series, not inspecting a snapshot once — so the monitor watches the

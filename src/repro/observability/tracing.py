@@ -201,7 +201,8 @@ class TraceRecorder:
         """Record a span from explicit timeline timestamps (seconds).
 
         The raw entry point for spans whose clock is *not* the
-        recorder's own — e.g. the profiler's simulated-device timeline.
+        recorder's own — e.g. the simulated-device timeline of
+        :class:`~repro.kernels.profiler.KernelProfiler`.
         """
         if end < begin:
             raise ValueError(f"span {name!r} ends before it begins")

@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.confighash import config_hash
+from repro.hacc.confighash import config_hash
 from repro.hacc.checkpoint import CheckpointError, atomic_save, verified_load
 from repro.hacc.particles import ParticleData
 from repro.hacc.timestep import (

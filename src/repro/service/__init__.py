@@ -37,7 +37,7 @@ The pieces and the request lifecycle::
 
 `MetricsRegistry`/`TraceRecorder` are wired through the whole path
 (``svc.queue.depth``, ``svc.cache.hits``, per-job flame spans), so the
-PR 5 dashboard doubles as the service console — ``repro dashboard
+run dashboard doubles as the service console — ``repro dashboard
 --follow`` tails a live ``repro serve`` session's event log.
 """
 

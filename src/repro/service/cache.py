@@ -3,7 +3,7 @@
 The service's traffic shape (the paper's own workflow: fleets of
 repeated kernel-variant runs over near-identical configurations) is
 exactly what content addressing exploits — the cache key is the
-canonical :func:`~repro.core.confighash.config_hash` of whatever
+canonical :func:`~repro.hacc.confighash.config_hash` of whatever
 produced the entry, so *any* two requests for the same computation hit
 the same entry regardless of who asked or when.
 

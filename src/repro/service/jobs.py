@@ -4,7 +4,7 @@ A :class:`JobSpec` is the *content* of a request: which scenario to
 run, at what resolution and seed, and which products to return.  Two
 requests with equal specs are the same computation —
 :meth:`JobSpec.content_hash` (the shared
-:func:`~repro.core.confighash.config_hash` canonicalisation) is the
+:func:`~repro.hacc.confighash.config_hash` canonicalisation) is the
 key under which the scheduler coalesces duplicate in-flight requests
 and the cache stores finished products.
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-from repro.core.confighash import config_hash
+from repro.hacc.confighash import config_hash
 from repro.resilience.degrade import DEGRADE_POLICIES
 
 #: products a job may request, in canonical order

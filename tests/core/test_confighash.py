@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.confighash import canonical_json, canonicalize, config_hash
+from repro.hacc.confighash import canonical_json, canonicalize, config_hash
 
 # -- strategies --------------------------------------------------------
 

@@ -79,7 +79,7 @@ class TestTimerIntegration:
 
     def test_bracketed_replay_validates(self, reference_trace):
         from repro.kernels.adiabatic import TracePricer
-        from repro.observability import TraceRecorder
+        from repro.observability.tracing import TraceRecorder
         from tests.kernels.oracles import validate_against_profiler
         from repro.proglang.model import ProgrammingModel
 

@@ -394,7 +394,7 @@ class TestUlfmAgreeAndShrink:
         assert world.run(fn) == [True] * 3
 
     def test_shrink_emits_metric_once(self):
-        from repro.observability import MetricsRegistry
+        from repro.observability.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
         world = SimWorld(3, timeout=5.0, metrics=metrics)

@@ -44,7 +44,7 @@ class TestPMMeshRule:
         assert cells.use_cells is (n >= 6)
 
     def test_resolved_mesh_is_the_explicit_one(self):
-        from repro.core.confighash import config_hash
+        from repro.hacc.confighash import config_hash
 
         derived = SimulationConfig(n_per_side=12)
         explicit = SimulationConfig(n_per_side=12, pm_mesh=48)

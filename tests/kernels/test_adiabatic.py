@@ -162,7 +162,7 @@ class TestBracketTimers:
 
     @pytest.fixture
     def recorder(self, executor):
-        from repro.observability import TraceRecorder
+        from repro.observability.tracing import TraceRecorder
 
         return TraceRecorder(clock=executor.total_seconds)
 

@@ -154,7 +154,8 @@ class TestMain:
         assert "usage" in capsys.readouterr().err
 
     def test_recorder_output_validates(self, check, tmp_path):
-        from repro.observability import TraceRecorder, write_event_log
+        from repro.observability.export import write_event_log
+        from repro.observability.tracing import TraceRecorder
 
         recorder = TraceRecorder()
         recorder.name_track(0, "rank 0")
@@ -212,7 +213,8 @@ class TestResilienceInstantSchema:
         """End-to-end: the log written by an actual shrink recovery
         passes the schema, degradation instants included."""
         from repro.hacc.timestep import SimulationConfig
-        from repro.observability import TraceRecorder, read_events, write_event_log
+        from repro.observability.export import read_events, write_event_log
+        from repro.observability.tracing import TraceRecorder
         from repro.resilience import FaultPlan, run_simulation
 
         recorder = TraceRecorder()
@@ -310,8 +312,9 @@ class TestCounterAndAlertSchema:
         counter samples and (on a leak) an alert instant, and the whole
         log passes the schema."""
         from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
-        from repro.observability import TraceRecorder, read_events, write_event_log
+        from repro.observability.export import read_events, write_event_log
         from repro.observability.health import default_monitor
+        from repro.observability.tracing import TraceRecorder
 
         recorder = TraceRecorder()
         driver = AdiabaticDriver(SimulationConfig(n_per_side=6, n_steps=3))

@@ -15,7 +15,7 @@ from repro.observability.dashboard import (
 )
 from repro.observability.export import write_event_log
 from repro.observability.health import HealthMonitor, ThresholdDetector
-from repro.observability import TraceRecorder
+from repro.observability.tracing import TraceRecorder
 
 pytestmark = pytest.mark.observability
 

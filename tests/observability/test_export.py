@@ -6,12 +6,6 @@ import json
 
 import pytest
 
-from repro.observability import (
-    KernelProfiler,
-    MetricsRegistry,
-    Severity,
-    TraceRecorder,
-)
 from repro.observability.dashboard import load_events, render
 from repro.observability.export import (
     EVENT_LOG_VERSION,
@@ -20,7 +14,9 @@ from repro.observability.export import (
     read_events,
     write_event_log,
 )
-from repro.observability.health import Alert, HealthMonitor, ThresholdDetector
+from repro.observability.health import Alert, HealthMonitor, Severity, ThresholdDetector
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracing import TraceRecorder
 
 pytestmark = pytest.mark.observability
 
@@ -150,8 +146,7 @@ class TestEventLog:
         monitor.attach("sim.health.energy_drift", ThresholdDetector(low=0.0))
         monitor.observe("sim.health.energy_drift", 0, 0.02)
         monitor.observe("sim.health.energy_drift", 1, -0.5)
-        profiler = KernelProfiler()
-        return tracer, metrics, monitor, profiler
+        return tracer, metrics, monitor
 
     def test_header_first_and_versioned(self):
         events = list(iter_events(meta={"title": "t"}))
@@ -162,7 +157,7 @@ class TestEventLog:
         }
 
     def test_all_kinds_emitted(self):
-        tracer, metrics, monitor, _ = self.build_sources()
+        tracer, metrics, monitor = self.build_sources()
         kinds = {
             e["kind"]
             for e in iter_events(tracer=tracer, metrics=metrics, monitor=monitor)
@@ -172,7 +167,7 @@ class TestEventLog:
         }
 
     def test_round_trip_through_file(self, tmp_path):
-        tracer, metrics, monitor, _ = self.build_sources()
+        tracer, metrics, monitor = self.build_sources()
         path = write_event_log(
             tmp_path / "events.jsonl",
             tracer=tracer,
@@ -226,13 +221,12 @@ class TestEventLog:
             read_events(path)
 
     def test_events_are_plain_json(self, tmp_path):
-        tracer, metrics, monitor, profiler = self.build_sources()
+        tracer, metrics, monitor = self.build_sources()
         path = write_event_log(
             tmp_path / "events.jsonl",
             tracer=tracer,
             metrics=metrics,
             monitor=monitor,
-            profiler=profiler,
         )
         for line in path.read_text().splitlines():
             json.loads(line)  # every line independently decodable

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.observability import MetricsRegistry, TraceRecorder
 from repro.observability.health import (
     CONTAINMENT_BREACHES,
     ENERGY_DRIFT,
@@ -35,6 +34,8 @@ from repro.observability.health import (
     ThresholdDetector,
     default_monitor,
 )
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracing import TraceRecorder
 from tests.observability.oracles import HEALTH_SERIES
 
 pytestmark = pytest.mark.observability

@@ -4,7 +4,8 @@ import pytest
 
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 from repro.kernels.specs import TIMER_TO_KERNEL
-from repro.observability import MetricsRegistry, TraceRecorder
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracing import TraceRecorder
 from tests.kernels.oracles import HOTSPOT_KERNELS
 
 pytestmark = pytest.mark.observability
@@ -123,7 +124,7 @@ class TestCLI:
         return code, capsys.readouterr().out
 
     def test_simulate_trace_flags_write_artefacts(self, tmp_path, capsys):
-        from repro.observability import chrome_trace, read_events
+        from repro.observability.export import chrome_trace, read_events
         from tests.observability.test_check_trace import load_check_trace
 
         events_path = tmp_path / "events.jsonl"
@@ -140,7 +141,7 @@ class TestCLI:
         assert records[-1]["snapshot"]["counters"]["sim.steps"] == 2
 
     def test_trace_command_validates_and_covers_hot_kernels(self, tmp_path, capsys):
-        from repro.observability import chrome_trace, read_events
+        from repro.observability.export import chrome_trace, read_events
         from tests.observability.test_check_trace import load_check_trace
 
         events_path = tmp_path / "events.jsonl"

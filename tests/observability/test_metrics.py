@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.observability import (
+from repro.observability.metrics import (
     INTERACTIONS_BUCKETS,
     METRIC_GLOSSARY,
     Counter,

@@ -5,14 +5,14 @@ import pytest
 from repro.machine.cost_model import InstructionProfile, KernelLaunch
 from repro.machine.executor import DeviceExecutor
 from repro.machine.registry import AURORA, FRONTIER
-from repro.observability import (
+from repro.kernels.profiler import (
     DEVICE_TRACK_BASE,
     KernelProfiler,
-    MetricsRegistry,
-    TraceRecorder,
     format_profile_table,
     profile_trace,
 )
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.tracing import TraceRecorder
 
 pytestmark = pytest.mark.observability
 

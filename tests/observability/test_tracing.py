@@ -5,15 +5,13 @@ import threading
 
 import pytest
 
-from repro.observability import (
-    DEFAULT_TRACK,
-    TraceRecorder,
+from repro.observability.export import (
     chrome_trace,
     iter_events,
-    maybe_span,
     read_events,
     write_event_log,
 )
+from repro.observability.tracing import DEFAULT_TRACK, TraceRecorder, maybe_span
 from tests.observability.oracles import spans_named
 
 pytestmark = pytest.mark.observability

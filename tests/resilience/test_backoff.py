@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.observability import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry
 from repro.resilience import BackoffPolicy, RetryPolicy
 from repro.resilience.backoff import BACKOFF_JITTER
 

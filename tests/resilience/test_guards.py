@@ -5,7 +5,7 @@ import pytest
 
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 from repro.hacc.validation import validate_run
-from repro.observability import MetricsRegistry
+from repro.observability.metrics import MetricsRegistry
 from repro.resilience.faults import FaultInjector, FaultSpec
 from repro.resilience.guards import GuardViolation, KernelGuard, RetryPolicy
 from tests.resilience.oracles import plan_from_specs

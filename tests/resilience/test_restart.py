@@ -248,7 +248,7 @@ class TestLatestSkipsDamagedFiles:
     def test_zero_byte_file_skipped_with_warning_and_counter(
         self, tmp_path, checkpoint
     ):
-        from repro.observability import MetricsRegistry
+        from repro.observability.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
         manager = CheckpointManager(tmp_path, metrics=metrics)
@@ -276,7 +276,7 @@ class TestLatestSkipsDamagedFiles:
         assert latest is not None and latest.step_index == 1
 
     def test_every_file_damaged_returns_none(self, tmp_path):
-        from repro.observability import MetricsRegistry
+        from repro.observability.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
         manager = CheckpointManager(tmp_path, metrics=metrics)
@@ -303,7 +303,7 @@ class TestConfigHashStamp:
         )
 
     def test_saved_checkpoint_records_the_config_hash(self, checkpoint, tmp_path):
-        from repro.core.confighash import config_hash
+        from repro.hacc.confighash import config_hash
 
         path = checkpoint.save(tmp_path / "ck.npz")
         with np.load(path) as data:

@@ -119,7 +119,6 @@ EVENT_LOG_KINDS = {
         "pid": _check_int,
         "tid": _check_int,
     },
-    "profile": {"kernel": _check_name},
     "metrics": {"snapshot": _check_object},
 }
 
