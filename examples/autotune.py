@@ -11,10 +11,10 @@ Run:  python examples/autotune.py
 
 from repro.experiments.standalone import explore_kernel, format_study
 from repro.experiments.workload import reference_trace
-from repro.hacc.checkpoint import KernelCheckpoint
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
 from repro.kernels.tuning import autotune, tuning_table
 from repro.machine.registry import all_devices
+from repro.resilience import SimulationCheckpoint
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
     print("=" * 72)
     driver = AdiabaticDriver(SimulationConfig(n_per_side=8, n_steps=2))
     driver.run()
-    checkpoint = KernelCheckpoint.capture(driver.particles)
+    checkpoint = SimulationCheckpoint.capture(driver)
     for device in all_devices():
         study = explore_kernel(checkpoint, "acceleration", device)
         print(format_study(study))

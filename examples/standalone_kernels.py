@@ -4,8 +4,8 @@
 biggest hotspots into standalone applications driven by checkpoint
 files."  This example reproduces that workflow:
 
-1. run a short simulation and capture a checkpoint of the gas state,
-2. replay each hot kernel standalone from the checkpoint,
+1. run a short simulation and capture the run's own checkpoint,
+2. replay each hot kernel standalone from the checkpoint file,
 3. sweep the Section 5.2 register controls (GRF mode x sub-group size)
    for one kernel on Aurora -- the per-kernel tuning exploration the
    checkpoint workflow was built for.
@@ -17,13 +17,13 @@ import tempfile
 from pathlib import Path
 
 from repro.experiments.ablations import register_sweep
-from repro.hacc.checkpoint import (
+from repro.experiments.standalone import (
     STANDALONE_KERNELS,
-    KernelCheckpoint,
     checkpoint_metadata,
     run_standalone,
 )
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
+from repro.resilience import SimulationCheckpoint
 
 
 def main() -> None:
@@ -31,16 +31,16 @@ def main() -> None:
     print("Running 2 steps to build a realistic gas state ...")
     driver = AdiabaticDriver(SimulationConfig(n_per_side=8, n_steps=2))
     driver.run()
-    checkpoint = KernelCheckpoint.capture(driver.particles)
-    path = Path(tempfile.mkdtemp(prefix="crkhacc-ckpt-")) / "gas_state.npz"
-    checkpoint.save(path)
-    print(f"Checkpoint written to {path}")
-    print(checkpoint_metadata(checkpoint))
+    checkpoint = SimulationCheckpoint.capture(driver)
+    with tempfile.TemporaryDirectory(prefix="crkhacc-ckpt-") as tmp:
+        path = checkpoint.save(Path(tmp) / "sim-step0002.npz")
+        print(f"Checkpoint {path.name} written and loaded back")
+        reloaded = SimulationCheckpoint.load(path)
+    print(checkpoint_metadata(reloaded))
 
-    # 2. standalone replays: the driver's own two hydro stages on a
-    # context built from the file, so each output is bit for bit what
-    # the run's next step would hand its kernel_hook for that kernel
-    reloaded = KernelCheckpoint.load(path)
+    # 2. standalone replays: the driver's own two hydro stages on the
+    # file's gas rows, so each output is bit for bit what the run's
+    # next step would hand its kernel_hook for that kernel
     print("\nStandalone kernel replays (each equals the in-run kernel):")
     for kernel in STANDALONE_KERNELS:
         outputs = run_standalone(reloaded, kernel)

@@ -68,7 +68,6 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
     ``error:`` line), 1 for a lost or invalid run, else 0; the finished
     driver, if any; the runner's result, None on the plain path.
     """
-    from repro.hacc.checkpoint import CheckpointError
     from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
     from repro import resilience
     from repro.observability.health import default_monitor
@@ -121,7 +120,7 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
             tracer=tracer,
             metrics=metrics,
         )
-    except CheckpointError as exc:
+    except resilience.CheckpointError as exc:
         print(f"error: cannot restart: {exc}")
         return 2, None, None
     except resilience.SimulationAborted as exc:

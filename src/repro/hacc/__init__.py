@@ -12,15 +12,15 @@ paper studies, at laptop scale:
   :mod:`~repro.hacc.pm`) and the short-range particle-particle solver
   with HACC's 5th-order polynomial force kernel
   (:mod:`~repro.hacc.short_range`),
-- the Recursive Coordinate Bisection tree and leaf pairing used by the
-  GPU kernels (:mod:`~repro.hacc.tree`, :mod:`~repro.hacc.neighbors`),
+- the pair searches of both solvers (:mod:`~repro.hacc.neighbors`) and
+  the Recursive Coordinate Bisection tree (:mod:`~repro.hacc.tree`),
+  which no step uses: only the modelled GPU leaf-pair schedule
+  (:mod:`repro.kernels.leaf_schedule`) builds on it,
 - the five hot CRK-SPH kernels of Section 5 -- Geometry, Corrections,
   Extras, Acceleration, Energy (:mod:`~repro.hacc.sph`),
-- a simulated 8-rank MPI decomposition (:mod:`~repro.hacc.mpi_sim`),
+- a simulated 8-rank MPI decomposition (:mod:`~repro.hacc.mpi_sim`), and
 - an FOF/DBSCAN halo finder standing in for the ArborX integration
-  (:mod:`~repro.hacc.halo`), and
-- checkpoint files for standalone kernel experiments
-  (:mod:`~repro.hacc.checkpoint`, Section 7.2).
+  (:mod:`~repro.hacc.halo`).
 """
 
 from repro.hacc.cosmology import Cosmology

@@ -33,6 +33,8 @@ _HYDRO_FIELDS = (
     "pressure",
     "cs",      # sound speed
 )
+#: every field of a :meth:`ParticleData.allocate`-d set
+FIELDS = _BASE_FIELDS + _HYDRO_FIELDS + ("species", "pid")
 
 
 @dataclass

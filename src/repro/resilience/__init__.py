@@ -9,7 +9,7 @@ This package gives the reproduction the same property:
   injector (rank kills, kernel-output corruption, collective stalls,
   checkpoint-write failures) so every failure scenario is a
   reproducible test case;
-- :mod:`repro.resilience.restart` — full-run
+- :mod:`repro.resilience.restart` — the one checkpoint format,
   :class:`~repro.resilience.restart.SimulationCheckpoint` files with
   versioned atomic writes and checksums, plus the periodic
   :class:`~repro.resilience.restart.CheckpointManager`;
@@ -30,7 +30,6 @@ This package gives the reproduction the same property:
   correct physics or a coherent abort.
 """
 
-from repro.hacc.checkpoint import CheckpointError
 from repro.resilience.backoff import BackoffPolicy
 from repro.resilience.chaos import (
     ChaosOutcome,
@@ -54,7 +53,11 @@ from repro.resilience.guards import (
     KernelGuard,
     RetryPolicy,
 )
-from repro.resilience.restart import CheckpointManager, SimulationCheckpoint
+from repro.resilience.restart import (
+    CheckpointError,
+    CheckpointManager,
+    SimulationCheckpoint,
+)
 from repro.resilience.runner import (
     AttemptRecord,
     SimulationAborted,

@@ -1,20 +1,22 @@
-"""Full-run checkpoint/restart for the adiabatic simulation.
+"""Checkpoint/restart: the one checkpoint format of the tree.
 
-:class:`KernelCheckpoint` (Section 7.2) captures one kernel's gas
-inputs; a *restartable run* needs more: both species' complete
-particle state, the step position in the schedule, the cosmology scale
-factor, the RNG stream, and the recorded trace/diagnostics (so a
-resumed run still satisfies the validator's timer-pattern audit).
-:class:`SimulationCheckpoint` captures exactly that.
+A :class:`SimulationCheckpoint` captures everything a run needs to
+resume: both species' complete particle state, the step position in
+the schedule, the cosmology scale factor, the RNG stream, and the
+recorded trace/diagnostics (so a resumed run still satisfies the
+validator's timer-pattern audit).  The same file drives the standalone
+kernel replays of Section 7.2
+(:func:`repro.experiments.standalone.run_standalone`).
 
-Files go through the one checkpoint envelope of
-:mod:`repro.hacc.checkpoint` (what production checkpointing discipline
-demands): **atomic** (temp file + ``os.replace``, so a crash or an
+Files are what production checkpointing discipline demands:
+**atomic** (temp file + ``fsync`` + ``os.replace``, so a crash or an
 injected :class:`~repro.resilience.faults.CheckpointWriteFault` mid-write
 never leaves a half-written file under the checkpoint name),
-**versioned** and **checksummed** (SHA-256 over every payload array,
+**versioned**, **complete** (every envelope, metadata and particle
+entry present) and **checksummed** (SHA-256 over every payload array,
 verified on load, so silent corruption is detected instead of
-propagated into physics).
+propagated into physics).  Every failure to load is one
+:class:`CheckpointError`.
 
 :class:`CheckpointManager` adds the periodic-write policy on top:
 checkpoint every *k* steps, keep a bounded history, find the newest
@@ -24,18 +26,18 @@ checkpoint every *k* steps, keep a bounded history, find the newest
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
+import os
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from repro.hacc.confighash import config_hash
-from repro.hacc.checkpoint import CheckpointError, atomic_save, verified_load
-from repro.hacc.particles import ParticleData
+from repro.hacc.particles import FIELDS, ParticleData
 from repro.hacc.timestep import (
     AdiabaticDriver,
     KernelInvocation,
@@ -45,15 +47,45 @@ from repro.hacc.timestep import (
 )
 from repro.resilience.faults import CheckpointWriteFault
 
-#: simulation-checkpoint format version (independent of the
-#: kernel-checkpoint format in :mod:`repro.hacc.checkpoint`)
 SIM_FORMAT_VERSION = 1
 _KIND = "crk-hacc-simulation"
+#: entries of a checkpoint file that are not payload
+_ENVELOPE = ("kind", "version", "checksum")
+#: entries a loadable file must hold (``config_hash`` is optional:
+#: files written before it was recorded lack it)
+_REQUIRED = (
+    "version", "checksum", "step_index", "a", "box", "config_json", "rng_json",
+    "trace_names", "trace_workitems", "trace_interactions",
+    "diag_a", "diag_ke", "diag_te", "diag_momentum", "diag_contrast",
+    *(f"part_{name}" for name in FIELDS),
+)
 
 #: checkpoint files :class:`CheckpointManager` keeps (the newest ones)
 KEEP_CHECKPOINTS = 4
 #: re-issues of a checkpoint write after a transient OS-level error
 WRITE_RETRIES = 2
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is unreadable, truncated, corrupt, incomplete,
+    or of an unsupported format version."""
+
+
+def payload_digest(arrays: dict[str, np.ndarray]) -> str:
+    """Order-independent SHA-256 digest of named array payloads.
+
+    Hashes each entry's name, dtype, shape, and raw bytes, so any
+    bitflip in the stored data (or a silently dropped field) changes
+    the digest.
+    """
+    h = hashlib.sha256()
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(np.asarray(arrays[name]))
+        h.update(name.encode())
+        h.update(str(arr.dtype).encode())
+        h.update(str(arr.shape).encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -153,34 +185,74 @@ class SimulationCheckpoint:
         return payload
 
     def save(self, path: str | Path, *, injector=None) -> Path:
-        """Atomic checksummed write; returns the final path.
+        """Atomic checksummed write; returns the final path (``.npz``
+        appended when missing).
 
+        A temp file in the target directory is flushed, ``fsync``-ed
+        and only then ``os.replace``-d over the final name.
         ``injector`` is the optional fault injector whose
         ``fail_checkpoint_write`` hook models a crash mid-write (the
         temp file is torn, the final name is never touched).
         """
-        before_write = None
-        if injector is not None:
-            before_write = partial(injector.fail_checkpoint_write, self.step_index)
-        return atomic_save(
-            path,
-            self._payload(),
-            version=SIM_FORMAT_VERSION,
-            kind=_KIND,
-            before_write=before_write,
-        )
+        path = Path(path)
+        if path.suffix != ".npz":
+            path = path.with_suffix(path.suffix + ".npz")
+        payload = self._payload()
+        tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
+        try:
+            if injector is not None:
+                injector.fail_checkpoint_write(self.step_index, tmp)
+            with open(tmp, "wb") as fh:
+                np.savez_compressed(
+                    fh,
+                    kind=_KIND,
+                    version=SIM_FORMAT_VERSION,
+                    checksum=payload_digest(payload),
+                    **payload,
+                )
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+        return path
 
     @classmethod
     def load(cls, path: str | Path) -> "SimulationCheckpoint":
         """Load and verify; raises :class:`CheckpointError` on any
-        unreadable, truncated, corrupt, or wrong-version file."""
-        return verified_load(
-            path,
-            cls._from_payload,
-            what="simulation",
-            version=SIM_FORMAT_VERSION,
-            kind=_KIND,
-        )
+        unreadable, foreign, wrong-version, incomplete, corrupt or
+        undecodable file."""
+        path = Path(path)
+        try:
+            with np.load(path) as data:
+                if "kind" not in data or str(data["kind"]) != _KIND:
+                    raise CheckpointError(f"{path}: not a simulation checkpoint")
+                if "version" in data and int(data["version"]) != SIM_FORMAT_VERSION:
+                    raise CheckpointError(
+                        f"{path}: simulation checkpoint format "
+                        f"{int(data['version'])} not supported "
+                        f"(expected {SIM_FORMAT_VERSION})"
+                    )
+                missing = [name for name in _REQUIRED if name not in data]
+                if missing:
+                    raise CheckpointError(
+                        f"{path}: checkpoint missing field(s) {missing}"
+                    )
+                payload = {
+                    name: data[name] for name in data.files if name not in _ENVELOPE
+                }
+                stored = str(data["checksum"])
+            actual = payload_digest(payload)
+            if stored != actual:
+                raise CheckpointError(
+                    f"{path}: checksum mismatch "
+                    f"(stored {stored[:12]}..., data {actual[:12]}...)"
+                )
+            return cls._from_payload(payload)
+        except CheckpointError:
+            raise
+        except Exception as exc:  # zipfile/pickle/OS/key errors -> one clear type
+            raise CheckpointError(f"{path}: unreadable checkpoint ({exc})") from exc
 
     @classmethod
     def _from_payload(cls, payload: dict[str, np.ndarray]) -> "SimulationCheckpoint":

@@ -40,7 +40,7 @@ MPI world with the full resilience stack threaded through it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -241,11 +241,18 @@ def run_simulation(
     start: SimulationCheckpoint | None = None
     if restart_from is not None:
         start = SimulationCheckpoint.load(restart_from)
-        say(f"restarting from checkpoint at step {start.step_index}")
+        message = f"restarting from checkpoint at step {start.step_index}"
         if start.config != config:
             # the checkpoint's embedded config is authoritative: the
             # schedule must match the state being resumed
+            differs = [
+                f"{f.name}={getattr(start.config, f.name)}"
+                for f in fields(config)
+                if getattr(start.config, f.name) != getattr(config, f.name)
+            ]
+            message += f" under its own config ({', '.join(differs)})"
             config = start.config
+        say(message)
 
     attempts: list[AttemptRecord] = []
     health_alerts: list[Alert] = []

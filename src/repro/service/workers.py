@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -75,7 +76,8 @@ class ServiceConfig:
     cache_bytes: int = 256 * 1024 * 1024
     #: per-tenant active-job quota
     quota: TenantQuota = TenantQuota()
-    #: directory for preemption checkpoints (a temp dir when None)
+    #: directory for preemption checkpoints (when None, a temp dir that
+    #: shutdown removes)
     checkpoint_dir: str | None = None
     #: live JSONL event log (the dashboard --follow feed), optional
     events_out: str | None = None
@@ -111,6 +113,8 @@ class SimulationService:
         self.scheduler = JobScheduler(
             self.config.quota, tracer=self.tracer, metrics=self.metrics
         )
+        #: a checkpoint directory the service made is its to remove
+        self._owns_checkpoint_root = not self.config.checkpoint_dir
         self._checkpoint_root = Path(
             self.config.checkpoint_dir
             or tempfile.mkdtemp(prefix="repro-service-ckpt-")
@@ -149,6 +153,8 @@ class SimulationService:
             self._log_instant("service-shutdown", jobs=len(self.scheduler.jobs))
             self.events.write({"kind": "metrics", "snapshot": self.metrics.snapshot()})
             self.events.close()
+        if self._owns_checkpoint_root:
+            shutil.rmtree(self._checkpoint_root, ignore_errors=True)
 
     # -- live event log ------------------------------------------------
     def _log_instant(self, name: str, **args: Any) -> None:

@@ -7,23 +7,24 @@ from repro.experiments.standalone import (
     explore_kernel,
     format_study,
 )
-from repro.hacc.checkpoint import KernelCheckpoint
+from repro.hacc.particles import Species
 from repro.machine.registry import AURORA, POLARIS
+from repro.resilience import SimulationCheckpoint
 from tests.kernels.oracles import HOTSPOT_KERNELS
 from tests.observability.oracles import spans_named
 
 
 @pytest.fixture(scope="module")
 def checkpoint(reference_driver):
-    return KernelCheckpoint.capture(reference_driver.particles)
+    return SimulationCheckpoint.capture(reference_driver)
 
 
 class TestCheckpointWorkload:
-    def test_single_invocation(self, checkpoint):
+    def test_single_invocation(self, checkpoint, reference_driver):
         trace = checkpoint_workload(checkpoint, "upBarAc")
         assert len(trace.invocations) == 1
         inv = trace.invocations[0]
-        assert inv.n_workitems == checkpoint.n_particles
+        assert inv.n_workitems == reference_driver.particles.count(Species.BARYON)
         assert inv.interactions_per_item > 10
 
 

@@ -1,54 +1,60 @@
-"""Tests for standalone-kernel checkpoints (Section 7.2)."""
+"""Tests for the run checkpoint as a standalone-kernel input (Section 7.2)."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.hacc.checkpoint import (
-    FORMAT_VERSION,
+from repro.experiments.standalone import (
     STANDALONE_KERNELS,
-    CheckpointError,
-    KernelCheckpoint,
     checkpoint_metadata,
     run_standalone,
 )
 from repro.hacc.particles import Species
 from repro.hacc.timestep import TIMER_NAMES, AdiabaticDriver, SimulationConfig
+from repro.resilience import CheckpointError, SimulationCheckpoint
+from repro.resilience.restart import SIM_FORMAT_VERSION
 
 
 @pytest.fixture(scope="module")
 def checkpoint(reference_driver):
-    return KernelCheckpoint.capture(reference_driver.particles)
+    return SimulationCheckpoint.capture(reference_driver)
+
+
+def rewrite(path, **changes):
+    """Re-save ``path`` with entries replaced (``None`` deletes one)
+    and the stored checksum left as it was."""
+    with np.load(path) as data:
+        entries = {name: data[name] for name in data.files}
+    for name, value in changes.items():
+        if value is None:
+            del entries[name]
+        else:
+            entries[name] = value
+    np.savez(path, **entries)
 
 
 class TestCapture:
-    def test_captures_gas_only(self, checkpoint, reference_driver):
-        n_gas = reference_driver.particles.count(Species.BARYON)
-        assert checkpoint.n_particles == n_gas
-
     def test_fields_finite(self, checkpoint):
-        for name in ("pos", "vel", "mass", "h", "u", "pressure", "cs"):
-            assert np.all(np.isfinite(getattr(checkpoint, name))), name
+        for name, arr in checkpoint.particle_arrays.items():
+            assert np.all(np.isfinite(arr)), name
 
 
 class TestRoundTrip:
     def test_save_load_identical(self, checkpoint, tmp_path):
-        path = tmp_path / "state.npz"
-        checkpoint.save(path)
-        loaded = KernelCheckpoint.load(path)
+        path = checkpoint.save(tmp_path / "state.npz")
+        loaded = SimulationCheckpoint.load(path)
         assert loaded.box == checkpoint.box
-        for name in ("pos", "vel", "mass", "h", "u", "volume", "rho", "pressure", "cs"):
-            assert np.array_equal(getattr(loaded, name), getattr(checkpoint, name)), name
+        assert loaded.particle_arrays.keys() == checkpoint.particle_arrays.keys()
+        for name, arr in checkpoint.particle_arrays.items():
+            assert np.array_equal(loaded.particle_arrays[name], arr), name
+            assert loaded.particle_arrays[name].dtype == arr.dtype, name
 
     def test_version_mismatch_rejected(self, checkpoint, tmp_path):
-        path = tmp_path / "state.npz"
-        checkpoint.save(path)
-        data = dict(np.load(path))
-        data["version"] = np.array(999)
-        np.savez(path, **data)
+        path = checkpoint.save(tmp_path / "state.npz")
+        rewrite(path, version=np.array(999))
         with pytest.raises(ValueError):
-            KernelCheckpoint.load(path)
+            SimulationCheckpoint.load(path)
 
 
 class TestCorruptFiles:
@@ -56,46 +62,54 @@ class TestCorruptFiles:
 
     @pytest.fixture
     def saved(self, checkpoint, tmp_path):
-        path = tmp_path / "state.npz"
-        checkpoint.save(path)
-        return path
+        return checkpoint.save(tmp_path / "state.npz")
 
     def test_truncated_file(self, saved):
         saved.write_bytes(saved.read_bytes()[:80])
         with pytest.raises(CheckpointError, match="unreadable"):
-            KernelCheckpoint.load(saved)
+            SimulationCheckpoint.load(saved)
 
     def test_not_an_npz(self, tmp_path):
         path = tmp_path / "junk.npz"
         path.write_bytes(b"this is not a zip archive")
         with pytest.raises(CheckpointError, match="unreadable"):
-            KernelCheckpoint.load(path)
+            SimulationCheckpoint.load(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
-            KernelCheckpoint.load(tmp_path / "nope.npz")
+            SimulationCheckpoint.load(tmp_path / "nope.npz")
 
     def test_missing_payload_field(self, saved):
-        data = dict(np.load(saved))
-        del data["pressure"]
-        np.savez(saved, **data)
-        with pytest.raises(CheckpointError, match="missing field.*pressure"):
-            KernelCheckpoint.load(saved)
+        # a particle array dropped under a *correct* checksum: without
+        # the field check the file loads and the restored driver dies
+        # with a bare AttributeError in its first step
+        from repro.resilience.restart import payload_digest
+
+        with np.load(saved) as data:
+            entries = {name: data[name] for name in data.files}
+        del entries["part_pressure"]
+        payload = {
+            name: arr
+            for name, arr in entries.items()
+            if name not in ("kind", "version", "checksum")
+        }
+        entries["checksum"] = np.array(payload_digest(payload))
+        np.savez(saved, **entries)
+        with pytest.raises(CheckpointError, match="missing field.*part_pressure"):
+            SimulationCheckpoint.load(saved)
 
     def test_no_version_field(self, saved):
-        data = dict(np.load(saved))
-        del data["version"]
-        np.savez(saved, **data)
-        with pytest.raises(CheckpointError, match="no version field"):
-            KernelCheckpoint.load(saved)
+        rewrite(saved, version=None)
+        with pytest.raises(CheckpointError, match="missing field.*version"):
+            SimulationCheckpoint.load(saved)
 
     def test_bitflip_detected_by_checksum(self, saved):
-        data = dict(np.load(saved))
-        data["u"] = data["u"].copy()
-        data["u"][0] += 1e-12  # stale checksum now mismatches
-        np.savez(saved, **data)
+        with np.load(saved) as data:
+            u = data["part_u"].copy()
+        u[0] += 1e-12  # stale checksum now mismatches
+        rewrite(saved, part_u=u)
         with pytest.raises(CheckpointError, match="checksum mismatch"):
-            KernelCheckpoint.load(saved)
+            SimulationCheckpoint.load(saved)
 
     def test_checkpoint_error_is_a_value_error(self):
         # callers that predate the dedicated type keep working
@@ -104,16 +118,12 @@ class TestCorruptFiles:
 
 class TestVersion1Rejected:
     def test_version1_file_is_rejected(self, checkpoint, tmp_path):
-        """Version 1 carried no checksum and nothing can write it any
-        more: a file that claims it must not skip verification."""
-        path = tmp_path / "v1.npz"
-        checkpoint.save(path)
-        data = dict(np.load(path))
-        del data["checksum"]
-        data["version"] = np.array(1)
-        np.savez(path, **data)
-        with pytest.raises(CheckpointError, match="format 1 not supported"):
-            KernelCheckpoint.load(path)
+        """A file that claims the current version but carries no
+        checksum must not skip verification."""
+        path = checkpoint.save(tmp_path / "v1.npz")
+        rewrite(path, checksum=None, version=np.array(SIM_FORMAT_VERSION))
+        with pytest.raises(CheckpointError, match="missing field.*checksum"):
+            SimulationCheckpoint.load(path)
 
 
 class TestAtomicWrite:
@@ -130,8 +140,10 @@ class TestAtomicWrite:
         with pytest.raises(KeyboardInterrupt):
             checkpoint.save(path)
         monkeypatch.undo()
-        loaded = KernelCheckpoint.load(path)
-        np.testing.assert_array_equal(loaded.u, checkpoint.u)
+        loaded = SimulationCheckpoint.load(path)
+        np.testing.assert_array_equal(
+            loaded.particle_arrays["u"], checkpoint.particle_arrays["u"]
+        )
         assert [p.name for p in tmp_path.iterdir()] == ["state.npz"]
 
 
@@ -148,13 +160,16 @@ class TestStandaloneRuns:
             run_standalone(checkpoint, "subgrid_agn")
 
     @pytest.fixture(scope="class")
-    def in_run(self):
+    def in_run(self, tmp_path_factory):
         """A checkpoint taken at a step boundary of an untruncated
-        cell-path run, and what ``kernel_hook`` hands out in the first
-        hydro pass of the step after it."""
+        cell-path run, saved and loaded back, and what ``kernel_hook``
+        hands out in the first hydro pass of the step after it."""
         driver = AdiabaticDriver(SimulationConfig(n_per_side=9, n_steps=2, seed=7))
         driver.advance()
-        taken = KernelCheckpoint.capture(driver.particles)
+        path = SimulationCheckpoint.capture(driver).save(
+            tmp_path_factory.mktemp("in-run") / "sim-step0001.npz"
+        )
+        taken = SimulationCheckpoint.load(path)
         hooked = {}
         driver.kernel_hook = lambda name, _step, outputs: hooked.update(
             {name: {k: v.copy() for k, v in outputs.items()}}
@@ -175,13 +190,17 @@ class TestStandaloneRuns:
 
     def test_acceleration_conserves_momentum(self, checkpoint):
         dv = run_standalone(checkpoint, "acceleration")["dv_dt"]
-        net = (checkpoint.mass[:, None] * dv).sum(axis=0)
-        scale = np.abs(checkpoint.mass[:, None] * dv).sum()
+        p = checkpoint.particles()
+        mass = p.mass[p.species_mask(Species.BARYON)]
+        net = (mass[:, None] * dv).sum(axis=0)
+        scale = np.abs(mass[:, None] * dv).sum()
         assert np.all(np.abs(net) <= 1e-12 * max(scale, 1e-300))
 
 
 class TestMetadata:
-    def test_json_summary(self, checkpoint):
+    def test_json_summary(self, checkpoint, reference_driver):
         meta = json.loads(checkpoint_metadata(checkpoint))
-        assert meta["n_particles"] == checkpoint.n_particles
-        assert meta["format_version"] == FORMAT_VERSION
+        assert meta["n_particles"] == len(reference_driver.particles)
+        assert meta["n_gas"] == reference_driver.particles.count(Species.BARYON)
+        assert meta["step_index"] == checkpoint.step_index
+        assert meta["format_version"] == SIM_FORMAT_VERSION

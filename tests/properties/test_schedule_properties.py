@@ -80,24 +80,32 @@ class TestCheckpointProperties:
         import tempfile
         from pathlib import Path
 
-        from repro.hacc.checkpoint import KernelCheckpoint
+        from repro.hacc.particles import ParticleData
+        from repro.hacc.timestep import SimulationConfig
+        from repro.resilience import SimulationCheckpoint
 
         rng = np.random.default_rng(seed)
-        ckpt = KernelCheckpoint(
+        arrays = ParticleData.allocate(n, box).arrays
+        for name, arr in arrays.items():
+            if arr.dtype == np.float64:
+                arrays[name] = rng.normal(size=n)
+        arrays["species"] = rng.integers(0, 2, n, dtype=np.int8)
+        arrays["pid"] = rng.permutation(n).astype(np.int64)
+        ckpt = SimulationCheckpoint(
+            step_index=int(rng.integers(0, 5)),
+            a=float(rng.uniform(0.01, 1.0)),
+            config=SimulationConfig(n_per_side=6, n_steps=5, seed=seed),
             box=box,
-            pos=rng.uniform(0, box, (n, 3)),
-            vel=rng.normal(size=(n, 3)),
-            mass=rng.uniform(0.5, 2.0, n),
-            h=rng.uniform(0.1, 1.0, n),
-            u=rng.uniform(0.0, 1.0, n),
-            volume=rng.uniform(0.1, 1.0, n),
-            rho=rng.uniform(0.5, 2.0, n),
-            pressure=rng.uniform(0.0, 1.0, n),
-            cs=rng.uniform(0.1, 1.0, n),
+            particle_arrays=arrays,
+            rng_state=np.random.default_rng(seed).bit_generator.state,
+            trace=(),
+            diagnostics=(),
         )
-        path = Path(tempfile.mkdtemp(prefix="ckpt-")) / "state.npz"
-        ckpt.save(path)
-        loaded = KernelCheckpoint.load(path)
+        with tempfile.TemporaryDirectory(prefix="ckpt-") as tmp:
+            loaded = SimulationCheckpoint.load(ckpt.save(Path(tmp) / "state.npz"))
         assert loaded.box == ckpt.box
-        for field in ("pos", "vel", "mass", "h", "u", "volume", "rho", "pressure", "cs"):
-            assert np.array_equal(getattr(loaded, field), getattr(ckpt, field))
+        assert loaded.step_index == ckpt.step_index and loaded.a == ckpt.a
+        assert loaded.particle_arrays.keys() == arrays.keys()
+        for name, arr in arrays.items():
+            assert np.array_equal(loaded.particle_arrays[name], arr)
+            assert loaded.particle_arrays[name].dtype == arr.dtype

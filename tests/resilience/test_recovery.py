@@ -269,6 +269,35 @@ class TestFaultFreePath:
             == first.driver.diagnostics[-1].kinetic_energy
         )
 
+    def test_restart_from_names_the_checkpoints_config(self, tmp_path):
+        """The checkpoint's config wins over the requested one, and the
+        restart line says which config the run continues under."""
+        from repro.resilience import SimulationCheckpoint
+
+        driver = AdiabaticDriver(small_config())
+        driver.advance()
+        driver.advance()
+        path = SimulationCheckpoint.capture(driver).save(tmp_path / "c.npz")
+
+        said = []
+        resumed = run_simulation(
+            SimulationConfig(n_per_side=8, n_steps=4),
+            world_size=1,
+            timeout=10.0,
+            restart_from=path,
+            echo=said.append,
+        )
+        assert resumed.ok and resumed.driver.config == small_config()
+        line = next(m for m in said if m.startswith("restarting from checkpoint"))
+        assert "at step 2 under its own config" in line
+        assert "n_per_side=6" in line and "n_steps=3" in line
+
+        said.clear()
+        run_simulation(
+            small_config(), world_size=1, restart_from=path, echo=said.append
+        )
+        assert "restarting from checkpoint at step 2" in said
+
 
 @pytest.mark.timeout(180)
 class TestGracefulDegradation:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.hacc.checkpoint import CheckpointError
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
+from repro.resilience import CheckpointError
 from repro.resilience.faults import CheckpointWriteFault, FaultInjector, FaultSpec
 from repro.resilience.restart import (
     KEEP_CHECKPOINTS,
@@ -128,7 +128,22 @@ class TestSaveLoad:
             SimulationCheckpoint.load(path)
 
     def test_kernel_checkpoint_not_accepted(self, tmp_path, checkpoint):
-        np.savez(tmp_path / "other.npz", version=1, box=1.0)
+        # the retired standalone-kernel layout: gas rows, version 2, no kind
+        from repro.resilience.restart import payload_digest
+
+        rng = np.random.default_rng(0)
+        payload = {
+            name: rng.uniform(size=(5, 3) if name in ("pos", "vel") else 5)
+            for name in ("pos", "vel", "mass", "h", "u", "volume", "rho",
+                         "pressure", "cs")
+        }
+        payload["box"] = np.float64(1.0)
+        np.savez(
+            tmp_path / "other.npz",
+            version=2,
+            checksum=payload_digest(payload),
+            **payload,
+        )
         with pytest.raises(CheckpointError, match="not a simulation checkpoint"):
             SimulationCheckpoint.load(tmp_path / "other.npz")
 
@@ -275,6 +290,29 @@ class TestLatestSkipsDamagedFiles:
             latest = manager.latest()
         assert latest is not None and latest.step_index == 1
 
+    def test_incomplete_file_skipped(self, tmp_path, checkpoint):
+        """Regression: a newer file whose checksum is right but which
+        lacks a particle array is skipped, not restored into a driver
+        that dies with an AttributeError in its first step."""
+        import dataclasses
+
+        from repro.resilience.restart import _KIND, payload_digest
+
+        manager = CheckpointManager(tmp_path)
+        dataclasses.replace(checkpoint, step_index=1).save(manager.path_for(1))
+        payload = dataclasses.replace(checkpoint, step_index=2)._payload()
+        del payload["part_pressure"]
+        np.savez(
+            manager.path_for(2),
+            kind=_KIND,
+            version=SIM_FORMAT_VERSION,
+            checksum=payload_digest(payload),
+            **payload,
+        )
+        with pytest.warns(RuntimeWarning, match="missing field"):
+            latest = manager.latest()
+        assert latest is not None and latest.step_index == 1
+
     def test_every_file_damaged_returns_none(self, tmp_path):
         from repro.observability.metrics import MetricsRegistry
 
@@ -291,8 +329,7 @@ class TestConfigHashStamp:
     """The canonical config hash recorded in every checkpoint."""
 
     def _write_npz(self, path, payload):
-        from repro.hacc.checkpoint import payload_digest
-        from repro.resilience.restart import _KIND
+        from repro.resilience.restart import _KIND, payload_digest
 
         np.savez_compressed(
             path,

@@ -177,6 +177,27 @@ class TestPreemption:
             )
 
 
+class TestCheckpointDirectory:
+    def test_shutdown_removes_only_the_directory_it_made(self, tmp_path):
+        async def body(service):
+            return service._checkpoint_root
+
+        made = run(_with_service(body))
+        assert made.name.startswith("repro-service-ckpt-")
+        assert not made.exists()
+
+        configured = tmp_path / "kept"
+        configured.mkdir()
+        (configured / "sim-step0001.npz").write_bytes(b"not the service's")
+        got = run(
+            _with_service(
+                body, ServiceConfig(workers=1, checkpoint_dir=str(configured))
+            )
+        )
+        assert got == configured
+        assert (configured / "sim-step0001.npz").exists()
+
+
 @pytest.mark.faults
 class TestFaultedJobs:
     def test_injected_fault_degrades_without_failing_the_request(self):
