@@ -51,16 +51,18 @@ def main() -> None:
     print(format_profile_table(profiler.rows()))
 
     # 3. the record: one event log, and the Chrome trace converted from it
-    outdir = Path(tempfile.mkdtemp(prefix="repro-trace-"))
-    events_path = write_event_log(outdir / "events.jsonl", tracer=tracer, metrics=metrics)
-    records = read_events(events_path)
+    with tempfile.TemporaryDirectory(prefix="repro-trace-") as outdir:
+        events_path = write_event_log(
+            Path(outdir) / "events.jsonl", tracer=tracer, metrics=metrics
+        )
+        records = read_events(events_path)
     timeline = chrome_trace(records)["traceEvents"]
     assert sum(e["ph"] == "X" for e in timeline) == len(tracer.spans)
     assert records[-1]["snapshot"] == metrics.snapshot()
-    print(f"\nevents.jsonl: {events_path} ({len(records)} records)")
+    print(f"\nevents.jsonl: {len(records)} records")
     print(
         f"Chrome trace: {len(timeline)} events -- write it with "
-        f"python -m repro perfetto {events_path} > trace.json\n"
+        "python -m repro perfetto events.jsonl > trace.json\n"
         "and open it at https://ui.perfetto.dev\n"
     )
     print(tracer.flame_summary(limit=12))

@@ -61,16 +61,14 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
     """The run core of ``simulate``, ``trace`` and ``validate``.
 
     Shared argument validation -> ``SimulationConfig`` -> ``FaultPlan``
-    -> the plain driver (``on_step(driver, diag)`` follows its steps,
-    ``driver.health`` is its monitor) or, when the arguments ask for
-    ranks, faults or checkpoints, the fault-tolerant runner.  Returns
-    ``(code, driver, result)``: 2 for bad arguments (said on an
-    ``error:`` line), 1 for a lost or invalid run, else 0; the finished
-    driver, if any; the runner's result, None on the plain path.
+    -> the fault-tolerant runner on ``--ranks`` ranks (one by default;
+    ``on_step(driver, diag)`` follows the agreed steps).  Returns
+    ``(code, result)``: 2 for bad arguments (said on an ``error:``
+    line), 1 for a lost or invalid run, else 0; the runner's result,
+    None when the run was refused or lost.
     """
-    from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
+    from repro.hacc.timestep import SimulationConfig
     from repro import resilience
-    from repro.observability.health import default_monitor
 
     opts = argparse.Namespace(**{**_RUN_DEFAULTS, **vars(args)})
     for bad, message in (
@@ -81,7 +79,7 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
     ):
         if bad:
             print(f"error: {message}")
-            return 2, None, None
+            return 2, None
     config = SimulationConfig(n_per_side=opts.n, n_steps=opts.steps)
     print(
         f"2x {opts.n}^3 particles, box {config.box:.2f} Mpc/h, "
@@ -91,20 +89,11 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
     if opts.faults:
         try:
             fault_plan = resilience.FaultPlan.parse(opts.faults, seed=opts.fault_seed)
+            fault_plan.check_ranks(opts.ranks)
         except ValueError as exc:
             print(f"error: invalid --faults plan: {exc}")
-            return 2, None, None
+            return 2, None
         print(fault_plan.describe())
-
-    if not (
-        opts.ranks > 1 or opts.faults or opts.restart_from or opts.checkpoint_dir
-    ):
-        driver = AdiabaticDriver(config)
-        driver.tracer = tracer
-        driver.metrics = metrics
-        driver.health = default_monitor(tracer=tracer, metrics=metrics)
-        driver.run(on_step)
-        return 0, driver, None
     try:
         result = resilience.run_simulation(
             config,
@@ -119,16 +108,17 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
             echo=print,
             tracer=tracer,
             metrics=metrics,
+            on_step=on_step,
         )
     except resilience.CheckpointError as exc:
         print(f"error: cannot restart: {exc}")
-        return 2, None, None
+        return 2, None
     except resilience.SimulationAborted as exc:
         print(f"simulation lost: {exc}")
         for rec in exc.attempts:
             print(f"  attempt {rec.attempt}: {rec.outcome} ({rec.failure})")
-        return 1, None, None
-    return (0 if result.ok else 1), result.driver, result
+        return 1, None
+    return (0 if result.ok else 1), result
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -136,11 +126,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return _simulate_chaos(args)
     live = on_step = None
     if args.live:
-        from repro.observability.dashboard import LiveDashboard
+        from repro.observability.dashboard import DashboardState, LiveDashboard
         from repro.observability.export import iter_events
 
         live = LiveDashboard()
-        live.state.meta = {"title": f"simulate -n {args.n} --ranks {args.ranks}"}
+        meta = {"title": f"simulate -n {args.n} --ranks {args.ranks}"}
+        live.state.meta = meta
 
         def on_step(drv, diag) -> None:
             # observe_step ran inside step(), before the index bump
@@ -150,47 +141,37 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
 
     tracer, metrics = _observability_sinks(args)
-    code, driver, result = _run(args, tracer, metrics, on_step)
-    if driver is None:
+    code, result = _run(args, tracer, metrics, on_step)
+    if result is None:
         if code == 1:
             # a lost run is exactly when the telemetry matters most
             _write_observability(args, tracer, metrics)
         return code
-    if live is not None and result is None:
-        live.finish()  # the dashboard stood in for the per-step lines
-    else:
-        for diag in driver.diagnostics:
-            print(
-                f"a={diag.a:.5f}  KE={diag.kinetic_energy:.4e}  "
-                f"thermal={diag.thermal_energy:.4e}  "
-                f"max_delta={diag.max_density_contrast:.2f}"
-            )
-    if result is None:
-        monitor, alerts = driver.health, None
-        if monitor.alerts:
-            print(monitor.summary())
-        print(f"kernel launches recorded: {len(driver.trace.invocations)}")
-    else:
-        # the monitor belongs to the *final* (clean) attempt; the
-        # escalated alerts of every attempt live in health_alerts
-        monitor, alerts = result.health_monitor, result.health_alerts
-        print(result.summary())
-        if alerts:
-            print(f"health: {len(alerts)} alert(s) across all attempts")
-            for alert in alerts:
-                print(f"  {alert.describe()}")
-        if live is not None:
-            # the rank threads already ran: the final frame comes from
-            # the recorded telemetry
-            for event in iter_events(
-                tracer=tracer,
-                metrics=metrics,
-                monitor=monitor,
-                alerts=alerts,
-                meta=live.state.meta,
-            ):
-                live.state.apply(event)
-            live.finish()
+    driver = result.driver
+    for diag in driver.diagnostics:
+        print(
+            f"a={diag.a:.5f}  KE={diag.kinetic_energy:.4e}  "
+            f"thermal={diag.thermal_energy:.4e}  "
+            f"max_delta={diag.max_density_contrast:.2f}"
+        )
+    # the monitor belongs to the *final* (clean) attempt; the alerts of
+    # every attempt live in health_alerts
+    monitor, alerts = result.health_monitor, result.health_alerts
+    print(result.summary())
+    if alerts:
+        print(f"health: {len(alerts)} alert(s) across all attempts")
+        for alert in alerts:
+            print(f"  {alert.describe()}")
+    print(f"kernel launches recorded: {len(driver.trace.invocations)}")
+    if live is not None:
+        # the final frame holds every attempt's telemetry, not only the
+        # steps the dashboard followed
+        live.state = DashboardState()
+        for event in iter_events(
+            tracer=tracer, metrics=metrics, monitor=monitor, alerts=alerts, meta=meta
+        ):
+            live.state.apply(event)
+        live.finish()
     _write_observability(args, tracer, metrics, monitor=monitor, alerts=alerts)
     return code
 
@@ -295,14 +276,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from repro.hacc.validation import validate_run
-
-    code, driver, _result = _run(args)
-    if driver is None:
-        return code
-    report = validate_run(driver)
-    print(report.summary())
-    return 0 if report.ok else 1
+    code, result = _run(args)
+    if result is not None:
+        print(result.report.summary())
+    return code
 
 
 def _cmd_roofline(args: argparse.Namespace) -> int:
@@ -321,14 +298,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """The run core with its event log on by default, then the device
     replay and the flame summary."""
     tracer, metrics = _observability_sinks(args)
-    code, driver, result = _run(args, tracer, metrics)
+    code, result = _run(args, tracer, metrics)
     if code == 2:
         return code
-    if driver is not None:
-        trace = driver.trace
-        print(f"{driver.step_index} steps, {len(trace.invocations)} kernel launches")
-        if result is not None:
-            print(result.summary())
+    if result is not None:
+        trace = result.driver.trace
+        print(
+            f"{result.driver.step_index} steps, {len(trace.invocations)} kernel launches"
+        )
+        print(result.summary())
         if args.device:
             from repro.kernels.profiler import profile_trace
             from repro.machine.registry import device_by_name
@@ -633,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ranks",
         type=int,
         default=1,
-        help="simulated MPI ranks (>1: the fault-tolerant runner, a track per rank)",
+        help="simulated MPI ranks of the fault-tolerant runner (a track per rank)",
     )
     recovery.add_argument(
         "--faults",
@@ -700,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "live terminal dashboard; redraws per "
-            "step on a TTY, prints the final frame on the multi-rank path"
+            "step on a TTY, then prints the final frame"
         ),
     )
     p.set_defaults(func=_cmd_simulate)

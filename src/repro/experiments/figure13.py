@@ -34,7 +34,8 @@ PAPER_CONVERGENCE = {
 def compute_convergence(root: Path | None = None) -> dict[str, float]:
     """Code convergence per configuration from the codebase model."""
     if root is None:
-        root = Path(tempfile.mkdtemp(prefix="crkhacc-model-")) / "src"
+        with tempfile.TemporaryDirectory(prefix="crkhacc-model-") as scratch:
+            return compute_convergence(Path(scratch) / "src")
     if not any(root.rglob("*.cpp")) if root.exists() else True:
         generate_codebase(root)
     analysis = analyze_model(root)

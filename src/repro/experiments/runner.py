@@ -48,9 +48,10 @@ def run_all(verbose: bool = True) -> dict[str, object]:
     from repro.core.codebase import analyze_model, generate_codebase
     from repro.core.maintenance import kernel_change_factors
 
-    root = Path(tempfile.mkdtemp(prefix="crkhacc-runner-")) / "src"
-    generate_codebase(root)
-    results["maintenance_factors"] = kernel_change_factors(analyze_model(root))
+    with tempfile.TemporaryDirectory(prefix="crkhacc-runner-") as scratch:
+        root = Path(scratch) / "src"
+        generate_codebase(root)
+        results["maintenance_factors"] = kernel_change_factors(analyze_model(root))
 
     if verbose:
         print("=" * 72)

@@ -17,9 +17,9 @@ from repro.core.codebase import (
 def generate(root: Path | None = None) -> list[dict]:
     """Regenerate Table 2 from the codebase model."""
     if root is None:
-        root = Path(tempfile.mkdtemp(prefix="crkhacc-model-")) / "src"
-        generate_codebase(root)
-    elif not root.exists():
+        with tempfile.TemporaryDirectory(prefix="crkhacc-model-") as scratch:
+            return generate(Path(scratch) / "src")
+    if not root.exists():
         generate_codebase(root)
     analysis = analyze_model(root)
     return table2_rows(analysis)

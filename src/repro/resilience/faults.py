@@ -192,6 +192,19 @@ class FaultPlan:
             specs.append(FaultSpec(kind=kind, **kwargs))
         return cls(faults=tuple(specs), seed=seed)
 
+    def check_ranks(self, world_size: int) -> None:
+        """Raise :class:`ValueError` when a fault names a rank outside
+        a world of ``world_size`` (such a fault would never fire)."""
+        outside = sorted(
+            {s.rank for s in self.faults if s.rank != ANY_RANK}
+            - set(range(world_size))
+        )
+        if outside:
+            raise ValueError(
+                f"fault plan names rank(s) {outside} outside a world of "
+                f"{world_size} rank(s)"
+            )
+
     def describe(self) -> str:
         if not self.faults:
             return "fault plan: empty"

@@ -21,6 +21,10 @@ MPI world with the full resilience stack threaded through it:
   through the :class:`CheckpointManager`; an injected
   checkpoint-write fault is absorbed (the run continues on the older
   restart point — losing a checkpoint must not lose the run);
+- the same ``allgather`` carries each rank's read of the caller's
+  preemption request, so every rank stops after the same step; the
+  lowest rank checkpoints that step and the result is marked
+  preempted, to be resumed with ``restart_from``;
 - when an attempt degrades or dies, the degradation policy (one of
   :data:`~repro.resilience.degrade.DEGRADE_POLICIES`) decides the
   response.  Under ``shrink`` the survivors agree on the failure
@@ -45,7 +49,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.hacc.mpi_sim import RankFailure, SimComm, SimWorld
-from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
+from repro.hacc.timestep import AdiabaticDriver, SimulationConfig, StepDiagnostics
 from repro.hacc.validation import ValidationReport, validate_run
 from repro.observability.health import (
     Alert,
@@ -73,7 +77,7 @@ class AttemptRecord:
     """One attempt of the recovery loop."""
 
     attempt: int
-    outcome: str  # "completed" | "degraded" | "failed"
+    outcome: str  # "completed" | "degraded" | "failed" | "preempted"
     failure: str | None = None
     dead_ranks: tuple[int, ...] = ()
     obituaries: tuple[str, ...] = ()
@@ -105,6 +109,11 @@ class SimulationResult:
     @property
     def ok(self) -> bool:
         return self.report.ok
+
+    @property
+    def preempted(self) -> bool:
+        """Did the run stop early on a preemption request?"""
+        return self.attempts[-1].outcome == "preempted"
 
     @property
     def recovered(self) -> bool:
@@ -168,6 +177,8 @@ def run_simulation(
     echo: Callable[[str], None] | None = None,
     tracer=None,
     metrics=None,
+    on_step: Callable[[AdiabaticDriver, StepDiagnostics], None] | None = None,
+    stop: Callable[[], bool] | None = None,
 ) -> SimulationResult:
     """Run the mini-app fault-tolerantly on ``world_size`` ranks.
 
@@ -176,7 +187,19 @@ def run_simulation(
     ladder (or the :class:`RetryPolicy` budget) is exhausted.
     ``fault_plan`` makes the failures; ``checkpoint_dir`` +
     ``checkpoint_every`` make the disk recovery tier; ``restart_from``
-    resumes an earlier run's checkpoint file.
+    resumes an earlier run's checkpoint file.  ``world_size`` may be 1:
+    one rank, with the same guards, judge and recovery.
+
+    ``on_step(driver, diag)`` follows the run: it is called on the
+    lowest live rank once a step is agreed, once per step index, also
+    across a restart (a step replayed from a checkpoint is not
+    announced again, nor is one before ``restart_from``).  ``stop()``
+    is a preemption request, read by every rank after each step: when
+    any rank reads true, all ranks stop after that step, the lowest
+    writes it through the checkpoint manager and the result is marked
+    ``preempted`` (its last ``checkpoints`` entry resumes the run).
+    A ``fault_plan`` naming a rank outside the world raises
+    :class:`ValueError`.
 
     ``degrade_policy`` selects the escalation ladder, one of
     :data:`~repro.resilience.degrade.DEGRADE_POLICIES`; an unknown
@@ -206,6 +229,8 @@ def run_simulation(
             f"unknown degradation policy {degrade_policy!r}; "
             f"choose from {DEGRADE_POLICIES}"
         )
+    if fault_plan is not None:
+        fault_plan.check_ranks(world_size)
     config = config or SimulationConfig()
     retry_policy = retry_policy or RetryPolicy()
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
@@ -253,6 +278,8 @@ def run_simulation(
             message += f" under its own config ({', '.join(differs)})"
             config = start.config
         say(message)
+    #: the highest step index ``on_step`` has announced
+    published = start.step_index if start is not None else 0
 
     attempts: list[AttemptRecord] = []
     health_alerts: list[Alert] = []
@@ -271,6 +298,7 @@ def run_simulation(
         restarted_from = start.step_index if start is not None else None
 
         def rank_fn(comm: SimComm) -> int:
+            nonlocal published
             grank = comm.global_rank
 
             def _arm(driver: AdiabaticDriver) -> SimulationCheckpoint:
@@ -310,27 +338,41 @@ def run_simulation(
                     driver.health.escalate()  # may raise HealthEscalation
                     # heartbeat + replica agreement: every rank must
                     # both arrive (else RankFailure) and agree
-                    # bit-for-bit
-                    digests = comm.allgather(
-                        (diag.kinetic_energy, diag.thermal_energy)
+                    # bit-for-bit; each also says whether it read a
+                    # preemption request, so all stop at this step
+                    gathered = comm.allgather(
+                        (
+                            diag.kinetic_energy,
+                            diag.thermal_energy,
+                            stop is not None and bool(stop()),
+                        )
                     )
+                    digests = [g[:2] for g in gathered]
                     if any(d != digests[0] for d in digests[1:]):
                         raise DivergenceError(
                             f"replicated ranks diverged at step {step}: {digests}"
                         )
+                    preempt = not driver.finished and any(g[2] for g in gathered)
                     # agreed and judged: this step is the new
                     # rollback point for shrink recovery
                     rollback = SimulationCheckpoint.capture(driver)
-                    if comm.Get_rank() == 0 and manager is not None:
-                        try:
-                            manager.maybe_save(driver)
-                        except CheckpointWriteFault as exc:
-                            # losing a checkpoint must not lose the run
-                            say(
-                                "checkpoint write failed at step "
-                                f"{driver.step_index}: {exc}"
-                            )
+                    if comm.Get_rank() == 0:
+                        if manager is not None:
+                            save = manager.save_now if preempt else manager.maybe_save
+                            try:
+                                save(driver)
+                            except CheckpointWriteFault as exc:
+                                # losing a checkpoint must not lose the run
+                                say(
+                                    "checkpoint write failed at step "
+                                    f"{driver.step_index}: {exc}"
+                                )
+                        if on_step is not None and driver.step_index > published:
+                            published = driver.step_index
+                            on_step(driver, diag)
                     comm.barrier()
+                    if preempt:
+                        break
                 except RankFailure as exc:
                     if degrade_policy != "shrink":
                         raise
@@ -397,10 +439,14 @@ def run_simulation(
             if degraded and metrics is not None:
                 metrics.counter("sim.resilience.degraded").inc()
             obits = world.obituaries
+            if not driver.finished:
+                outcome = "preempted"
+            else:
+                outcome = "degraded" if degraded else "completed"
             attempts.append(
                 AttemptRecord(
                     attempt=attempt,
-                    outcome="degraded" if degraded else "completed",
+                    outcome=outcome,
                     dead_ranks=tuple(sorted(obits)),
                     obituaries=tuple(
                         f"rank {r}: {o.reason}" for r, o in sorted(obits.items())

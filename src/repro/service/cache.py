@@ -7,13 +7,10 @@ canonical :func:`~repro.hacc.confighash.config_hash` of whatever
 produced the entry, so *any* two requests for the same computation hit
 the same entry regardless of who asked or when.
 
-Two entry classes share one store, namespaced by key prefix:
-
-- ``result:<spec-hash>`` — finished :class:`~repro.service.jobs.JobResult`
-  products (the big win: a duplicate request never re-simulates);
-- ``ic:<ic-config-hash>`` — generated initial-condition particle
-  loads, shared by every job at the same resolution/seed regardless
-  of step count or products.
+Its one entry class is ``result:<spec-hash>``: the finished
+:class:`~repro.service.jobs.JobResult` products, so a duplicate request
+never re-simulates.  :meth:`ContentCache.stats` counts entries per key
+prefix.
 
 Eviction is LRU over a byte budget.  Entries self-report their size
 (NumPy payloads via ``nbytes``); an entry larger than the whole
@@ -26,7 +23,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 
 def payload_nbytes(value: Any) -> int:
@@ -153,20 +150,6 @@ class ContentCache:
                 self._count("svc.cache.evictions")
             self._gauge("svc.cache.bytes", self._bytes)
         return True
-
-    def get_or_create(self, key: str, factory: Callable[[], Any]) -> Any:
-        """Cached value, or ``factory()`` stored under ``key``.
-
-        The factory runs outside the lock (it may be an expensive IC
-        generation); a racing duplicate insert is benign — last write
-        wins and both callers hold equal content.
-        """
-        value = self.get(key)
-        if value is not None:
-            return value
-        value = factory()
-        self.put(key, value)
-        return value
 
     def __contains__(self, key: str) -> bool:
         with self._lock:

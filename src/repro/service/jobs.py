@@ -24,6 +24,7 @@ from typing import Any
 
 from repro.hacc.confighash import config_hash
 from repro.resilience.degrade import DEGRADE_POLICIES
+from repro.resilience.faults import FaultPlan
 
 #: products a job may request, in canonical order
 PRODUCT_NAMES = ("diagnostics", "power_spectrum", "halo_catalog", "trace")
@@ -76,12 +77,12 @@ class JobSpec:
     seed: int = 2023
     #: products to compute and return, canonical order
     products: tuple[str, ...] = ("diagnostics",)
-    #: optional fault plan (``repro.resilience.faults`` syntax); a
-    #: faulted job runs under the full resilience runner
+    #: optional fault plan (``repro.resilience.faults`` syntax),
+    #: injected into the job's run
     faults: str = ""
-    #: simulated ranks for the resilience runner (1 = plain driver)
+    #: simulated ranks the resilience runner replicates the job on
     ranks: int = 1
-    #: degradation ladder for faulted/multi-rank jobs
+    #: degradation ladder when a rank dies or a step fails its judge
     degrade_policy: str = "restart"
 
     def __post_init__(self):
@@ -116,6 +117,11 @@ class JobSpec:
             raise SubmissionError(
                 f"unknown degrade policy {self.degrade_policy!r}"
             )
+        if self.faults:
+            try:
+                FaultPlan.parse(self.faults, seed=self.seed).check_ranks(self.ranks)
+            except ValueError as exc:
+                raise SubmissionError(f"invalid fault plan: {exc}") from exc
 
     def content_hash(self) -> str:
         """The canonical content key of this computation."""
@@ -217,6 +223,8 @@ class Job:
         self.preemptions = 0
         #: checkpoint file of the preempted state, if any
         self.checkpoint_path = None
+        #: the resilience runner's attempt records, over every grant
+        self.attempt_log: list = []
         #: the leader job this (coalesced) job rides on, if any
         self.leader: "Job | None" = None
         self.future: asyncio.Future = asyncio.get_running_loop().create_future()

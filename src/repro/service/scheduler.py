@@ -33,10 +33,10 @@ Preemption
 ----------
 Deadline-based: when every worker is busy and a queued job is strictly
 more urgent (priority, then deadline) than the least-urgent running
-job, the victim is asked to preempt.  The worker checkpoints the
-victim via :class:`~repro.resilience.restart.CheckpointManager`,
-requeues it (it keeps its original ordering key, so it resumes on the
-next grant of its class), and takes the urgent job.
+job, the victim is asked to preempt.  Its run stops after the step in
+flight and checkpoints it; the worker requeues the victim (it keeps its
+original ordering key, so it resumes on the next grant of its class)
+and takes the urgent job.
 """
 
 from __future__ import annotations
@@ -271,9 +271,7 @@ class JobScheduler:
             return
         best_pending = min(self._urgency(entry[-1]) for entry in self._pending)
         candidates = [
-            job
-            for job in self._running.values()
-            if not job.preempt_requested and self._preemptible(job)
+            job for job in self._running.values() if not job.preempt_requested
         ]
         if not candidates:
             return
@@ -281,17 +279,10 @@ class JobScheduler:
         if best_pending < self._urgency(victim):
             victim.request_preempt()
 
-    @staticmethod
-    def _preemptible(job: Job) -> bool:
-        # faulted / multi-rank jobs run under the resilience runner in
-        # one shot; only the step-wise plain driver path can checkpoint
-        # cooperatively between steps
-        return job.spec.ranks == 1 and not job.spec.faults
-
     def preempt(self, job: Job) -> bool:
         """Explicitly request preemption of a running job (the API's
         manual knob; also used by the deterministic tests)."""
-        if job.job_id in self._running and self._preemptible(job):
+        if job.job_id in self._running:
             job.request_preempt()
             return True
         return False

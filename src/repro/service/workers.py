@@ -6,25 +6,21 @@ job's simulation in an executor thread (``asyncio.to_thread``), so the
 event loop — and with it submission, coalescing, and preemption —
 stays responsive while NumPy crunches.
 
-Two execution paths:
+Every job runs under :func:`~repro.resilience.runner.run_simulation`
+on ``spec.ranks`` ranks (one by default), with its own checkpoint
+directory ``job-<id>`` under the service's checkpoint root:
 
-- **plain jobs** (``ranks == 1``, no fault plan) step the
-  :class:`~repro.hacc.timestep.AdiabaticDriver` directly, checking the
-  job's cooperative preemption flag between steps.  On preemption the
-  worker checkpoints the driver through a
-  :class:`~repro.resilience.restart.CheckpointManager` (the real
-  atomic checksummed disk format), requeues the job, and the next
-  grant restores the driver from that checkpoint — the bit-exact
-  restart is what makes service-level preemption free;
-- **supervised jobs** (a fault plan or ``ranks > 1``) run under
-  :func:`~repro.resilience.runner.run_simulation`, so injected worker
-  faults degrade along the degradation ladder (shrink to the
-  survivors, retry from checkpoint) instead of failing the request.
+- a fault, a failed guard or a FATAL health alert degrades along the
+  job's degradation ladder (shrink to the survivors, retry from
+  checkpoint) instead of failing the request;
+- the job's cooperative preemption flag is the runner's ``stop``
+  request: the ranks stop after the same step, the runner checkpoints
+  it (the real atomic checksummed disk format), the worker requeues
+  the job, and the next grant resumes from that checkpoint — the
+  bit-exact restart is what makes service-level preemption free.
 
-Inputs are shared through the content-addressed cache: the Zel'dovich
-particle load (``ic:``, keyed on the IC config hash) is computed once
-and reused by every job that needs it.  Finished products land under
-``result:<spec-hash>``.
+The directory goes once the job completes or fails.  Finished products
+land in the content-addressed cache under ``result:<spec-hash>``.
 
 Every job's execution is a flame span (``category="job"``) on the
 service's :class:`~repro.observability.tracing.TraceRecorder`, with
@@ -49,8 +45,8 @@ import numpy as np
 
 from repro.hacc.analysis import measure_power_spectrum
 from repro.hacc.halo import fof
-from repro.hacc.ic import zeldovich_ics
-from repro.hacc.particles import ParticleData, Species
+from repro.hacc.ic import zeldovich_ics  # noqa: F401 -- bench/layers.py times IC builds here
+from repro.hacc.particles import Species
 from repro.hacc.timestep import AdiabaticDriver, SimulationConfig, StepDiagnostics
 from repro.observability.export import (
     EventLogWriter,
@@ -60,7 +56,7 @@ from repro.observability.export import (
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import TraceRecorder, maybe_span
-from repro.resilience.restart import CheckpointManager, SimulationCheckpoint
+from repro.resilience import FaultPlan, run_simulation
 from repro.service.cache import ContentCache
 from repro.service.jobs import Job, JobResult, JobSpec, JobState
 from repro.service.scheduler import JobScheduler, TenantQuota
@@ -72,12 +68,12 @@ class ServiceConfig:
 
     #: concurrent worker tasks
     workers: int = 2
-    #: result/IC cache budget in bytes
+    #: result cache budget in bytes
     cache_bytes: int = 256 * 1024 * 1024
     #: per-tenant active-job quota
     quota: TenantQuota = TenantQuota()
-    #: directory for preemption checkpoints (when None, a temp dir that
-    #: shutdown removes)
+    #: root of the per-job checkpoint directories (when None, a temp
+    #: dir that shutdown removes)
     checkpoint_dir: str | None = None
     #: live JSONL event log (the dashboard --follow feed), optional
     events_out: str | None = None
@@ -239,12 +235,14 @@ class SimulationService:
         def publish(event: dict[str, Any]) -> None:
             loop.call_soon_threadsafe(job.publish, event)
 
+        outcome = "failed"
         try:
             # a duplicate that queued behind its leader's completion
             # window would re-execute; the grant-time peek (metrics-
             # silent) catches it without charging a hit or a miss
             cached = self.cache.peek(f"result:{job.spec_hash}")
             if cached is not None:
+                outcome = "completed"
                 self._complete(job, dataclasses.replace(cached, from_cache=True))
                 return
             outcome = await asyncio.to_thread(self._execute_sync, job, wid, publish)
@@ -259,6 +257,9 @@ class SimulationService:
             self.scheduler.task_done(job)
         finally:
             self.metrics.gauge("svc.workers.busy").add(-1)
+            if outcome != "preempted":
+                # the checkpoints only ever served this job's recovery
+                shutil.rmtree(self._job_dir(job), ignore_errors=True)
 
     def _complete(self, job: Job, result: JobResult) -> None:
         self.metrics.counter("svc.jobs.completed").inc()
@@ -275,10 +276,25 @@ class SimulationService:
         self.scheduler.task_done(job)
 
     # -- synchronous execution core (runs in an executor thread) -------
+    def _job_dir(self, job: Job) -> Path:
+        return self._checkpoint_root / f"job-{job.job_id}"
+
     def _execute_sync(
         self, job: Job, wid: int, publish: Callable[[dict[str, Any]], None]
     ) -> str:
+        """Run (or resume) the job under the resilience runner; returns
+        ``"preempted"`` or ``"completed"``."""
         spec = job.spec
+        if job.checkpoint_path is not None:
+            self.metrics.counter("svc.jobs.resumed").inc()
+            self.tracer.instant(
+                "job-resumed", category="service", job=job.job_id, step=job.steps_done
+            )
+
+        def on_step(driver: AdiabaticDriver, diag: StepDiagnostics) -> None:
+            job.steps_done = driver.step_index
+            publish(self._step_event(job, driver.step_index - 1, diag))
+
         with maybe_span(
             self.tracer,
             f"job {job.job_id}",
@@ -288,13 +304,42 @@ class SimulationService:
             worker=wid,
             resumed=job.checkpoint_path is not None,
         ):
-            if spec.ranks > 1 or spec.faults:
-                result = self._run_supervised(job, publish)
-            else:
-                outcome = self._run_preemptible(job, publish)
-                if outcome == "preempted":
-                    return "preempted"
-                result = outcome
+            run = run_simulation(
+                self._sim_config(spec),
+                world_size=spec.ranks,
+                checkpoint_dir=self._job_dir(job),
+                restart_from=job.checkpoint_path,
+                fault_plan=(
+                    FaultPlan.parse(spec.faults, seed=spec.seed) if spec.faults else None
+                ),
+                degrade_policy=spec.degrade_policy,
+                tracer=self.tracer,
+                metrics=self.metrics,
+                on_step=on_step,
+                stop=lambda: job.preempt_requested,
+            )
+            # a resumed job's history starts with its preempted grants'
+            job.attempt_log += run.attempts
+            if run.preempted:
+                job.checkpoint_path = run.checkpoints[-1] if run.checkpoints else None
+                job.state = JobState.PREEMPTED
+                self.tracer.instant(
+                    "job-preempt-checkpoint",
+                    category="service",
+                    job=job.job_id,
+                    step=run.driver.step_index,
+                    path=str(job.checkpoint_path),
+                )
+                return "preempted"
+            result = JobResult(
+                spec_hash=job.spec_hash,
+                products=self._products(run.driver, spec),
+                steps_completed=run.driver.step_index,
+                attempts=len(job.attempt_log),
+                degraded=any(
+                    rec.outcome in ("failed", "degraded") for rec in job.attempt_log
+                ),
+            )
         self.cache.put(f"result:{job.spec_hash}", result)
         # completion bookkeeping runs on the loop thread for ordering
         # with the subscribers' event queues
@@ -317,120 +362,11 @@ class SimulationService:
             "max_density_contrast": diag.max_density_contrast,
         }
 
-    def _run_preemptible(
-        self, job: Job, publish: Callable[[dict[str, Any]], None]
-    ) -> "JobResult | str":
-        """Step the plain driver, honouring the preemption flag."""
-        spec = job.spec
-        driver = self._build_driver(job)
-        while not driver.finished:
-            if job.preempt_requested:
-                self._checkpoint(job, driver)
-                return "preempted"
-            diag = driver.advance()
-            job.steps_done = driver.step_index
-            publish(self._step_event(job, driver.step_index - 1, diag))
-        return JobResult(
-            spec_hash=job.spec_hash,
-            products=self._products(driver, spec),
-            steps_completed=driver.step_index,
-            attempts=1 + job.preemptions,
-        )
-
-    def _run_supervised(
-        self, job: Job, publish: Callable[[dict[str, Any]], None]
-    ) -> JobResult:
-        """Run a faulted / multi-rank job under the resilience runner."""
-        from repro.resilience import FaultPlan, run_simulation
-
-        spec = job.spec
-        config = self._sim_config(spec)
-        fault_plan = (
-            FaultPlan.parse(spec.faults, seed=spec.seed) if spec.faults else None
-        )
-        result = run_simulation(
-            config,
-            world_size=max(2, spec.ranks),
-            fault_plan=fault_plan,
-            checkpoint_dir=self._checkpoint_root / f"job-{job.job_id}",
-            degrade_policy=spec.degrade_policy,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
-        job.steps_done = result.driver.step_index
-        for step, diag in enumerate(result.driver.diagnostics):
-            publish(self._step_event(job, step, diag))
-        return JobResult(
-            spec_hash=job.spec_hash,
-            products=self._products(result.driver, spec),
-            steps_completed=result.driver.step_index,
-            attempts=len(result.attempts),
-            degraded=result.recovered or result.degraded,
-        )
-
-    # -- drivers, checkpoints, inputs ----------------------------------
     @staticmethod
     def _sim_config(spec: JobSpec) -> SimulationConfig:
         return SimulationConfig(
             n_per_side=spec.n_per_side, n_steps=spec.n_steps, seed=spec.seed
         )
-
-    def _build_driver(self, job: Job) -> AdiabaticDriver:
-        if job.checkpoint_path is not None:
-            checkpoint = SimulationCheckpoint.load(job.checkpoint_path)
-            driver = checkpoint.restore_driver()
-            self.metrics.counter("svc.jobs.resumed").inc()
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "job-resumed",
-                    category="service",
-                    job=job.job_id,
-                    step=checkpoint.step_index,
-                )
-        else:
-            config = self._sim_config(job.spec)
-            driver = AdiabaticDriver(config, particles=self._initial_load(config))
-        driver.tracer = self.tracer
-        driver.metrics = self.metrics
-        return driver
-
-    def _initial_load(self, config: SimulationConfig) -> ParticleData:
-        """The IC particle load, shared through the content cache.
-
-        The generated Zel'dovich load is cached per IC config (``ic:``)
-        and deep-copied out, since every driver mutates its particles.
-        """
-        ic_config = config.ic_config()
-        arrays = self.cache.get_or_create(
-            f"ic:{ic_config.content_hash()}",
-            lambda: {
-                name: arr.copy()
-                for name, arr in zeldovich_ics(ic_config).arrays.items()
-            },
-        )
-        return ParticleData(
-            box=ic_config.box,
-            arrays={name: arr.copy() for name, arr in arrays.items()},
-        )
-
-    def _checkpoint(self, job: Job, driver: AdiabaticDriver) -> None:
-        """Preemption = a real disk checkpoint through the manager."""
-        manager = CheckpointManager(
-            self._checkpoint_root / f"job-{job.job_id}",
-            metrics=self.metrics,
-            tracer=self.tracer,
-        )
-        path = manager.save_now(driver)
-        job.checkpoint_path = path
-        job.state = JobState.PREEMPTED
-        if self.tracer is not None:
-            self.tracer.instant(
-                "job-preempt-checkpoint",
-                category="service",
-                job=job.job_id,
-                step=driver.step_index,
-                path=str(path),
-            )
 
     # -- products ------------------------------------------------------
     def _products(self, driver: AdiabaticDriver, spec: JobSpec) -> dict[str, Any]:

@@ -104,6 +104,21 @@ class TestTable2:
         assert "85,179" in text
 
 
+class TestScratchDirectories:
+    def test_entry_points_leave_no_temporary_directory(
+        self, reference_trace, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        from repro.experiments import runner
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        figure13.generate(reference_trace)
+        table2.generate()
+        runner.run_all(verbose=False)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestAblations:
     def test_register_sweep_covers_four_configs(self, reference_trace):
         points = ablations.register_sweep(reference_trace)

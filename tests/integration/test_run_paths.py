@@ -3,7 +3,8 @@ the hand-stepped loop the benchmark keeps — ends in the same state.
 
 The reference is the benchmark's idiom (``schedule()`` + ``step()``);
 the arms are ``run()``, an ``advance()`` loop with a checkpoint hop in
-the middle, the fault-free two-rank runner and a plain service job.
+the middle, the fault-free runner on one and on two ranks, a service job
+and a service job preempted after its first step and resumed.
 """
 
 from __future__ import annotations
@@ -82,13 +83,19 @@ def _advance_through_a_checkpoint():
     return diagnostics_of(driver), driver
 
 
+def _one_rank():
+    result = run_simulation(CONFIG, world_size=1)
+    assert result.ok and not result.recovered
+    return diagnostics_of(result.driver), result.driver
+
+
 def _two_ranks():
     result = run_simulation(CONFIG, world_size=2, timeout=60.0)
     assert result.ok and not result.recovered
     return diagnostics_of(result.driver), result.driver
 
 
-def _service_job():
+def _service_job(preempt: bool = False):
     spec = JobSpec(n_per_side=CONFIG.n_per_side, n_steps=CONFIG.n_steps)
     assert SimulationService._sim_config(spec) == CONFIG
 
@@ -96,15 +103,33 @@ def _service_job():
         service = SimulationService(ServiceConfig(workers=1))
         await service.start()
         try:
-            return await (await service.submit(spec)).future
+            job = await service.submit(spec)
+            # granted at once; its first step takes far longer than a poll
+            while preempt and not service.scheduler.preempt(job):
+                await asyncio.sleep(0.001)
+            result = await job.future
+            assert job.preemptions == int(preempt)
+            return result
         finally:
             await service.shutdown()
 
     return asyncio.run(submit()).products["diagnostics"], None
 
 
+def _preempted_service_job():
+    return _service_job(preempt=True)
+
+
 @pytest.mark.parametrize(
-    "arm", [_run, _advance_through_a_checkpoint, _two_ranks, _service_job]
+    "arm",
+    [
+        _run,
+        _advance_through_a_checkpoint,
+        _one_rank,
+        _two_ranks,
+        _service_job,
+        _preempted_service_job,
+    ],
 )
 def test_every_run_path_ends_in_the_hand_stepped_state(arm, hand_stepped):
     diagnostics, driver = arm()

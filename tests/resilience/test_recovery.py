@@ -436,3 +436,63 @@ class TestGracefulDegradation:
     def test_unknown_policy_is_refused(self):
         with pytest.raises(ValueError, match="shrink.*restart.*abort"):
             run_simulation(small_config(n_steps=1), world_size=1, degrade_policy="panic")
+
+
+class TestStepHooks:
+    def test_on_step_announces_each_step_once_across_a_restart(
+        self, tmp_path, fault_free_driver
+    ):
+        seen = []
+        result = run_simulation(
+            small_config(),
+            world_size=2,
+            checkpoint_dir=tmp_path,
+            fault_plan=FaultPlan.parse("kill:rank=1,step=1"),
+            on_step=lambda driver, diag: seen.append(
+                (driver.step_index - 1, diag.kinetic_energy)
+            ),
+        )
+        assert [rec.outcome for rec in result.attempts] == ["failed", "completed"]
+        assert seen == [
+            (step, diag.kinetic_energy)
+            for step, diag in enumerate(fault_free_driver.diagnostics)
+        ]
+
+    def test_stop_preempts_every_rank_at_one_step_and_resumes_exactly(
+        self, tmp_path, fault_free_driver
+    ):
+        reads = []
+
+        def stop():
+            # only the first read, by one of the two ranks, asks
+            reads.append(None)
+            return len(reads) == 1
+
+        first = run_simulation(
+            small_config(), world_size=2, checkpoint_dir=tmp_path, stop=stop
+        )
+        assert first.preempted
+        assert [rec.outcome for rec in first.attempts] == ["preempted"]
+        assert first.driver.step_index == 1
+        assert first.checkpoints[-1].name == "sim-step0001.npz"
+
+        seen = []
+        rest = run_simulation(
+            small_config(),
+            world_size=2,
+            checkpoint_dir=tmp_path,
+            restart_from=first.checkpoints[-1],
+            on_step=lambda driver, _diag: seen.append(driver.step_index - 1),
+        )
+        assert not rest.preempted and rest.ok
+        assert seen == [1, 2]
+        assert_matches_reference(rest.driver, fault_free_driver)
+
+    def test_a_fault_plan_naming_a_rank_outside_the_world_is_refused(self):
+        with pytest.raises(ValueError, match=r"\[1\] outside a world of 1 rank"):
+            run_simulation(
+                small_config(n_steps=1),
+                world_size=1,
+                fault_plan=FaultPlan.parse("kill:rank=1,step=1"),
+            )
+        FaultPlan.parse("kill:step=1;leak:step=0").check_ranks(1)  # any rank

@@ -91,18 +91,6 @@ class TestMetricsAndStats:
         assert stats.by_namespace == {"result": 2, "ic": 1}
         assert stats.hit_rate == 0.0
 
-    def test_get_or_create_runs_factory_once_per_residency(self):
-        cache = ContentCache(capacity_bytes=1024)
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return "value"
-
-        assert cache.get_or_create("k", factory) == "value"
-        assert cache.get_or_create("k", factory) == "value"
-        assert len(calls) == 1
-
 
 class TestThreadSafety:
     def test_concurrent_put_get_does_not_corrupt(self):

@@ -21,6 +21,14 @@ class TestSpecValidation:
     def test_default_spec_is_valid(self):
         JobSpec().validate()
 
+    def test_fault_plan_must_fit_the_world(self):
+        with pytest.raises(SubmissionError, match=r"\[1\] outside a world of 1"):
+            JobSpec(faults="kill:rank=1,step=1").validate()
+        with pytest.raises(SubmissionError, match="unknown fault kind"):
+            JobSpec(faults="warp:step=1").validate()
+        JobSpec(faults="kill:rank=1,step=1", ranks=2).validate()
+        JobSpec(faults="kill:step=1").validate()  # any rank
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -200,7 +200,9 @@ class TestPreemption:
 
         run(main())
 
-    def test_faulted_jobs_are_not_preemptible(self):
+    def test_faulted_jobs_are_preemptible(self):
+        # every job runs under the resilience runner, which stops all
+        # ranks at one step and checkpoints it
         async def main():
             sched = JobScheduler()
             await sched.submit(
@@ -208,7 +210,7 @@ class TestPreemption:
             )
             victim = await sched.next_job()
             await sched.submit(JobSpec(seed=2), priority=0)
-            assert not victim.preempt_requested
+            assert victim.preempt_requested
 
         run(main())
 

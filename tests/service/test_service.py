@@ -3,18 +3,23 @@ cache path, against the real simulation driver.
 
 The specs here are tiny (6 per side, the smallest box whose SPH support
 fits the minimum image; 1-3 steps) so the suite stays fast, but nothing
-is mocked: products come from real driver runs,
-preemption writes a real checkpoint, and the fault scenario goes
-through the real resilience runner.
+is mocked: every job runs under the real resilience runner, and
+preemption writes a real checkpoint.  Where a test must catch a job
+between two steps, :func:`gate_step` holds its ranks there.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
+from repro.hacc import eos
+from repro.hacc.timestep import AdiabaticDriver
+from repro.resilience import SimulationAborted
 from repro.service import (
     JobSpec,
     JobState,
@@ -31,6 +36,21 @@ TINY = JobSpec(n_per_side=6, n_steps=1)
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def gate_step(monkeypatch, step_index: int) -> threading.Event:
+    """Hold every rank about to take step ``step_index`` until the
+    returned event is set."""
+    gate = threading.Event()
+    advance = AdiabaticDriver.advance
+
+    def gated(driver):
+        if driver.step_index == step_index:
+            assert gate.wait(timeout=60), "the gate was never opened"
+        return advance(driver)
+
+    monkeypatch.setattr(AdiabaticDriver, "advance", gated)
+    return gate
 
 
 async def _with_service(body, config=None):
@@ -129,6 +149,25 @@ class TestConcurrentSubmissions:
 
         run(_with_service(body))
 
+    def test_steps_stream_once_each_while_the_job_runs(self, monkeypatch):
+        gate = gate_step(monkeypatch, 1)
+
+        async def body(service):
+            job = await service.submit(JobSpec(n_per_side=6, n_steps=3, ranks=2))
+            queue = job.subscribe()
+            try:
+                first = await asyncio.wait_for(queue.get(), timeout=20)
+                running = not job.future.done()
+            finally:
+                gate.set()
+            assert first["step"] == 0 and running
+            events = [first]
+            while (event := await queue.get()) is not None:
+                events.append(event)
+            assert [e["step"] for e in events] == [0, 1, 2]
+
+        run(_with_service(body))
+
 
 class TestPreemption:
     def test_preempted_job_resumes_bit_identically(self, tmp_path):
@@ -176,6 +215,51 @@ class TestPreemption:
                 smooth.products["diagnostics"][fld],
             )
 
+    @pytest.mark.faults
+    def test_faulted_job_is_preempted_and_resumes_exactly(
+        self, tmp_path, monkeypatch
+    ):
+        spec = JobSpec(
+            n_per_side=6, n_steps=4, seed=5, faults="kill:rank=1,step=1", ranks=2
+        )
+        gate = gate_step(monkeypatch, 2)
+
+        async def preempted(service):
+            job = await service.submit(spec)
+            try:
+                # steps 0 and 1 agreed (step 1 after the kill's restart)
+                for _ in range(2000):
+                    if job.steps_done == 2:
+                        break
+                    await asyncio.sleep(0.005)
+                asked = service.scheduler.preempt(job)
+            finally:
+                gate.set()
+            assert asked
+            result = await job.future
+            assert job.preemptions == 1
+            assert service.metrics.snapshot()["counters"]["svc.jobs.resumed"] == 1
+            return result
+
+        async def clean(service):
+            return await (await service.submit(dataclasses.replace(spec, faults=""))).future
+
+        bumpy = run(
+            _with_service(
+                preempted, ServiceConfig(workers=1, checkpoint_dir=str(tmp_path / "a"))
+            )
+        )
+        smooth = run(
+            _with_service(
+                clean, ServiceConfig(workers=1, checkpoint_dir=str(tmp_path / "b"))
+            )
+        )
+        # the kill's failed attempt, the preempted one, the resumed one
+        assert bumpy.attempts == 3 and bumpy.degraded
+        assert smooth.attempts == 1 and not smooth.degraded
+        for fld, values in smooth.products["diagnostics"].items():
+            np.testing.assert_array_equal(bumpy.products["diagnostics"][fld], values)
+
 
 class TestCheckpointDirectory:
     def test_shutdown_removes_only_the_directory_it_made(self, tmp_path):
@@ -196,6 +280,26 @@ class TestCheckpointDirectory:
         )
         assert got == configured
         assert (configured / "sim-step0001.npz").exists()
+
+    @pytest.mark.faults
+    def test_finished_jobs_leave_no_checkpoint_directory(self, tmp_path):
+        async def body(service):
+            done = await service.submit(JobSpec(n_per_side=6, n_steps=2, ranks=2))
+            lost = await service.submit(
+                JobSpec(
+                    n_per_side=6,
+                    n_steps=2,
+                    ranks=2,
+                    faults="kill:rank=1,step=1",
+                    degrade_policy="abort",
+                )
+            )
+            await done.future
+            with pytest.raises(SimulationAborted):
+                await lost.future
+
+        run(_with_service(body, ServiceConfig(workers=1, checkpoint_dir=str(tmp_path))))
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.faults
@@ -238,6 +342,35 @@ class TestFaultedJobs:
         assert leaked.attempts == 2
         for fld, values in clean.products["diagnostics"].items():
             np.testing.assert_array_equal(leaked.products["diagnostics"][fld], values)
+
+    def test_a_step_that_leaks_once_is_rolled_back(self, monkeypatch):
+        """No fault plan: every job is judged in flight, so a step that
+        bleeds gas energy once is caught, rolled back and replayed."""
+        spec = JobSpec(n_per_side=6, n_steps=8)
+        leaked = []
+        advance = AdiabaticDriver.advance
+
+        def leaky(driver):
+            if driver.step_index == 3 and not leaked:
+                leaked.append(driver.step_index)
+                driver.particles.u[:] *= 0.88
+                eos.update_thermodynamics(driver.particles)
+            return advance(driver)
+
+        monkeypatch.setattr(AdiabaticDriver, "advance", leaky)
+
+        async def body(service):
+            return await (await service.submit(spec)).future
+
+        result = run(_with_service(body))
+        assert leaked == [3]
+        assert result.attempts == 2 and result.degraded
+        reference = AdiabaticDriver(SimulationService._sim_config(spec))
+        reference.run()
+        for fld, values in result.products["diagnostics"].items():
+            np.testing.assert_array_equal(
+                values, [getattr(d, fld) for d in reference.diagnostics]
+            )
 
     def test_supervised_job_streams_numbered_steps(self):
         # the same per-step event as a plain job's: `submit --stream`

@@ -262,6 +262,12 @@ class TestRunCoreValidation:
                 "error: --max-retries must be >= 0",
             ),
             (["simulate", "--ranks", "0"], "error: --ranks must be >= 1"),
+            (
+                ["simulate", "-n", "6", "--steps", "2"]
+                + ["--faults", "kill:rank=1,step=1"],
+                "error: invalid --faults plan: fault plan names rank(s) [1] "
+                "outside a world of 1 rank(s)",
+            ),
         ],
     )
     def test_bad_arguments_exit_2(self, argv, message, capsys, tmp_path, monkeypatch):

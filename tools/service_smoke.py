@@ -12,7 +12,11 @@ then asserts the service-level invariants a deployment cares about:
 - every request completes with products;
 - duplicates are served by coalescing or the result cache — at least
   one cache hit is observed for the repeated spec;
-- the ``shutdown`` op drains cleanly and the server process exits 0;
+- a job whose gas leaks energy (``leak:step=3,rate=0.12,count=3``) is
+  caught by the in-flight judge and rolled back: it completes degraded
+  after two attempts;
+- the ``shutdown`` op drains cleanly and the server process exits 0,
+  and no ``job-*`` checkpoint directory outlives its job;
 - the live events log (when requested) passes the schema validator
   in :mod:`tools.check_trace` — header first, terminal metrics
   snapshot last.
@@ -36,6 +40,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import check_trace  # noqa: E402 — sibling tool
 from repro.service import request, submit_job  # noqa: E402
+
+#: a slow energy leak the health judge must catch and roll back
+LEAK_PLAN = "leak:step=3,rate=0.12,count=3"
 
 
 def _wait_for_socket(socket_path: Path, proc: subprocess.Popen, budget: float) -> None:
@@ -64,8 +71,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 2:
         parser.error("--jobs must be >= 2 to exercise duplicates")
+    with tempfile.TemporaryDirectory(prefix="repro-service-smoke-") as workdir:
+        return _smoke(args, Path(workdir))
 
-    workdir = Path(tempfile.mkdtemp(prefix="repro-service-smoke-"))
+
+def _smoke(args: argparse.Namespace, workdir: Path) -> int:
     socket_path = workdir / "repro.sock"
     events = Path(args.events_out) if args.events_out else workdir / "events.jsonl"
 
@@ -121,12 +131,30 @@ def main(argv: list[str] | None = None) -> int:
         if hits + coalesced < 1:
             failures.append("duplicate specs produced no cache hit or coalescing")
 
+        leak = {"n_per_side": args.n, "n_steps": 8, "faults": LEAK_PLAN}
+        final = list(submit_job(socket_path, leak, timeout=300))[-1]
+        result = final.get("result") or {}
+        print(
+            f"   leaking job: state={final.get('state')} "
+            f"degraded={result.get('degraded')} attempts={result.get('attempts')}"
+        )
+        if not (
+            final.get("ok")
+            and final.get("state") == "completed"
+            and result.get("degraded") is True
+            and result.get("attempts") == 2
+        ):
+            failures.append(f"the leaking job was not rolled back once: {final}")
+
         request(socket_path, {"op": "shutdown"}, timeout=30)
         proc.wait(timeout=60)
         if proc.returncode != 0:
             failures.append(f"serve exited {proc.returncode} after shutdown")
         else:
             print("-- clean shutdown")
+        left = sorted(p.name for p in (workdir / "ckpts").glob("job-*"))
+        if left:
+            failures.append(f"checkpoint directories outlived their jobs: {left}")
     finally:
         if proc.poll() is None:
             proc.terminate()
