@@ -72,6 +72,9 @@ def _run(args: argparse.Namespace, tracer=None, metrics=None, on_step=None):
 
     opts = argparse.Namespace(**{**_RUN_DEFAULTS, **vars(args)})
     for bad, message in (
+        # the default PM mesh (4 cells per particle spacing) puts the
+        # short-range cutoff past the minimum-image bound below 3
+        (opts.n < 3, "-n must be >= 3"),
         (opts.ranks < 1, "--ranks must be >= 1"),
         (opts.checkpoint_every < 1, "--checkpoint-every must be >= 1"),
         (opts.max_retries < 0, "--max-retries must be >= 0"),

@@ -1,38 +1,43 @@
 """Neighbour finding on a periodic box.
 
-The SPH kernels and the short-range gravity both need
-"all pairs closer than a cutoff".  We use a uniform cell list sized to
-the cutoff, fully vectorised: particles are binned, the 27 neighbouring
-cells are scanned with array operations, and the result is a flat
-directed (i, j) pair list.
+The SPH kernels and the short-range gravity both need "all pairs closer
+than a cutoff".  The search is one C routine (``pairsearch.c`` next to
+this file): particles are binned into a uniform cell grid sized to the
+cutoff and counting-sorted by cell, the half of the 27-cell stencil is
+scanned, and the result is a flat directed (i, j) pair list.  Below
+:data:`MIN_CELLS` cells per side it scans every pair instead.
 
 This plays the role of CRK-HACC's interaction-list construction; the
 pair counts it produces also feed the instruction profiles of the GPU
 kernel cost model (interactions per work-item).
 
 There is one search path and its output, order included, is a pure
-function of ``(positions, box, cutoff)``: a :class:`CellList` bins one
-position set for one cutoff and answers only for that set, so the
-segment sums downstream cannot depend on what was searched before and
-a restored run is bit-equal to an uninterrupted one.  The bin-and-sort
-is a fraction of a millisecond where the search is tens, so every
-query bins afresh.
+function of ``(positions, box, cutoff)`` and the grid: a
+:class:`CellList` is the grid of one position set for one cutoff and
+answers only for that set, so the segment sums downstream cannot depend
+on what was searched before and a restored run is bit-equal to an
+uninterrupted one.  ``pairsearch.c`` states the order.
+
+The system ``cc`` compiles the routine on the first search (not on
+import) into ``~/.cache/repro``, keyed by the sha256 of its source and
+flags, and ``ctypes`` loads it; ``ctypes`` releases the GIL, so rank
+threads search at the same time.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+import ctypes
+import hashlib
+import os
+import shutil
+import tempfile
+import threading
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from repro import xp
-
-
-def _cell_index(pos: np.ndarray, box: float, n_cells: int) -> np.ndarray:
-    cell = xp.floor((pos % box) / (box / n_cells)).astype(np.int64)
-    return xp.clip(cell, 0, n_cells - 1)
-
 
 #: largest cutoff, as a fraction of the box, of any minimum-image pair
 #: search (strictly below box/2 to keep the image unique)
@@ -44,64 +49,36 @@ MINIMUM_IMAGE_FRACTION = 0.499
 #: binning included), at 4 it wins 1.2-1.8x
 MIN_CELLS = 4
 
-#: the self cell followed by the 13 lexicographically-positive offsets
-#: of the 27-cell stencil, in fixed offset-major order (dx outermost, dz
-#: innermost): each unordered pair of distinct cells is scanned exactly
-#: once (the self cell is deduplicated by the i < j filter)
-_HALF_STENCIL = np.array(
-    [(0, 0, 0)]
-    + [o for o in itertools.product((-1, 0, 1), repeat=3) if o > (0, 0, 0)],
-    dtype=np.int64,
-)
 
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CellList:
-    """Uniform cell decomposition of one position set for one cutoff.
+    """The cell grid of one position set for one cutoff.
 
-    The bin + stable sort is done at :meth:`build`; the query
-    (:meth:`pairs_within`) is then a pure gather over the sorted
-    structure with no Python-level per-particle loops.
     Cells are at least ``cutoff`` wide, so the 27-cell stencil holds
-    every pair within it.
+    every pair within it; below :data:`MIN_CELLS` per side (or with no
+    particles) the dense search answers instead.  The binning itself is
+    part of the search.
     """
 
     box: float
     n_cells: int
     cell_size: float
     pos: np.ndarray
-    order: np.ndarray | None = field(default=None, repr=False)
-    boundaries: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
     def build(cls, pos: np.ndarray, box: float, cutoff: float) -> "CellList":
-        pos = np.asarray(pos, dtype=np.float64)
+        pos = np.ascontiguousarray(pos, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must be (n, 3)")
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
         n_cells = max(1, int(np.floor(box / cutoff)))
-        order = boundaries = None
-        # below MIN_CELLS per side queries take the dense search
-        if n_cells >= MIN_CELLS and len(pos):
-            cells = _cell_index(pos, box, n_cells)
-            flat = (cells[:, 0] * n_cells + cells[:, 1]) * n_cells + cells[:, 2]
-            order = xp.argsort(flat)
-            boundaries = xp.searchsorted(flat[order], xp.arange(n_cells**3 + 1))
-        return cls(
-            box=box,
-            n_cells=n_cells,
-            cell_size=box / n_cells,
-            pos=pos,
-            order=order,
-            boundaries=boundaries,
-        )
+        return cls(box=box, n_cells=n_cells, cell_size=box / n_cells, pos=pos)
 
-    # ------------------------------------------------------------------
     @property
     def use_cells(self) -> bool:
         """Whether the stencil search is active (vs brute force)."""
-        return self.order is not None
+        return self.n_cells >= MIN_CELLS and len(self.pos) > 0
 
     def _check_cutoff(self, cutoff: float) -> None:
         # box / floor(box / cutoff) can round an ulp below cutoff itself
@@ -110,53 +87,6 @@ class CellList:
                 f"cell list (cell size {self.cell_size:.6g}) cannot answer "
                 f"cutoff {cutoff:.6g}"
             )
-
-    def _offset_candidates(
-        self, cells: np.ndarray, offset: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(i, j) candidate pairs of every particle's cell with the cell
-        at ``offset`` from it, fully vectorised (cumsum-based ragged
-        gather, no Python-level per-particle loops)."""
-        n = self.n_cells
-        ncell = (cells + offset) % n
-        nflat = (ncell[:, 0] * n + ncell[:, 1]) * n + ncell[:, 2]
-        starts = self.boundaries[nflat]
-        counts = self.boundaries[nflat + 1] - starts
-        total = int(xp.sum(counts))
-        rep = xp.repeat(xp.arange(len(self.pos)), counts)
-        # ragged ranges 0..counts[k] for every bucket, without a Python
-        # loop: a global arange minus each element's bucket offset
-        shifts = xp.cumsum(counts) - counts
-        within = xp.arange(total, dtype=np.int64) - xp.repeat(shifts, counts)
-        return rep, self.order[xp.repeat(starts, counts) + within]
-
-    def pairs_within(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
-        """All directed pairs (i, j), i != j, within ``cutoff`` among the
-        member particles.
-
-        The cutoff decision is made once per unordered pair in the
-        canonical direction and mirrored, so the directed list is
-        exactly symmetric (see :func:`find_pairs`).  The half stencil
-        is searched one offset at a time, in its order, so the largest
-        temporaries hold one offset's candidates, not fourteen.
-        """
-        self._check_cutoff(cutoff)
-        if not self.use_cells:
-            return _find_pairs_bruteforce(self.pos, self.box, cutoff)
-        cells = _cell_index(self.pos, self.box, self.n_cells)
-        rows, cols = [], []
-        for k, offset in enumerate(_HALF_STENCIL):
-            gi, gj = self._offset_candidates(cells, offset)
-            _d, r2 = pair_separations(self.pos, self.box, gi, gj)
-            mask = r2 < cutoff * cutoff
-            # cross-cell candidates already appear once per unordered
-            # pair; only the self cell (offset 0) needs the index dedup
-            if k == 0:
-                mask &= gi < gj
-            rows.append(gi[mask])
-            cols.append(gj[mask])
-        i, j = xp.concatenate(rows), xp.concatenate(cols)
-        return xp.concatenate([i, j]), xp.concatenate([j, i])
 
 
 class CellListCache:
@@ -199,10 +129,9 @@ def find_pairs(
 
     ``cell_list``, when given, must be the :class:`CellList` of ``pos``
     -- same box, same positions by value, cells at least ``cutoff``
-    wide -- and is used instead of binning here; the result is the same
-    either way.
+    wide -- and its grid is searched instead of one sized to ``cutoff``.
     """
-    pos = np.asarray(pos, dtype=np.float64)
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
     if pos.ndim != 2 or pos.shape[1] != 3:
         raise ValueError("positions must be (n, 3)")
     if cutoff <= 0:
@@ -219,7 +148,23 @@ def find_pairs(
         )
     elif not np.array_equal(cell_list.pos, pos):
         raise ValueError("cell list was binned over other positions")
-    return cell_list.pairs_within(cutoff)
+    cell_list._check_cutoff(cutoff)
+    n_cells = cell_list.n_cells if cell_list.use_cells else 0
+    lib = _library()
+    found = ctypes.c_void_p()
+    half = lib.repro_find_pairs(
+        pos.ctypes.data, len(pos), box, n_cells, cutoff, ctypes.byref(found)
+    )
+    if half < 0:
+        raise MemoryError("pair search: out of memory")
+    try:
+        i = np.empty(2 * half, dtype=np.int64)
+        j = np.empty(2 * half, dtype=np.int64)
+    except BaseException:
+        lib.repro_take_pairs(found, None, None)
+        raise
+    lib.repro_take_pairs(found, i.ctypes.data, j.ctypes.data)
+    return i, j
 
 
 def pair_separations(pos, box, i, j) -> tuple[np.ndarray, np.ndarray]:
@@ -231,50 +176,70 @@ def pair_separations(pos, box, i, j) -> tuple[np.ndarray, np.ndarray]:
     return d, xp.rowwise_dot(d, d)
 
 
-#: rows per block of the dense search; its largest temporaries are
-#: (block, n) float64 instead of the (n, n, 3) a one-shot search needs
-_BRUTE_BLOCK = 256
-#: strict upper triangle of one diagonal block (sliced for the last one)
-_BLOCK_TRIU = np.triu(np.ones((_BRUTE_BLOCK, _BRUTE_BLOCK), dtype=bool), k=1)
+# -- the compiled search -------------------------------------------------
+_SOURCE = Path(__file__).with_name("pairsearch.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: per-user, never a shared temporary directory: another user could
+#: plant the library loaded from there
+_CACHE_DIR = Path("~/.cache/repro")
+_LOCK = threading.Lock()
+_LIB = None
 
 
-def _find_pairs_bruteforce(pos, box, cutoff):
-    """Dense O(n^2) fallback for small particle counts / large cutoffs.
+def _library():
+    """The loaded search, compiled first if this source and these flags
+    have no library in the cache yet; one build however many threads
+    ask at once."""
+    global _LIB
+    if _LIB is None:
+        with _LOCK:
+            if _LIB is None:
+                _LIB = _load()
+    return _LIB
 
-    Searched in row blocks: per-axis 2-D differences with the minimum
-    image applied in place, ``r2`` accumulated in place, one
-    ``np.nonzero`` per block.  A block only visits the columns from its
-    first row on (the upper triangle).  The canonical half comes out
-    row-major, i.e. in the order a one-shot ``np.nonzero`` over the
-    full (n, n) mask would give it.
-    """
-    half = 0.5 * box
-    cut2 = cutoff * cutoff
-    columns = np.ascontiguousarray(pos.T)
-    empty = np.empty(0, dtype=np.int64)
-    rows, cols = [empty], [empty]
-    for a0 in range(0, len(pos), _BRUTE_BLOCK):
-        block = pos[a0 : a0 + _BRUTE_BLOCK]
-        r2 = None
-        for axis in range(3):
-            d = block[:, axis, None] - columns[axis, None, a0:]
-            d += half
-            d %= box
-            d -= half
-            d *= d
-            if r2 is None:
-                r2 = d
-            else:
-                r2 += d
-        mask = r2 < cut2
-        # decide the cutoff once per unordered pair (see find_pairs)
-        m = len(block)
-        mask[:, :m] &= _BLOCK_TRIU[:m, :m]
-        bi, bj = np.nonzero(mask)
-        bi += a0
-        bj += a0
-        rows.append(bi)
-        cols.append(bj)
-    i = np.concatenate(rows)
-    j = np.concatenate(cols)
-    return np.concatenate([i, j]), np.concatenate([j, i])
+
+def _load():
+    import subprocess  # only a build needs it; not paid at import
+
+    source = _SOURCE.read_bytes()
+    key = hashlib.sha256(source + " ".join(_CFLAGS).encode()).hexdigest()
+    cache = _CACHE_DIR.expanduser()
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    owner = cache.stat()
+    if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
+        raise RuntimeError(f"{cache} must belong to this user and be writable by no other")
+    path = cache / f"pairsearch-{key[:16]}.so"
+    if not path.exists():
+        cc = shutil.which("cc")
+        if cc is None:
+            raise RuntimeError(
+                "the pair search is compiled on first use and needs a C "
+                "compiler: no `cc` on PATH"
+            )
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            done = subprocess.run(
+                [cc, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                capture_output=True,
+                text=True,
+            )
+            if done.returncode:
+                raise RuntimeError(f"compiling {_SOURCE.name} failed:\n{done.stderr}")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(str(path))
+    lib.repro_find_pairs.restype = ctypes.c_int64
+    lib.repro_find_pairs.argtypes = [
+        ctypes.c_void_p,
+        ctypes.c_int64,
+        ctypes.c_double,
+        ctypes.c_int64,
+        ctypes.c_double,
+        ctypes.POINTER(ctypes.c_void_p),
+    ]
+    lib.repro_take_pairs.restype = None
+    lib.repro_take_pairs.argtypes = [ctypes.c_void_p] * 3
+    return lib

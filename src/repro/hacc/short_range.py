@@ -81,16 +81,12 @@ class PolynomialForceKernel:
 
 @dataclass
 class _StateMemo:
-    """What the last particle state produced: the pair list and, once a
-    force was evaluated there, the acceleration with what it depended on."""
+    """The pair list of the last particle state searched."""
 
     search_key: tuple[float, float]
     positions: np.ndarray
     i: np.ndarray
     j: np.ndarray
-    force_key: tuple[float, float] | None = None
-    mass: np.ndarray | None = None
-    acc: np.ndarray | None = None
 
 
 class ShortRangeSolver:
@@ -109,12 +105,11 @@ class ShortRangeSolver:
         #: Plummer softening; defaults to a small fraction of r_s
         self.softening = softening if softening is not None else 0.02 * r_s
         self.kernel = PolynomialForceKernel.fit(r_s, cutoff)
-        #: pair list and acceleration of the last particle state, keyed
-        #: by value on everything they depend on: the cost model
-        #: (:meth:`interaction_count`) and the force evaluation share
-        #: one search, and a KDK step, whose first force evaluation
-        #: repeats the previous step's last, pays one evaluation per
-        #: state.  A restored or rolled-back state simply misses.
+        #: pair list of the last particle state, keyed by value on what
+        #: it depends on, so the cost model (:meth:`interaction_count`)
+        #: and the force evaluation share one search.  A restored or
+        #: rolled-back state simply misses.  (The driver keeps the last
+        #: state's whole gravity; see ``AdiabaticDriver._gravity``.)
         self._memo: _StateMemo | None = None
 
     def clear_memo(self) -> None:
@@ -151,30 +146,15 @@ class ShortRangeSolver:
     def accelerations(
         self, particles: ParticleData, *, cells: CellListCache | None = None
     ) -> np.ndarray:
-        """(n, 3) short-range comoving accelerations.
-
-        Memoised per state like :meth:`pair_list`; the caller always
-        gets an array of its own, so mutating it (a fault-injecting
-        kernel hook does) cannot reach the next evaluation.  ``cells``
-        (the driver's counted source) is binned only for a state with
-        no pair list yet; the result is the same without it.
-        """
+        """(n, 3) short-range comoving accelerations, a fresh array per
+        call.  ``cells`` (the driver's counted source) is binned only
+        for a state with no pair list yet; the result is the same
+        without it."""
         pos = particles.positions
-        mass = particles.mass
-        force_key = (self.r_s, self.softening)
-        memo = self._memo_at(pos)
-        if (
-            memo is not None
-            and memo.force_key == force_key
-            and np.array_equal(memo.mass, mass)
-        ):
-            return memo.acc.copy()
-        searches = memo is None and cells is not None
+        searches = cells is not None and self._memo_at(pos) is None
         cell_list = cells.get(pos, self.cutoff) if searches else None
-        acc = self._evaluate(pos, mass, *self.pair_list(particles, cell_list=cell_list))
-        memo = self._memo  # this state's: pair_list found or stored it
-        memo.force_key, memo.mass, memo.acc = force_key, mass.copy(), acc.copy()
-        return acc
+        i, j = self.pair_list(particles, cell_list=cell_list)
+        return self._evaluate(pos, particles.mass, i, j)
 
     def _evaluate(self, pos, mass, i, j) -> np.ndarray:
         """The direct sum, one evaluation per unordered pair: the

@@ -248,6 +248,9 @@ class AdiabaticDriver:
         self.pair_cache = CellListCache(self.config.box)
         #: (box, positions, h, context) of the last gas state: see _gas_view
         self._gas_context: tuple | None = None
+        #: (box, positions, mass, acc, pair count) of the last gravity
+        #: evaluation: see _gravity
+        self._gravity_state: tuple | None = None
         self.trace = WorkloadTrace()
         self.diagnostics: list[StepDiagnostics] = []
         #: completed steps of the configured schedule
@@ -327,13 +330,34 @@ class AdiabaticDriver:
     # integral int dt/a, and the drift integral int dt/a^2.
     # ------------------------------------------------------------------
     def _gravity(self) -> np.ndarray:
-        """Total gravitational acceleration; records the GPU kernel."""
+        """Total gravitational acceleration; records the GPU kernel.
+
+        Gravity is a function of (box, positions, masses), and the
+        closing evaluation of one step and the opening one of the next
+        see the same three: the last result is kept and reused when they
+        are equal *by value*, so a steady step solves PM once.  A
+        restored or rolled-back state simply misses.  Every call still
+        records the kernel and runs the hook, on an array of its own,
+        so a hook that corrupts it cannot reach the kept result.
+        """
+        p = self.particles
         with self._kernel_span(GRAVITY_KERNEL):
-            acc = self.pm.accelerations(self.particles)  # host-side FFT
-            acc += self.short_range.accelerations(self.particles, cells=self.pair_cache)
-            n = len(self.particles)
-            # reuses the memoised pair list the accelerations just built
-            pair_count = self.short_range.interaction_count(self.particles)
+            pos = p.positions
+            kept = self._gravity_state
+            if (
+                kept is not None
+                and kept[0] == p.box
+                and np.array_equal(kept[1], pos)
+                and np.array_equal(kept[2], p.mass)
+            ):
+                acc, pair_count = kept[3].copy(), kept[4]
+            else:
+                acc = self.pm.accelerations(p)  # host-side FFT
+                acc += self.short_range.accelerations(p, cells=self.pair_cache)
+                # reuses the memoised pair list the accelerations just built
+                pair_count = self.short_range.interaction_count(p)
+                self._gravity_state = (p.box, pos, p.mass.copy(), acc.copy(), pair_count)
+            n = len(p)
             self._record_kernel(GRAVITY_KERNEL, n, pair_count / max(1, n), {"acc": acc})
         return acc
 

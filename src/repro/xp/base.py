@@ -32,27 +32,21 @@ OP_NAMES = (
     "eye",
     # shape / selection
     "concatenate",
-    "repeat",
     "take",
     "where",
-    "clip",
     # elementwise math
     "sqrt",
     "cbrt",
     "abs",
     "exp",
-    "floor",
     "maximum",
     "isfinite",
     # reductions
-    "sum",
     "max",
     "any",
-    "cumsum",
     "bincount",
     # sorting / search
     "argsort",
-    "searchsorted",
     "flatnonzero",
     # contractions / linear algebra
     "einsum",
@@ -105,9 +99,6 @@ class ArrayBackend:
     def concatenate(self, arrays, axis=0):
         return np.concatenate(arrays, axis=axis)
 
-    def repeat(self, x, repeats):
-        return np.repeat(x, repeats)
-
     def take(self, x, indices):
         """Rows ``x[indices]`` (along axis 0): the same copy as fancy
         indexing, 2.6x faster on (m, 3) float64 rows (NumPy 2.4, x86-64
@@ -116,9 +107,6 @@ class ArrayBackend:
 
     def where(self, cond, a, b):
         return np.where(cond, a, b)
-
-    def clip(self, x, lo, hi):
-        return np.clip(x, lo, hi)
 
     # -- elementwise math ----------------------------------------------
     def sqrt(self, x):
@@ -133,9 +121,6 @@ class ArrayBackend:
     def exp(self, x):
         return np.exp(x)
 
-    def floor(self, x):
-        return np.floor(x)
-
     def maximum(self, a, b):
         return np.maximum(a, b)
 
@@ -143,17 +128,11 @@ class ArrayBackend:
         return np.isfinite(x)
 
     # -- reductions ------------------------------------------------------
-    def sum(self, x, axis=None):
-        return np.sum(x, axis=axis)
-
     def max(self, x, axis=None):
         return np.max(x, axis=axis)
 
     def any(self, x):
         return bool(np.any(x))
-
-    def cumsum(self, x):
-        return np.cumsum(x)
 
     def bincount(self, index, weights=None, minlength=0):
         """Histogram scatter-add; accumulates in float64 (NumPy rule)."""
@@ -163,9 +142,6 @@ class ArrayBackend:
     def argsort(self, x):
         """Stable argsort (the pair pipeline's determinism contract)."""
         return np.argsort(x, kind="stable")
-
-    def searchsorted(self, sorted_x, values):
-        return np.searchsorted(sorted_x, values)
 
     def flatnonzero(self, x):
         return np.flatnonzero(x)

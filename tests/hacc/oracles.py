@@ -4,12 +4,13 @@ None of these runs in a step: each is a second, simpler route to a
 quantity the pipeline computes another way (a whole-list scatter, the
 corrected kernel on every pair, the energy balance, a quadrature of the
 kernel, the force-split fit error, the PM potential energy, sigma(R),
-the cosmology integrals by adaptive quadrature), or the scoped backend
-selection the op-counting tests use.
+the cosmology integrals by adaptive quadrature, the pair search in
+numpy), or the scoped backend selection the op-counting tests use.
 """
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,6 +19,7 @@ from scipy import integrate
 from repro import xp
 from repro.hacc.cosmology import Cosmology
 from repro.hacc.mesh import cic_interpolate
+from repro.hacc.neighbors import MIN_CELLS, pair_separations
 from repro.hacc.particles import ParticleData
 from repro.hacc.pm import PMSolver
 from repro.hacc.power import TRANSFER_FUNCTIONS, PowerSpectrum
@@ -171,3 +173,90 @@ def sigma8_amplitude(cosmology: Cosmology, transfer: str) -> float:
 
     var, _err = integrate.quad(integrand, np.log(1e-5), np.log(50.0), **TIGHT_QUAD)
     return float(cosmology.sigma8**2 * 2.0 * np.pi**2 / var)
+
+
+# -- the pair search in numpy ---------------------------------------------
+#: the self cell followed by the 13 lexicographically-positive offsets
+#: of the 27-cell stencil, in fixed offset-major order (dx outermost, dz
+#: innermost): each unordered pair of distinct cells is scanned exactly
+#: once (the self cell is deduplicated by the i < j filter)
+HALF_STENCIL = np.array(
+    [(0, 0, 0)]
+    + [o for o in itertools.product((-1, 0, 1), repeat=3) if o > (0, 0, 0)],
+    dtype=np.int64,
+)
+
+
+def cell_index(pos: np.ndarray, box: float, n_cells: int) -> np.ndarray:
+    """(n, 3) cell of each particle on an ``n_cells``-per-side grid."""
+    cell = np.floor((pos % box) / (box / n_cells)).astype(np.int64)
+    return np.clip(cell, 0, n_cells - 1)
+
+
+def numpy_find_pairs(pos, box, cutoff, n_cells=None):
+    """``find_pairs`` as the numpy search computed it, order included:
+    the order oracle of the compiled search.  ``n_cells`` is the grid per
+    side (default: the one sized to ``cutoff``); below ``MIN_CELLS``, or
+    with no particles, every pair is scanned row-major."""
+    pos = np.ascontiguousarray(pos, dtype=np.float64)
+    if n_cells is None:
+        n_cells = max(1, int(np.floor(box / cutoff)))
+    if n_cells < MIN_CELLS or not len(pos):
+        return _dense_pairs(pos, box, cutoff)
+    cells = cell_index(pos, box, n_cells)
+    flat = (cells[:, 0] * n_cells + cells[:, 1]) * n_cells + cells[:, 2]
+    order = np.argsort(flat, kind="stable")
+    boundaries = np.searchsorted(flat[order], np.arange(n_cells**3 + 1))
+    rows, cols = [], []
+    for k, offset in enumerate(HALF_STENCIL):
+        ncell = (cells + offset) % n_cells
+        nflat = (ncell[:, 0] * n_cells + ncell[:, 1]) * n_cells + ncell[:, 2]
+        starts = boundaries[nflat]
+        counts = boundaries[nflat + 1] - starts
+        gi = np.repeat(np.arange(len(pos)), counts)
+        # ragged ranges 0..counts[k] for every bucket: a global arange
+        # minus each element's bucket offset
+        shifts = np.cumsum(counts) - counts
+        within = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(shifts, counts)
+        gj = order[np.repeat(starts, counts) + within]
+        _d, r2 = pair_separations(pos, box, gi, gj)
+        mask = r2 < cutoff * cutoff
+        # cross-cell candidates already appear once per unordered pair;
+        # only the self cell (offset 0) needs the index dedup
+        if k == 0:
+            mask &= gi < gj
+        rows.append(gi[mask])
+        cols.append(gj[mask])
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    return np.concatenate([i, j]), np.concatenate([j, i])
+
+
+def _dense_pairs(pos, box, cutoff):
+    """Every pair, row-major over the upper triangle, with the per-axis
+    in-place minimum image and ``r2`` accumulation of the blocked numpy
+    search (256 rows a block)."""
+    half = 0.5 * box
+    columns = np.ascontiguousarray(pos.T)
+    empty = np.empty(0, dtype=np.int64)
+    rows, cols = [empty], [empty]
+    for a0 in range(0, len(pos), 256):
+        block = pos[a0 : a0 + 256]
+        r2 = None
+        for axis in range(3):
+            d = block[:, axis, None] - columns[axis, None, a0:]
+            d += half
+            d %= box
+            d -= half
+            d *= d
+            if r2 is None:
+                r2 = d
+            else:
+                r2 += d
+        mask = r2 < cutoff * cutoff
+        m = len(block)
+        mask[:, :m] &= np.triu(np.ones((m, m), dtype=bool), k=1)
+        bi, bj = np.nonzero(mask)
+        rows.append(bi + a0)
+        cols.append(bj + a0)
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    return np.concatenate([i, j]), np.concatenate([j, i])

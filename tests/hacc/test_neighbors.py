@@ -1,5 +1,7 @@
 """Tests for neighbour finding."""
 
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -251,8 +253,104 @@ class TestCellListCache:
         pos = rng.uniform(0, 10, (100, 3))
         first = cache.get(pos, 1.5)
         second = cache.get(pos, 1.5)
-        # nothing is kept: every call bins, and is counted
+        # nothing is kept: every call builds, and is counted
         assert first is not second
-        assert np.array_equal(first.order, second.order)
+        assert first.n_cells == second.n_cells
+        assert np.array_equal(first.pos, second.pos)
         assert cache.builds == 2
         assert registry.counter("sim.pairs.cell_list.builds").value == 2
+
+
+class TestCompiledSearch:
+    """The search is compiled on first use into a per-user cache, keyed
+    by its source and flags, once however many threads ask."""
+
+    @pytest.fixture
+    def cold(self, tmp_path, monkeypatch):
+        """A fresh cache directory, nothing loaded, and a count of the
+        compiler runs."""
+        import repro.hacc.neighbors as neighbors
+
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(neighbors, "_CACHE_DIR", cache)
+        monkeypatch.setattr(neighbors, "_LIB", None)
+        builds = []
+        run = subprocess.run
+
+        def counted(*args, **kwargs):
+            builds.append(args[0])
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counted)
+        return neighbors, cache, builds
+
+    def test_a_cold_build_compiles_once(self, cold, monkeypatch, rng):
+        neighbors, cache, builds = cold
+        pos = rng.uniform(0, 10, (200, 3))
+        first = find_pairs(pos, 10.0, 1.5)
+        assert len(builds) == 1
+        (library,) = cache.iterdir()  # the temporary name was replaced
+        assert library.suffix == ".so"
+        assert cache.stat().st_mode & 0o777 == 0o700
+        monkeypatch.setattr(neighbors, "_LIB", None)  # a new process
+        again = find_pairs(pos, 10.0, 1.5)
+        assert len(builds) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    def test_racing_threads_build_it_once(self, cold, rng):
+        import threading
+
+        _neighbors, _cache, builds = cold
+        pos = rng.uniform(0, 10, (300, 3))
+        start = threading.Barrier(2)
+        results = [None, None]
+
+        def search(k):
+            start.wait()
+            results[k] = find_pairs(pos, 10.0, 1.5)
+
+        threads = [threading.Thread(target=search, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert len(builds) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(*results))
+
+    def test_a_cache_others_can_write_is_refused(self, cold, rng):
+        _neighbors, cache, builds = cold
+        cache.mkdir(mode=0o700)
+        cache.chmod(0o777)
+        with pytest.raises(RuntimeError, match="writable by no other"):
+            find_pairs(rng.uniform(0, 10, (20, 3)), 10.0, 1.5)
+        assert builds == []
+
+    def test_no_compiler_fails_at_the_first_search_not_at_import(self, tmp_path):
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        script = (
+            "import numpy as np\n"
+            "from repro.hacc.neighbors import find_pairs\n"
+            "print('imported')\n"
+            "find_pairs(np.zeros((2, 3)), 10.0, 1.0)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={
+                "PATH": "",
+                "HOME": str(tmp_path),
+                "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+            },
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert done.stdout == "imported\n"
+        assert done.stderr.rstrip().splitlines()[-1] == (
+            "RuntimeError: the pair search is compiled on first use and needs "
+            "a C compiler: no `cc` on PATH"
+        )

@@ -269,8 +269,10 @@ class TestPairContract:
         solver.kernel = lambda r: rows.append(len(r)) or fitted(r)
         solver.accelerations(p)
         assert rows == [solver.interaction_count(p) // 2]
+        # the solver keeps no force (the driver keeps gravity): a second
+        # call evaluates the same canonical half once more
         solver.accelerations(p)
-        assert len(rows) == 1
+        assert rows == [rows[0]] * 2
 
 
 class TestStateMemo:
@@ -291,22 +293,18 @@ class TestStateMemo:
         )
         return clean.accelerations(p)
 
-    def test_hit_skips_the_scatter_and_is_bit_equal(self, rng, monkeypatch):
-        from repro import xp
+    def test_hit_skips_the_search_and_is_bit_equal(self, rng, monkeypatch):
+        import repro.hacc.short_range as sr
 
         p, solver = self.case(rng)
-        scatters = []
-        real = xp.bincount
-        # setitem, not setattr: xp resolves ops through a module
-        # __getattr__, so setattr's undo would leave the op behind as a
-        # real attribute that shadows dispatch for the rest of the session
-        monkeypatch.setitem(
-            vars(xp), "bincount", lambda *a, **k: scatters.append(1) or real(*a, **k)
+        searches = []
+        real = sr.find_pairs
+        monkeypatch.setattr(
+            sr, "find_pairs", lambda *a, **k: searches.append(1) or real(*a, **k)
         )
         first = solver.accelerations(p)
-        assert len(scatters) == 3  # one per axis
         again = solver.accelerations(p)
-        assert len(scatters) == 3
+        assert len(searches) == 1
         assert again is not first and np.array_equal(again, first)
 
     def test_misses_when_masses_change(self, rng):

@@ -150,8 +150,10 @@ def test_step_builds_one_cell_list_per_pair_query():
 
 
 class TestGravityMemo:
-    """One short-range force evaluation per particle state: the first
-    ``_gravity()`` of a step repeats the last one of the step before."""
+    """One gravity evaluation per particle state: the first
+    ``_gravity()`` of a step repeats the last one of the step before, so
+    the driver keeps it, and every call still reports to the trace and
+    the hook."""
 
     #: small box: the dense pair search
     CONFIG = dict(n_per_side=6, pm_mesh=16, n_steps=3)
@@ -160,6 +162,74 @@ class TestGravityMemo:
     def state(driver):
         p = driver.particles
         return p.positions.tobytes() + p.velocities.tobytes() + p.u.tobytes()
+
+    @staticmethod
+    def count_pm(driver) -> list[int]:
+        """A one-element counter of the driver's PM solves."""
+        calls = [0]
+        solve = driver.pm.accelerations
+
+        def counted(particles):
+            calls[0] += 1
+            return solve(particles)
+
+        driver.pm.accelerations = counted
+        return calls
+
+    def test_a_steady_step_solves_pm_once(self):
+        driver = AdiabaticDriver(SimulationConfig(**self.CONFIG))
+        calls = self.count_pm(driver)
+        per_step = []
+        while not driver.finished:
+            before = calls[0]
+            driver.advance()
+            per_step.append(calls[0] - before)
+        assert per_step == [2, 1, 1]
+
+    def test_the_hook_fires_on_both_calls_of_a_step(self):
+        driver = AdiabaticDriver(SimulationConfig(**self.CONFIG))
+        seen = []
+
+        def hook(name, step, outputs):
+            if name == GRAVITY_KERNEL:
+                seen.append(step)
+
+        driver.kernel_hook = hook
+        driver.run()
+        assert seen == [0, 0, 1, 1, 2, 2]
+
+    def test_a_corrupted_closing_gravity_does_not_reach_the_next_opening(self):
+        # the closing kick moves no particle: both drivers open step 1 on
+        # the same positions, the corrupted one from its kept gravity
+        def corrupt(name, step, outputs):
+            calls.append(name)
+            if name == GRAVITY_KERNEL and calls.count(name) == 2:
+                outputs["acc"][:] = np.nan
+
+        calls = []
+        corrupted = AdiabaticDriver(SimulationConfig(**self.CONFIG))
+        corrupted.kernel_hook = corrupt
+        clean = AdiabaticDriver(SimulationConfig(**self.CONFIG))
+        corrupted.advance()
+        clean.advance()
+        assert np.isnan(corrupted.particles.velocities).any()
+        assert np.array_equal(corrupted.particles.positions, clean.particles.positions)
+        solves = self.count_pm(corrupted)
+        assert np.array_equal(corrupted._gravity(), clean._gravity())
+        assert solves == [0]
+
+    def test_a_restore_to_another_state_misses(self):
+        from repro.resilience.restart import SimulationCheckpoint
+
+        driver = AdiabaticDriver(SimulationConfig(**self.CONFIG))
+        driver.advance()
+        checkpoint = SimulationCheckpoint.capture(driver)
+        driver.advance()  # keeps the gravity of step 1's closing state
+        driver.restore(particles=checkpoint.particles(), step_index=1)
+        solves = self.count_pm(driver)
+        fresh = checkpoint.restore_driver()
+        assert np.array_equal(driver._gravity(), fresh._gravity())
+        assert solves == [1]
 
     def test_memo_does_not_change_the_trajectory(self):
         plain = AdiabaticDriver(SimulationConfig(**self.CONFIG))

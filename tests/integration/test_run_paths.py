@@ -144,8 +144,8 @@ def test_every_run_path_ends_in_the_hand_stepped_state(arm, hand_stepped):
 def test_cell_path_state_does_not_depend_on_search_history():
     """At 11 per side SPH takes the cell search (gravity does from 6),
     whose pair order (hence every segment sum) must be a function of the
-    state alone: a checkpoint hop, a dropped force memo or a pair context
-    rebuilt for every pass ends in the same bits."""
+    state alone: a checkpoint hop, dropped gravity and pair-list memos or
+    a pair context rebuilt for every pass ends in the same bits."""
     config = SimulationConfig(n_per_side=11, n_steps=3, seed=7)
 
     straight = AdiabaticDriver(config)
@@ -159,6 +159,8 @@ def test_cell_path_state_does_not_depend_on_search_history():
     forgetful = AdiabaticDriver(config)
     while not forgetful.finished:
         forgetful.advance()
+        # both memos: the kept gravity and the solver's pair list
+        forgetful._gravity_state = None
         forgetful.short_range.clear_memo()
 
     contextless = AdiabaticDriver(config)

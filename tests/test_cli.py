@@ -268,6 +268,8 @@ class TestRunCoreValidation:
                 "error: invalid --faults plan: fault plan names rank(s) [1] "
                 "outside a world of 1 rank(s)",
             ),
+            (["simulate", "-n", "2", "--steps", "1"], "error: -n must be >= 3"),
+            (["trace", "-n", "1"], "error: -n must be >= 3"),
         ],
     )
     def test_bad_arguments_exit_2(self, argv, message, capsys, tmp_path, monkeypatch):
@@ -275,6 +277,15 @@ class TestRunCoreValidation:
         assert main(argv) == 2
         assert message in capsys.readouterr().out
         assert list(tmp_path.iterdir()) == []
+
+
+    def test_smallest_n_is_the_drivers(self):
+        # the run core refuses exactly the sizes the driver cannot build
+        from repro.hacc.timestep import AdiabaticDriver, SimulationConfig
+
+        with pytest.raises(ValueError, match="minimum-image"):
+            AdiabaticDriver(SimulationConfig(n_per_side=2))
+        AdiabaticDriver(SimulationConfig(n_per_side=3))
 
 
 class TestServiceCli:
