@@ -71,9 +71,9 @@ def run_standalone(
         return result
 
     p, idx, ctx = _gas_view(checkpoint)
-    corr, grad_w = hydro_state(ctx, p, idx, collect)
+    corr = hydro_state(ctx, p, idx, collect)
     if timer not in seen:
-        hydro_force(ctx, p, idx, corr, collect, grad_w)
+        hydro_force(ctx, p, idx, corr, collect)
     return seen[timer]
 
 

@@ -12,7 +12,13 @@ from repro.hacc.units import GAMMA_ADIABATIC
 
 
 def pressure(rho: np.ndarray, u: np.ndarray, gamma: float = GAMMA_ADIABATIC) -> np.ndarray:
-    """Gas pressure from density and specific internal energy."""
+    """Gas pressure from density and specific internal energy.
+
+    A negative ``u`` gives zero pressure, so the sound speed stays finite
+    on a state the health judge then refuses: its
+    ``sim.health.thermo_violations`` detector counts ``u < 0`` as FATAL.
+    The driver itself writes ``u`` unfloored.
+    """
     rho = np.asarray(rho, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     return (gamma - 1.0) * rho * np.maximum(u, 0.0)

@@ -9,8 +9,8 @@ hotspots -- is:
    from inverse number density, plus the smoothing-length update.
 2. **Corrections** (:mod:`~repro.hacc.sph.corrections`): the linear
    reproducing-kernel coefficients A_i, B_i from the moment sums.
-3. **Extras** (:mod:`~repro.hacc.sph.extras`): density and state
-   gradients with the corrected kernel.
+3. **Extras** (:mod:`~repro.hacc.sph.extras`): the density (the
+   paper's kernel also forms state gradients, which nothing here reads).
 4. **Acceleration** (:mod:`~repro.hacc.sph.acceleration`): the momentum
    derivative with the symmetrised corrected kernel + viscosity.
 5. **Energy** (:mod:`~repro.hacc.sph.energy`): the internal-energy

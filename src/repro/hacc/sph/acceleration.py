@@ -95,12 +95,10 @@ def compute_acceleration(
     cs: np.ndarray,
     velocity: np.ndarray,
     corr: CorrectionResult,
-    grad_w: np.ndarray | None = None,
 ) -> AccelerationResult:
-    """The Acceleration kernel.  ``grad_w``, when given, must be
-    ``corrected_kernel_gradients(ctx, h, corr)`` of these very arguments
-    (``ExtrasResult.grad_w``); it is evaluated here otherwise, block by
-    block, before the pass that reads each row's mirror."""
+    """The Acceleration kernel.  The per-pair grad_i W^R_ij is evaluated
+    here, block by block, before the pass that reads each row's
+    mirror."""
     for name, arr in (
         ("volume", volume),
         ("mass", mass),
@@ -113,10 +111,9 @@ def compute_acceleration(
     if np.asarray(velocity).shape != (ctx.n, 3):
         raise ValueError("velocity must be (n, 3)")
 
-    if grad_w is None:
-        grad_w = xp.empty(ctx.dx.shape)
-        for rows, _starts, _ids in ctx.blocks():
-            grad_w[rows] = corrected_kernel_gradients(ctx, h, corr, rows)
+    grad_w = xp.empty(ctx.dx.shape)
+    for rows, _starts, _ids in ctx.blocks():
+        grad_w[rows] = corrected_kernel_gradients(ctx, h, corr, rows)
 
     visc = xp.empty(ctx.n_pairs)
     delta_gw = xp.empty(ctx.dx.shape)

@@ -153,15 +153,14 @@ KernelObserver = Callable[..., Any]
 
 def hydro_state(
     ctx: PairContext, p: ParticleData, idx: np.ndarray, observe: KernelObserver
-) -> tuple[CorrectionResult, np.ndarray]:
+) -> CorrectionResult:
     """upGeo -> upCor -> upBarEx -> EOS refresh on the gas rows ``idx``
     of ``p``, whose pair context is ``ctx``; volume, smoothing length,
     density, pressure and sound speed are updated in place.
 
     The one definition of the hydro pass, with :func:`hydro_force`: the
     driver's opening pass and the standalone replay both run it, each
-    with its own ``observe``.  Returns the coefficients and the per-pair
-    grad W^R that upBarEx evaluated on ``(ctx, h, corr)``.
+    with its own ``observe``.  Returns the coefficients.
     """
     geo = observe(
         "upGeo", lambda: compute_geometry(ctx, p.hsml[idx]), "volume", "h_new"
@@ -170,15 +169,11 @@ def hydro_state(
     p.hsml[idx] = h = geo.h_new
     corr = observe("upCor", lambda: compute_corrections(ctx, h, geo.volume), "a", "b")
     extras = observe(
-        "upBarEx",
-        lambda: compute_extras(
-            ctx, h, geo.volume, p.mass[idx], p.velocities[idx], p.pressure[idx], corr
-        ),
-        "rho", "grad_rho", "div_v", "grad_p",
+        "upBarEx", lambda: compute_extras(ctx, geo.volume, p.mass[idx]), "rho"
     )
     p.rho[idx] = extras.rho
     eos.update_thermodynamics(p)
-    return corr, extras.grad_w
+    return corr
 
 
 def hydro_force(
@@ -187,18 +182,15 @@ def hydro_force(
     idx: np.ndarray,
     corr: CorrectionResult,
     observe: KernelObserver,
-    grad_w: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """upBarAc -> upBarDu on the gas rows ``idx`` of ``p``: all-particle
-    (dv_dt, du_dt), zero on dark matter, and the max signal speed.
-    ``grad_w`` is :func:`hydro_state`'s when ``(ctx, h, corr)`` are the
-    ones it was evaluated on, else ``None``."""
+    (dv_dt, du_dt), zero on dark matter, and the max signal speed."""
     h, volume, mass = p.hsml[idx], p.volume[idx], p.mass[idx]
     pressure, vel = p.pressure[idx], p.velocities[idx]
     accel = observe(
         "upBarAc",
         lambda: compute_acceleration(
-            ctx, h, volume, mass, p.rho[idx], pressure, p.cs[idx], vel, corr, grad_w
+            ctx, h, volume, mass, p.rho[idx], pressure, p.cs[idx], vel, corr
         ),
         "dv_dt",
     )
@@ -469,12 +461,11 @@ class AdiabaticDriver:
         idx, ctx = self._gas_view()
         observe = functools.partial(self._observe, "", ctx)
         # the post-drift passes reuse the coefficients (CRK-HACC's final
-        # kick re-evaluates only the force kernels); the per-pair
-        # gradient goes from upBarEx to this pass's upBarAc only
-        corr, grad_w = hydro_state(ctx, p, idx, observe)
-        dv_h, du_h, sig = hydro_force(ctx, p, idx, corr, observe, grad_w)
+        # kick re-evaluates only the force kernels)
+        corr = hydro_state(ctx, p, idx, observe)
+        dv_h, du_h, sig = hydro_force(ctx, p, idx, corr, observe)
         # no local outlives the kept context's replacement
-        del ctx, observe, grad_w
+        del ctx, observe
         n_sub = self.cfl_subcycles(sig, drift_total)
         self.last_subcycles = n_sub
 
@@ -483,7 +474,8 @@ class AdiabaticDriver:
         share = kick_half / n_sub
         vel = p.velocities + grav * kick_half + dv_h * share
         p.set_velocities(vel)
-        p.u[:] = np.maximum(p.u + du_h * share, 0.0)
+        # no floor: a negative u is the health judge's to refuse
+        p.u[:] += du_h * share
 
         # hydro subcycles: drift + force re-evaluation ("F" timers)
         for _sub in range(n_sub):
@@ -495,7 +487,7 @@ class AdiabaticDriver:
             del ctx, observe
             vel = p.velocities + dv_h * share
             p.set_velocities(vel)
-            p.u[:] = np.maximum(p.u + du_h * share, 0.0)
+            p.u[:] += du_h * share
 
         # gravity second half kick at the new positions
         grav = self._gravity()

@@ -147,6 +147,8 @@ CORRECTIONS = KernelSpec(
     global_bytes_per_pair=5.0,
 )
 
+#: the paper's Extras, gradients included; the runtime's compute_extras
+#: forms rho alone, since nothing in the step reads the gradients
 EXTRAS = KernelSpec(
     name="extras",
     timers=("upBarEx",),

@@ -12,7 +12,11 @@ directory ``job-<id>`` under the service's checkpoint root:
 
 - a fault, a failed guard or a FATAL health alert degrades along the
   job's degradation ladder (shrink to the survivors, retry from
-  checkpoint) instead of failing the request;
+  checkpoint) instead of failing the request.  A job checkpoints once,
+  after its final step (``checkpoint_every=spec.n_steps``), so a
+  failed attempt replays from the job's start or from its last
+  preemption checkpoint; each retry halves the cadence
+  (:meth:`~repro.resilience.restart.CheckpointManager.tighten`);
 - the job's cooperative preemption flag is the runner's ``stop``
   request: the ranks stop after the same step, the runner checkpoints
   it (the real atomic checksummed disk format), the worker requeues
@@ -308,6 +312,8 @@ class SimulationService:
                 self._sim_config(spec),
                 world_size=spec.ranks,
                 checkpoint_dir=self._job_dir(job),
+                # the final step only, unless a retry tightens it
+                checkpoint_every=spec.n_steps,
                 restart_from=job.checkpoint_path,
                 fault_plan=(
                     FaultPlan.parse(spec.faults, seed=spec.seed) if spec.faults else None

@@ -5,7 +5,9 @@ quantity the pipeline computes another way (a whole-list scatter, the
 corrected kernel on every pair, the energy balance, a quadrature of the
 kernel, the force-split fit error, the PM potential energy, sigma(R),
 the cosmology integrals by adaptive quadrature, the pair search in
-numpy), or the scoped backend selection the op-counting tests use.
+numpy), a check on one it uses (the difference-form field gradient,
+exact when the corrected kernel gradient is), or the scoped backend
+selection the op-counting tests use.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.hacc.pm import PMSolver
 from repro.hacc.power import TRANSFER_FUNCTIONS, PowerSpectrum
 from repro.hacc.short_range import PolynomialForceKernel, exact_short_range_factor
 from repro.hacc.sph.acceleration import AccelerationResult
-from repro.hacc.sph.corrections import CorrectionResult
+from repro.hacc.sph.corrections import CorrectionResult, corrected_kernel_gradients
 from repro.hacc.sph.energy import compute_energy_rate
 from repro.hacc.sph.kernels_math import SUPPORT, cubic_spline
 from repro.hacc.sph.pairs import PairContext
@@ -67,6 +69,29 @@ def corrected_kernel_values(
     w = ctx.kernel_values(h)
     lin = 1.0 + xp.rowwise_dot(corr.b[ctx.i], ctx.dx)
     return corr.a[ctx.i] * lin * w
+
+
+def difference_gradient(
+    ctx: PairContext,
+    h: np.ndarray,
+    corr: CorrectionResult,
+    volume: np.ndarray,
+    field: np.ndarray,
+) -> np.ndarray:
+    """grad F_i = sum_j V_j (F_j - F_i) grad_i W^R_ij on all pairs, the
+    difference-form gradient (pysph's ``GradPhi``): exact for linear
+    fields when the grad W^R that Acceleration reads is right.
+
+    ``field`` is (n,) or (n, k); returns (n, 3) or (n, k, 3) with
+    ``out[p, a, b] = dF_a / dx_b``.
+    """
+    gw = corrected_kernel_gradients(ctx, h, corr)
+    field = np.asarray(field, dtype=np.float64)
+    diff = field[ctx.j] - field[ctx.i]
+    vj = volume[ctx.j]
+    if diff.ndim == 1:
+        return scatter_sum(ctx, (vj * diff)[:, None] * gw)
+    return scatter_sum(ctx, (vj[:, None] * diff)[:, :, None] * gw[:, None, :])
 
 
 def pairwise_energy_balance(

@@ -5,7 +5,8 @@ The decisive invariants:
 - Geometry: volumes tile space (sum V ~ box volume on a uniform grid);
 - Corrections: the CRK reproducing conditions (constants exact, linear
   fields exact);
-- Extras: gradients of linear fields are exact;
+- Extras: the density is m / V; the corrected kernel gradient the
+  Acceleration reads makes the gradients of linear fields exact;
 - Acceleration: exact momentum conservation; uniform pressure -> no
   force;
 - Energy: the compatible pairing conserves total energy to round-off.
@@ -42,6 +43,7 @@ from repro.hacc.units import SPH_ETA
 from tests.hacc.oracles import (
     cell_index,
     corrected_kernel_values,
+    difference_gradient,
     pairwise_energy_balance,
     scatter_sum,
 )
@@ -225,47 +227,42 @@ class TestCorrections:
 
 
 class TestExtras:
+    def test_density_is_mass_over_volume(self, state, geometry):
+        _pos, _h, ctx, _box = state
+        mass = np.full(ctx.n, 2.0)
+        extras = compute_extras(ctx, geometry.volume, mass)
+        assert np.allclose(extras.rho, mass / geometry.volume)
+
+    def test_non_positive_volume_refused(self, state, geometry):
+        _pos, _h, ctx, _box = state
+        volume = geometry.volume.copy()
+        volume[3] = 0.0
+        with pytest.raises(FloatingPointError):
+            compute_extras(ctx, volume, np.ones(ctx.n))
+
+    # Extras forms no gradient; these two hold the grad W^R that
+    # Acceleration reads, through the difference-form gradient it makes
+    # exact (tests.hacc.oracles.difference_gradient)
+
     def test_linear_field_gradient_exact(self, state, geometry, corrections):
         pos, h, ctx, _box = state
         grad_direction = np.array([0.3, -0.2, 0.5])
-        # use an affine pressure field; CRK gradients are exact for it
+        # an affine pressure field; CRK gradients are exact for it
         pressure = 2.0 + pos @ grad_direction
-        mass = geometry.volume.copy()  # rho = 1
-        vel = np.zeros((ctx.n, 3))
-        extras = compute_extras(
-            ctx, h, geometry.volume, mass, vel, pressure, corrections
-        )
+        grad_p = difference_gradient(ctx, h, corrections, geometry.volume, pressure)
         # interior particles (periodic wrap breaks affinity at the seam)
-        from repro.hacc.sph.kernels_math import SUPPORT
-
         margin = SUPPORT * h.max()
         interior = np.all(
             (pos > margin) & (pos < state[3] - margin), axis=1
         )
         assert interior.sum() > 5
-        assert np.allclose(extras.grad_p[interior], grad_direction, atol=1e-7)
+        assert np.allclose(grad_p[interior], grad_direction, atol=1e-7)
 
     def test_constant_velocity_zero_divergence(self, state, geometry, corrections):
-        pos, h, ctx, _box = state
-        vel = np.tile([1.0, 2.0, 3.0], (ctx.n, 1))
-        extras = compute_extras(
-            ctx,
-            h,
-            geometry.volume,
-            geometry.volume,
-            vel,
-            np.ones(ctx.n),
-            corrections,
-        )
-        assert np.abs(extras.div_v).max() < 1e-9
-
-    def test_density_is_mass_over_volume(self, state, geometry, corrections):
         _pos, h, ctx, _box = state
-        mass = np.full(ctx.n, 2.0)
-        extras = compute_extras(
-            ctx, h, geometry.volume, mass, np.zeros((ctx.n, 3)), np.ones(ctx.n), corrections
-        )
-        assert np.allclose(extras.rho, mass / geometry.volume)
+        vel = np.tile([1.0, 2.0, 3.0], (ctx.n, 1))
+        grad_v = difference_gradient(ctx, h, corrections, geometry.volume, vel)
+        assert np.abs(np.trace(grad_v, axis1=1, axis2=2)).max() < 1e-9
 
 
 def _full_hydro_state(state, geometry):
@@ -561,26 +558,22 @@ def _outputs(result) -> dict[str, np.ndarray]:
 
 
 def _every_kernel_output(state) -> dict[str, np.ndarray]:
-    """Every array the five kernels return on ``state``, Acceleration
-    both with upBarEx's gradients (the opening pass) and without (the
-    post-drift pass, which evaluates its own)."""
+    """Every array the five kernels return on ``state`` (both hydro
+    passes run one Acceleration: it evaluates its own grad W^R)."""
     _pos, h, ctx, _box = state
     geo = compute_geometry(ctx, h)
     corr = compute_corrections(ctx, h, geo.volume)
     mass, rho, _u, pressure, cs, vel = _full_hydro_state(state, geo)
-    extras = compute_extras(ctx, h, geo.volume, mass, vel, pressure, corr)
-    hydro = (geo.volume, mass, rho, pressure, cs, vel, corr)
-    accel = compute_acceleration(ctx, h, *hydro, extras.grad_w)
-    drifted = compute_acceleration(ctx, h, *hydro)
+    extras = compute_extras(ctx, geo.volume, mass)
+    accel = compute_acceleration(ctx, h, geo.volume, mass, rho, pressure, cs, vel, corr)
     energy = compute_energy_rate(ctx, geo.volume, mass, pressure, vel, accel)
     out = {}
     for kernel, result in (
         ("upGeo", geo), ("upCor", corr), ("upBarEx", extras),
-        ("upBarAc", accel), ("upBarAcF", drifted), ("upBarDu", energy),
+        ("upBarAc", accel), ("upBarDu", energy),
     ):
         out.update({f"{kernel}.{k}": v for k, v in _outputs(result).items()})
     out["upBarAc.max_signal_speed"] = np.array(accel.max_signal_speed)
-    out["upBarAcF.max_signal_speed"] = np.array(drifted.max_signal_speed)
     return out
 
 
@@ -631,8 +624,8 @@ def _pass_transients(n: int):
     above the call's start minus what the call returns: (pairs, blocks,
     largest stencil offset, {pass: bytes}).
 
-    Allowances: the post-drift Acceleration evaluates the whole list's
-    grad W^R (the array upBarEx hands the opening pass).  The search's
+    Allowances: Acceleration evaluates the whole list's grad W^R, an
+    (m, 3) array, before the pass that reads each row's mirror.  The search's
     working memory (its cell arrays and pair buffer) is the compiled
     routine's C heap, which tracemalloc does not see: what is traced of
     it is the numpy side, its two output arrays."""
@@ -648,19 +641,17 @@ def _pass_transients(n: int):
     rho = mass / vol
     pressure, cs = eos.pressure(rho, u), eos.sound_speed(rho, u)
     corr, out["upCor"] = _traced_peak(lambda: compute_corrections(ctx, h, vol))
-    extras, out["upBarEx"] = _traced_peak(
-        lambda: compute_extras(ctx, h, vol, mass, vel, pressure, corr)
-    )
-    accel, out["upBarAcF"] = _traced_peak(
+    extras, out["upBarEx"] = _traced_peak(lambda: compute_extras(ctx, vol, mass))
+    accel, out["upBarAc"] = _traced_peak(
         lambda: compute_acceleration(ctx, h, vol, mass, rho, pressure, cs, vel, corr)
     )
-    out["upBarAcF"] -= extras.grad_w.nbytes
+    out["upBarAc"] -= ctx.dx.nbytes  # its grad W^R: one float64 triple a row
     energy, out["upBarDu"] = _traced_peak(
         lambda: compute_energy_rate(ctx, vol, mass, pressure, vel, accel)
     )
     for kernel, result in (
         ("upGeo", geo), ("upCor", corr), ("upBarEx", extras),
-        ("upBarAcF", accel), ("upBarDu", energy),
+        ("upBarAc", accel), ("upBarDu", energy),
     ):
         out[kernel] -= sum(a.nbytes for a in _outputs(result).values())
     cutoff = SUPPORT * SPH_ETA
@@ -701,7 +692,9 @@ class TestStreamingPass:
         for block in self.BLOCK_SIZES:
             monkeypatch.setattr("repro.hacc.sph.pairs.PAIR_BLOCK", block)
             runs.append(_every_kernel_output(state))
-        assert len(runs[0]) == 25
+        # the five kernels' arrays and the signal speed: Extras returns
+        # rho alone, and both hydro passes run one Acceleration path
+        assert len(runs[0]) == 16
         for other in runs[1:]:
             assert other.keys() == runs[0].keys()
             for name, value in runs[0].items():

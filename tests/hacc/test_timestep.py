@@ -149,6 +149,29 @@ def test_step_builds_one_cell_list_per_pair_query():
     assert counters["sim.pairs.cell_list.builds"] == 4 + 2
 
 
+def test_negative_internal_energy_reaches_the_judge():
+    """A kick writes ``u + du_dt * share`` as it is, with no floor at 0:
+    an energy rate broken enough to drive gas below u = 0 (here upBarDu's
+    ``du_dt`` scaled 10⁶-fold) is a FATAL ``thermo_violations`` alert on
+    that step, not a silently clamped state."""
+    from repro.hacc.particles import Species
+    from repro.observability.health import THERMO_VIOLATIONS, Severity
+
+    def inflate(name, _step, outputs):
+        if name == "upBarDu":
+            outputs["du_dt"] *= 1e6
+
+    driver = AdiabaticDriver(SimulationConfig(n_per_side=6, n_steps=2))
+    driver.kernel_hook = inflate
+    driver.advance()
+    gas = driver.particles.species_mask(Species.BARYON)
+    negative = np.count_nonzero(driver.particles.u[gas] < 0)
+    assert negative > 0
+    alerts = [a for a in driver.health.alerts if a.series == THERMO_VIOLATIONS]
+    assert [(a.step, a.severity) for a in alerts] == [(0, Severity.FATAL)]
+    assert alerts[0].value >= negative
+
+
 class TestGravityMemo:
     """One gravity evaluation per particle state: the first
     ``_gravity()`` of a step repeats the last one of the step before, so

@@ -20,7 +20,7 @@ import pytest
 
 from repro.hacc.neighbors import CellList, CellListCache
 from repro.hacc.particles import Species
-from repro.hacc.sph import acceleration, corrections, extras
+from repro.hacc.sph import acceleration, corrections
 from repro.hacc.sph.pairs import PairContext, sph_cutoff
 from repro.hacc.timestep import (
     GRAVITY_KERNEL,
@@ -236,8 +236,7 @@ def _counted_run(monkeypatch, **config) -> tuple[AdiabaticDriver, list[tuple]]:
         calls["grad"] += Fraction(len(range(ctx.n_pairs)[rows]), ctx.n_pairs)
         return evaluate(ctx, h, corr, rows)
 
-    for module in (extras, acceleration):
-        monkeypatch.setattr(module, "corrected_kernel_gradients", grad)
+    monkeypatch.setattr(acceleration, "corrected_kernel_gradients", grad)
 
     driver = AdiabaticDriver(
         SimulationConfig(n_per_side=9, pm_mesh=36, seed=7, **config)
@@ -258,10 +257,9 @@ def counted_steps():
 
 def test_a_step_evaluates_once_per_particle_state(counted_steps):
     """The post-drift pass of step k and the opening pass of step k+1
-    see one gas state and share one pair context; the opening pass
-    evaluates ∇W^R once (``upBarEx`` hands it to ``upBarAc``), the
-    post-drift pass once more -- each a pass over every row, block by
-    block.  Gravity bins once a step: its opening evaluation is a
+    see one gas state and share one pair context; ``upBarAc`` evaluates
+    ∇W^R once in each hydro pass, opening and post-drift -- each a pass
+    over every row, block by block.  Gravity bins once a step: its opening evaluation is a
     force-memo hit, which searches nothing."""
     _driver, per_step = counted_steps
     assert per_step == [(2, 4, 2), (1, 2, 2), (1, 2, 2)]

@@ -281,6 +281,19 @@ class TestCheckpointDirectory:
         assert got == configured
         assert (configured / "sim-step0001.npz").exists()
 
+    def test_a_fault_free_job_checkpoints_once(self):
+        """A job checkpoints after its final step only: a fault-free
+        3-step job is one write, not one per step."""
+
+        async def body(service):
+            counters = service.metrics.snapshot()["counters"]
+            before = counters.get("checkpoint.writes", 0)
+            result = await (await service.submit(JobSpec(n_per_side=6, n_steps=3))).future
+            assert result.steps_completed == 3 and result.attempts == 1
+            return service.metrics.snapshot()["counters"]["checkpoint.writes"] - before
+
+        assert run(_with_service(body)) == 1
+
     @pytest.mark.faults
     def test_finished_jobs_leave_no_checkpoint_directory(self, tmp_path):
         async def body(service):
